@@ -3,7 +3,8 @@
 Each enrolled entity gets a position->amplitude regression reference plus
 per-frame training MSE statistics; the mean+3-sigma upper control limit of
 those MSEs drives both quality gating and unknown rejection. The reference
-database persists as versioned JSON with full-precision numbers.
+database persists as versioned, compact JSON (sorted keys, full-precision
+numbers, one line); files written in the older indented layout still load.
 """
 
 from __future__ import annotations
@@ -299,7 +300,11 @@ def _model_from_dict(doc: dict) -> DtModel:
 
 
 def db_to_json(db: ReferenceDb) -> str:
-    """Canonical JSON serialization (sorted keys, full float precision)."""
+    """Canonical JSON serialization (sorted keys, full float precision).
+
+    Written without indentation, so CPython's C encoder does the work; the
+    text is one line plus a trailing newline.
+    """
     doc = {
         "format": DB_FORMAT,
         "version": db.version,
@@ -319,7 +324,7 @@ def db_to_json(db: ReferenceDb) -> str:
             for e in db.entries.values()
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def save_db(db: ReferenceDb, path) -> None:

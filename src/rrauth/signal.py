@@ -244,17 +244,36 @@ def beat_template(profile: SubjectProfile, frame_len: int = 220) -> np.ndarray:
     return _bump_sum(u, profile.waves)
 
 
+def _sorted_middle(rows: np.ndarray) -> np.ndarray:
+    """Median along the last axis of rows that are already sorted.
+
+    The middle element, or ``(a + b) / 2.0`` of the two middle ones for an
+    even count: on finite input this is the value ``np.median`` returns,
+    bit for bit.
+    """
+    k = rows.shape[-1]
+    h = k // 2
+    if k % 2:
+        return rows[..., h]
+    return (rows[..., h - 1] + rows[..., h]) / 2.0
+
+
 def _moving_median(x: np.ndarray, win: int) -> np.ndarray:
-    """Centered moving median; windows shrink at the edges."""
+    """Centered moving median; windows shrink at the edges.
+
+    Each window is sorted (the full ones as rows of one sliding-window view)
+    and its middle taken, which is several times faster than ``np.median``
+    over the same view and gives identical values.
+    """
     n = x.size
     half = win // 2
     med = np.empty(n)
     view = np.lib.stride_tricks.sliding_window_view(x, win)
-    med[half : half + n - win + 1] = np.median(view, axis=1)
+    med[half : half + n - win + 1] = _sorted_middle(np.sort(view, axis=1))
     for i in range(half):
-        med[i] = np.median(x[: i - half + win])
+        med[i] = _sorted_middle(np.sort(x[: i - half + win]))
     for i in range(half + n - win + 1, n):
-        med[i] = np.median(x[i - half :])
+        med[i] = _sorted_middle(np.sort(x[i - half :]))
     return med
 
 

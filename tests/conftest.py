@@ -24,6 +24,30 @@ def quiet_profile(seed: int = 0, heart_rate_bpm: float = 60.0,
                           waves=waves, noise_sd=noise_sd, seed=seed)
 
 
+def brute_force_best_split(X, y, min_leaf):
+    """Independent exhaustive search: every feature, every unique midpoint.
+
+    Returns (score, feature, threshold) of the first strictly lowest
+    summed child SSE, or None when no cut is legal.
+    """
+    n = y.size
+    best = None
+    for f in range(X.shape[1]):
+        vals = np.unique(X[:, f])
+        for lo, hi in zip(vals[:-1], vals[1:]):
+            thr = (lo + hi) / 2.0
+            mask = X[:, f] <= thr
+            nl = int(mask.sum())
+            if nl < min_leaf or n - nl < min_leaf:
+                continue
+            yl, yr = y[mask], y[~mask]
+            score = float(np.sum((yl - yl.mean()) ** 2)
+                          + np.sum((yr - yr.mean()) ** 2))
+            if best is None or score < best[0]:
+                best = (score, f, thr)
+    return best
+
+
 @pytest.fixture(scope="session")
 def small_cohort():
     """3 enrolled + 1 unknown, 65 s each: enough for auth and trial tests."""

@@ -23,7 +23,7 @@ from rrauth.learners import (DtParams, DtSplit, predict_dt, train_dt,
 from rrauth.signal import (EcgRecord, SubjectProfile, cohort_profiles,
                            preprocess, slice_seconds, synth_ecg)
 
-from conftest import EPOCH, quiet_profile
+from conftest import EPOCH, brute_force_best_split, quiet_profile
 
 FS = 360.0
 COHORT_SEED = 42
@@ -130,26 +130,6 @@ def test_06_mutual_information_suite():
         difference = entropy(x_marginal(joint)) - conditional_entropy(joint)
         assert direct == pytest.approx(difference, abs=1e-9)
     ok(6, "self-MI, independence bound and both estimator routes agree")
-
-
-def brute_force_best_split(X, y, min_leaf):
-    """Independent exhaustive search: every feature, every unique midpoint."""
-    n = y.size
-    best = None
-    for f in range(X.shape[1]):
-        vals = np.unique(X[:, f])
-        for lo, hi in zip(vals[:-1], vals[1:]):
-            thr = (lo + hi) / 2.0
-            mask = X[:, f] <= thr
-            nl = int(mask.sum())
-            if nl < min_leaf or n - nl < min_leaf:
-                continue
-            yl, yr = y[mask], y[~mask]
-            score = float(np.sum((yl - yl.mean()) ** 2)
-                          + np.sum((yr - yr.mean()) ** 2))
-            if best is None or score < best[0]:
-                best = (score, f, thr)
-    return best
 
 
 def test_07_tree_against_exhaustive_oracle():

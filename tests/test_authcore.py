@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,26 @@ class TestPersistence:
         path = tmp_path / "db.json"
         save_db(small_db, path)
         assert db_to_json(load_db(path)) == path.read_text(encoding="utf-8")
+
+    def test_compact_one_line(self, small_db):
+        text = db_to_json(small_db)
+        assert text.count("\n") == 1 and text.endswith("\n")
+
+    def test_indented_layout_still_loads(self, small_db, tmp_path):
+        # the layout written before the DB went compact: same document, indent=2
+        path = tmp_path / "old.json"
+        doc = json.loads(db_to_json(small_db))
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+        loaded = load_db(path)
+        assert set(loaded.entries) == set(small_db.entries)
+        for eid, want in small_db.entries.items():
+            got = loaded.entries[eid]
+            assert got.curve.tobytes() == want.curve.tobytes()
+            assert got.stats.mses.tobytes() == want.stats.mses.tobytes()
+            assert (got.stats.mean, got.stats.std, got.stats.ucl) == \
+                (want.stats.mean, want.stats.std, want.stats.ucl)
+        assert db_to_json(loaded) == db_to_json(small_db)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DbFormatError, match="no database"):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrauth.learners import (DtLeaf, DtParams, DtSplit, FitReport, auto_epsilon,
-                             count_leaves, empirical_risk, fit_report,
+                             count_leaves, fit_report,
                              gaussian_kernel, kernel_predict,
                              kernel_predict_batch, predict_curve, predict_dt,
                              train_dt, train_svm_binary, train_svr)
+
+from conftest import brute_force_best_split
 
 
 def tree_mse(model, X, y):
@@ -118,32 +122,90 @@ class TestTrainDt:
         assert isinstance(m.root, DtLeaf)
 
 
-class TestEmpiricalRisk:
-    def test_perfect_predictor(self):
-        X = np.arange(5.0).reshape(-1, 1)
-        assert empirical_risk(lambda r: r[0], X, X[:, 0]) == 0.0
+def exact_scan_split(X, y, min_leaf):
+    """Reference split search: every legal cut scored with the two-pass SSE,
+    features then cuts in ascending order, first strict minimum kept."""
 
-    def test_constant_offset(self):
-        X = np.arange(5.0).reshape(-1, 1)
-        assert empirical_risk(lambda r: r[0] + 0.75, X, X[:, 0]) == pytest.approx(0.75)
+    def sse(v):
+        return float(np.sum((v - v.mean()) ** 2))
 
-    def test_hand_average(self):
-        X = np.zeros((2, 1))
-        y = np.array([1.0, -3.0])
-        assert empirical_risk(lambda r: 0.0, X, y) == pytest.approx(2.0)
+    best_score, best = np.inf, None
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        xs, yo = X[order, f], y[order]
+        for i in range(1, y.size):
+            if xs[i] > xs[i - 1] and min(i, y.size - i) >= min_leaf:
+                score = sse(yo[:i]) + sse(yo[i:])
+                if score < best_score:
+                    best_score, best = score, (f, (xs[i - 1] + xs[i]) / 2.0)
+    return best
 
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            empirical_risk(lambda r: 0.0, np.empty((0, 1)), np.empty(0))
 
-    def test_equals_fit_report_mae(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(40, 1))
-        y = rng.normal(size=40)
-        m = train_dt(X, y)
-        pred = lambda r: predict_dt(m, r)
-        assert empirical_risk(pred, X, y) == pytest.approx(
-            fit_report(pred, X, y, 0.0).mae, abs=1e-12)
+def assert_splits_match(model, X, y, min_leaf):
+    """Every node of the tree holds, for the samples that reach it, the split
+    of the reference scan, and a split the brute-force oracle agrees with.
+
+    The oracle sums each side in sample order, the tree in feature order, so
+    when two features cut the node into the same two sets of samples the
+    rounding of those sums, not the tie rule, decides between them; any
+    other disagreement with the oracle fails.
+    """
+
+    def sides(rows, f, thr):
+        left = X[rows, f] <= thr
+        return rows[left], rows[~left]
+
+    def walk(node, rows, depth):
+        ref = exact_scan_split(X[rows], y[rows], min_leaf)
+        oracle = brute_force_best_split(X[rows], y[rows], min_leaf)
+        if isinstance(node, DtLeaf):
+            assert node.count == rows.size
+            if (rows.size >= 2 * min_leaf and depth < model.params.max_depth
+                    and np.ptp(y[rows]) > 0):
+                assert ref is None and oracle is None
+            return
+        assert (node.feature, node.threshold) == ref
+        left, right = sides(rows, node.feature, node.threshold)
+        if (node.feature, node.threshold) != oracle[1:]:
+            tied = {frozenset(left), frozenset(right)}
+            assert tied == {frozenset(r) for r in sides(rows, *oracle[1:])}
+        walk(node.left, left, depth + 1)
+        walk(node.right, right, depth + 1)
+
+    walk(model.root, np.arange(y.size), 0)
+
+
+@st.composite
+def duplicated_data(draw):
+    """Few distinct feature values, so many cuts and features tie on
+    position; generic targets, so only equal partitions tie on score."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.round(rng.uniform(size=(n, d)) * 10)
+    y = rng.normal(size=n)
+    return X, y, draw(st.integers(1, 5))
+
+
+class TestSplitSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(duplicated_data())
+    def test_every_node_matches_exhaustive_search(self, data):
+        X, y, min_leaf = data
+        model = train_dt(X, y, DtParams(min_leaf_size=min_leaf))
+        assert_splits_match(model, X, y, min_leaf)
+
+    def test_identical_partitions_lowest_feature_wins(self):
+        # all three features split the root into rows {0, 1, 2} | {3, 4, 5};
+        # feature 1 orders the rows in reverse, which rounds its prefix-sum
+        # score below feature 0's although the exact scores are equal
+        x = np.arange(6.0)
+        X = np.column_stack([x, 5.0 - x, 2.0 * x + 7.0])
+        y = np.array([0.9, 0.1, -0.7, 4.1, 4.5, 5.2])
+        model = train_dt(X, y, DtParams(min_leaf_size=3))
+        assert (model.root.feature, model.root.threshold) == (0, 2.5)
+        assert brute_force_best_split(X, y, 3)[1:] == (0, 2.5)
+        assert_splits_match(model, X, y, 3)
 
 
 class TestKernel:

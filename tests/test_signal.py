@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave,
-                           beat_template, load_csv, preprocess, save_csv,
-                           slice_seconds, synth_ecg)
+                           _moving_median, beat_template, load_csv, preprocess,
+                           save_csv, slice_seconds, synth_ecg)
 
 from conftest import quiet_profile
 
@@ -202,6 +204,28 @@ class TestPreprocess:
         once = preprocess(rec)
         twice = preprocess(once)
         assert np.max(np.abs(twice.samples - once.samples)) < 1e-9
+
+
+def median_reference(x, win):
+    """np.median of every centred window, clipped to the record at the edges."""
+    half = win // 2
+    return np.array([np.median(x[max(0, i - half) : i - half + win])
+                     for i in range(x.size)])
+
+
+class TestMovingMedian:
+    @settings(max_examples=120, deadline=None)
+    @given(win=st.sampled_from([3, 4, 53, 54, 215, 216]),
+           extra=st.one_of(st.just(0), st.integers(1, 400)),
+           levels=st.sampled_from([1.0, 8.0, 1000.0, None]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_np_median_at_every_position(self, win, extra, levels, seed):
+        # extra == 0 makes the window as long as the record; coarse levels
+        # fill each window with many equal values
+        x = np.random.default_rng(seed).normal(size=win + extra)
+        if levels is not None:
+            x = np.round(x * levels) / levels
+        assert np.array_equal(_moving_median(x, win), median_reference(x, win))
 
 
 class TestSlice:
