@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rrauth.beat import DEFAULT_FRAME_LEN, RrFrame, detect_rpeaks, frame_rr
+from rrauth.beat import DEFAULT_FRAME_LEN, detect_rpeaks, frame_rr
 from rrauth.learners import (DtLeaf, DtModel, DtParams, DtSplit, predict_curve,
                              train_dt)
 from rrauth.signal import EcgRecord, preprocess
@@ -39,7 +39,6 @@ __all__ = [
     "ReferenceDb",
     "AuthDecision",
     "FrameScores",
-    "frame_mse",
     "compute_ucl",
     "enroll",
     "score_frames",
@@ -115,15 +114,6 @@ class ReferenceDb:
 
     def entity_ids(self) -> list[str]:
         return sorted(self.entries)
-
-
-def frame_mse(frame: RrFrame, model: DtModel, expected_length: int | None = None) -> float:
-    """Mean squared deviation of a frame from the model's reference curve."""
-    values = frame.values
-    if expected_length is not None and values.size != expected_length:
-        raise ValueError(f"frame length {values.size} != expected {expected_length}")
-    curve = predict_curve(model, values.size)
-    return float(np.mean((values - curve) ** 2))
 
 
 def enroll(db: ReferenceDb, entity_id: str, record: EcgRecord, *,
@@ -232,14 +222,19 @@ def decide(db: ReferenceDb, scored: FrameScores, gate_ucl: float, *,
     within gate_ucl; the accepted-frame fraction is the APR. The best-scoring
     entity wins identification only if its score stays within id_margin
     times its own training UCL, otherwise the probe is declared unknown.
+
+    All entity scores come from one call: the passing rows are transposed
+    into a contiguous (entity, frame) array and averaged along each row.
+    A contiguous row is summed by the same pairwise reduction as the strided
+    column it came from, so each score equals that column's `mean()` exactly.
     """
     n_frames = scored.mse.shape[0]
     passing = scored.mse.min(axis=1) <= gate_ucl
     apr = float(passing.sum() / n_frames)
     if apr < apr_min or not passing.any():
         return AuthDecision(kind=REJECTED, apr=apr)
-    sub = scored.mse[passing]
-    scores = {e: float(sub[:, k].mean()) for k, e in enumerate(scored.entity_ids)}
+    means = np.ascontiguousarray(scored.mse[passing].T).mean(axis=1)
+    scores = dict(zip(scored.entity_ids, means.tolist()))
     best_id = min(scores, key=lambda e: (scores[e], e))
     best = scores[best_id]
     if best <= id_margin * db.entries[best_id].stats.ucl:

@@ -114,11 +114,21 @@ def _validate_pool(db: ReferenceDb, pool) -> list[tuple[EcgRecord, str | None]]:
 
 
 def _tally(db, scored_pool, pool, draws, gate_ucl, apr_min, id_margin):
+    """Confusion counts and per-trial outcomes for one gate.
+
+    A decision depends only on the pool record and the gate, so each
+    distinct drawn pool record is decided once and its frozen
+    `AuthDecision` is shared by every trial that draws it.
+    """
     cm = ConfusionMatrix()
     outcomes = []
-    for t, pi in enumerate(draws):
+    decided: dict[int, AuthDecision] = {}
+    for t, pi in enumerate(draws.tolist()):
         truth = pool[pi][1]
-        dec = decide(db, scored_pool[pi], gate_ucl, apr_min=apr_min, id_margin=id_margin)
+        dec = decided.get(pi)
+        if dec is None:
+            dec = decided[pi] = decide(db, scored_pool[pi], gate_ucl,
+                                       apr_min=apr_min, id_margin=id_margin)
         if dec.kind == REJECTED:
             cm.rejected += 1
         elif dec.kind == KNOWN:
@@ -133,7 +143,7 @@ def _tally(db, scored_pool, pool, draws, gate_ucl, apr_min, id_margin):
                 cm.uu += 1
             else:
                 cm.uk += 1
-        outcomes.append(TrialOutcome(index=t, pool_index=int(pi), truth=truth,
+        outcomes.append(TrialOutcome(index=t, pool_index=pi, truth=truth,
                                      decision=dec))
     return cm, outcomes
 
@@ -164,7 +174,10 @@ def sweep_ucl(db: ReferenceDb, pool, grid, n: int = 100, seed: int = 0, *,
               apr_min: float = DEFAULT_APR_MIN,
               id_margin: float = DEFAULT_ID_MARGIN) -> tuple[list[SweepPoint], SweepPoint]:
     """Evaluate trials across a grid of gate thresholds; returns all points
-    plus the best-overall-performance point (ties toward the smaller UCL)."""
+    plus the best-overall-performance point (ties toward the smaller UCL).
+
+    Every probe record is framed and scored once; at each gate, each distinct
+    drawn pool record is decided once (see `_tally`)."""
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")

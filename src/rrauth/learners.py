@@ -15,6 +15,7 @@ threshold), are those of scoring every cut exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -187,10 +188,32 @@ def predict_dt(model: DtModel, x) -> float:
 
 
 def predict_curve(model: DtModel, length: int) -> np.ndarray:
-    """Predictions at scalar positions 0..length-1 (position-only models)."""
+    """Predictions at scalar positions 0..length-1 (position-only models).
+
+    One walk over the tree hands each node a range of positions. Integer
+    position p goes left iff p <= threshold, i.e. p < floor(threshold) + 1,
+    so a split cuts its range there (clamped to the range; a NaN threshold
+    sends every position right, as the comparison does) and each leaf
+    fills its range with its mean: the values `predict_dt` gives per position.
+    """
     if model.n_features != 1:
         raise ValueError("predict_curve requires a single-feature model")
-    return np.array([predict_dt(model, [j]) for j in range(length)])
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    curve = np.empty(length)
+    stack = [(model.root, 0, length)]
+    while stack:
+        node, lo, hi = stack.pop()
+        if lo >= hi:
+            continue
+        if isinstance(node, DtLeaf):
+            curve[lo:hi] = node.mean
+            continue
+        th = node.threshold
+        cut = lo if not th >= lo else hi if th >= hi else math.floor(th) + 1
+        stack.append((node.left, lo, cut))
+        stack.append((node.right, cut, hi))
+    return curve
 
 
 def count_leaves(model: DtModel) -> int:
@@ -253,23 +276,45 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
     solves the two-variable subproblem exactly, so the objective never
     decreases. Stops when the KKT violation drops to `tol` or after
     `max_sweeps` passes of len(g) updates.
+
+    A step moves only g_i and g_j, so the `up`/`low` index sets are kept
+    incrementally as penalty arrays (0 where a variable may move that way,
+    -inf/+inf where it may not) with their counts, and only entries i and j
+    are refreshed after each step. Adding 0 leaves `zg` unchanged and the
+    infinities exclude an entry, so argmax/argmin pick the same pair, first
+    index on ties, as masking with `np.where` did; every iterate is the same.
     """
     m = z.size
     n = K.shape[0]
     gamma = np.zeros(m)
     fx = np.zeros(n)  # raw kernel expansion at each distinct point
+    zc = z * c
+    zg = np.empty(m)
+    fx_idx = np.empty(m)
+    scratch = np.empty(m)
+    row = np.empty(n)
+
+    def directions(k: int) -> tuple[bool, bool]:
+        zk, gk = z[k], gamma[k]
+        return (bool((zk > 0 and gk < box) or (zk < 0 and gk > 0)),
+                bool((zk < 0 and gk < box) or (zk > 0 and gk > 0)))
+
+    up = ((z > 0) & (gamma < box)) | ((z < 0) & (gamma > 0))
+    low = ((z < 0) & (gamma < box)) | ((z > 0) & (gamma > 0))
+    up_pen = np.where(up, 0.0, -np.inf)
+    low_pen = np.where(low, 0.0, np.inf)
+    n_up, n_low = int(up.sum()), int(low.sum())
     history: list[float] = []
     converged = False
     for _ in range(max_sweeps):
         for _ in range(m):
-            zg = z * c - fx[idx]
-            up = ((z > 0) & (gamma < box)) | ((z < 0) & (gamma > 0))
-            low = ((z < 0) & (gamma < box)) | ((z > 0) & (gamma > 0))
-            if not up.any() or not low.any():
+            np.take(fx, idx, out=fx_idx)
+            np.subtract(zc, fx_idx, out=zg)
+            if n_up == 0 or n_low == 0:
                 converged = True
                 break
-            i = int(np.argmax(np.where(up, zg, -np.inf)))
-            j = int(np.argmin(np.where(low, zg, np.inf)))
+            i = int(np.argmax(np.add(zg, up_pen, out=scratch)))
+            j = int(np.argmin(np.add(zg, low_pen, out=scratch)))
             gap = zg[i] - zg[j]
             if gap <= tol:
                 converged = True
@@ -287,23 +332,32 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
                 break
             gamma[i] = min(max(gamma[i] + t, 0.0), box)
             gamma[j] = min(max(gamma[j] - s * t, 0.0), box)
-            fx += (t * z[i]) * (K[xi] - K[xj])
+            for k in (i, j):
+                k_up, k_low = directions(k)
+                if k_up != up[k]:
+                    up[k] = k_up
+                    up_pen[k] = 0.0 if k_up else -np.inf
+                    n_up += 1 if k_up else -1
+                if k_low != low[k]:
+                    low[k] = k_low
+                    low_pen[k] = 0.0 if k_low else np.inf
+                    n_low += 1 if k_low else -1
+            np.subtract(K[xi], K[xj], out=row)
+            row *= t * z[i]
+            fx += row
         w = float(c @ gamma - 0.5 * np.dot(z * gamma, fx[idx]))
         history.append(w)
         if converged:
             break
 
-    zg = z * c - fx[idx]
+    zg = zc - fx[idx]
     interior = (gamma > 1e-8 * box) & (gamma < box * (1.0 - 1e-8))
     if interior.any():
         b = float(zg[interior].mean())
+    elif n_up and n_low:
+        b = float((np.max(zg[up]) + np.min(zg[low])) / 2.0)
     else:
-        up = ((z > 0) & (gamma < box)) | ((z < 0) & (gamma > 0))
-        low = ((z < 0) & (gamma < box)) | ((z > 0) & (gamma > 0))
-        if up.any() and low.any():
-            b = float((np.max(zg[up]) + np.min(zg[low])) / 2.0)
-        else:
-            b = float(zg.mean())
+        b = float(zg.mean())
     return gamma, b, history
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "random_profile",
     "cohort_profiles",
     "profile_to_dict",
-    "profile_from_dict",
 ]
 
 
@@ -359,14 +358,3 @@ def profile_to_dict(profile: SubjectProfile) -> dict:
             for name, w in sorted(profile.waves.items())
         },
     }
-
-
-def profile_from_dict(doc: dict) -> SubjectProfile:
-    waves = {name: Wave(**spec) for name, spec in doc["waves"].items()}
-    return SubjectProfile(
-        heart_rate_bpm=doc["heart_rate_bpm"],
-        rr_jitter=doc["rr_jitter"],
-        waves=waves,
-        noise_sd=doc["noise_sd"],
-        seed=doc["seed"],
-    )

@@ -2,45 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrauth.authcore import (DbFormatError, KNOWN, REJECTED, UNKNOWN,
-                             QualityStats, ReferenceDb, authenticate,
-                             compute_ucl, db_to_json, enroll, frame_mse,
-                             load_db, save_db, score_frames)
-from rrauth.beat import RrFrame
+                             FrameScores, QualityStats, ReferenceDb,
+                             ReferenceEntry, authenticate, compute_ucl,
+                             db_to_json, decide, enroll, load_db, save_db,
+                             score_frames)
 from rrauth.learners import DtParams, predict_curve, train_dt
 from rrauth.signal import EcgRecord, synth_ecg
 
 from conftest import EPOCH, quiet_profile
-
-
-def position_model(targets):
-    targets = np.asarray(targets, dtype=float)
-    X = np.arange(targets.size, dtype=float).reshape(-1, 1)
-    return train_dt(X, targets, DtParams(min_leaf_size=1))
-
-
-class TestFrameMse:
-    def test_exact_match_is_zero(self):
-        model = position_model([0.1, 0.5, -0.2, 0.9])
-        frame = RrFrame(predict_curve(model, 4), (0, 3))
-        assert frame_mse(frame, model) == 0.0
-
-    def test_constant_offset(self):
-        model = position_model([0.1, 0.5, -0.2, 0.9])
-        frame = RrFrame(predict_curve(model, 4) + 0.3, (0, 3))
-        assert frame_mse(frame, model) == pytest.approx(0.09, abs=1e-12)
-
-    def test_hand_computed(self):
-        model = position_model([0.0, 0.0])
-        frame = RrFrame(np.array([1.0, 3.0]), (0, 1))
-        assert frame_mse(frame, model) == pytest.approx(5.0)
-
-    def test_length_mismatch(self):
-        model = position_model([0.0, 0.0])
-        frame = RrFrame(np.array([1.0, 3.0, 5.0]), (0, 2))
-        with pytest.raises(ValueError, match="length"):
-            frame_mse(frame, model, expected_length=2)
 
 
 class TestComputeUcl:
@@ -142,7 +115,6 @@ class TestAuthenticate:
         scored = score_frames(small_db, rec)
         lo = float(np.quantile(scored.mse.min(axis=1), 0.3))
         hi = 2.0 * lo
-        from rrauth.authcore import decide
         apr_lo = decide(small_db, scored, lo, apr_min=0.0).apr
         apr_hi = decide(small_db, scored, hi, apr_min=0.0).apr
         assert apr_lo <= apr_hi
@@ -160,6 +132,48 @@ class TestAuthenticate:
         rec, _ = small_pool[0]
         with pytest.raises(ValueError, match="empty"):
             authenticate(ReferenceDb(), rec, 1.0)
+
+
+def stub_db(ids, ucl):
+    """Entries with a flat one-leaf reference and the given training UCL."""
+    model = train_dt([[0.0], [1.0]], [0.0, 0.0], DtParams(min_leaf_size=1))
+    stats = QualityStats(mses=np.zeros(2), mean=0.0, std=0.0, ucl=ucl)
+    db = ReferenceDb(frame_len=2)
+    for e in ids:
+        db.entries[e] = ReferenceEntry(entity_id=e, model=model, stats=stats,
+                                       enrolled_at=EPOCH, frame_len=2)
+    return db
+
+
+def column_mean_scores(mse, passing, ids):
+    """Reference: one `np.mean` per entity column of the passing rows."""
+    sub = mse[passing]
+    return {e: float(np.mean(sub[:, k])) for k, e in enumerate(ids)}
+
+
+class TestDecideScores:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 120), st.integers(0, 2**32 - 1))
+    def test_scores_equal_per_column_means(self, n_frames, n_entities, seed):
+        rng = np.random.default_rng(seed)
+        mse = rng.exponential(0.003, size=(n_frames, n_entities))
+        ids = tuple(f"e{k:03d}" for k in range(n_entities))
+        gate = float(np.quantile(mse.min(axis=1), rng.uniform(0.3, 1.0)))
+        d = decide(stub_db(ids, 1.0), FrameScores(ids, mse), gate, apr_min=0.0)
+        passing = mse.min(axis=1) <= gate
+        assert d.kind == KNOWN
+        assert d.scores == column_mean_scores(mse, passing, ids)
+        assert all(type(v) is float for v in d.scores.values())
+
+    def test_tie_goes_to_lower_id(self):
+        rng = np.random.default_rng(3)
+        col = rng.exponential(0.003, size=17)
+        mse = np.column_stack([col + 0.001, col, col])
+        ids = ("e3", "e2", "e1")
+        d = decide(stub_db(ids, 1.0), FrameScores(ids, mse), 1.0)
+        assert d.scores == column_mean_scores(mse, np.ones(17, bool), ids)
+        assert d.scores["e2"] == d.scores["e1"] < d.scores["e3"]
+        assert (d.kind, d.entity_id, d.score) == (KNOWN, "e1", d.scores["e1"])
 
 
 class TestPersistence:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rrauth import evalx
 from rrauth.evalx import (ConfusionMatrix, accuracy, auto_grid, confusion_csv,
                           format_confusion, overall_performance, run_trials,
                           sweep_csv, sweep_ucl)
@@ -163,3 +164,41 @@ class TestSweep:
         p2, _ = sweep_ucl(small_db, small_pool, grid, n=15, seed=8)
         assert sweep_csv(p1) == sweep_csv(p2)
         assert sweep_csv(p1).splitlines()[0] == "ucl,phi,N,accuracy,op"
+
+
+class TestDecideReuse:
+    @pytest.fixture
+    def decide_calls(self, monkeypatch):
+        calls = []
+        real = evalx.decide
+
+        def counting(db, scored, gate_ucl, **kw):
+            calls.append((id(scored), gate_ucl))
+            return real(db, scored, gate_ucl, **kw)
+
+        monkeypatch.setattr(evalx, "decide", counting)
+        return calls
+
+    def test_run_trials_decides_each_drawn_record_once(self, small_db, small_pool,
+                                                       decide_calls):
+        cm, outcomes = run_trials(small_db, small_pool, n=60, gate_ucl=0.003, seed=1)
+        drawn = {o.pool_index for o in outcomes}
+        assert len(decide_calls) == len(drawn) < 60
+        assert len(set(decide_calls)) == len(decide_calls)
+        by_record = {}
+        for o in outcomes:
+            assert by_record.setdefault(o.pool_index, o.decision) is o.decision
+        assert cm.total == 60
+
+    def test_sweep_reuses_decisions_and_matches_run_trials(self, small_db, small_pool,
+                                                           decide_calls):
+        grid = auto_grid(small_db, points=7)
+        points, _ = sweep_ucl(small_db, small_pool, grid, n=45, seed=2)
+        draws = np.random.default_rng(2).integers(0, len(small_pool), size=45)
+        assert len(decide_calls) <= len(grid) * len(set(draws.tolist()))
+        for ucl, point in zip(grid.tolist(), points):
+            cm, _ = run_trials(small_db, small_pool, n=45, gate_ucl=ucl, seed=2)
+            chi, _ = accuracy(cm)
+            assert point == evalx.SweepPoint(
+                ucl=ucl, accepted=cm.accepted, n_trials=cm.total, accuracy=chi,
+                op=overall_performance(cm.accepted, cm.total, chi))

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrauth.learners import (DtLeaf, DtParams, DtSplit, FitReport, auto_epsilon,
+from rrauth import learners
+from rrauth.learners import (DtLeaf, DtModel, DtParams, DtSplit, FitReport, auto_epsilon,
                              count_leaves, fit_report,
                              gaussian_kernel, kernel_predict,
                              kernel_predict_batch, predict_curve, predict_dt,
@@ -206,6 +209,146 @@ class TestSplitSearch:
         assert (model.root.feature, model.root.threshold) == (0, 2.5)
         assert brute_force_best_split(X, y, 3)[1:] == (0, 2.5)
         assert_splits_match(model, X, y, 3)
+
+
+def walk_curve(model, length):
+    """Reference curve: one root-to-leaf walk per position."""
+    return np.array([predict_dt(model, [j]) for j in range(length)])
+
+
+@st.composite
+def position_trees(draw):
+    """Hand-built single-feature trees whose thresholds fall below 0, on
+    integers, between them and at or beyond the curve's end."""
+    length = draw(st.integers(0, 30))
+    threshold = st.one_of(st.integers(-3, length + 3).map(float),
+                          st.floats(-5.0, length + 5.0),
+                          st.sampled_from([-np.inf, np.inf, np.nan, float(length),
+                                           length - 0.5, -0.5]))
+
+    def node(depth):
+        if depth == 0 or draw(st.booleans()):
+            return DtLeaf(mean=draw(st.floats(-2.0, 2.0)), count=1)
+        return DtSplit(feature=0, threshold=draw(threshold),
+                       left=node(depth - 1), right=node(depth - 1))
+
+    root = node(draw(st.integers(0, 6)))
+    return DtModel(root=root, n_features=1, params=DtParams(), y_min=0.0,
+                   y_max=0.0), length
+
+
+class TestPredictCurve:
+    @settings(max_examples=300, deadline=None)
+    @given(position_trees())
+    def test_equals_per_position_walk(self, tree):
+        model, length = tree
+        curve = predict_curve(model, length)
+        assert curve.dtype == np.float64 and curve.shape == (length,)
+        assert curve.tobytes() == walk_curve(model, length).tobytes()
+
+    def test_trained_tree(self):
+        rng = np.random.default_rng(14)
+        X = rng.integers(-4, 40, size=300).astype(float)
+        model = train_dt(X.reshape(-1, 1), rng.normal(size=300), DtParams(min_leaf_size=2))
+        for length in (0, 1, 36, 50):
+            assert predict_curve(model, length).tobytes() == walk_curve(model, length).tobytes()
+
+    def test_rejects_multi_feature_model_and_negative_length(self):
+        two = train_dt(np.eye(4), np.arange(4.0), DtParams(min_leaf_size=1))
+        with pytest.raises(ValueError, match="single-feature"):
+            predict_curve(two, 4)
+        one = train_dt(np.arange(4.0), np.arange(4.0), DtParams(min_leaf_size=1))
+        with pytest.raises(ValueError, match="length"):
+            predict_curve(one, -1)
+
+
+def rebuild_masks_solve_box_dual(K, z, c, box, idx, tol, max_sweeps):
+    """Reference solver: the maximal-violating-pair loop that rebuilds the
+    `up`/`low` masks over every variable at each step."""
+    m = z.size
+    n = K.shape[0]
+    gamma = np.zeros(m)
+    fx = np.zeros(n)
+    history = []
+    converged = False
+    for _ in range(max_sweeps):
+        for _ in range(m):
+            zg = z * c - fx[idx]
+            up = ((z > 0) & (gamma < box)) | ((z < 0) & (gamma > 0))
+            low = ((z < 0) & (gamma < box)) | ((z > 0) & (gamma > 0))
+            if not up.any() or not low.any():
+                converged = True
+                break
+            i = int(np.argmax(np.where(up, zg, -np.inf)))
+            j = int(np.argmin(np.where(low, zg, np.inf)))
+            gap = zg[i] - zg[j]
+            if gap <= tol:
+                converged = True
+                break
+            xi, xj = int(idx[i]), int(idx[j])
+            quad = max(K[xi, xi] + K[xj, xj] - 2.0 * K[xi, xj], 1e-12)
+            t = z[i] * gap / quad
+            s = z[i] * z[j]
+            lo_t = max(-gamma[i], (gamma[j] - box) if s > 0 else -gamma[j])
+            hi_t = min(box - gamma[i], gamma[j] if s > 0 else box - gamma[j])
+            t = min(max(t, lo_t), hi_t)
+            if t == 0.0:
+                converged = True
+                break
+            gamma[i] = min(max(gamma[i] + t, 0.0), box)
+            gamma[j] = min(max(gamma[j] - s * t, 0.0), box)
+            fx += (t * z[i]) * (K[xi] - K[xj])
+        w = float(c @ gamma - 0.5 * np.dot(z * gamma, fx[idx]))
+        history.append(w)
+        if converged:
+            break
+
+    zg = z * c - fx[idx]
+    interior = (gamma > 1e-8 * box) & (gamma < box * (1.0 - 1e-8))
+    if interior.any():
+        b = float(zg[interior].mean())
+    else:
+        up = ((z > 0) & (gamma < box)) | ((z < 0) & (gamma > 0))
+        low = ((z < 0) & (gamma < box)) | ((z > 0) & (gamma > 0))
+        if up.any() and low.any():
+            b = float((np.max(zg[up]) + np.min(zg[low])) / 2.0)
+        else:
+            b = float(zg.mean())
+    return gamma, b, history
+
+
+@st.composite
+def kernel_problems(draw):
+    """Small problems; some repeat rows of X, some stop after 1-3 sweeps."""
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, draw(st.integers(1, 2))))
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(1, n // 3), size=n)]
+    y = np.sin(2.0 * X[:, 0]) + 0.2 * rng.normal(size=n)
+    labels = np.where(y > np.median(y), 1.0, -1.0)
+    labels[0], labels[-1] = 1.0, -1.0
+    fit = dict(C=draw(st.floats(0.05, 10.0)), kernel_scale=draw(st.floats(0.2, 2.0)),
+               max_sweeps=draw(st.sampled_from([1, 2, 3, 200])))
+    return X, y, labels, fit
+
+
+def assert_same_solution(a, b):
+    assert a.dual.tobytes() == b.dual.tobytes()
+    assert a.b == b.b
+    assert a.objective_history == b.objective_history
+
+
+class TestSolverAgainstReference:
+    @settings(max_examples=120, deadline=None)
+    @given(kernel_problems(), st.one_of(st.none(), st.floats(0.0, 0.3)))
+    def test_same_iterates_as_mask_rebuilding_loop(self, problem, epsilon):
+        X, y, labels, fit = problem
+        svr = train_svr(X, y, epsilon=epsilon, **fit)
+        svm = train_svm_binary(X, labels, **fit)
+        with mock.patch.object(learners, "_solve_box_dual", rebuild_masks_solve_box_dual):
+            assert_same_solution(svr, train_svr(X, y, epsilon=epsilon, **fit))
+            assert_same_solution(svm, train_svm_binary(X, labels, **fit))
 
 
 class TestKernel:
