@@ -2,25 +2,36 @@
 
 Each enrolled entity gets a position->amplitude regression reference plus
 per-frame training MSE statistics; the mean+3-sigma upper control limit of
-those MSEs drives both quality gating and unknown rejection. The reference
-database persists as versioned, compact JSON (sorted keys, full-precision
-numbers, one line); files written in the older indented layout still load.
+those MSEs drives both quality gating and unknown rejection. Enrolment,
+scoring and the CLI's frame analyses all cut their frames through
+`extract_frames`, so they share one order and one set of detector and
+baseline parameters (the defaults of `preprocess` and `detect_rpeaks`).
+
+The reference database persists as compact JSON (sorted keys, full-precision
+numbers, one line; indented files also load). Format version 2 stores what scoring reads: per entity
+the reference curve (the tree's predictions at positions 0..frame_len-1),
+the quality stats and the enrolment time, with one `frame_len` in the header.
+Version 1 files, which stored each entity's regression tree instead of its
+curve, are still read (the curve is predicted from the tree on load); saving
+always writes version 2.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from rrauth.beat import DEFAULT_FRAME_LEN, detect_rpeaks, frame_rr
+from rrauth.beat import DEFAULT_FRAME_LEN, FrameSet, detect_rpeaks, frame_rr
 from rrauth.learners import (DtLeaf, DtModel, DtParams, DtSplit, predict_curve,
                              train_dt)
 from rrauth.signal import EcgRecord, preprocess
 
-DB_VERSION = "1"
+DB_VERSION = "2"
+DB_V1 = "1"  # tree-per-entity layout, read only
 DB_FORMAT = "rrauth-reference-db"
 
 DEFAULT_TRAIN_WINDOW_S = 50.0
@@ -40,6 +51,7 @@ __all__ = [
     "AuthDecision",
     "FrameScores",
     "compute_ucl",
+    "extract_frames",
     "enroll",
     "score_frames",
     "decide",
@@ -88,20 +100,23 @@ class QualityStats:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceEntry:
-    """One enrolled entity: reference model, quality stats, metadata."""
+    """One enrolled entity: reference curve, quality stats, metadata.
+
+    `curve` holds the reference predictions at positions 0..frame_len-1.
+    """
 
     entity_id: str
-    model: DtModel
+    curve: np.ndarray
     stats: QualityStats
     enrolled_at: str
-    frame_len: int
-    curve: np.ndarray = None  # reference predictions at positions 0..L-1
 
     def __post_init__(self) -> None:
         if not self.entity_id:
             raise ValueError("entity_id must be non-empty")
-        if self.curve is None:
-            object.__setattr__(self, "curve", predict_curve(self.model, self.frame_len))
+
+    @property
+    def frame_len(self) -> int:
+        return self.curve.size
 
 
 @dataclass(eq=False)
@@ -109,25 +124,37 @@ class ReferenceDb:
     """Enrollment database; all entries share one frame length."""
 
     frame_len: int = DEFAULT_FRAME_LEN
-    version: str = DB_VERSION
     entries: dict[str, ReferenceEntry] = field(default_factory=dict)
 
     def entity_ids(self) -> list[str]:
         return sorted(self.entries)
 
 
+def extract_frames(record: EcgRecord, window_s: float, frame_len: int) -> FrameSet:
+    """The one frame-extraction path: keep the first `window_s` seconds,
+    remove the baseline, detect R-peaks and cut RR frames of `frame_len`.
+
+    Truncating before the baseline removal means a frame depends only on the
+    samples inside the window. Baseline and detector parameters are the
+    defaults of `preprocess` and `detect_rpeaks`, so every caller uses the
+    same ones.
+    """
+    n_keep = min(record.samples.size, int(round(window_s * record.fs)))
+    clean = preprocess(EcgRecord(record.subject_id, record.fs, record.samples[:n_keep]))
+    return frame_rr(clean, detect_rpeaks(clean), frame_len)
+
+
 def enroll(db: ReferenceDb, entity_id: str, record: EcgRecord, *,
            train_window_s: float = DEFAULT_TRAIN_WINDOW_S,
            allow_short: bool = False,
            min_leaf_size: int = 4, max_depth: int = 32,
-           baseline_window_s: float = 0.6,
-           refractory_s: float = 0.25, thresh_frac: float = 0.4,
            enrolled_at: str | None = None) -> ReferenceEntry:
-    """Train and store one entity's reference function and quality stats.
+    """Train and store one entity's reference curve and quality stats.
 
-    Pipeline: truncate to the training window, remove baseline, detect
-    R-peaks, cut frames, fit the tree on pooled (position, amplitude) pairs,
-    then score every training frame against the new model.
+    Pipeline: `extract_frames` over the training window, fit the tree on
+    the pooled (position, amplitude) pairs, predict its curve at positions
+    0..frame_len-1, then score every training frame against that curve.
+    Only the curve is kept; the tree is not stored.
     """
     if not entity_id:
         raise ValueError("entity_id must be non-empty")
@@ -136,17 +163,9 @@ def enroll(db: ReferenceDb, entity_id: str, record: EcgRecord, *,
     if record.duration_s < train_window_s and not allow_short:
         raise ValueError(f"record of {record.duration_s:.1f}s is shorter than the "
                          f"{train_window_s}s training window (allow_short=True to override)")
-    n_keep = min(record.samples.size, int(round(train_window_s * record.fs)))
-    trimmed = EcgRecord(record.subject_id, record.fs, record.samples[:n_keep])
-
-    clean = preprocess(trimmed, baseline_window_s)
-    peaks = detect_rpeaks(clean, refractory_s=refractory_s, thresh_frac=thresh_frac)
-    if len(peaks) < 2:
-        raise ValueError(f"found {len(peaks)} R-peaks in {entity_id!r}; need >= 2")
-    frames = frame_rr(clean, peaks, db.frame_len)
-    matrix = frames.matrix()
+    matrix = extract_frames(record, train_window_s, db.frame_len).matrix()
     if matrix.shape[0] < 2:
-        raise ValueError(f"framing produced {matrix.shape[0]} frames; need >= 2")
+        raise ValueError(f"found {matrix.shape[0]} RR frames in {entity_id!r}; need >= 2")
 
     positions = np.tile(np.arange(db.frame_len, dtype=float), matrix.shape[0])
     model = train_dt(positions.reshape(-1, 1), matrix.ravel(),
@@ -156,9 +175,8 @@ def enroll(db: ReferenceDb, entity_id: str, record: EcgRecord, *,
     stats = QualityStats.from_mses(mses)
     if enrolled_at is None:
         enrolled_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    entry = ReferenceEntry(entity_id=entity_id, model=model, stats=stats,
-                           enrolled_at=enrolled_at, frame_len=db.frame_len,
-                           curve=curve)
+    entry = ReferenceEntry(entity_id=entity_id, curve=curve, stats=stats,
+                           enrolled_at=enrolled_at)
     db.entries[entity_id] = entry
     return entry
 
@@ -172,18 +190,11 @@ class FrameScores:
 
 
 def score_frames(db: ReferenceDb, record: EcgRecord, *,
-                 test_window_s: float = DEFAULT_TEST_WINDOW_S,
-                 baseline_window_s: float = 0.6,
-                 refractory_s: float = 0.25, thresh_frac: float = 0.4) -> FrameScores:
+                 test_window_s: float = DEFAULT_TEST_WINDOW_S) -> FrameScores:
     """Frame a probe record and score every frame against every entity."""
     if not db.entries:
         raise ValueError("reference database is empty")
-    n_keep = min(record.samples.size, int(round(test_window_s * record.fs)))
-    trimmed = EcgRecord(record.subject_id, record.fs, record.samples[:n_keep])
-    clean = preprocess(trimmed, baseline_window_s)
-    peaks = detect_rpeaks(clean, refractory_s=refractory_s, thresh_frac=thresh_frac)
-    frames = frame_rr(clean, peaks, db.frame_len)
-    matrix = frames.matrix()
+    matrix = extract_frames(record, test_window_s, db.frame_len).matrix()
     if matrix.shape[0] == 0:
         raise ValueError("probe record produced no frames")
     ids = tuple(db.entity_ids())
@@ -246,25 +257,14 @@ def decide(db: ReferenceDb, scored: FrameScores, gate_ucl: float, *,
 def authenticate(db: ReferenceDb, record: EcgRecord, gate_ucl: float, *,
                  test_window_s: float = DEFAULT_TEST_WINDOW_S,
                  apr_min: float = DEFAULT_APR_MIN,
-                 id_margin: float = DEFAULT_ID_MARGIN,
-                 baseline_window_s: float = 0.6,
-                 refractory_s: float = 0.25, thresh_frac: float = 0.4) -> AuthDecision:
+                 id_margin: float = DEFAULT_ID_MARGIN) -> AuthDecision:
     """Full authentication of a probe record against the database."""
-    scored = score_frames(db, record, test_window_s=test_window_s,
-                          baseline_window_s=baseline_window_s,
-                          refractory_s=refractory_s, thresh_frac=thresh_frac)
+    scored = score_frames(db, record, test_window_s=test_window_s)
     return decide(db, scored, gate_ucl, apr_min=apr_min, id_margin=id_margin)
 
 
 # ---------------------------------------------------------------------------
 # persistence
-
-
-def _node_to_dict(node) -> dict:
-    if isinstance(node, DtLeaf):
-        return {"mean": node.mean, "count": node.count}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
 
 
 def _node_from_dict(doc: dict):
@@ -275,18 +275,8 @@ def _node_from_dict(doc: dict):
                    right=_node_from_dict(doc["right"]))
 
 
-def _model_to_dict(model: DtModel) -> dict:
-    return {
-        "n_features": model.n_features,
-        "min_leaf_size": model.params.min_leaf_size,
-        "max_depth": model.params.max_depth,
-        "y_min": model.y_min,
-        "y_max": model.y_max,
-        "root": _node_to_dict(model.root),
-    }
-
-
 def _model_from_dict(doc: dict) -> DtModel:
+    """A version-1 entity's stored tree (read only: version 2 stores curves)."""
     return DtModel(root=_node_from_dict(doc["root"]),
                    n_features=int(doc["n_features"]),
                    params=DtParams(min_leaf_size=int(doc["min_leaf_size"]),
@@ -295,26 +285,25 @@ def _model_from_dict(doc: dict) -> DtModel:
 
 
 def db_to_json(db: ReferenceDb) -> str:
-    """Canonical JSON serialization (sorted keys, full float precision).
+    """Canonical version-2 JSON (sorted keys, full float precision).
 
     Written without indentation, so CPython's C encoder does the work; the
     text is one line plus a trailing newline.
     """
     doc = {
         "format": DB_FORMAT,
-        "version": db.version,
+        "version": DB_VERSION,
         "frame_len": db.frame_len,
         "entities": {
             e.entity_id: {
+                "curve": e.curve.tolist(),
                 "enrolled_at": e.enrolled_at,
-                "frame_len": e.frame_len,
                 "stats": {
                     "mses": e.stats.mses.tolist(),
                     "mean": e.stats.mean,
                     "std": e.stats.std,
                     "ucl": e.stats.ucl,
                 },
-                "model": _model_to_dict(e.model),
             }
             for e in db.entries.values()
         },
@@ -327,7 +316,49 @@ def save_db(db: ReferenceDb, path) -> None:
         fh.write(db_to_json(db))
 
 
+def _finite_array(value, what: str) -> np.ndarray:
+    """A flat JSON list of finite numbers as a read-only float array."""
+    arr = np.asarray(value)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise DbFormatError(f"{what} must be a flat list of finite numbers")
+    arr = arr.astype(float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _stat(value, what: str) -> float:
+    """A finite, non-negative JSON number (every stored statistic is one)."""
+    if type(value) not in (int, float) or not 0.0 <= value < math.inf:
+        raise DbFormatError(f"{what} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
+def _entry_from_doc(entity_id: str, e: dict, version: str,
+                    frame_len: int) -> ReferenceEntry:
+    what = f"entity {entity_id!r}"
+    if version == DB_V1:
+        curve = predict_curve(_model_from_dict(e["model"]), frame_len)
+    else:
+        curve = e["curve"]
+    curve = _finite_array(curve, f"{what} curve")
+    if curve.shape != (frame_len,):
+        raise DbFormatError(f"{what} curve has {curve.size} values; "
+                            f"frame_len is {frame_len}")
+    s = e["stats"]
+    mses = _finite_array(s["mses"], f"{what} mses")
+    if mses.size < 2 or np.any(mses < 0):
+        raise DbFormatError(f"{what} needs >= 2 stored MSE values, all >= 0")
+    stats = QualityStats(mses=mses, mean=_stat(s["mean"], f"{what} mean"),
+                         std=_stat(s["std"], f"{what} std"),
+                         ucl=_stat(s["ucl"], f"{what} ucl"))
+    if not isinstance(e["enrolled_at"], str):
+        raise DbFormatError(f"{what} enrolled_at must be a string")
+    return ReferenceEntry(entity_id=entity_id, curve=curve, stats=stats,
+                          enrolled_at=e["enrolled_at"])
+
+
 def load_db(path) -> ReferenceDb:
+    """Read a version-2 or version-1 database; any defect is a DbFormatError."""
     try:
         with open(str(path), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -337,30 +368,19 @@ def load_db(path) -> ReferenceDb:
         raise DbFormatError(f"{path}: not valid JSON ({exc})") from None
     try:
         if doc.get("format") != DB_FORMAT:
-            raise DbFormatError(f"{path}: not a reference database file")
+            raise DbFormatError("not a reference database file")
         version = doc["version"]
-        if version != DB_VERSION:
-            raise DbFormatError(f"{path}: version {version!r} unsupported "
-                                f"(expected {DB_VERSION!r})")
-        db = ReferenceDb(frame_len=int(doc["frame_len"]), version=version)
+        if version not in (DB_VERSION, DB_V1):
+            raise DbFormatError(f"version {version!r} unsupported "
+                                f"(expected {DB_VERSION!r} or {DB_V1!r})")
+        frame_len = doc["frame_len"]
+        if type(frame_len) is not int or frame_len < 2:
+            raise DbFormatError(f"frame_len must be an integer >= 2, got {frame_len!r}")
+        db = ReferenceDb(frame_len=frame_len)
         for entity_id, e in doc["entities"].items():
-            if int(e["frame_len"]) != db.frame_len:
-                raise DbFormatError(f"{path}: entity {entity_id!r} frame length "
-                                    f"{e['frame_len']} != database {db.frame_len}")
-            mses = np.asarray(e["stats"]["mses"], dtype=float)
-            if mses.size < 2:
-                raise DbFormatError(f"{path}: entity {entity_id!r} has fewer than "
-                                    f"2 stored MSE values")
-            mses.flags.writeable = False
-            stats = QualityStats(mses=mses, mean=float(e["stats"]["mean"]),
-                                 std=float(e["stats"]["std"]),
-                                 ucl=float(e["stats"]["ucl"]))
-            entry = ReferenceEntry(entity_id=entity_id,
-                                   model=_model_from_dict(e["model"]),
-                                   stats=stats,
-                                   enrolled_at=str(e["enrolled_at"]),
-                                   frame_len=int(e["frame_len"]))
-            db.entries[entity_id] = entry
-    except (KeyError, TypeError, AttributeError) as exc:
+            db.entries[entity_id] = _entry_from_doc(entity_id, e, version, frame_len)
+    except DbFormatError as exc:
+        raise DbFormatError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise DbFormatError(f"{path}: corrupted database structure ({exc!r})") from None
     return db

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,27 +20,17 @@ import numpy as np
 from rrauth import authcore, evalx, infotheory, learners
 from rrauth import signal as ecgsig
 from rrauth.authcore import ReferenceDb, load_db, save_db
-from rrauth.beat import DEFAULT_FRAME_LEN, detect_rpeaks, frame_rr
+from rrauth.beat import DEFAULT_FRAME_LEN
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00+00:00"  # fixed default keeps runs replayable
 
-__all__ = ["main", "build_parser", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-invocation parameters, echoed in the run header."""
-
-    command: str
-    values: tuple[tuple[str, object], ...]
-
-    def header(self) -> str:
-        pairs = " ".join(f"{k}={v}" for k, v in self.values)
-        return f"# rrauth {self.command}\n# {pairs}"
+__all__ = ["main", "build_parser"]
 
 
 def _print_header(command: str, **values) -> None:
-    print(RunConfig(command=command, values=tuple(values.items())).header())
+    """Echo the command and its resolved parameters as two comment lines."""
+    pairs = " ".join(f"{k}={v}" for k, v in values.items())
+    print(f"# rrauth {command}\n# {pairs}")
 
 
 def _float_csv(value: float) -> str:
@@ -66,9 +55,13 @@ def _load_manifest(path) -> tuple[dict, Path]:
     return doc, path.parent
 
 
-def _manifest_records(doc: dict, base: Path, offset_s: float):
-    """Yield (subject dict, record sliced from offset_s) for each subject."""
+def _manifest_records(doc: dict, base: Path, offset_s: float = 0.0,
+                      enrolled_only: bool = False):
+    """Yield (subject dict, record sliced from offset_s) for each subject,
+    or for each enrolled subject only."""
     for subject in doc["subjects"]:
+        if enrolled_only and subject["role"] != "enrolled":
+            continue
         record = ecgsig.load_csv(base / subject["file"], subject_id=subject["id"])
         if offset_s > 0:
             record = ecgsig.slice_seconds(record, offset_s)
@@ -122,12 +115,10 @@ def cmd_gen(args) -> int:
 def cmd_frames(args) -> int:
     record = ecgsig.load_csv(args.input)
     _print_header("frames", input=args.input, frame_len=args.frame_len)
-    clean = ecgsig.preprocess(record)
-    peaks = detect_rpeaks(clean)
-    frames = frame_rr(clean, peaks, args.frame_len)
+    frames = authcore.extract_frames(record, record.duration_s, args.frame_len)
     lines = [",".join(_float_csv(v) for v in f.values.tolist()) for f in frames.frames]
     Path(args.dump).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"peaks={len(peaks)} frames={len(frames)} -> {args.dump}")
+    print(f"frames={len(frames)} -> {args.dump}")
     return 0
 
 
@@ -139,18 +130,14 @@ def cmd_enroll(args) -> int:
     _print_header("enroll", db=args.db, frame_len=args.frame_len,
                   train_window_s=args.train_window_s, min_leaf=args.min_leaf)
 
-    targets: list[tuple[str, ecgsig.EcgRecord]] = []
     if args.manifest:
         doc, base = _load_manifest(args.manifest)
-        for subject in doc["subjects"]:
-            if subject["role"] != "enrolled":
-                continue
-            targets.append((subject["id"],
-                            ecgsig.load_csv(base / subject["file"], subject_id=subject["id"])))
+        targets = [(subject["id"], record) for subject, record
+                   in _manifest_records(doc, base, enrolled_only=True)]
     else:
         if not args.input or not args.id:
             raise ValueError("enroll needs either --manifest or --input with --id")
-        targets.append((args.id, ecgsig.load_csv(args.input, subject_id=args.id)))
+        targets = [(args.id, ecgsig.load_csv(args.input, subject_id=args.id))]
 
     for entity_id, record in targets:
         entry = authcore.enroll(db, entity_id, record,
@@ -194,7 +181,7 @@ def cmd_auth(args) -> int:
     return 0
 
 
-def _build_pool(db: ReferenceDb, manifest_path, offset_s: float):
+def _build_pool(manifest_path, offset_s: float):
     doc, base = _load_manifest(manifest_path)
     pool = []
     for subject, record in _manifest_records(doc, base, offset_s):
@@ -206,7 +193,7 @@ def _build_pool(db: ReferenceDb, manifest_path, offset_s: float):
 def cmd_eval(args) -> int:
     db = load_db(args.db)
     offset = args.offset_s if args.offset_s is not None else args.train_window_s
-    pool = _build_pool(db, args.manifest, offset)
+    pool = _build_pool(args.manifest, offset)
     gate = _resolve_gate(db, args.gate_ucl)
     _print_header("eval", db=args.db, manifest=args.manifest, trials=args.trials,
                   gate_ucl=gate, seed=args.seed, test_window_s=args.test_window_s,
@@ -245,7 +232,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 def cmd_sweep(args) -> int:
     db = load_db(args.db)
     offset = args.offset_s if args.offset_s is not None else args.train_window_s
-    pool = _build_pool(db, args.manifest, offset)
+    pool = _build_pool(args.manifest, offset)
     if args.grid:
         grid = _parse_grid(args.grid)
     else:
@@ -267,12 +254,8 @@ def cmd_sweep(args) -> int:
 
 
 def _training_pairs(record, frame_len, train_window_s):
-    clean = ecgsig.preprocess(record)
-    n_keep = min(len(clean), int(round(train_window_s * clean.fs)))
-    clean = ecgsig.EcgRecord(clean.subject_id, clean.fs, clean.samples[:n_keep])
-    peaks = detect_rpeaks(clean)
-    frames = frame_rr(clean, peaks, frame_len)
-    matrix = frames.matrix()
+    """The (position, amplitude) pairs of the frames enrolment trains on."""
+    matrix = authcore.extract_frames(record, train_window_s, frame_len).matrix()
     if matrix.shape[0] < 1:
         raise ValueError("record produced no frames")
     X = np.tile(np.arange(frame_len, dtype=float), matrix.shape[0]).reshape(-1, 1)
@@ -331,16 +314,8 @@ def cmd_rank(args) -> int:
     doc, base = _load_manifest(args.manifest)
     _print_header("rank", manifest=args.manifest, bins=args.bins, k=args.k,
                   frame_len=args.frame_len, train_window_s=args.train_window_s)
-    sets = []
-    for subject in doc["subjects"]:
-        if subject["role"] != "enrolled":
-            continue
-        record = ecgsig.load_csv(base / subject["file"], subject_id=subject["id"])
-        clean = ecgsig.preprocess(record)
-        n_keep = min(len(clean), int(round(args.train_window_s * clean.fs)))
-        clean = ecgsig.EcgRecord(clean.subject_id, clean.fs, clean.samples[:n_keep])
-        frames = frame_rr(clean, detect_rpeaks(clean), args.frame_len)
-        sets.append(frames)
+    sets = [authcore.extract_frames(record, args.train_window_s, args.frame_len)
+            for _, record in _manifest_records(doc, base, enrolled_only=True)]
     ranking = infotheory.rank_features(sets, bins=args.bins, top_k=args.k)
     lines = ["position,mi_bits"]
     lines.extend(f"{pos},{mi!r}" for pos, mi in ranking.entries)

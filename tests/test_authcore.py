@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from rrauth.authcore import (DbFormatError, KNOWN, REJECTED, UNKNOWN,
                              ReferenceEntry, authenticate, compute_ucl,
                              db_to_json, decide, enroll, load_db, save_db,
                              score_frames)
-from rrauth.learners import DtParams, predict_curve, train_dt
-from rrauth.signal import EcgRecord, synth_ecg
+from rrauth.signal import EcgRecord, cohort_profiles, synth_ecg
 
-from conftest import EPOCH, quiet_profile
+from conftest import COHORT_SEED, EPOCH, FS, quiet_profile
+
+V1_DB = Path(__file__).parent / "data" / "db_v1.json"
 
 
 class TestComputeUcl:
@@ -71,10 +74,6 @@ class TestEnroll:
             enroll(db, "s", rec)
         entry = enroll(db, "s", rec, allow_short=True, enrolled_at=EPOCH)
         assert entry.stats.mses.size >= 2
-
-    def test_entry_curve_matches_model(self, small_db):
-        entry = next(iter(small_db.entries.values()))
-        assert np.array_equal(entry.curve, predict_curve(entry.model, entry.frame_len))
 
 
 class TestAuthenticate:
@@ -135,13 +134,12 @@ class TestAuthenticate:
 
 
 def stub_db(ids, ucl):
-    """Entries with a flat one-leaf reference and the given training UCL."""
-    model = train_dt([[0.0], [1.0]], [0.0, 0.0], DtParams(min_leaf_size=1))
+    """Entries with a flat reference curve and the given training UCL."""
     stats = QualityStats(mses=np.zeros(2), mean=0.0, std=0.0, ucl=ucl)
     db = ReferenceDb(frame_len=2)
     for e in ids:
-        db.entries[e] = ReferenceEntry(entity_id=e, model=model, stats=stats,
-                                       enrolled_at=EPOCH, frame_len=2)
+        db.entries[e] = ReferenceEntry(entity_id=e, curve=np.zeros(2), stats=stats,
+                                       enrolled_at=EPOCH)
     return db
 
 
@@ -176,6 +174,18 @@ class TestDecideScores:
         assert (d.kind, d.entity_id, d.score) == (KNOWN, "e1", d.scores["e1"])
 
 
+def assert_same_entries(got: ReferenceDb, want: ReferenceDb) -> None:
+    assert got.frame_len == want.frame_len
+    assert sorted(got.entries) == sorted(want.entries)
+    for eid, w in want.entries.items():
+        g = got.entries[eid]
+        assert g.curve.tobytes() == w.curve.tobytes()
+        assert g.stats.mses.tobytes() == w.stats.mses.tobytes()
+        assert (g.stats.mean, g.stats.std, g.stats.ucl) == \
+            (w.stats.mean, w.stats.std, w.stats.ucl)
+        assert g.enrolled_at == w.enrolled_at
+
+
 class TestPersistence:
     def test_round_trip_predictions(self, small_db, tmp_path):
         path = tmp_path / "db.json"
@@ -205,13 +215,7 @@ class TestPersistence:
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
         loaded = load_db(path)
-        assert set(loaded.entries) == set(small_db.entries)
-        for eid, want in small_db.entries.items():
-            got = loaded.entries[eid]
-            assert got.curve.tobytes() == want.curve.tobytes()
-            assert got.stats.mses.tobytes() == want.stats.mses.tobytes()
-            assert (got.stats.mean, got.stats.std, got.stats.ucl) == \
-                (want.stats.mean, want.stats.std, want.stats.ucl)
+        assert_same_entries(loaded, small_db)
         assert db_to_json(loaded) == db_to_json(small_db)
 
     def test_missing_file(self, tmp_path):
@@ -220,7 +224,7 @@ class TestPersistence:
 
     def test_version_mismatch(self, small_db, tmp_path):
         path = tmp_path / "db.json"
-        path.write_text(db_to_json(small_db).replace('"version": "1"', '"version": "0"'),
+        path.write_text(db_to_json(small_db).replace('"version": "2"', '"version": "0"'),
                         encoding="utf-8")
         with pytest.raises(DbFormatError, match="version"):
             load_db(path)
@@ -237,3 +241,133 @@ class TestPersistence:
         path.write_text("not json at all")
         with pytest.raises(DbFormatError, match="JSON"):
             load_db(path)
+
+
+class TestV1Compat:
+    """tests/data/db_v1.json was written by the tree-storing (version 1) code:
+    e01 and e02 of cohort seed 42, 65 s at 360 Hz, default enrolment."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        db = ReferenceDb()
+        for k, prof in enumerate(cohort_profiles(2, seed=COHORT_SEED)):
+            sid = f"e{k + 1:02d}"
+            rec, _ = synth_ecg(prof, 65.0, FS)
+            enroll(db, sid, EcgRecord(sid, rec.fs, rec.samples), enrolled_at=EPOCH)
+        return db
+
+    def test_fixture_is_v1(self):
+        doc = json.loads(V1_DB.read_text(encoding="utf-8"))
+        assert doc["version"] == "1"
+        assert all("model" in e and "curve" not in e for e in doc["entities"].values())
+
+    def test_loads_to_fresh_enrolment(self, fresh):
+        assert_same_entries(load_db(V1_DB), fresh)
+
+    def test_resaves_as_v2(self, fresh, tmp_path):
+        text = db_to_json(load_db(V1_DB))
+        assert text == db_to_json(fresh)
+        doc = json.loads(text)
+        assert doc["version"] == "2"
+        assert set(doc["entities"]["e01"]) == {"curve", "enrolled_at", "stats"}
+
+
+def _saved_doc(db) -> dict:
+    return json.loads(db_to_json(db))
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _leaf_paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _leaf_paths(v, path + (i,))
+    else:
+        yield path
+
+
+def _negative(value):
+    return -abs(value) - 1 if type(value) in (int, float) else -1
+
+
+MUTATIONS = {
+    "string": lambda v: "x",
+    "numeric string": lambda v: str(v),
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "-inf": lambda v: -math.inf,
+    "nested": lambda v: [v],
+    "negative": _negative,
+    "null": lambda v: None,
+    "bool": lambda v: True,
+    "huge int": lambda v: 10 ** 400,
+}
+
+
+def _write_doc(path, doc) -> None:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+class TestLoadValidation:
+    """A damaged DB fails with DbFormatError and nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_mutated_leaf_loads_or_raises_db_error(self, small_db, tmp_path_factory,
+                                                       data):
+        doc = _saved_doc(small_db)
+        path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = data.draw(st.sampled_from(["missing", *MUTATIONS]))
+        if kind == "missing":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = MUTATIONS[kind](parent[path[-1]])
+        target = tmp_path_factory.mktemp("fuzz") / "db.json"
+        _write_doc(target, doc)
+        try:
+            loaded = load_db(target)
+        except DbFormatError:
+            return
+        assert loaded.frame_len >= 2
+        for entry in loaded.entries.values():
+            assert entry.curve.shape == (loaded.frame_len,)
+            assert np.all(np.isfinite(entry.curve))
+            assert np.all(np.isfinite(entry.stats.mses)) and entry.stats.mses.size >= 2
+            assert all(math.isfinite(v) for v in
+                       (entry.stats.mean, entry.stats.std, entry.stats.ucl))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda e: e["stats"].update(mses=["a", "b"]),
+        lambda e: e["stats"].update(ucl="0.001"),
+        lambda e: e["stats"].update(ucl=math.nan),
+        lambda e: e.update(curve=[math.nan] + e["curve"][1:]),
+        lambda e: e.update(curve=[[v] for v in e["curve"]]),
+    ], ids=["string mses", "string ucl", "nan ucl", "nan curve", "nested curve"])
+    def test_bad_entity_field(self, small_db, tmp_path, mutate):
+        doc = _saved_doc(small_db)
+        mutate(doc["entities"]["e01"])
+        _write_doc(tmp_path / "db.json", doc)
+        with pytest.raises(DbFormatError, match="entity 'e01'"):
+            load_db(tmp_path / "db.json")
+
+    @pytest.mark.parametrize("frame_len", ["220", "x", 1, -220, 219, 220.0])
+    def test_bad_frame_len(self, small_db, tmp_path, frame_len):
+        doc = _saved_doc(small_db)
+        doc["frame_len"] = frame_len
+        _write_doc(tmp_path / "db.json", doc)
+        with pytest.raises(DbFormatError):
+            load_db(tmp_path / "db.json")
+
+    def test_inner_error_not_rewrapped(self, small_db, tmp_path):
+        doc = _saved_doc(small_db)
+        doc["entities"]["e02"]["stats"]["ucl"] = -1.0
+        _write_doc(tmp_path / "db.json", doc)
+        with pytest.raises(DbFormatError) as info:
+            load_db(tmp_path / "db.json")
+        message = str(info.value)
+        assert "corrupted" not in message and "DbFormatError" not in message
+        assert message.startswith(str(tmp_path / "db.json") + ": entity 'e02' ucl")

@@ -1,9 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rrauth import cli
+from rrauth.authcore import load_db
+from rrauth.beat import detect_rpeaks, frame_rr
 from rrauth.cli import main
+from rrauth.signal import load_csv, preprocess
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +73,16 @@ class TestEnrollAuth:
     def test_enroll_needs_target(self, tmp_path, capsys):
         rc = main(["enroll", "--db", str(tmp_path / "db.json")])
         assert rc == 1
+
+    def test_enroll_upgrades_v1_db(self, cohort_dir, tmp_path, capsys):
+        db = tmp_path / "db.json"
+        db.write_bytes((Path(__file__).parent / "data" / "db_v1.json").read_bytes())
+        rc = main(["enroll", "--db", str(db),
+                   "--input", str(cohort_dir / "e03.csv"), "--id", "e03"])
+        assert rc == 0
+        doc = json.loads(db.read_text(encoding="utf-8"))
+        assert doc["version"] == "2"
+        assert sorted(doc["entities"]) == ["e01", "e02", "e03"]
 
     def test_duplicate_enroll_is_domain_error(self, cohort_dir, db_path, capsys):
         rc = main(["enroll", "--db", str(db_path),
@@ -172,3 +187,60 @@ class TestBench:
         rows = (tmp_path / "bench.csv").read_text().splitlines()
         assert rows[0] == "metric,dt,svr"
         assert len(rows) == 4
+
+
+class TestOneExtractionPath:
+    """`bench` and `rank` analyse the very frames `enroll` trained on, on the
+    pinned cohort (seed 42, e01-e10): each frame's MSE against the stored
+    curve reproduces the stored training MSEs exactly."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pinned")
+        assert main(["gen", "--out", str(out / "c"), "--enrolled", "10",
+                     "--unknown", "0", "--seed", "42"]) == 0
+        assert main(["enroll", "--db", str(out / "db.json"),
+                     "--manifest", str(out / "c" / "manifest.json")]) == 0
+        return out / "c", load_db(out / "db.json")
+
+    @staticmethod
+    def assert_enrolled_frames(entry, matrix):
+        mses = np.mean((matrix - entry.curve) ** 2, axis=1)
+        assert mses.tobytes() == entry.stats.mses.tobytes(), entry.entity_id
+
+    def test_bench_pairs_are_enrolment_frames(self, pinned):
+        cohort, db = pinned
+        assert db.entity_ids() == [f"e{k:02d}" for k in range(1, 11)]
+        for eid, entry in db.entries.items():
+            X, y = cli._training_pairs(load_csv(cohort / f"{eid}.csv"), 220, 50.0)
+            assert X[:220, 0].tolist() == list(range(220))
+            self.assert_enrolled_frames(entry, y.reshape(-1, 220))
+
+    def test_rank_sets_are_enrolment_frames(self, pinned, monkeypatch, capsys):
+        cohort, db = pinned
+        seen = []
+        rank_features = cli.infotheory.rank_features
+
+        def capture(sets, **kwargs):
+            seen.extend(sets)
+            return rank_features(sets, **kwargs)
+
+        monkeypatch.setattr(cli.infotheory, "rank_features", capture)
+        assert main(["rank", "--manifest", str(cohort / "manifest.json")]) == 0
+        assert [fs.entity_id for fs in seen] == db.entity_ids()
+        for frames in seen:
+            self.assert_enrolled_frames(db.entries[frames.entity_id], frames.matrix())
+
+    def test_frames_dump_covers_whole_record(self, pinned, tmp_path, capsys):
+        cohort, _ = pinned
+        for eid in ("e02", "e06"):
+            dump = tmp_path / f"{eid}.csv"
+            assert main(["frames", "--input", str(cohort / f"{eid}.csv"),
+                         "--dump", str(dump)]) == 0
+            clean = preprocess(load_csv(cohort / f"{eid}.csv"))
+            frames = frame_rr(clean, detect_rpeaks(clean), 220)
+            want = "".join(",".join(repr(v) for v in f.values.tolist()) + "\n"
+                           for f in frames.frames)
+            assert dump.read_text(encoding="utf-8") == want
+            assert capsys.readouterr().out.splitlines()[-1] == \
+                f"frames={len(frames)} -> {dump}"
