@@ -9,7 +9,7 @@ evaluation with accuracy and overall-performance metrics.
 from rrauth.authcore import (AuthDecision, ReferenceDb, ReferenceEntry,
                              authenticate, compute_ucl, enroll, extract_frames,
                              load_db, save_db)
-from rrauth.beat import FrameSet, PeakList, RrFrame, detect_rpeaks, frame_rr
+from rrauth.beat import FrameSet, PeakList, detect_rpeaks, frame_rr
 from rrauth.evalx import (ConfusionMatrix, SweepPoint, accuracy,
                           overall_performance, run_trials, sweep_ucl)
 from rrauth.infotheory import (MiRanking, entropy, conditional_entropy,

@@ -52,6 +52,7 @@ __all__ = [
     "FrameScores",
     "compute_ucl",
     "extract_frames",
+    "training_pairs",
     "enroll",
     "score_frames",
     "decide",
@@ -129,6 +130,12 @@ class ReferenceDb:
     def entity_ids(self) -> list[str]:
         return sorted(self.entries)
 
+    def median_ucl(self) -> float:
+        """Median of the enrolled training UCLs: the default quality gate."""
+        if not self.entries:
+            raise ValueError("reference database is empty")
+        return float(np.median([e.stats.ucl for e in self.entries.values()]))
+
 
 def extract_frames(record: EcgRecord, window_s: float, frame_len: int) -> FrameSet:
     """The one frame-extraction path: keep the first `window_s` seconds,
@@ -144,15 +151,22 @@ def extract_frames(record: EcgRecord, window_s: float, frame_len: int) -> FrameS
     return frame_rr(clean, detect_rpeaks(clean), frame_len)
 
 
+def training_pairs(frames: FrameSet) -> tuple[np.ndarray, np.ndarray]:
+    """The (position, amplitude) pairs the reference tree is fit on: X is the
+    column of positions 0..frame_len-1 once per frame, y the frames row by row."""
+    X = np.tile(np.arange(frames.frame_len, dtype=float), len(frames))
+    return X.reshape(-1, 1), frames.values.ravel()
+
+
 def enroll(db: ReferenceDb, entity_id: str, record: EcgRecord, *,
            train_window_s: float = DEFAULT_TRAIN_WINDOW_S,
            allow_short: bool = False,
-           min_leaf_size: int = 4, max_depth: int = 32,
+           min_leaf_size: int = DtParams.min_leaf_size, max_depth: int = DtParams.max_depth,
            enrolled_at: str | None = None) -> ReferenceEntry:
     """Train and store one entity's reference curve and quality stats.
 
     Pipeline: `extract_frames` over the training window, fit the tree on
-    the pooled (position, amplitude) pairs, predict its curve at positions
+    the pooled `training_pairs`, predict its curve at positions
     0..frame_len-1, then score every training frame against that curve.
     Only the curve is kept; the tree is not stored.
     """
@@ -163,15 +177,14 @@ def enroll(db: ReferenceDb, entity_id: str, record: EcgRecord, *,
     if record.duration_s < train_window_s and not allow_short:
         raise ValueError(f"record of {record.duration_s:.1f}s is shorter than the "
                          f"{train_window_s}s training window (allow_short=True to override)")
-    matrix = extract_frames(record, train_window_s, db.frame_len).matrix()
-    if matrix.shape[0] < 2:
-        raise ValueError(f"found {matrix.shape[0]} RR frames in {entity_id!r}; need >= 2")
+    frames = extract_frames(record, train_window_s, db.frame_len)
+    if len(frames) < 2:
+        raise ValueError(f"found {len(frames)} RR frames in {entity_id!r}; need >= 2")
 
-    positions = np.tile(np.arange(db.frame_len, dtype=float), matrix.shape[0])
-    model = train_dt(positions.reshape(-1, 1), matrix.ravel(),
+    model = train_dt(*training_pairs(frames),
                      DtParams(min_leaf_size=min_leaf_size, max_depth=max_depth))
     curve = predict_curve(model, db.frame_len)
-    mses = np.mean((matrix - curve) ** 2, axis=1)
+    mses = np.mean((frames.values - curve) ** 2, axis=1)
     stats = QualityStats.from_mses(mses)
     if enrolled_at is None:
         enrolled_at = datetime.datetime.now(datetime.timezone.utc).isoformat()

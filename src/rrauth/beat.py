@@ -4,7 +4,10 @@ The detector is a derivative-energy detector: difference, square, smooth,
 threshold against a rolling energy maximum, suppress within a refractory
 window, then refine each event to the local signal maximum within half the
 smoothing window plus 50 ms. Frames resample each R-to-R segment onto a
-fixed-length grid anchored at both peaks.
+fixed-length grid anchored at both peaks. A record's frames form one
+`FrameSet`: the peaks they came from plus one read-only (n_frames,
+frame_len) array whose row k spans peaks k -> k + 1, so a set of n peaks
+holds max(n - 1, 0) frames.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from rrauth.signal import EcgRecord
 
 DEFAULT_FRAME_LEN = 220
 
-__all__ = ["PeakList", "RrFrame", "FrameSet", "detect_rpeaks", "frame_rr",
-           "DEFAULT_FRAME_LEN"]
+__all__ = ["PeakList", "FrameSet", "detect_rpeaks", "frame_rr", "DEFAULT_FRAME_LEN"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,45 +44,37 @@ class PeakList:
 
 
 @dataclass(frozen=True, eq=False)
-class RrFrame:
-    """One RR interval resampled to a fixed number of amplitudes (mV)."""
+class FrameSet:
+    """All frames cut from one record, labeled with the source entity.
 
+    `values` is one read-only (n_frames, frame_len) array: row k resamples
+    the record from `peaks[k]` to `peaks[k + 1]`, so there is one frame per
+    pair of consecutive peaks, n_frames == max(len(peaks) - 1, 0).
+    """
+
+    entity_id: str
+    peaks: PeakList
     values: np.ndarray
-    span: tuple[int, int]  # (start, end) sample indices in the source record
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("frame values must be finite")
+        values = np.array(self.values, dtype=float)  # copy; frame sets are immutable
+        if values.ndim != 2 or values.shape[1] < 2:
+            raise ValueError(f"values must be 2-D with frame_len >= 2, got {values.shape}")
+        if values.shape[0] != max(len(self.peaks) - 1, 0):
+            raise ValueError(f"{len(self.peaks)} peaks cannot bound {values.shape[0]} frames")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True, eq=False)
-class FrameSet:
-    """All frames cut from one record, labeled with the source entity."""
-
-    entity_id: str
-    frames: tuple[RrFrame, ...]
-    frame_len: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", tuple(self.frames))
-        for f in self.frames:
-            if len(f) != self.frame_len:
-                raise ValueError("all frames must share the frame length")
+    @property
+    def frame_len(self) -> int:
+        return self.values.shape[1]
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return self.values.shape[0]
 
     def matrix(self) -> np.ndarray:
-        """Frames stacked as a (n_frames, frame_len) array."""
-        if not self.frames:
-            return np.empty((0, self.frame_len))
-        return np.vstack([f.values for f in self.frames])
+        """The (n_frames, frame_len) frame array itself (read-only, not a copy)."""
+        return self.values
 
 
 def _rolling_max(x: np.ndarray, win: int) -> np.ndarray:
@@ -169,17 +163,15 @@ def frame_rr(record: EcgRecord, peaks: PeakList,
 
     The grid spans both endpoints, so frame[0] and frame[-1] sit exactly on
     the anchoring R-peaks; interior values come from linear interpolation.
+    One (n_frames, frame_len) grid is interpolated over the whole record at
+    once; the knots are integers, so each value equals its segment's own.
     """
     if frame_len < 2:
         raise ValueError(f"frame_len must be >= 2, got {frame_len}")
     idx = peaks.indices
-    if idx.size and idx[-1] >= record.samples.size:
-        raise ValueError(f"peak index {int(idx[-1])} out of bounds for record "
-                         f"of {record.samples.size} samples")
-    frames = []
     x = record.samples
-    for a, b in zip(idx[:-1], idx[1:]):
-        grid = np.linspace(a, b, frame_len)
-        seg = np.interp(grid, np.arange(a, b + 1), x[a : b + 1])
-        frames.append(RrFrame(values=seg, span=(int(a), int(b))))
-    return FrameSet(entity_id=record.subject_id, frames=tuple(frames), frame_len=frame_len)
+    if idx.size and idx[-1] >= x.size:
+        raise ValueError(f"peak index {int(idx[-1])} out of bounds for {x.size} samples")
+    grid = np.linspace(idx[:-1], idx[1:], frame_len, axis=1)
+    return FrameSet(entity_id=record.subject_id, peaks=peaks,
+                    values=np.interp(grid, np.arange(x.size), x))

@@ -21,6 +21,7 @@ from rrauth import authcore, evalx, infotheory, learners
 from rrauth import signal as ecgsig
 from rrauth.authcore import ReferenceDb, load_db, save_db
 from rrauth.beat import DEFAULT_FRAME_LEN
+from rrauth.learners import DtParams
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00+00:00"  # fixed default keeps runs replayable
 
@@ -33,12 +34,16 @@ def _print_header(command: str, **values) -> None:
     print(f"# rrauth {command}\n# {pairs}")
 
 
-def _float_csv(value: float) -> str:
-    return repr(float(value))
-
-
 # ---------------------------------------------------------------------------
 # manifest handling
+
+
+def _write_output(out_dir, name: str, text: str) -> Path:
+    """Write one result file into `out_dir`, creating the directory."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text, encoding="utf-8")
+    return out / name
 
 
 def _write_manifest(path: Path, doc: dict) -> None:
@@ -116,9 +121,9 @@ def cmd_frames(args) -> int:
     record = ecgsig.load_csv(args.input)
     _print_header("frames", input=args.input, frame_len=args.frame_len)
     frames = authcore.extract_frames(record, record.duration_s, args.frame_len)
-    lines = [",".join(_float_csv(v) for v in f.values.tolist()) for f in frames.frames]
+    lines = [",".join(map(repr, row)) for row in frames.values.tolist()]
     Path(args.dump).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"frames={len(frames)} -> {args.dump}")
+    print(f"peaks={len(frames.peaks)} frames={len(frames)} -> {args.dump}")
     return 0
 
 
@@ -154,9 +159,7 @@ def cmd_enroll(args) -> int:
 
 
 def _resolve_gate(db: ReferenceDb, gate_ucl) -> float:
-    if gate_ucl is not None:
-        return gate_ucl
-    return float(np.median([e.stats.ucl for e in db.entries.values()]))
+    return gate_ucl if gate_ucl is not None else db.median_ucl()
 
 
 def cmd_auth(args) -> int:
@@ -207,10 +210,7 @@ def cmd_eval(args) -> int:
     suffix = " (no accepted trials)" if degenerate else ""
     print(f"phi={cm.accepted} N={cm.total} accuracy={chi!r}{suffix} op={op!r}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "confusion.csv").write_text(evalx.confusion_csv(cm), encoding="utf-8")
-        print(f"wrote {out / 'confusion.csv'}")
+        print(f"wrote {_write_output(args.out, 'confusion.csv', evalx.confusion_csv(cm))}")
     return 0
 
 
@@ -244,10 +244,8 @@ def cmd_sweep(args) -> int:
     points, best = evalx.sweep_ucl(db, pool, grid, n=args.trials, seed=args.seed,
                                    test_window_s=args.test_window_s,
                                    apr_min=args.apr_min, id_margin=args.id_margin)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(evalx.sweep_csv(points), encoding="utf-8")
-    print(f"wrote {len(points)} grid points -> {out / 'sweep.csv'}")
+    path = _write_output(args.out, "sweep.csv", evalx.sweep_csv(points))
+    print(f"wrote {len(points)} grid points -> {path}")
     print(f"best ucl={best.ucl!r} phi={best.accepted} N={best.n_trials} "
           f"accuracy={best.accuracy!r} op={best.op!r}")
     return 0
@@ -255,11 +253,10 @@ def cmd_sweep(args) -> int:
 
 def _training_pairs(record, frame_len, train_window_s):
     """The (position, amplitude) pairs of the frames enrolment trains on."""
-    matrix = authcore.extract_frames(record, train_window_s, frame_len).matrix()
-    if matrix.shape[0] < 1:
+    frames = authcore.extract_frames(record, train_window_s, frame_len)
+    if len(frames) < 1:
         raise ValueError("record produced no frames")
-    X = np.tile(np.arange(frame_len, dtype=float), matrix.shape[0]).reshape(-1, 1)
-    return X, matrix.ravel()
+    return authcore.training_pairs(frames)
 
 
 def cmd_bench(args) -> int:
@@ -275,21 +272,17 @@ def cmd_bench(args) -> int:
                   svr_c=args.svr_c, seed=args.seed)
 
     t0 = time.perf_counter()
-    dt_model = learners.train_dt(X, y, learners.DtParams(min_leaf_size=args.min_leaf))
+    dt_model = learners.train_dt(X, y, DtParams(min_leaf_size=args.min_leaf))
     dt_time = time.perf_counter() - t0
-    dt_rep = learners.fit_report(lambda row: learners.predict_dt(dt_model, row),
-                                 X, y, dt_time)
+    dt_pred = learners.predict_curve(dt_model, args.frame_len)[X[:, 0].astype(int)]
+    dt_rep = learners.fit_report(dt_pred, y, dt_time)
 
     t0 = time.perf_counter()
     svr_model = learners.train_svr(X, y, C=args.svr_c, epsilon=args.svr_epsilon,
                                    kernel_scale=args.kernel_scale,
                                    max_sweeps=args.svr_max_sweeps)
     svr_time = time.perf_counter() - t0
-    svr_pred = learners.kernel_predict_batch(svr_model, X)
-    svr_err = svr_pred - y
-    svr_rep = learners.FitReport(rmse=float(np.sqrt(np.mean(svr_err ** 2))),
-                                 mae=float(np.mean(np.abs(svr_err))),
-                                 train_time=svr_time)
+    svr_rep = learners.fit_report(learners.kernel_predict_batch(svr_model, X), y, svr_time)
 
     rows = [
         ("RMSE (mV)", dt_rep.rmse, svr_rep.rmse),
@@ -300,13 +293,11 @@ def cmd_bench(args) -> int:
     for name, dt_v, svr_v in rows:
         print(f"{name:<20}{dt_v:>18.6f}{svr_v:>22.6f}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         lines = ["metric,dt,svr"]
         for name, dt_v, svr_v in rows:
             lines.append(f"{name},{dt_v!r},{svr_v!r}")
-        (out / "bench.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {out / 'bench.csv'}")
+        path = _write_output(args.out, "bench.csv", "\n".join(lines) + "\n")
+        print(f"wrote {path}")
     return 0
 
 
@@ -321,10 +312,7 @@ def cmd_rank(args) -> int:
     lines.extend(f"{pos},{mi!r}" for pos, mi in ranking.entries)
     text = "\n".join(lines) + "\n"
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "ranking.csv").write_text(text, encoding="utf-8")
-        print(f"wrote {out / 'ranking.csv'}")
+        print(f"wrote {_write_output(args.out, 'ranking.csv', text)}")
     print(text, end="")
     return 0
 
@@ -333,16 +321,22 @@ def cmd_rank(args) -> int:
 # parser
 
 
+def _add_train_window_flag(p: argparse.ArgumentParser,
+                           help: str = "training truncation window in seconds") -> None:
+    p.add_argument("--train-window-s", type=float, default=authcore.DEFAULT_TRAIN_WINDOW_S,
+                   metavar="S", help=f"{help} (default %(default)s)")
+
+
 def _add_auth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gate-ucl", type=float, default=None, metavar="MV2",
                    help="quality gate threshold in mV^2 "
                         "(default: median of enrolled training UCLs)")
-    p.add_argument("--test-window-s", type=float, default=15.0, metavar="S",
-                   help="probe truncation window in seconds (default 15)")
-    p.add_argument("--apr-min", type=float, default=0.5, metavar="FRAC",
-                   help="minimum accepted-frame fraction before rejection (default 0.5)")
-    p.add_argument("--id-margin", type=float, default=1.0, metavar="X",
-                   help="identify as known iff score <= margin * entity UCL (default 1.0)")
+    p.add_argument("--test-window-s", type=float, default=authcore.DEFAULT_TEST_WINDOW_S,
+                   metavar="S", help="probe truncation window in seconds (default %(default)s)")
+    p.add_argument("--apr-min", type=float, default=authcore.DEFAULT_APR_MIN, metavar="FRAC",
+                   help="accepted-frame fraction below which to reject (default %(default)s)")
+    p.add_argument("--id-margin", type=float, default=authcore.DEFAULT_ID_MARGIN, metavar="X",
+                   help="known iff score <= margin * entity UCL (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="ECG CSV path")
     p.add_argument("--dump", required=True, help="output CSV (one row per frame)")
     p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN,
-                   help="samples per frame (default 220)")
+                   help="samples per frame (default %(default)s)")
     p.set_defaults(func=cmd_frames)
 
     p = sub.add_parser("enroll", help="enroll subjects into a reference database")
@@ -378,10 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="single ECG CSV to enroll")
     p.add_argument("--id", help="entity id for --input")
     p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
-    p.add_argument("--train-window-s", type=float, default=50.0, metavar="S",
-                   help="training truncation window in seconds (default 50)")
-    p.add_argument("--min-leaf", type=int, default=4, help="tree minimum leaf size")
-    p.add_argument("--max-depth", type=int, default=32, help="tree depth limit")
+    _add_train_window_flag(p)
+    p.add_argument("--min-leaf", type=int, default=DtParams.min_leaf_size,
+                   help="tree minimum leaf size (default %(default)s)")
+    p.add_argument("--max-depth", type=int, default=DtParams.max_depth,
+                   help="tree depth limit (default %(default)s)")
     p.add_argument("--allow-short", action="store_true",
                    help="accept records shorter than the training window")
     p.add_argument("--enrolled-at", default=EPOCH_TIMESTAMP,
@@ -402,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-window-s", type=float, default=50.0, metavar="S",
-                   help="used as the default probe offset into each record")
+    _add_train_window_flag(p, "used as the default probe offset into each record")
     p.add_argument("--offset-s", type=float, default=None, metavar="S",
                    help="probe offset; defaults to --train-window-s so tests "
                         "never reuse training samples")
@@ -417,11 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", metavar="LO:HI:STEPS",
-                   help="explicit UCL grid (mV^2); omit for --grid-auto behavior")
-    p.add_argument("--grid-auto", action="store_true",
-                   help="40 points spanning 0.5x..3x the median training UCL (default)")
-    p.add_argument("--grid-points", type=int, default=40)
-    p.add_argument("--train-window-s", type=float, default=50.0, metavar="S")
+                   help="explicit UCL grid (mV^2); default: --grid-points points "
+                        "spanning 0.5x..3x the median training UCL")
+    p.add_argument("--grid-points", type=int, default=40,
+                   help="points of the default grid (default %(default)s)")
+    _add_train_window_flag(p)
     p.add_argument("--offset-s", type=float, default=None, metavar="S")
     p.add_argument("--out", required=True, help="directory for sweep.csv")
     _add_auth_flags(p)
@@ -430,11 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compare tree vs kernel regression on one record")
     p.add_argument("--input", required=True, help="ECG CSV supplying training pairs")
     p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
-    p.add_argument("--train-window-s", type=float, default=50.0, metavar="S")
+    _add_train_window_flag(p)
     p.add_argument("--limit", type=int, default=2000,
                    help="max training pairs; larger sets are subsampled (default 2000)")
     p.add_argument("--seed", type=int, default=0, help="subsampling seed")
-    p.add_argument("--min-leaf", type=int, default=4)
+    p.add_argument("--min-leaf", type=int, default=DtParams.min_leaf_size,
+                   help="tree minimum leaf size (default %(default)s)")
     p.add_argument("--kernel-scale", type=float, default=0.35)
     p.add_argument("--svr-c", type=float, default=1.0)
     p.add_argument("--svr-epsilon", type=float, default=None,
@@ -448,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=16)
     p.add_argument("--k", type=int, default=32, help="positions to report")
     p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
-    p.add_argument("--train-window-s", type=float, default=50.0, metavar="S")
+    _add_train_window_flag(p)
     p.add_argument("--out", help="directory for ranking.csv")
     p.set_defaults(func=cmd_rank)
 

@@ -206,11 +206,9 @@ def sweep_ucl(db: ReferenceDb, pool, grid, n: int = 100, seed: int = 0, *,
 def auto_grid(db: ReferenceDb, points: int = 40, lo_factor: float = 0.5,
               hi_factor: float = 3.0) -> np.ndarray:
     """Default sweep grid: evenly spaced around the median training UCL."""
-    if not db.entries:
-        raise ValueError("reference database is empty")
+    median_ucl = db.median_ucl()
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
-    median_ucl = float(np.median([e.stats.ucl for e in db.entries.values()]))
     return np.linspace(lo_factor * median_ucl, hi_factor * median_ucl, points)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -466,15 +466,15 @@ class FitReport:
             raise ValueError(f"rmse {self.rmse} < mae {self.mae}")
 
 
-def fit_report(predict: Callable, X, y, train_time: float) -> FitReport:
-    """RMSE and MAE of a predictor over a labeled set, plus training time."""
-    X = _as_matrix(X)
+def fit_report(pred, y, train_time: float) -> FitReport:
+    """RMSE and MAE of predictions against their targets, plus training time."""
+    pred = np.asarray(pred, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("empty input")
-    if X.shape[0] != y.size:
-        raise ValueError(f"length mismatch: {X.shape[0]} rows vs {y.size} targets")
-    err = np.array([predict(row) for row in X]) - y
+    if pred.shape != y.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} predictions vs {y.shape} targets")
+    err = pred - y
     return FitReport(rmse=float(np.sqrt(np.mean(err * err))),
                      mae=float(np.mean(np.abs(err))),
                      train_time=float(train_time))

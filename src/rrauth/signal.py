@@ -44,8 +44,8 @@ class EcgRecord:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.fs > 0:
-            raise ValueError(f"fs must be > 0, got {self.fs}")
+        if not 0 < self.fs < math.inf:
+            raise ValueError(f"fs must be finite and > 0, got {self.fs}")
         samples = np.array(self.samples, dtype=float)  # copy; records are immutable
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
@@ -123,8 +123,8 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
         fs = float(header[3:])
     except ValueError:
         raise CsvFormatError(f"{path}: line 1: invalid fs value {header[3:]!r}") from None
-    if not fs > 0:
-        raise CsvFormatError(f"{path}: line 1: fs must be > 0, got {fs}")
+    if not 0 < fs < math.inf:
+        raise CsvFormatError(f"{path}: line 1: fs must be finite and > 0, got {fs}")
 
     values: list[float] = []
     times: list[float] = []

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rrauth.beat import FrameSet, PeakList, RrFrame, detect_rpeaks, frame_rr
+from rrauth.beat import FrameSet, PeakList, detect_rpeaks, frame_rr
 from rrauth.signal import EcgRecord, preprocess, synth_ecg
 
 from conftest import quiet_profile
@@ -78,13 +80,14 @@ class TestFrameRr:
         peaks = PeakList(np.array([100, 800, 1500, 2200, 2900]))
         fs = frame_rr(rec, peaks, 220)
         assert len(fs) == 4
-        assert all(len(f) == 220 for f in fs.frames)
+        assert fs.frame_len == 220
+        assert fs.values.shape == (4, 220)
 
     def test_linear_ramp_closed_form(self):
         n = 1001
         rec = EcgRecord("r", FS, np.linspace(0.0, 1.0, n))
         fs = frame_rr(rec, PeakList(np.array([0, n - 1])), 220)
-        frame = fs.frames[0].values
+        frame = fs.values[0]
         assert frame[0] == 0.0
         assert frame[-1] == 1.0
         expect = np.arange(220) / 219
@@ -111,21 +114,20 @@ class TestFrameRr:
         rec = EcgRecord("x", FS, rng.normal(size=2000))
         peaks = PeakList(np.array([13, 641, 1388]))
         fs = frame_rr(rec, peaks, 220)
-        for frame, (a, b) in zip(fs.frames, [(13, 641), (641, 1388)]):
-            assert frame.values[0] == rec.samples[a]
-            assert frame.values[-1] == rec.samples[b]
-            assert frame.span == (a, b)
+        assert fs.peaks is peaks
+        for frame, (a, b) in zip(fs.values, [(13, 641), (641, 1388)]):
+            assert frame[0] == rec.samples[a]
+            assert frame[-1] == rec.samples[b]
 
     def test_interpolation_stays_in_segment_range(self):
         rng = np.random.default_rng(2)
         rec = EcgRecord("x", FS, rng.normal(size=3000))
         peaks = PeakList(np.sort(rng.choice(3000, size=6, replace=False)))
         fs = frame_rr(rec, peaks, 220)
-        for frame in fs.frames:
-            a, b = frame.span
+        for frame, a, b in zip(fs.values, peaks.indices[:-1], peaks.indices[1:]):
             seg = rec.samples[a : b + 1]
-            assert frame.values.min() >= seg.min() - 1e-12
-            assert frame.values.max() <= seg.max() + 1e-12
+            assert frame.min() >= seg.min() - 1e-12
+            assert frame.max() <= seg.max() + 1e-12
 
     def test_offset_invariance(self):
         rng = np.random.default_rng(3)
@@ -142,9 +144,56 @@ class TestFrameRr:
         diffs = np.abs(np.diff(frames, axis=0))
         assert diffs.max() <= 1e-6
 
+    def test_values_are_read_only(self):
+        rec = EcgRecord("x", FS, np.random.default_rng(4).normal(size=1000))
+        fs = frame_rr(rec, PeakList(np.array([10, 400, 900])), 16)
+        assert fs.matrix() is fs.values
+        with pytest.raises(ValueError):
+            fs.values[0, 0] = 1.0
 
-def test_frameset_rejects_mismatched_lengths():
-    f1 = RrFrame(np.zeros(220), (0, 10))
-    f2 = RrFrame(np.zeros(100), (10, 20))
-    with pytest.raises(ValueError):
-        FrameSet("x", (f1, f2), 220)
+
+def reference_frames(x, peaks, frame_len):
+    """The per-segment framing loop: each R-to-R segment interpolated alone."""
+    rows = [np.interp(np.linspace(a, b, frame_len), np.arange(a, b + 1), x[a : b + 1])
+            for a, b in zip(peaks[:-1], peaks[1:])]
+    return np.array(rows).reshape(len(rows), frame_len)
+
+
+@st.composite
+def framing_inputs(draw):
+    n = draw(st.integers(2, 2000))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, n)
+    x *= draw(st.floats(1e-3, 1e3))
+    inner = draw(st.lists(st.integers(1, max(n - 2, 1)), max_size=10, unique=True))
+    ends = draw(st.sampled_from([(), (0,), (n - 1,), (0, n - 1)]))
+    peaks = sorted(set(inner) | set(ends))
+    return x, np.asarray(peaks, dtype=int), draw(st.integers(2, 300))
+
+
+class TestFrameRrMatchesSegmentLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(framing_inputs())
+    def test_bit_identical_to_per_segment_loop(self, case):
+        x, peaks, frame_len = case
+        fs = frame_rr(EcgRecord("x", FS, x), PeakList(peaks), frame_len)
+        want = reference_frames(x, peaks, frame_len)
+        assert fs.values.shape == want.shape
+        assert fs.values.tobytes() == want.tobytes()
+        assert fs.peaks.indices.tolist() == peaks.tolist()
+
+
+class TestFrameSet:
+    @pytest.mark.parametrize("npeaks,nframes", [(0, 1), (1, 1), (3, 1), (3, 3)])
+    def test_frame_count_must_match_peaks(self, npeaks, nframes):
+        with pytest.raises(ValueError, match="peaks"):
+            FrameSet("x", PeakList(np.arange(npeaks) * 10), np.zeros((nframes, 8)))
+
+    @pytest.mark.parametrize("npeaks,nframes", [(0, 0), (1, 0), (2, 1), (5, 4)])
+    def test_one_frame_per_pair_of_peaks(self, npeaks, nframes):
+        fs = FrameSet("x", PeakList(np.arange(npeaks) * 10), np.zeros((nframes, 8)))
+        assert len(fs) == nframes and fs.frame_len == 8
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1), (1, 0), (1, 2, 2)])
+    def test_values_must_be_2d_with_frame_len_at_least_2(self, shape):
+        with pytest.raises(ValueError, match="frame_len"):
+            FrameSet("x", PeakList(np.array([0, 10])), np.zeros(shape))

@@ -1,13 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rrauth import cli
+from rrauth import authcore, cli
 from rrauth.authcore import load_db
 from rrauth.beat import detect_rpeaks, frame_rr
-from rrauth.cli import main
+from rrauth.cli import build_parser, main
+from rrauth.learners import DtParams
 from rrauth.signal import load_csv, preprocess
 
 
@@ -239,8 +243,74 @@ class TestOneExtractionPath:
                          "--dump", str(dump)]) == 0
             clean = preprocess(load_csv(cohort / f"{eid}.csv"))
             frames = frame_rr(clean, detect_rpeaks(clean), 220)
-            want = "".join(",".join(repr(v) for v in f.values.tolist()) + "\n"
-                           for f in frames.frames)
+            want = "".join(",".join(repr(v) for v in row) + "\n"
+                           for row in frames.values.tolist())
             assert dump.read_text(encoding="utf-8") == want
             assert capsys.readouterr().out.splitlines()[-1] == \
-                f"frames={len(frames)} -> {dump}"
+                f"peaks={len(frames.peaks)} frames={len(frames)} -> {dump}"
+
+
+class TestNonFiniteFs:
+    """An `fs=inf` header is a domain error (exit 1), never a traceback."""
+
+    @pytest.mark.parametrize("command", ["enroll", "auth", "frames"])
+    def test_exits_1_without_traceback(self, command, db_path, tmp_path):
+        csv = tmp_path / "inf.csv"
+        csv.write_text("fs=inf\n" + "0.0\n0.5\n" * 200, encoding="utf-8")
+        args = {
+            "enroll": ["--db", str(tmp_path / "db.json"), "--input", str(csv),
+                       "--id", "a", "--allow-short"],
+            "auth": ["--db", str(db_path), "--input", str(csv)],
+            "frames": ["--input", str(csv), "--dump", str(tmp_path / "f.csv")],
+        }[command]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-m", "rrauth.cli", command, *args],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr and "fs must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestParserDefaults:
+    """The CLI's defaults are the library's own values, not copies of them."""
+
+    @staticmethod
+    def defaults(*argv):
+        return vars(build_parser().parse_args(list(argv)))
+
+    def test_train_window_defaults(self):
+        cases = {
+            "enroll": ["--db", "d"],
+            "eval": ["--db", "d", "--manifest", "m"],
+            "sweep": ["--db", "d", "--manifest", "m", "--out", "o"],
+            "bench": ["--input", "i"],
+            "rank": ["--manifest", "m"],
+        }
+        for command, argv in cases.items():
+            got = self.defaults(command, *argv)["train_window_s"]
+            assert got == authcore.DEFAULT_TRAIN_WINDOW_S, command
+
+    @pytest.mark.parametrize("command,argv", [
+        ("auth", ["--db", "d", "--input", "i"]),
+        ("eval", ["--db", "d", "--manifest", "m"]),
+        ("sweep", ["--db", "d", "--manifest", "m", "--out", "o"]),
+    ])
+    def test_gate_defaults(self, command, argv):
+        got = self.defaults(command, *argv)
+        assert got["test_window_s"] == authcore.DEFAULT_TEST_WINDOW_S
+        assert got["apr_min"] == authcore.DEFAULT_APR_MIN
+        assert got["id_margin"] == authcore.DEFAULT_ID_MARGIN
+
+    def test_tree_defaults(self):
+        enroll = self.defaults("enroll", "--db", "d")
+        assert enroll["min_leaf"] == DtParams().min_leaf_size
+        assert enroll["max_depth"] == DtParams().max_depth
+        assert self.defaults("bench", "--input", "i")["min_leaf"] == DtParams().min_leaf_size
+
+    def test_sweep_has_no_grid_auto_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--db", "d", "--manifest", "m",
+                                       "--out", "o", "--grid-auto"])
+        assert exc.value.code == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rrauth.beat import FrameSet, RrFrame
+from rrauth.beat import FrameSet, PeakList
 from rrauth.infotheory import (Histogram, conditional_entropy, entropy,
                                histogram, joint_histogram, mi_from_joint,
                                mutual_information, rank_features, x_marginal)
@@ -127,9 +127,9 @@ class TestMutualInformation:
         assert mutual_information(np.ones(50), np.arange(50.0), 8, 8) == 0.0
 
 
-def frameset(entity_id, matrix, frame_len):
-    frames = tuple(RrFrame(row, (0, 1)) for row in matrix)
-    return FrameSet(entity_id, frames, frame_len)
+def frameset(entity_id, matrix):
+    """Frames as `frame_rr` would cut them from len(matrix) + 1 peaks."""
+    return FrameSet(entity_id, PeakList(np.arange(matrix.shape[0] + 1)), matrix)
 
 
 class TestRankFeatures:
@@ -138,26 +138,26 @@ class TestRankFeatures:
         a = rng.normal(0.0, 0.01, size=(40, 64))
         b = rng.normal(0.0, 0.01, size=(40, 64))
         b[:, 10] += 0.5
-        ranking = rank_features([frameset("a", a, 64), frameset("b", b, 64)],
+        ranking = rank_features([frameset("a", a), frameset("b", b)],
                                 bins=8, top_k=5)
         assert ranking.entries[0][0] == 10
         assert ranking.entries[0][1] > 0.9
 
     def test_k_too_large(self):
         rng = np.random.default_rng(9)
-        sets = [frameset(e, rng.normal(size=(5, 16)), 16) for e in "ab"]
+        sets = [frameset(e, rng.normal(size=(5, 16))) for e in "ab"]
         with pytest.raises(ValueError, match="top_k"):
             rank_features(sets, top_k=17)
 
     def test_needs_two_entities(self):
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError, match="entities"):
-            rank_features([frameset("a", rng.normal(size=(5, 16)), 16)])
+            rank_features([frameset("a", rng.normal(size=(5, 16)))])
 
     def test_identical_frames_tie_break_by_position(self):
         row = np.linspace(0.0, 1.0, 16)
         a = np.tile(row, (6, 1))
-        ranking = rank_features([frameset("a", a, 16), frameset("b", a.copy(), 16)],
+        ranking = rank_features([frameset("a", a), frameset("b", a.copy())],
                                 bins=8, top_k=16)
         positions = [p for p, _ in ranking.entries]
         assert positions == list(range(16))
@@ -167,7 +167,7 @@ class TestRankFeatures:
         rng = np.random.default_rng(11)
         a = rng.normal(size=(30, 32))
         b = rng.normal(size=(30, 32)) + np.linspace(0, 0.4, 32)
-        ranking = rank_features([frameset("a", a, 32), frameset("b", b, 32)],
+        ranking = rank_features([frameset("a", a), frameset("b", b)],
                                 bins=8, top_k=32)
         mis = [mi for _, mi in ranking.entries]
         assert all(x >= y for x, y in zip(mis, mis[1:]))

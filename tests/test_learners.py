@@ -459,24 +459,36 @@ class TestSvr:
 
 class TestFitReport:
     def test_zero_error(self):
-        X = np.arange(4.0).reshape(-1, 1)
-        rep = fit_report(lambda r: r[0], X, X[:, 0], 1.25)
+        y = np.arange(4.0)
+        rep = fit_report(y.copy(), y, 1.25)
         assert rep.rmse == 0.0 and rep.mae == 0.0
         assert rep.train_time == 1.25
 
     def test_hand_computed(self):
-        X = np.zeros((2, 1))
         y = np.array([3.0, -4.0])
-        rep = fit_report(lambda r: 0.0, X, y, 0.0)
+        rep = fit_report(np.zeros(2), y, 0.0)
         assert rep.mae == pytest.approx(3.5)
         assert rep.rmse == pytest.approx(np.sqrt(12.5), abs=1e-4)
 
     def test_rmse_dominates_mae(self):
         rng = np.random.default_rng(14)
-        X = rng.normal(size=(30, 1))
         y = rng.normal(size=30)
-        rep = fit_report(lambda r: 0.0, X, y, 0.0)
+        rep = fit_report(np.zeros(30), y, 0.0)
         assert rep.rmse >= rep.mae
+
+    def test_matches_squared_error_by_power(self):
+        rng = np.random.default_rng(15)
+        pred, y = rng.normal(size=(2, 500))
+        err = pred - y
+        rep = fit_report(pred, y, 0.0)
+        assert rep.rmse == float(np.sqrt(np.mean(err ** 2)))
+        assert rep.mae == float(np.mean(np.abs(err)))
+
+    @pytest.mark.parametrize("pred,y", [([], []), ([0.0], [0.0, 1.0]),
+                                        ([[0.0], [1.0]], [0.0, 1.0])])
+    def test_bad_shapes(self, pred, y):
+        with pytest.raises(ValueError):
+            fit_report(pred, y, 0.0)
 
     def test_invalid_report_rejected(self):
         with pytest.raises(ValueError):

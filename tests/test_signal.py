@@ -16,7 +16,7 @@ class TestEcgRecord:
         assert r.duration_s == pytest.approx(3 / 360)
         assert len(r) == 3
 
-    @pytest.mark.parametrize("fs", [0.0, -1.0])
+    @pytest.mark.parametrize("fs", [0.0, -1.0, np.inf, -np.inf, np.nan])
     def test_bad_fs(self, fs):
         with pytest.raises(ValueError):
             EcgRecord("a", fs, [0.0, 0.1])
@@ -68,6 +68,13 @@ class TestCsv:
         p = tmp_path / "x.csv"
         p.write_text("fs=abc\n0.0\n0.1\n")
         with pytest.raises(CsvFormatError, match="line 1"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("fs", ["inf", "-inf", "nan", "1e999", "0"])
+    def test_nonfinite_or_nonpositive_fs(self, tmp_path, fs):
+        p = tmp_path / "x.csv"
+        p.write_text(f"fs={fs}\n0.0\n0.1\n")
+        with pytest.raises(CsvFormatError, match="line 1: fs must be finite"):
             load_csv(p)
 
     def test_too_few_samples(self, tmp_path):
