@@ -1,15 +1,15 @@
 """Enrollment, quality gating and the known/unknown authentication decision.
 
-Each enrolled entity gets a position->amplitude regression reference plus
-per-frame training MSE statistics; the mean+3-sigma upper control limit of
-those MSEs drives both quality gating and unknown rejection. Enrolment,
+Each enrolled entity gets a reference curve (the per-position frame mean)
+plus per-frame training MSE statistics; the mean+3-sigma upper control limit
+of those MSEs drives both quality gating and unknown rejection. Enrolment,
 scoring and the CLI's frame analyses all cut their frames through
 `extract_frames`, so they share one order and one set of detector and
 baseline parameters (the defaults of `preprocess` and `detect_rpeaks`).
 
 The reference database persists as compact JSON (sorted keys, full-precision
 numbers, one line; indented files also load). Format version 2 stores what scoring reads: per entity
-the reference curve (the tree's predictions at positions 0..frame_len-1),
+the reference curve (its values at positions 0..frame_len-1),
 the quality stats and the enrolment time, with one `frame_len` in the header.
 Version 1 files, which stored each entity's regression tree instead of its
 curve, are still read (the curve is predicted from the tree on load); saving
@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rrauth.beat import DEFAULT_FRAME_LEN, FrameSet, detect_rpeaks, frame_rr
+# train_dt is unused here, but benchmarks/spans.py patches `authcore.train_dt`.
 from rrauth.learners import (DtLeaf, DtModel, DtParams, DtSplit, predict_curve,
-                             train_dt)
+                             train_dt)  # noqa: F401
 from rrauth.signal import EcgRecord, preprocess
 
 DB_VERSION = "2"
@@ -52,7 +53,6 @@ __all__ = [
     "FrameScores",
     "compute_ucl",
     "extract_frames",
-    "training_pairs",
     "enroll",
     "score_frames",
     "decide",
@@ -151,24 +151,20 @@ def extract_frames(record: EcgRecord, window_s: float, frame_len: int) -> FrameS
     return frame_rr(clean, detect_rpeaks(clean), frame_len)
 
 
-def training_pairs(frames: FrameSet) -> tuple[np.ndarray, np.ndarray]:
-    """The (position, amplitude) pairs the reference tree is fit on: X is the
-    column of positions 0..frame_len-1 once per frame, y the frames row by row."""
-    X = np.tile(np.arange(frames.frame_len, dtype=float), len(frames))
-    return X.reshape(-1, 1), frames.values.ravel()
-
-
 def enroll(db: ReferenceDb, entity_id: str, record: EcgRecord, *,
            train_window_s: float = DEFAULT_TRAIN_WINDOW_S,
            allow_short: bool = False,
-           min_leaf_size: int = DtParams.min_leaf_size, max_depth: int = DtParams.max_depth,
            enrolled_at: str | None = None) -> ReferenceEntry:
-    """Train and store one entity's reference curve and quality stats.
+    """Store one entity's reference curve and quality stats.
 
-    Pipeline: `extract_frames` over the training window, fit the tree on
-    the pooled `training_pairs`, predict its curve at positions
-    0..frame_len-1, then score every training frame against that curve.
-    Only the curve is kept; the tree is not stored.
+    The curve is the per-position mean of the `extract_frames` frames over
+    the training window; every training frame is then scored against it.
+    It is what the paper's fine regression tree (minimum leaf 4) on the
+    (position, amplitude) pairs predicts: with >= 4 frames the tree splits
+    to one position per leaf, whose `y.mean()` sums that position's values
+    in frame order, as the contiguous transpose does here, bit for bit. The
+    tree pooled positions only where its caps bound: 2-3 frames, or its
+    depth limit of 32 on a few long frames.
     """
     if not entity_id:
         raise ValueError("entity_id must be non-empty")
@@ -181,9 +177,7 @@ def enroll(db: ReferenceDb, entity_id: str, record: EcgRecord, *,
     if len(frames) < 2:
         raise ValueError(f"found {len(frames)} RR frames in {entity_id!r}; need >= 2")
 
-    model = train_dt(*training_pairs(frames),
-                     DtParams(min_leaf_size=min_leaf_size, max_depth=max_depth))
-    curve = predict_curve(model, db.frame_len)
+    curve = np.ascontiguousarray(frames.values.T).mean(axis=1)
     mses = np.mean((frames.values - curve) ** 2, axis=1)
     stats = QualityStats.from_mses(mses)
     if enrolled_at is None:
@@ -251,7 +245,11 @@ def decide(db: ReferenceDb, scored: FrameScores, gate_ucl: float, *,
     into a contiguous (entity, frame) array and averaged along each row.
     A contiguous row is summed by the same pairwise reduction as the strided
     column it came from, so each score equals that column's `mean()` exactly.
+    A NaN threshold, which no comparison satisfies, is a ValueError.
     """
+    if math.isnan(gate_ucl) or math.isnan(apr_min) or math.isnan(id_margin):
+        raise ValueError(f"NaN threshold: gate_ucl={gate_ucl} apr_min={apr_min} "
+                         f"id_margin={id_margin}")
     n_frames = scored.mse.shape[0]
     passing = scored.mse.min(axis=1) <= gate_ucl
     apr = float(passing.sum() / n_frames)

@@ -133,7 +133,7 @@ def cmd_enroll(args) -> int:
     if db.frame_len != args.frame_len:
         raise ValueError(f"database frame length {db.frame_len} != --frame-len {args.frame_len}")
     _print_header("enroll", db=args.db, frame_len=args.frame_len,
-                  train_window_s=args.train_window_s, min_leaf=args.min_leaf)
+                  train_window_s=args.train_window_s)
 
     if args.manifest:
         doc, base = _load_manifest(args.manifest)
@@ -148,8 +148,6 @@ def cmd_enroll(args) -> int:
         entry = authcore.enroll(db, entity_id, record,
                                 train_window_s=args.train_window_s,
                                 allow_short=args.allow_short,
-                                min_leaf_size=args.min_leaf,
-                                max_depth=args.max_depth,
                                 enrolled_at=args.enrolled_at)
         print(f"enrolled {entity_id}: frames={entry.stats.mses.size} "
               f"mean_mse={entry.stats.mean!r} ucl={entry.stats.ucl!r}")
@@ -252,11 +250,13 @@ def cmd_sweep(args) -> int:
 
 
 def _training_pairs(record, frame_len, train_window_s):
-    """The (position, amplitude) pairs of the frames enrolment trains on."""
+    """The (position, amplitude) pairs of the frames enrolment averages: X is
+    positions 0..frame_len-1 once per frame, y the frames row by row."""
     frames = authcore.extract_frames(record, train_window_s, frame_len)
     if len(frames) < 1:
         raise ValueError("record produced no frames")
-    return authcore.training_pairs(frames)
+    X = np.tile(np.arange(frame_len, dtype=float), len(frames))
+    return X.reshape(-1, 1), frames.values.ravel()
 
 
 def cmd_bench(args) -> int:
@@ -373,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", help="entity id for --input")
     p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
     _add_train_window_flag(p)
-    p.add_argument("--min-leaf", type=int, default=DtParams.min_leaf_size,
-                   help="tree minimum leaf size (default %(default)s)")
-    p.add_argument("--max-depth", type=int, default=DtParams.max_depth,
-                   help="tree depth limit (default %(default)s)")
     p.add_argument("--allow-short", action="store_true",
                    help="accept records shorter than the training window")
     p.add_argument("--enrolled-at", default=EPOCH_TIMESTAMP,

@@ -76,6 +76,8 @@ def joint_histogram(xs, ys, bins_x: int = 16, bins_y: int = 16) -> JointHistogra
         raise ValueError(f"length mismatch: {xs.size} vs {ys.size}")
     if xs.size == 0:
         raise ValueError("cannot histogram empty input")
+    if bins_x < 1 or bins_y < 1:
+        raise ValueError(f"bins must be >= 1, got {bins_x} x {bins_y}")
     x_edges = _bin_edges(xs, bins_x)
     y_edges = _bin_edges(ys, bins_y)
     counts, _, _ = np.histogram2d(xs, ys, bins=[x_edges, y_edges])

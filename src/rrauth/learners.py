@@ -1,10 +1,11 @@
-"""Regression engines behind the reference functions.
+"""Regression engines of the paper's tree-versus-kernel comparison.
 
 Two trainers are provided: a CART regression tree grown by exhaustive
-variance-reduction splits (the production model) and a Gaussian-kernel
-machine (binary max-margin classifier and epsilon-insensitive regressor)
-whose dual is solved by pairwise coordinate ascent. Fit quality is reported
-as RMSE/MAE in mV plus wall-clock training time.
+variance-reduction splits (the `rrauth bench` model; on enrolment's frames it
+predicts the per-position frame mean that `enroll` computes directly) and a
+Gaussian-kernel machine (binary max-margin classifier and epsilon-insensitive
+regressor) whose dual is solved by pairwise coordinate ascent. Fit quality is
+reported as RMSE/MAE in mV plus wall-clock training time.
 
 The tree's split search screens every cut of a feature at once with prefix
 sums of the node-centred targets and their squares, then confirms the few

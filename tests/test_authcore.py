@@ -1,17 +1,21 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrauth import authcore
 from rrauth.authcore import (DbFormatError, KNOWN, REJECTED, UNKNOWN,
                              FrameScores, QualityStats, ReferenceDb,
                              ReferenceEntry, authenticate, compute_ucl,
-                             db_to_json, decide, enroll, load_db, save_db,
-                             score_frames)
+                             db_to_json, decide, enroll, extract_frames,
+                             load_db, save_db, score_frames)
+from rrauth.beat import FrameSet, PeakList
+from rrauth.learners import DtParams, predict_curve, train_dt
 from rrauth.signal import EcgRecord, cohort_profiles, synth_ecg
 
 from conftest import COHORT_SEED, EPOCH, FS, quiet_profile
@@ -75,6 +79,36 @@ class TestEnroll:
         entry = enroll(db, "s", rec, allow_short=True, enrolled_at=EPOCH)
         assert entry.stats.mses.size >= 2
 
+    def test_two_frame_curve_is_position_mean(self):
+        # Below the tree's minimum leaf of 4, which pooled positions here.
+        rec, _ = synth_ecg(quiet_profile(seed=3, noise_sd=0.01), 3.0, 360.0)
+        frames = extract_frames(rec, 50.0, 220)
+        assert len(frames) == 2
+        entry = enroll(ReferenceDb(), "s", rec, allow_short=True, enrolled_at=EPOCH)
+        assert entry.curve.tobytes() == frames.values.mean(axis=0).tobytes()
+        assert entry.stats.mses.tobytes() == \
+            np.mean((frames.values - entry.curve) ** 2, axis=1).tobytes()
+
+
+class TestCurveIsTreePrediction:
+    """With >= 4 frames the fine tree (minimum leaf 4, no depth cap) on the
+    (position, amplitude) pairs predicts exactly the curve `enroll` stores."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_frames=st.integers(4, 40), frame_len=st.integers(2, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_unbounded_tree(self, n_frames, frame_len, seed):
+        # Continuous values: equal samples across positions stop a node early.
+        values = np.random.default_rng(seed).normal(size=(n_frames, frame_len))
+        frames = FrameSet("x", PeakList(np.arange(n_frames + 1)), values)
+        X = np.tile(np.arange(frame_len, dtype=float), n_frames).reshape(-1, 1)
+        tree = train_dt(X, values.ravel(), DtParams(max_depth=10**6))
+        record = EcgRecord("x", FS, np.zeros(2))
+        with mock.patch.object(authcore, "extract_frames", return_value=frames):
+            entry = enroll(ReferenceDb(frame_len=frame_len), "x", record,
+                           allow_short=True, enrolled_at=EPOCH)
+        assert entry.curve.tobytes() == predict_curve(tree, frame_len).tobytes()
+
 
 class TestAuthenticate:
     def test_self_match_is_known(self, small_db, small_cohort):
@@ -131,6 +165,15 @@ class TestAuthenticate:
         rec, _ = small_pool[0]
         with pytest.raises(ValueError, match="empty"):
             authenticate(ReferenceDb(), rec, 1.0)
+
+    @pytest.mark.parametrize("kwargs", [{"gate_ucl": math.nan},
+                                        {"apr_min": math.nan},
+                                        {"id_margin": math.nan}])
+    def test_nan_threshold_is_value_error(self, small_db, small_pool, kwargs):
+        scored = score_frames(small_db, small_pool[0][0])
+        args = {"gate_ucl": 1e9, **kwargs}
+        with pytest.raises(ValueError, match="NaN"):
+            decide(small_db, scored, **args)
 
 
 def stub_db(ids, ucl):

@@ -11,8 +11,17 @@ from rrauth import authcore, cli
 from rrauth.authcore import load_db
 from rrauth.beat import detect_rpeaks, frame_rr
 from rrauth.cli import build_parser, main
-from rrauth.learners import DtParams
+from rrauth.learners import DtParams, predict_curve, train_dt
 from rrauth.signal import load_csv, preprocess
+
+
+def run_cli(*argv):
+    """`python -m rrauth.cli` in a subprocess, so a traceback would show."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "rrauth.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +171,12 @@ class TestRankAndFrames:
         assert len(rows) > 10
         assert all(len(r.split(",")) == 128 for r in rows)
 
+    def test_rank_zero_bins_is_domain_error(self, cohort_dir, capsys):
+        rc = main(["rank", "--manifest", str(cohort_dir / "manifest.json"),
+                   "--bins", "0"])
+        assert rc == 1
+        assert "bins must be >= 1" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self):
@@ -220,6 +235,13 @@ class TestOneExtractionPath:
             assert X[:220, 0].tolist() == list(range(220))
             self.assert_enrolled_frames(entry, y.reshape(-1, 220))
 
+    def test_enrolled_curves_are_default_tree_curves(self, pinned):
+        cohort, db = pinned
+        for eid, entry in db.entries.items():
+            X, y = cli._training_pairs(load_csv(cohort / f"{eid}.csv"), 220, 50.0)
+            tree = train_dt(X, y, DtParams())
+            assert predict_curve(tree, 220).tobytes() == entry.curve.tobytes(), eid
+
     def test_rank_sets_are_enrolment_frames(self, pinned, monkeypatch, capsys):
         cohort, db = pinned
         seen = []
@@ -263,14 +285,36 @@ class TestNonFiniteFs:
             "auth": ["--db", str(db_path), "--input", str(csv)],
             "frames": ["--input", str(csv), "--dump", str(tmp_path / "f.csv")],
         }[command]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run([sys.executable, "-m", "rrauth.cli", command, *args],
-                              capture_output=True, text=True, env=env)
+        proc = run_cli(command, *args)
         assert proc.returncode == 1, proc.stderr
         assert "error:" in proc.stderr and "fs must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestNanThresholds:
+    """A NaN gate, APR minimum or identification margin is a domain error;
+    it used to disable its rule and print a wrong decision with exit 0."""
+
+    @pytest.mark.parametrize("flag", ["--gate-ucl", "--apr-min", "--id-margin"])
+    def test_auth_exits_1_without_traceback(self, flag, cohort_dir, db_path):
+        proc = run_cli("auth", "--db", str(db_path), "--input",
+                       str(cohort_dir / "e01.csv"), "--offset-s", "50", flag, "nan")
+        assert proc.returncode == 1, proc.stdout
+        assert "error:" in proc.stderr and "NaN" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "decision=" not in proc.stdout
+
+    @pytest.mark.parametrize("command,extra", [
+        ("eval", ["--apr-min", "nan"]),
+        ("sweep", ["--id-margin", "nan"]),
+    ])
+    def test_eval_and_sweep_exit_1(self, command, extra, cohort_dir, db_path,
+                                   tmp_path, capsys):
+        rc = main([command, "--db", str(db_path), "--manifest",
+                   str(cohort_dir / "manifest.json"), "--trials", "5",
+                   "--out", str(tmp_path), *extra])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestParserDefaults:
@@ -304,10 +348,13 @@ class TestParserDefaults:
         assert got["id_margin"] == authcore.DEFAULT_ID_MARGIN
 
     def test_tree_defaults(self):
-        enroll = self.defaults("enroll", "--db", "d")
-        assert enroll["min_leaf"] == DtParams().min_leaf_size
-        assert enroll["max_depth"] == DtParams().max_depth
         assert self.defaults("bench", "--input", "i")["min_leaf"] == DtParams().min_leaf_size
+
+    @pytest.mark.parametrize("flag", ["--min-leaf", "--max-depth"])
+    def test_enroll_has_no_tree_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["enroll", "--db", "d", flag, "4"])
+        assert exc.value.code == 2
 
     def test_sweep_has_no_grid_auto_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -66,6 +66,16 @@ class TestConditionalEntropy:
             assert -1e-12 <= conditional_entropy(j) <= entropy(x_marginal(j)) + 1e-12
 
 
+class TestJointHistogram:
+    @pytest.mark.parametrize("bins_x,bins_y", [(0, 4), (4, 0), (-1, 4)])
+    def test_bins_below_one_rejected(self, bins_x, bins_y):
+        xs = np.arange(10.0)
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            joint_histogram(xs, xs, bins_x, bins_y)
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            mutual_information(xs, xs, bins_x, bins_y)
+
+
 class TestMutualInformation:
     def test_self_information_is_entropy(self):
         rng = np.random.default_rng(2)
