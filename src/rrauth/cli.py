@@ -430,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svr-c", type=float, default=1.0)
     p.add_argument("--svr-epsilon", type=float, default=None,
                    help="tube width; default IQR/13.49")
-    p.add_argument("--svr-max-sweeps", type=int, default=30)
+    p.add_argument("--svr-max-sweeps", type=int, default=30,
+                   help="cap on solver sweeps; a sweep is one pair update per dual "
+                        "variable, 2 x pairs in all (default %(default)s)")
     p.add_argument("--out", help="directory for bench.csv")
     p.set_defaults(func=cmd_bench)
 

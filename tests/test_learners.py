@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrauth import learners
+from rrauth.cli import _training_pairs
 from rrauth.learners import (DtLeaf, DtModel, DtParams, DtSplit, FitReport, auto_epsilon,
                              count_leaves, fit_report,
                              gaussian_kernel, kernel_predict,
@@ -333,22 +334,114 @@ def kernel_problems(draw):
     return X, y, labels, fit
 
 
-def assert_same_solution(a, b):
-    assert a.dual.tobytes() == b.dual.tobytes()
-    assert a.b == b.b
-    assert a.objective_history == b.objective_history
+@pytest.fixture(scope="module")
+def bench_pairs(small_cohort):
+    """The pairs `rrauth bench` fits at its defaults on cohort-42 `e01`."""
+    _, _, record = small_cohort[0]
+    X, y = _training_pairs(record, 220, 50.0)
+    keep = np.sort(np.random.default_rng(0).choice(X.shape[0], size=2000, replace=False))
+    return X[keep], y[keep]
 
 
-class TestSolverAgainstReference:
+def kkt_gap(model):
+    """Largest KKT violation of the returned duals, from a kernel over every
+    row of X (no dedup) and the expansion recomputed in one product."""
+    K = learners._gram(model.X, model.kernel_scale)
+    fx = K @ model.coef
+    if model.mode == "regression":
+        z = np.concatenate([np.ones(model.y.size), -np.ones(model.y.size)])
+        c = np.concatenate([model.y - model.epsilon, -model.y - model.epsilon])
+        fx = np.concatenate([fx, fx])
+    else:
+        z, c = model.y, np.ones(model.y.size)
+    g, box = model.dual, model.C
+    zg = z * c - fx
+    up = ((z > 0) & (g < box)) | ((z < 0) & (g > 0))
+    low = ((z < 0) & (g < box)) | ((z > 0) & (g > 0))
+    if not (up.any() and low.any()):
+        return -np.inf
+    return float(np.max(zg[up]) - np.min(zg[low]))
+
+
+def assert_solver_contract(model, reference, max_sweeps, tol=1e-3):
+    g, box = model.dual, model.C
+    assert np.all(g >= 0.0) and np.all(g <= box)
+    balance = np.sum(model.coef) if model.mode == "regression" else np.sum(g * model.y)
+    assert abs(balance) <= 1e-9
+    h = model.objective_history
+    assert len(h) >= 1 and all(p <= q + 1e-9 for p, q in zip(h, h[1:]))
+    if len(h) < max_sweeps:
+        # the solver stopped on its own gap, which it tracks in a running sum
+        # of kernel rows; a fresh product differs from it only by rounding
+        assert kkt_gap(model) <= tol + 1e-9
+    if max_sweeps == 200:
+        ref = reference.objective_history[-1]
+        assert h[-1] >= ref - 1e-3 * abs(ref)
+
+
+class TestSolverContract:
+    """Second-order working-set selection changes the iterates of the
+    maximal-violating-pair loop, so the solver is held to what a solution
+    must satisfy: feasibility, a monotone objective, the KKT gap at the
+    stop, and an objective no worse than the reference loop's."""
+
     @settings(max_examples=120, deadline=None)
     @given(kernel_problems(), st.one_of(st.none(), st.floats(0.0, 0.3)))
-    def test_same_iterates_as_mask_rebuilding_loop(self, problem, epsilon):
+    def test_feasible_monotone_converged_and_near_reference(self, problem, epsilon):
         X, y, labels, fit = problem
         svr = train_svr(X, y, epsilon=epsilon, **fit)
         svm = train_svm_binary(X, labels, **fit)
         with mock.patch.object(learners, "_solve_box_dual", rebuild_masks_solve_box_dual):
-            assert_same_solution(svr, train_svr(X, y, epsilon=epsilon, **fit))
-            assert_same_solution(svm, train_svm_binary(X, labels, **fit))
+            svr_ref = train_svr(X, y, epsilon=epsilon, **fit)
+            svm_ref = train_svm_binary(X, labels, **fit)
+        assert_solver_contract(svr, svr_ref, fit["max_sweeps"])
+        assert_solver_contract(svm, svm_ref, fit["max_sweeps"])
+
+    def test_bench_pairs(self, bench_pairs):
+        # 17.816352053181078 is the reference loop's objective on these pairs
+        # after its 14 sweeps at the `bench` defaults
+        X, y = bench_pairs
+        m = train_svr(X, y, C=1.0, kernel_scale=0.35, max_sweeps=30)
+        assert_solver_contract(m, None, max_sweeps=30)
+        assert m.objective_history[-1] >= 17.816352053181078 * (1.0 - 1e-3)
+
+
+class TestDistinctRows:
+    def test_gram_over_distinct_rows_expands_to_full_gram(self):
+        rng = np.random.default_rng(16)
+        X = rng.integers(0, 40, size=300).astype(float).reshape(-1, 1) * 0.05
+        U, inv = np.unique(X, axis=0, return_inverse=True)
+        assert U.shape[0] < X.shape[0]
+        assert learners._gram(U, 0.35)[inv][:, inv].tobytes() == learners._gram(X, 0.35).tobytes()
+
+    @pytest.mark.parametrize("train", ["svr", "svm"])
+    def test_solver_sees_one_kernel_row_per_distinct_row(self, train):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(8, 2))[rng.integers(0, 8, size=40)]
+        n_distinct = np.unique(X, axis=0).shape[0]
+        labels = np.where(X[:, 0] > np.median(X[:, 0]), 1.0, -1.0)
+        labels[0], labels[-1] = 1.0, -1.0
+        with mock.patch.object(learners, "_solve_box_dual",
+                               wraps=learners._solve_box_dual) as spy:
+            if train == "svr":
+                train_svr(X, np.sin(X[:, 0]))
+            else:
+                train_svm_binary(X, labels)
+        K, z, _, _, idx = spy.call_args.args[:5]
+        assert K.shape == (n_distinct, n_distinct)
+        assert idx.shape == z.shape and idx.max() == n_distinct - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
+    def test_batch_prediction_with_repeated_queries(self, seed, d):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(12, d))
+        m = train_svr(X, np.cos(X[:, 0]), C=2.0, kernel_scale=0.8)
+        Q = np.vstack([X, rng.normal(size=(5, d))])[rng.integers(0, 17, size=40)]
+        batch = kernel_predict_batch(m, Q)
+        assert batch.shape == (40,)
+        for q, p in zip(Q, batch):
+            assert abs(p - kernel_predict(m, q)) <= 1e-12
 
 
 class TestKernel:
