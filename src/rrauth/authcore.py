@@ -198,15 +198,21 @@ class FrameScores:
 
 def score_frames(db: ReferenceDb, record: EcgRecord, *,
                  test_window_s: float = DEFAULT_TEST_WINDOW_S) -> FrameScores:
-    """Frame a probe record and score every frame against every entity."""
+    """Frame a probe record and score every frame against every entity.
+
+    One broadcast (n_frames, n_entities, frame_len) difference; each
+    frame-entity row is reduced along its contiguous last axis, exactly as
+    a per-entity ``np.mean(..., axis=1)`` reduces it, so the table is the
+    same bytes.
+    """
     if not db.entries:
         raise ValueError("reference database is empty")
     matrix = extract_frames(record, test_window_s, db.frame_len).matrix()
     if matrix.shape[0] == 0:
         raise ValueError("probe record produced no frames")
     ids = tuple(db.entity_ids())
-    mse = np.column_stack([np.mean((matrix - db.entries[e].curve) ** 2, axis=1)
-                           for e in ids])
+    curves = np.stack([db.entries[e].curve for e in ids])
+    mse = ((matrix[:, None, :] - curves[None, :, :]) ** 2).mean(axis=2)
     return FrameScores(entity_ids=ids, mse=mse)
 
 

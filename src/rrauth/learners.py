@@ -410,6 +410,8 @@ def train_svm_binary(X, y, C: float = 1.0, kernel_scale: float = 0.35,
         raise ValueError(f"length mismatch: {X.shape[0]} rows vs {y.size} labels")
     if y.size < 2:
         raise ValueError("need at least 2 training points")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("training data must be finite")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
     if not (np.any(y > 0) and np.any(y < 0)):
@@ -452,6 +454,8 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
         raise ValueError(f"length mismatch: {X.shape[0]} rows vs {y.size} targets")
     if y.size < 2:
         raise ValueError("need at least 2 training points")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("training data must be finite")
     if C <= 0:
         raise ValueError(f"C must be > 0, got {C}")
     if epsilon is None:

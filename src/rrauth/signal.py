@@ -3,6 +3,13 @@
 CSV import/export, a seeded synthetic generator for desk-scale experiments,
 and moving-median baseline removal. Amplitudes are millivolts throughout;
 sampling frequencies are Hz.
+
+The moving median sorts small integer ranks instead of doubles: the record
+is ranked once by a stable argsort, and every window, edge windows included,
+is one row of a single sorted sliding view of those ranks. Ranks order as
+their values do, so each median is the value ``np.median`` gives for its
+window; only the sign of a zero median may differ, where the stable argsort
+orders ``-0.0`` and ``+0.0`` other than ``np.sort`` would.
 """
 
 from __future__ import annotations
@@ -111,11 +118,18 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
     uniform ``t,mv`` pairs (t in seconds).
 
     The header is authoritative for fs; a time column is only checked for
-    uniform spacing, never used to re-derive fs.
+    uniform spacing, never used to re-derive fs. A body of one finite value
+    per line is parsed in one pass with Python's ``float``; any other body
+    (blank lines, ``t,mv`` pairs, a bad or non-finite value) goes through
+    the line-by-line parser, which accepts the same values and names the
+    line of the first error.
     """
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not lines or not lines[0].strip().startswith("fs="):
         raise CsvFormatError(f"{path}: line 1: expected 'fs=<Hz>' header")
     header = lines[0].strip()
@@ -126,10 +140,32 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
     if not 0 < fs < math.inf:
         raise CsvFormatError(f"{path}: line 1: fs must be finite and > 0, got {fs}")
 
+    body = lines[1:]
+    try:
+        samples = np.fromiter(map(float, body), float, count=len(body))
+    except ValueError:  # a blank line, a t,mv pair or a malformed value
+        samples = None
+    if samples is None or not np.all(np.isfinite(samples)):
+        samples = _parse_body(path, body)
+    if samples.size < 2:
+        raise CsvFormatError(f"{path}: fewer than 2 samples")
+    if subject_id is None:
+        stem = path.rsplit("/", 1)[-1]
+        subject_id = stem[:-4] if stem.endswith(".csv") else stem
+    return EcgRecord(subject_id=subject_id, fs=fs, samples=samples)
+
+
+def _parse_body(path: str, body: list[str]) -> np.ndarray:
+    """Parse the lines after the header one at a time.
+
+    Blank lines are skipped, the first non-blank line fixes one value or a
+    ``t,mv`` pair per line, and the first malformed or non-finite value
+    raises `CsvFormatError` with its line number.
+    """
     values: list[float] = []
     times: list[float] = []
     has_time: bool | None = None
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(body, start=2):
         text = raw.strip()
         if not text:
             continue
@@ -140,26 +176,22 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
             raise CsvFormatError(f"{path}: line {lineno}: expected "
                                  f"{'t,mv pair' if has_time else 'one value'}, got {text!r}")
         try:
-            if has_time:
-                times.append(float(parts[0]))
-                values.append(float(parts[1]))
-            else:
-                values.append(float(parts[0]))
+            row = [float(p) for p in parts]
         except ValueError:
             raise CsvFormatError(f"{path}: line {lineno}: non-numeric value {text!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise CsvFormatError(f"{path}: line {lineno}: non-finite value {text!r}")
+        if has_time:
+            times.append(row[0])
+        values.append(row[-1])
 
-    if len(values) < 2:
-        raise CsvFormatError(f"{path}: fewer than 2 samples")
-    if has_time:
+    if has_time and len(times) >= 2:
         t = np.asarray(times)
         dt = np.diff(t)
         mean_dt = (t[-1] - t[0]) / (t.size - 1)
         if mean_dt <= 0 or np.max(np.abs(dt - mean_dt)) > 1e-6 * mean_dt:
             raise CsvFormatError(f"{path}: time column is not uniformly spaced")
-    if subject_id is None:
-        stem = path.rsplit("/", 1)[-1]
-        subject_id = stem[:-4] if stem.endswith(".csv") else stem
-    return EcgRecord(subject_id=subject_id, fs=fs, samples=np.asarray(values))
+    return np.asarray(values, dtype=float)
 
 
 def save_csv(record: EcgRecord, path) -> None:
@@ -243,36 +275,40 @@ def beat_template(profile: SubjectProfile, frame_len: int = 220) -> np.ndarray:
     return _bump_sum(u, profile.waves)
 
 
-def _sorted_middle(rows: np.ndarray) -> np.ndarray:
-    """Median along the last axis of rows that are already sorted.
-
-    The middle element, or ``(a + b) / 2.0`` of the two middle ones for an
-    even count: on finite input this is the value ``np.median`` returns,
-    bit for bit.
-    """
-    k = rows.shape[-1]
-    h = k // 2
-    if k % 2:
-        return rows[..., h]
-    return (rows[..., h - 1] + rows[..., h]) / 2.0
-
-
 def _moving_median(x: np.ndarray, win: int) -> np.ndarray:
     """Centered moving median; windows shrink at the edges.
 
-    Each window is sorted (the full ones as rows of one sliding-window view)
-    and its middle taken, which is several times faster than ``np.median``
-    over the same view and gives identical values.
+    The record is replaced by its ranks under a stable argsort, stored in
+    the smallest unsigned type that holds ``x.size`` (uint16 up to 65,535
+    samples), and padded at both ends with the sentinel rank ``x.size``.
+    Every window, the shrinking edge ones included, is then a row of one
+    sliding view of the padded ranks, and one row sort puts each row's real
+    samples first, in value order, with the sentinels after them. The middle
+    rank, or the two middle ones for an even count, is read at the row's
+    real sample count and mapped back to its value; an even count gives
+    ``(a + b) / 2.0``.
+
+    Ranks sort exactly as their values do, so on finite input every value
+    equals ``np.median`` of the same window. Only the sign of a zero median
+    can differ: the stable argsort may order ``-0.0`` and ``+0.0`` other
+    than ``np.sort`` does, and the two compare equal.
     """
     n = x.size
     half = win // 2
-    med = np.empty(n)
-    view = np.lib.stride_tricks.sliding_window_view(x, win)
-    med[half : half + n - win + 1] = _sorted_middle(np.sort(view, axis=1))
-    for i in range(half):
-        med[i] = _sorted_middle(np.sort(x[: i - half + win]))
-    for i in range(half + n - win + 1, n):
-        med[i] = _sorted_middle(np.sort(x[i - half :]))
+    order = np.argsort(x, kind="stable")
+    rank_type = np.min_scalar_type(n)
+    ranks = np.full(n + win - 1, n, dtype=rank_type)
+    ranks[half + order] = np.arange(n, dtype=rank_type)
+    # a C-order copy sorts its rows faster than np.sort sorts the strided view
+    rows = np.lib.stride_tricks.sliding_window_view(ranks, win).copy()
+    rows.sort(axis=1)
+
+    starts = np.arange(n) - half
+    count = np.minimum(starts + win, n) - np.maximum(starts, 0)
+    values = x[order]
+    med = values[rows[np.arange(n), count // 2]]
+    even = np.flatnonzero(count % 2 == 0)
+    med[even] = (values[rows[even, count[even] // 2 - 1]] + med[even]) / 2.0
     return med
 
 
@@ -280,7 +316,11 @@ def preprocess(record: EcgRecord, baseline_window_s: float = 0.6) -> EcgRecord:
     """Remove baseline wander by subtracting a moving median.
 
     Keeps length, fs and the mV scale; the only conditioning step applied
-    before peak detection and framing.
+    before peak detection and framing. The median of each centred window
+    (shrinking at the record's edges) comes from one row sort of the
+    record's ranks, which order exactly as the samples do, so it equals
+    ``np.median`` of that window up to the sign of a zero median (see
+    `_moving_median`).
     """
     win = int(round(baseline_window_s * record.fs))
     if win < 3:

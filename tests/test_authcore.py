@@ -192,6 +192,29 @@ def column_mean_scores(mse, passing, ids):
     return {e: float(np.mean(sub[:, k])) for k, e in enumerate(ids)}
 
 
+class TestScoreFrames:
+    @settings(max_examples=40, deadline=None)
+    @given(n_entities=st.integers(1, 120), frame_len=st.sampled_from([2, 7, 220, 301]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_per_entity_loop(self, small_pool, n_entities, frame_len, seed):
+        rng = np.random.default_rng(seed)
+        stats = QualityStats(mses=np.zeros(2), mean=0.0, std=0.0, ucl=1.0)
+        db = ReferenceDb(frame_len=frame_len)
+        for k in rng.permutation(n_entities):
+            db.entries[f"e{k:03d}"] = ReferenceEntry(
+                entity_id=f"e{k:03d}", curve=rng.normal(0.0, 0.5, frame_len),
+                stats=stats, enrolled_at=EPOCH)
+        rec, _ = small_pool[seed % len(small_pool)]
+        scored = score_frames(db, rec)
+        matrix = extract_frames(rec, authcore.DEFAULT_TEST_WINDOW_S, frame_len).matrix()
+        ids = tuple(db.entity_ids())
+        loop = np.column_stack([np.mean((matrix - db.entries[e].curve) ** 2, axis=1)
+                                for e in ids])
+        assert scored.entity_ids == ids
+        assert scored.mse.shape == loop.shape
+        assert scored.mse.tobytes() == loop.tobytes()
+
+
 class TestDecideScores:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 120), st.integers(0, 2**32 - 1))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrauth.beat import FrameSet, PeakList, detect_rpeaks, frame_rr
+from rrauth.beat import FrameSet, PeakList, _rolling_max, detect_rpeaks, frame_rr
 from rrauth.signal import EcgRecord, preprocess, synth_ecg
 
 from conftest import quiet_profile
@@ -150,6 +150,30 @@ class TestFrameRr:
         assert fs.matrix() is fs.values
         with pytest.raises(ValueError):
             fs.values[0, 0] = 1.0
+
+
+def rolling_max_reference(x, win):
+    """The max of every centred window, clipped to the record at the edges;
+    a window as long as the record or longer takes the whole record."""
+    if win >= x.size:
+        return np.full(x.size, x.max())
+    half = win // 2
+    return np.array([x[max(0, i - half) : i - half + win].max() for i in range(x.size)])
+
+
+class TestRollingMax:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 1500), data=st.data(), levels=st.sampled_from([None, 1.0, 4.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_max_of_every_window(self, n, data, levels, seed):
+        # coarse levels put many equal values, and runs of them, in a window
+        x = np.random.default_rng(seed).normal(size=n)
+        if levels is not None:
+            x = np.round(x * levels) / levels
+        win = data.draw(st.integers(1, n + 5), label="win")
+        got = _rolling_max(x, win)
+        assert got.shape == (n,)
+        assert np.array_equal(got, rolling_max_reference(x, win))
 
 
 def reference_frames(x, peaks, frame_len):

@@ -495,6 +495,13 @@ class TestSvmBinary:
         with pytest.raises(ValueError, match="labels"):
             train_svm_binary([[0.0], [1.0]], [0.0, 1.0])
 
+    @pytest.mark.parametrize("X, y", [([[0.0], [np.nan], [1.0], [2.0]], [-1.0, 1.0, -1.0, 1.0]),
+                                      ([[0.0], [np.inf], [1.0], [2.0]], [-1.0, 1.0, -1.0, 1.0]),
+                                      ([[0.0], [1.0], [2.0], [3.0]], [-1.0, np.nan, -1.0, 1.0])])
+    def test_nonfinite_data_rejected(self, X, y):
+        with pytest.raises(ValueError, match="training data must be finite"):
+            train_svm_binary(X, y)
+
     def test_separable_training_accuracy(self):
         rng = np.random.default_rng(11)
         X = np.vstack([rng.normal(-2.0, 0.3, size=(20, 2)),
@@ -544,6 +551,13 @@ class TestSvr:
     def test_bad_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
             train_svr([[0.0], [1.0]], [0.0, 1.0], epsilon=-0.1)
+
+    @pytest.mark.parametrize("X, y", [([[0.0], [np.nan], [1.0], [2.0]], [0.0, 1.0, 2.0, 3.0]),
+                                      ([[0.0], [-np.inf], [1.0], [2.0]], [0.0, 1.0, 2.0, 3.0]),
+                                      ([[0.0], [1.0], [2.0], [3.0]], [0.0, np.inf, 2.0, 3.0])])
+    def test_nonfinite_data_rejected(self, X, y):
+        with pytest.raises(ValueError, match="training data must be finite"):
+            train_svr(X, y)
 
     def test_auto_epsilon_is_iqr_scaled(self):
         y = np.arange(101.0)

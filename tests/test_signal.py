@@ -1,6 +1,9 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave,
@@ -102,6 +105,101 @@ class TestCsv:
         p = tmp_path / "alice.csv"
         p.write_text("fs=360\n0.0\n0.1\n")
         assert load_csv(p).subject_id == "alice"
+
+    def test_not_utf8_names_path(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_bytes(b"fs=360\n0.0\n\xff\xfe\n0.1\n")
+        with pytest.raises(CsvFormatError, match=re.escape(f"{p}: not UTF-8")):
+            load_csv(p)
+
+    @pytest.mark.parametrize("body, line", [("0.0\nnan\n0.1\n", 3),
+                                            ("0.0\n0.1\n-inf\n1e999\n", 4),
+                                            ("1e999\n0.1\n", 2),
+                                            ("0.0,0.1\n0.01,inf\n", 3),
+                                            ("0.0,0.1\nnan,0.2\n", 3)])
+    def test_nonfinite_sample_names_line(self, tmp_path, body, line):
+        p = tmp_path / "x.csv"
+        p.write_text("fs=360\n" + body)
+        with pytest.raises(CsvFormatError, match=re.escape(f"{p}: line {line}: non-finite")):
+            load_csv(p)
+
+
+def load_outcome(path):
+    """What load_csv makes of a file: its fs and sample bytes, or its error."""
+    try:
+        record = load_csv(path)
+    except CsvFormatError as exc:
+        return "error", str(exc)
+    return record.fs, record.samples.tobytes()
+
+
+def load_outcome_line_parser(path):
+    """load_outcome with the one-pass parse failing, so every body goes
+    through the line-by-line parser."""
+    with mock.patch("rrauth.signal.np.fromiter", side_effect=ValueError):
+        return load_outcome(path)
+
+
+PAD = st.sampled_from(["", " ", "  ", "\t", "\u00a0"])
+NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.integers(-10**6, 10**6).map(str),
+                   st.sampled_from(["1_0", "-0.0", ".5", "5.", "+1", "1E3", "1e-320", "\u0661"]))
+ODD = st.sampled_from(["", "nan", "inf", "-inf", "1e999", "\ufeff1.0", "1__0", "abc",
+                       "0x1", "1,2", "1,2,3", ",", "1.0;2.0"])
+
+
+@st.composite
+def csv_texts(draw):
+    """ECG CSV text: a header, then lines of single values or of t,mv pairs
+    with surrounding whitespace; in a third of the bodies, blank lines and
+    odd tokens are mixed in. Lines are joined by LF, CRLF or CR, and the
+    header sometimes starts with a byte-order mark."""
+    style = draw(st.sampled_from(["values", "pairs", "mixed"]))
+    lines = []
+    for k in range(draw(st.integers(0, 25))):
+        kind = "value" if style != "mixed" else draw(st.sampled_from(["value", "blank", "odd"]))
+        if kind == "blank":
+            token = ""
+        elif kind == "odd":
+            token = draw(ODD)
+        elif style == "pairs":
+            token = f"{k * 0.01!r},{draw(NUMBER)}"
+        else:
+            token = draw(NUMBER)
+        lines.append(draw(PAD) + token + draw(PAD))
+    header = draw(st.sampled_from(["fs=360", " fs=250.5 ", "fs=1e3", "\ufefffs=360"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
+
+
+class TestCsvFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(text=csv_texts())
+    @example(text="fs=360\r\n0.0\r\n0.1\r\n")
+    @example(text="fs=360\n 1.5 \n\t-2\n1_0\n")
+    @example(text="fs=360\n0.0\n\n0.1\n")
+    @example(text="fs=360\n0.0\n\ufeff0.1\n")
+    @example(text="fs=360\n0,0.1\n0.01,0.2\n")
+    def test_same_as_line_parser(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "fast_path.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        assert load_outcome(p) == load_outcome_line_parser(p)
+
+
+class TestCsvFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.one_of(csv_texts().map(lambda t: t.encode("utf-8")),
+                          st.text().map(lambda t: ("fs=360\n" + t).encode("utf-8", "surrogatepass")),
+                          st.binary(max_size=200).map(lambda b: b"fs=360\n0.0\n" + b)))
+    def test_loads_or_raises_csv_format_error(self, tmp_path_factory, data):
+        p = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        p.write_bytes(data)
+        try:
+            record = load_csv(p)
+        except CsvFormatError:
+            return
+        assert record.samples.size >= 2 and np.all(np.isfinite(record.samples))
+        assert 0 < record.fs < np.inf
 
 
 class TestSynth:
