@@ -5,15 +5,16 @@ plus per-frame training MSE statistics; the mean+3-sigma upper control limit
 of those MSEs drives both quality gating and unknown rejection. Enrolment,
 scoring and the CLI's frame analyses all cut their frames through
 `extract_frames`, so they share one order and one set of detector and
-baseline parameters (the defaults of `preprocess` and `detect_rpeaks`).
+baseline parameters (the `beat` detector constants and the `preprocess`
+default).
 
 The reference database persists as compact JSON (sorted keys, full-precision
-numbers, one line; indented files also load). Format version 2 stores what scoring reads: per entity
-the reference curve (its values at positions 0..frame_len-1),
-the quality stats and the enrolment time, with one `frame_len` in the header.
-Version 1 files, which stored each entity's regression tree instead of its
-curve, are still read (the curve is predicted from the tree on load); saving
-always writes version 2.
+numbers, one line; indented files also load). Format version 2 stores what
+scoring reads: per entity the reference curve (its values at positions
+0..frame_len-1), the quality stats and the enrolment time, with one
+`frame_len` in the header. It is the only version read: a version-1 file,
+which stored each entity's regression tree instead of its curve, is refused,
+and its entities are re-enrolled from their records.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rrauth.beat import DEFAULT_FRAME_LEN, FrameSet, detect_rpeaks, frame_rr
-# train_dt is unused here, but benchmarks/spans.py patches `authcore.train_dt`.
-from rrauth.learners import (DtLeaf, DtModel, DtParams, DtSplit, predict_curve,
-                             train_dt)  # noqa: F401
+# Unused here; benchmarks/spans.py patches `authcore.predict_curve` and `.train_dt`.
+from rrauth.learners import predict_curve, train_dt  # noqa: F401
 from rrauth.signal import EcgRecord, preprocess
 
 DB_VERSION = "2"
-DB_V1 = "1"  # tree-per-entity layout, read only
 DB_FORMAT = "rrauth-reference-db"
 
 DEFAULT_TRAIN_WINDOW_S = 50.0
@@ -142,8 +141,8 @@ def extract_frames(record: EcgRecord, window_s: float, frame_len: int) -> FrameS
     remove the baseline, detect R-peaks and cut RR frames of `frame_len`.
 
     Truncating before the baseline removal means a frame depends only on the
-    samples inside the window. Baseline and detector parameters are the
-    defaults of `preprocess` and `detect_rpeaks`, so every caller uses the
+    samples inside the window. The baseline window is the `preprocess`
+    default and the detector has no parameters, so every caller uses the
     same ones.
     """
     n_keep = min(record.samples.size, int(round(window_s * record.fs)))
@@ -284,23 +283,6 @@ def authenticate(db: ReferenceDb, record: EcgRecord, gate_ucl: float, *,
 # persistence
 
 
-def _node_from_dict(doc: dict):
-    if "mean" in doc:
-        return DtLeaf(mean=float(doc["mean"]), count=int(doc["count"]))
-    return DtSplit(feature=int(doc["feature"]), threshold=float(doc["threshold"]),
-                   left=_node_from_dict(doc["left"]),
-                   right=_node_from_dict(doc["right"]))
-
-
-def _model_from_dict(doc: dict) -> DtModel:
-    """A version-1 entity's stored tree (read only: version 2 stores curves)."""
-    return DtModel(root=_node_from_dict(doc["root"]),
-                   n_features=int(doc["n_features"]),
-                   params=DtParams(min_leaf_size=int(doc["min_leaf_size"]),
-                                   max_depth=int(doc["max_depth"])),
-                   y_min=float(doc["y_min"]), y_max=float(doc["y_max"]))
-
-
 def db_to_json(db: ReferenceDb) -> str:
     """Canonical version-2 JSON (sorted keys, full float precision).
 
@@ -350,14 +332,9 @@ def _stat(value, what: str) -> float:
     return float(value)
 
 
-def _entry_from_doc(entity_id: str, e: dict, version: str,
-                    frame_len: int) -> ReferenceEntry:
+def _entry_from_doc(entity_id: str, e: dict, frame_len: int) -> ReferenceEntry:
     what = f"entity {entity_id!r}"
-    if version == DB_V1:
-        curve = predict_curve(_model_from_dict(e["model"]), frame_len)
-    else:
-        curve = e["curve"]
-    curve = _finite_array(curve, f"{what} curve")
+    curve = _finite_array(e["curve"], f"{what} curve")
     if curve.shape != (frame_len,):
         raise DbFormatError(f"{what} curve has {curve.size} values; "
                             f"frame_len is {frame_len}")
@@ -375,7 +352,11 @@ def _entry_from_doc(entity_id: str, e: dict, version: str,
 
 
 def load_db(path) -> ReferenceDb:
-    """Read a version-2 or version-1 database; any defect is a DbFormatError."""
+    """Read a version-2 database; any defect is a DbFormatError.
+
+    Any other version, version 1 included, is refused: re-enrol from the
+    records.
+    """
     try:
         with open(str(path), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -387,15 +368,15 @@ def load_db(path) -> ReferenceDb:
         if doc.get("format") != DB_FORMAT:
             raise DbFormatError("not a reference database file")
         version = doc["version"]
-        if version not in (DB_VERSION, DB_V1):
+        if version != DB_VERSION:
             raise DbFormatError(f"version {version!r} unsupported "
-                                f"(expected {DB_VERSION!r} or {DB_V1!r})")
+                                f"(expected {DB_VERSION!r}); re-enrol from the records")
         frame_len = doc["frame_len"]
         if type(frame_len) is not int or frame_len < 2:
             raise DbFormatError(f"frame_len must be an integer >= 2, got {frame_len!r}")
         db = ReferenceDb(frame_len=frame_len)
         for entity_id, e in doc["entities"].items():
-            db.entries[entity_id] = _entry_from_doc(entity_id, e, version, frame_len)
+            db.entries[entity_id] = _entry_from_doc(entity_id, e, frame_len)
     except DbFormatError as exc:
         raise DbFormatError(f"{path}: {exc}") from None
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:

@@ -25,6 +25,8 @@ import numpy as np
 from rrauth.signal import EcgRecord
 
 DEFAULT_FRAME_LEN = 220
+REFRACTORY_S = 0.25  # minimum R-to-R gap
+THRESH_FRAC = 0.4  # candidate threshold, as a fraction of the rolling energy maximum
 
 __all__ = ["PeakList", "FrameSet", "detect_rpeaks", "frame_rr", "DEFAULT_FRAME_LEN"]
 
@@ -93,11 +95,9 @@ def _rolling_max(x: np.ndarray, win: int) -> np.ndarray:
     suffix maximum and a block-wise prefix maximum: O(1) per sample for any
     window. A maximum only ever selects one of its inputs, so every value
     is exactly the window's ``max``. A window as long as the record or
-    longer gives the record's maximum everywhere.
+    longer needs at most two blocks; the padding still fits.
     """
     n = x.size
-    if win >= n:
-        return np.full(n, x.max() if n else 0.0)
     half = win // 2
     blocks = -(-(n + win - 1) // win)
     padded = np.full(blocks * win, -np.inf)
@@ -108,12 +108,11 @@ def _rolling_max(x: np.ndarray, win: int) -> np.ndarray:
     return np.maximum(suffix[:n], prefix[win - 1 : win - 1 + n])
 
 
-def detect_rpeaks(record: EcgRecord, refractory_s: float = 0.25,
-                  thresh_frac: float = 0.4) -> PeakList:
+def detect_rpeaks(record: EcgRecord) -> PeakList:
     """Locate R-peaks in a baseline-centered record.
 
-    Candidates are energy samples above ``thresh_frac`` of the rolling 2 s
-    energy maximum; the strongest candidate wins within each refractory
+    Candidates are energy samples above ``THRESH_FRAC`` of the rolling 2 s
+    energy maximum; the strongest candidate wins within each ``REFRACTORY_S``
     window, and every kept event is refined to the raw local maximum within
     +/-(half the 150 ms smoothing window + 50 ms). The smoothed-energy peak
     can lie anywhere on a plateau up to ``ma_win // 2`` samples from R, so a
@@ -137,12 +136,12 @@ def detect_rpeaks(record: EcgRecord, refractory_s: float = 0.25,
     smooth /= np.convolve(np.ones(energy.size), kernel, mode="same")
 
     ceiling = _rolling_max(smooth, int(round(2.0 * fs)))
-    candidates = np.nonzero(smooth > thresh_frac * ceiling)[0]
+    candidates = np.nonzero(smooth > THRESH_FRAC * ceiling)[0]
     if candidates.size == 0:
         return PeakList(np.empty(0, dtype=int))
 
     # refractory suppression: strongest energy first, index ascending on ties
-    refractory = refractory_s * fs
+    refractory = REFRACTORY_S * fs
     order = np.lexsort((candidates, -smooth[candidates]))
     kept: list[int] = []
     for c in candidates[order].tolist():

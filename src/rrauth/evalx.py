@@ -203,13 +203,13 @@ def sweep_ucl(db: ReferenceDb, pool, grid, n: int = 100, seed: int = 0, *,
     return points, best
 
 
-def auto_grid(db: ReferenceDb, points: int = 40, lo_factor: float = 0.5,
-              hi_factor: float = 3.0) -> np.ndarray:
-    """Default sweep grid: evenly spaced around the median training UCL."""
+def auto_grid(db: ReferenceDb, points: int = 40) -> np.ndarray:
+    """Default sweep grid: `points` gates evenly spaced from 0.5x to 3x the
+    median training UCL."""
     median_ucl = db.median_ucl()
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
-    return np.linspace(lo_factor * median_ucl, hi_factor * median_ucl, points)
+    return np.linspace(0.5 * median_ucl, 3.0 * median_ucl, points)
 
 
 def format_confusion(cm: ConfusionMatrix) -> str:

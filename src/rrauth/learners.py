@@ -39,11 +39,8 @@ __all__ = [
     "train_dt",
     "predict_dt",
     "predict_curve",
-    "count_leaves",
-    "gaussian_kernel",
     "train_svm_binary",
     "train_svr",
-    "kernel_predict",
     "kernel_predict_batch",
     "fit_report",
 ]
@@ -224,15 +221,6 @@ def predict_curve(model: DtModel, length: int) -> np.ndarray:
     return curve
 
 
-def count_leaves(model: DtModel) -> int:
-    def walk(node: DtNode) -> int:
-        if isinstance(node, DtLeaf):
-            return 1
-        return walk(node.left) + walk(node.right)
-
-    return walk(model.root)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian-kernel machines
 
@@ -257,14 +245,6 @@ class KernelModel:
     C: float
     epsilon: float | None
     objective_history: tuple[float, ...] = field(default_factory=tuple)
-
-
-def gaussian_kernel(a, b, scale: float) -> float:
-    """k(a, b) = exp(-||a - b||^2 / (2 scale^2)); k(x, x) = 1."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    d = a - b
-    return float(np.exp(-np.dot(d, d) / (2.0 * scale * scale)))
 
 
 def _gram(X: np.ndarray, scale: float) -> np.ndarray:
@@ -475,14 +455,6 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
     return KernelModel(mode="regression", X=X, y=y, coef=beta, dual=gamma,
                        b=b, kernel_scale=kernel_scale, C=C, epsilon=float(epsilon),
                        objective_history=tuple(history))
-
-
-def kernel_predict(model: KernelModel, x) -> float:
-    """Raw kernel expansion value f(x); take the sign for a class label."""
-    x = np.asarray(x, dtype=float).ravel()
-    d = model.X - x
-    k = np.exp(-np.sum(d * d, axis=1) / (2.0 * model.kernel_scale ** 2))
-    return float(model.coef @ k + model.b)
 
 
 def kernel_predict_batch(model: KernelModel, X) -> np.ndarray:

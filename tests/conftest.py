@@ -2,12 +2,25 @@ import numpy as np
 import pytest
 
 from rrauth.authcore import ReferenceDb, enroll
+from rrauth.learners import DtLeaf
 from rrauth.signal import (EcgRecord, SubjectProfile, Wave, cohort_profiles,
                            slice_seconds, synth_ecg)
 
 FS = 360.0
 COHORT_SEED = 42
 EPOCH = "1970-01-01T00:00:00+00:00"
+
+# A version-1 DB, the retired tree-per-entity layout: each entity stored a
+# regression tree under "model" instead of its curve.
+V1_DOC = {
+    "format": "rrauth-reference-db", "version": "1", "frame_len": 220,
+    "entities": {"e01": {
+        "enrolled_at": EPOCH,
+        "model": {"root": {"mean": 0.0, "count": 220}, "n_features": 1,
+                  "min_leaf_size": 4, "max_depth": 32, "y_min": 0.0, "y_max": 0.0},
+        "stats": {"mses": [0.0, 0.0], "mean": 0.0, "std": 0.0, "ucl": 0.0},
+    }},
+}
 
 
 def quiet_profile(seed: int = 0, heart_rate_bpm: float = 60.0,
@@ -46,6 +59,32 @@ def brute_force_best_split(X, y, min_leaf):
             if best is None or score < best[0]:
                 best = (score, f, thr)
     return best
+
+
+def count_leaves(model) -> int:
+    """Leaves of a tree: an upper bound on its distinct predictions."""
+    def walk(node) -> int:
+        if isinstance(node, DtLeaf):
+            return 1
+        return walk(node.left) + walk(node.right)
+
+    return walk(model.root)
+
+
+def gaussian_kernel(a, b, scale: float) -> float:
+    """k(a, b) = exp(-||a - b||^2 / (2 scale^2)), one pair at a time."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    d = a - b
+    return float(np.exp(-np.dot(d, d) / (2.0 * scale * scale)))
+
+
+def kernel_predict(model, x) -> float:
+    """The kernel expansion f(x) at one point, summed over every training row."""
+    x = np.asarray(x, dtype=float).ravel()
+    d = model.X - x
+    k = np.exp(-np.sum(d * d, axis=1) / (2.0 * model.kernel_scale ** 2))
+    return float(model.coef @ k + model.b)
 
 
 @pytest.fixture(scope="session")

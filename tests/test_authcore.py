@@ -1,6 +1,5 @@
 import json
 import math
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,11 +15,9 @@ from rrauth.authcore import (DbFormatError, KNOWN, REJECTED, UNKNOWN,
                              load_db, save_db, score_frames)
 from rrauth.beat import FrameSet, PeakList
 from rrauth.learners import DtParams, predict_curve, train_dt
-from rrauth.signal import EcgRecord, cohort_profiles, synth_ecg
+from rrauth.signal import EcgRecord, synth_ecg
 
-from conftest import COHORT_SEED, EPOCH, FS, quiet_profile
-
-V1_DB = Path(__file__).parent / "data" / "db_v1.json"
+from conftest import EPOCH, FS, V1_DOC, quiet_profile
 
 
 class TestComputeUcl:
@@ -292,14 +289,21 @@ class TestPersistence:
         path = tmp_path / "db.json"
         path.write_text(db_to_json(small_db).replace('"version": "2"', '"version": "0"'),
                         encoding="utf-8")
-        with pytest.raises(DbFormatError, match="version"):
+        with pytest.raises(DbFormatError, match=r"version '0' unsupported"):
+            load_db(path)
+
+    def test_v1_tree_db_refused(self, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps(V1_DOC), encoding="utf-8")
+        with pytest.raises(DbFormatError,
+                           match=r"version '1' unsupported \(expected '2'\); re-enrol"):
             load_db(path)
 
     def test_corrupted_structure(self, tmp_path):
         path = tmp_path / "db.json"
-        path.write_text('{"format": "rrauth-reference-db", "version": "1"}',
+        path.write_text('{"format": "rrauth-reference-db", "version": "2"}',
                         encoding="utf-8")
-        with pytest.raises(DbFormatError, match="corrupted"):
+        with pytest.raises(DbFormatError, match="corrupted database structure"):
             load_db(path)
 
     def test_not_json(self, tmp_path):
@@ -307,35 +311,6 @@ class TestPersistence:
         path.write_text("not json at all")
         with pytest.raises(DbFormatError, match="JSON"):
             load_db(path)
-
-
-class TestV1Compat:
-    """tests/data/db_v1.json was written by the tree-storing (version 1) code:
-    e01 and e02 of cohort seed 42, 65 s at 360 Hz, default enrolment."""
-
-    @pytest.fixture(scope="class")
-    def fresh(self):
-        db = ReferenceDb()
-        for k, prof in enumerate(cohort_profiles(2, seed=COHORT_SEED)):
-            sid = f"e{k + 1:02d}"
-            rec, _ = synth_ecg(prof, 65.0, FS)
-            enroll(db, sid, EcgRecord(sid, rec.fs, rec.samples), enrolled_at=EPOCH)
-        return db
-
-    def test_fixture_is_v1(self):
-        doc = json.loads(V1_DB.read_text(encoding="utf-8"))
-        assert doc["version"] == "1"
-        assert all("model" in e and "curve" not in e for e in doc["entities"].values())
-
-    def test_loads_to_fresh_enrolment(self, fresh):
-        assert_same_entries(load_db(V1_DB), fresh)
-
-    def test_resaves_as_v2(self, fresh, tmp_path):
-        text = db_to_json(load_db(V1_DB))
-        assert text == db_to_json(fresh)
-        doc = json.loads(text)
-        assert doc["version"] == "2"
-        assert set(doc["entities"]["e01"]) == {"curve", "enrolled_at", "stats"}
 
 
 def _saved_doc(db) -> dict:

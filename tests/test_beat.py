@@ -38,7 +38,7 @@ class TestDetect:
     def test_refractory_gap_enforced(self):
         clean, _ = detect_on(quiet_profile(seed=5, rr_jitter=0.06, noise_sd=0.02,
                                            heart_rate_bpm=90.0), 30.0)
-        peaks = detect_rpeaks(clean, refractory_s=0.25)
+        peaks = detect_rpeaks(clean)
         assert np.all(np.diff(peaks.indices) >= 0.25 * FS)
 
     @pytest.mark.parametrize("hr", [150.0, 170.0])
@@ -153,10 +153,7 @@ class TestFrameRr:
 
 
 def rolling_max_reference(x, win):
-    """The max of every centred window, clipped to the record at the edges;
-    a window as long as the record or longer takes the whole record."""
-    if win >= x.size:
-        return np.full(x.size, x.max())
+    """The max of every centred window, clipped to the record at the edges."""
     half = win // 2
     return np.array([x[max(0, i - half) : i - half + win].max() for i in range(x.size)])
 

@@ -14,6 +14,8 @@ from rrauth.cli import build_parser, main
 from rrauth.learners import DtParams, predict_curve, train_dt
 from rrauth.signal import load_csv, preprocess
 
+from conftest import V1_DOC
+
 
 def run_cli(*argv):
     """`python -m rrauth.cli` in a subprocess, so a traceback would show."""
@@ -86,16 +88,6 @@ class TestEnrollAuth:
     def test_enroll_needs_target(self, tmp_path, capsys):
         rc = main(["enroll", "--db", str(tmp_path / "db.json")])
         assert rc == 1
-
-    def test_enroll_upgrades_v1_db(self, cohort_dir, tmp_path, capsys):
-        db = tmp_path / "db.json"
-        db.write_bytes((Path(__file__).parent / "data" / "db_v1.json").read_bytes())
-        rc = main(["enroll", "--db", str(db),
-                   "--input", str(cohort_dir / "e03.csv"), "--id", "e03"])
-        assert rc == 0
-        doc = json.loads(db.read_text(encoding="utf-8"))
-        assert doc["version"] == "2"
-        assert sorted(doc["entities"]) == ["e01", "e02", "e03"]
 
     def test_duplicate_enroll_is_domain_error(self, cohort_dir, db_path, capsys):
         rc = main(["enroll", "--db", str(db_path),
@@ -289,6 +281,25 @@ class TestNonFiniteFs:
         assert proc.returncode == 1, proc.stderr
         assert "error:" in proc.stderr and "fs must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestV1DbRefused:
+    """A version-1 (tree-per-entity) DB is refused with a re-enrol message;
+    enroll leaves the file as it was."""
+
+    @pytest.mark.parametrize("command", ["auth", "enroll"])
+    def test_exits_1_without_traceback(self, command, cohort_dir, tmp_path):
+        db = tmp_path / "v1.json"
+        db.write_text(json.dumps(V1_DOC), encoding="utf-8")
+        before = db.read_bytes()
+        args = ["--input", str(cohort_dir / "e03.csv")]
+        if command == "enroll":
+            args += ["--id", "e03"]
+        proc = run_cli(command, "--db", str(db), *args)
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr and "re-enrol" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert db.read_bytes() == before
 
 
 class TestNanThresholds:

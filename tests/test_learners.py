@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from rrauth import learners
 from rrauth.cli import _training_pairs
 from rrauth.learners import (DtLeaf, DtModel, DtParams, DtSplit, FitReport, auto_epsilon,
-                             count_leaves, fit_report,
-                             gaussian_kernel, kernel_predict,
-                             kernel_predict_batch, predict_curve, predict_dt,
+                             fit_report, kernel_predict_batch, predict_curve, predict_dt,
                              train_dt, train_svm_binary, train_svr)
 
-from conftest import brute_force_best_split
+from conftest import brute_force_best_split, count_leaves, gaussian_kernel, kernel_predict
 
 
 def tree_mse(model, X, y):
@@ -445,18 +443,23 @@ class TestDistinctRows:
 
 
 class TestKernel:
+    """The Gram matrix the kernel machines train on, against the pairwise kernel."""
+
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            x = rng.normal(size=3)
-            assert gaussian_kernel(x, x, 0.35) == 1.0
+            X = rng.normal(size=(6, 3))
+            assert np.all(np.diag(learners._gram(X, 0.35)) == 1.0)
+            assert all(gaussian_kernel(x, x, 0.35) == 1.0 for x in X)
 
     def test_range(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            a, b = rng.normal(size=(2, 4))
-            k = gaussian_kernel(a, b, 0.35)
-            assert 0.0 < k <= 1.0
+            X = rng.normal(size=(5, 4))
+            K = learners._gram(X, 0.35)
+            assert np.all((K > 0.0) & (K <= 1.0))
+            for i, j in zip(*np.triu_indices(5, 1)):
+                assert abs(K[i, j] - gaussian_kernel(X[i], X[j], 0.35)) <= 1e-12
 
 
 class TestSvmBinary:

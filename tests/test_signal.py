@@ -98,7 +98,7 @@ class TestCsv:
     def test_nonuniform_time_column(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("fs=100\n0.0,0.0\n0.01,0.1\n0.03,0.2\n")
-        with pytest.raises(CsvFormatError, match="uniform"):
+        with pytest.raises(CsvFormatError, match="not uniformly spaced"):
             load_csv(p)
 
     def test_subject_id_defaults_to_stem(self, tmp_path):
