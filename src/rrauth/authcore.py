@@ -141,9 +141,8 @@ def extract_frames(record: EcgRecord, window_s: float, frame_len: int) -> FrameS
     remove the baseline, detect R-peaks and cut RR frames of `frame_len`.
 
     Truncating before the baseline removal means a frame depends only on the
-    samples inside the window. The baseline window is the `preprocess`
-    default and the detector has no parameters, so every caller uses the
-    same ones.
+    samples inside the window. Neither `preprocess` nor the detector has
+    parameters, so every caller uses the same ones.
     """
     n_keep = min(record.samples.size, int(round(window_s * record.fs)))
     clean = preprocess(EcgRecord(record.subject_id, record.fs, record.samples[:n_keep]))

@@ -193,12 +193,11 @@ def _build_pool(manifest_path, offset_s: float):
 
 def cmd_eval(args) -> int:
     db = load_db(args.db)
-    offset = args.offset_s if args.offset_s is not None else args.train_window_s
-    pool = _build_pool(args.manifest, offset)
+    pool = _build_pool(args.manifest, args.offset_s)
     gate = _resolve_gate(db, args.gate_ucl)
     _print_header("eval", db=args.db, manifest=args.manifest, trials=args.trials,
                   gate_ucl=gate, seed=args.seed, test_window_s=args.test_window_s,
-                  apr_min=args.apr_min, id_margin=args.id_margin, offset_s=offset)
+                  apr_min=args.apr_min, id_margin=args.id_margin, offset_s=args.offset_s)
     cm, _ = evalx.run_trials(db, pool, n=args.trials, gate_ucl=gate, seed=args.seed,
                              test_window_s=args.test_window_s,
                              apr_min=args.apr_min, id_margin=args.id_margin)
@@ -229,8 +228,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def cmd_sweep(args) -> int:
     db = load_db(args.db)
-    offset = args.offset_s if args.offset_s is not None else args.train_window_s
-    pool = _build_pool(args.manifest, offset)
+    pool = _build_pool(args.manifest, args.offset_s)
     if args.grid:
         grid = _parse_grid(args.grid)
     else:
@@ -238,7 +236,7 @@ def cmd_sweep(args) -> int:
     _print_header("sweep", db=args.db, manifest=args.manifest, trials=args.trials,
                   seed=args.seed, grid_points=grid.size, grid_lo=float(grid[0]),
                   grid_hi=float(grid[-1]), test_window_s=args.test_window_s,
-                  apr_min=args.apr_min, id_margin=args.id_margin, offset_s=offset)
+                  apr_min=args.apr_min, id_margin=args.id_margin, offset_s=args.offset_s)
     points, best = evalx.sweep_ucl(db, pool, grid, n=args.trials, seed=args.seed,
                                    test_window_s=args.test_window_s,
                                    apr_min=args.apr_min, id_margin=args.id_margin)
@@ -321,10 +319,10 @@ def cmd_rank(args) -> int:
 # parser
 
 
-def _add_train_window_flag(p: argparse.ArgumentParser,
-                           help: str = "training truncation window in seconds") -> None:
+def _add_train_window_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-window-s", type=float, default=authcore.DEFAULT_TRAIN_WINDOW_S,
-                   metavar="S", help=f"{help} (default %(default)s)")
+                   metavar="S", help="training truncation window in seconds "
+                                     "(default %(default)s)")
 
 
 def _add_auth_flags(p: argparse.ArgumentParser) -> None:
@@ -393,10 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    _add_train_window_flag(p, "used as the default probe offset into each record")
-    p.add_argument("--offset-s", type=float, default=None, metavar="S",
-                   help="probe offset; defaults to --train-window-s so tests "
-                        "never reuse training samples")
+    p.add_argument("--offset-s", type=float, default=authcore.DEFAULT_TRAIN_WINDOW_S,
+                   metavar="S", help="probe offset; defaults to the training window "
+                                     "so tests never reuse training samples")
     p.add_argument("--out", help="directory for confusion.csv")
     _add_auth_flags(p)
     p.set_defaults(func=cmd_eval)
@@ -411,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "spanning 0.5x..3x the median training UCL")
     p.add_argument("--grid-points", type=int, default=40,
                    help="points of the default grid (default %(default)s)")
-    _add_train_window_flag(p)
-    p.add_argument("--offset-s", type=float, default=None, metavar="S")
+    p.add_argument("--offset-s", type=float, default=authcore.DEFAULT_TRAIN_WINDOW_S,
+                   metavar="S")
     p.add_argument("--out", required=True, help="directory for sweep.csv")
     _add_auth_flags(p)
     p.set_defaults(func=cmd_sweep)

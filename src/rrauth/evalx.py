@@ -2,20 +2,21 @@
 matrix, accuracy, overall performance and the control-limit sweep.
 
 Trials draw probe records from a labeled pool with replacement using a
-seed, so every run is replayable. The sweep reuses one seed per grid point,
-making it a paired comparison that isolates the gate threshold.
+seed, so every run is replayable. A call draws once, so a sweep is a paired
+comparison that isolates the gate threshold, and each distinct drawn record
+is decided once per gate and counts once per draw.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from rrauth.authcore import (DEFAULT_APR_MIN, DEFAULT_ID_MARGIN,
-                             DEFAULT_TEST_WINDOW_S, KNOWN, REJECTED, UNKNOWN,
+                             DEFAULT_TEST_WINDOW_S, KNOWN, REJECTED,
                              AuthDecision, ReferenceDb, decide, score_frames)
-from rrauth.signal import EcgRecord
 
 __all__ = [
     "ConfusionMatrix",
@@ -101,7 +102,29 @@ def overall_performance(accepted: int, total: int, chi: float) -> float:
     return (accepted / total) * chi
 
 
-def _validate_pool(db: ReferenceDb, pool) -> list[tuple[EcgRecord, str | None]]:
+def _cell(decision: AuthDecision, truth: str | None) -> str:
+    """The confusion-matrix field a trial with this decision counts in."""
+    if decision.kind == REJECTED:
+        return "rejected"
+    if decision.kind == KNOWN:
+        if truth is None:
+            return "ku"
+        return "kk_correct" if decision.entity_id == truth else "kk_wrong"
+    return "uu" if truth is None else "uk"
+
+
+def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
+    """The trial engine of `run_trials` and `sweep_ucl`.
+
+    Validates `n` and the pool, scores every pool record once and draws the
+    `n` trials once. At each gate of `grid` it decides each distinct drawn
+    record once and adds that record's draw count to its confusion cell.
+    Returns the pool list, the draws and an iterator that judges one gate
+    per step, yielding its matrix and the {pool index: decision} map of the
+    drawn records, so a sweep holds one gate's decisions at a time.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     pool = list(pool)
     if not pool:
         raise ValueError("pool must be non-empty")
@@ -110,42 +133,23 @@ def _validate_pool(db: ReferenceDb, pool) -> list[tuple[EcgRecord, str | None]]:
     for record, truth in pool:
         if truth is not None and truth not in db.entries:
             raise ValueError(f"pool label {truth!r} is not an enrolled entity")
-    return pool
+    draws = np.random.default_rng(seed).integers(0, len(pool), size=n)
+    scored = [score_frames(db, record, test_window_s=test_window_s)
+              for record, _ in pool]
+    drawn, counts = np.unique(draws, return_counts=True)
+    # Python ints: an np.int64 cell would make `accuracy` an np.float64
+    drawn, counts = drawn.tolist(), counts.tolist()
 
-
-def _tally(db, scored_pool, pool, draws, gate_ucl, apr_min, id_margin):
-    """Confusion counts and per-trial outcomes for one gate.
-
-    A decision depends only on the pool record and the gate, so each
-    distinct drawn pool record is decided once and its frozen
-    `AuthDecision` is shared by every trial that draws it.
-    """
-    cm = ConfusionMatrix()
-    outcomes = []
-    decided: dict[int, AuthDecision] = {}
-    for t, pi in enumerate(draws.tolist()):
-        truth = pool[pi][1]
-        dec = decided.get(pi)
-        if dec is None:
-            dec = decided[pi] = decide(db, scored_pool[pi], gate_ucl,
+    def judge(ucl):
+        decided: dict[int, AuthDecision] = {}
+        tally: Counter[str] = Counter()
+        for pi, count in zip(drawn, counts):
+            dec = decided[pi] = decide(db, scored[pi], ucl,
                                        apr_min=apr_min, id_margin=id_margin)
-        if dec.kind == REJECTED:
-            cm.rejected += 1
-        elif dec.kind == KNOWN:
-            if truth is None:
-                cm.ku += 1
-            elif dec.entity_id == truth:
-                cm.kk_correct += 1
-            else:
-                cm.kk_wrong += 1
-        else:
-            if truth is None:
-                cm.uu += 1
-            else:
-                cm.uk += 1
-        outcomes.append(TrialOutcome(index=t, pool_index=pi, truth=truth,
-                                     decision=dec))
-    return cm, outcomes
+            tally[_cell(dec, pool[pi][1])] += count
+        return ConfusionMatrix(**tally), decided
+
+    return pool, draws, map(judge, grid)
 
 
 def run_trials(db: ReferenceDb, pool, n: int = 100, gate_ucl: float = 0.0,
@@ -158,15 +162,15 @@ def run_trials(db: ReferenceDb, pool, n: int = 100, gate_ucl: float = 0.0,
     The pool is a sequence of (record, truth) pairs where truth is an
     enrolled entity id or None for subjects outside the database. Draws are
     uniform with replacement from `seed`; identical inputs replay exactly.
+    The draws are made once, and each distinct drawn record is decided once:
+    the trials that draw it share one `AuthDecision`.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    pool = _validate_pool(db, pool)
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, len(pool), size=n)
-    scored = [score_frames(db, record, test_window_s=test_window_s)
-              for record, _ in pool]
-    return _tally(db, scored, pool, draws, gate_ucl, apr_min, id_margin)
+    pool, draws, [(cm, decided)] = _trials(db, pool, [gate_ucl], n, seed,
+                                           test_window_s, apr_min, id_margin)
+    outcomes = [TrialOutcome(index=t, pool_index=pi, truth=pool[pi][1],
+                             decision=decided[pi])
+                for t, pi in enumerate(draws.tolist())]
+    return cm, outcomes
 
 
 def sweep_ucl(db: ReferenceDb, pool, grid, n: int = 100, seed: int = 0, *,
@@ -176,31 +180,24 @@ def sweep_ucl(db: ReferenceDb, pool, grid, n: int = 100, seed: int = 0, *,
     """Evaluate trials across a grid of gate thresholds; returns all points
     plus the best-overall-performance point (ties toward the smaller UCL).
 
-    Every probe record is framed and scored once; at each gate, each distinct
-    drawn pool record is decided once (see `_tally`)."""
+    Every probe record is framed and scored once and the trials are drawn
+    once; at each gate, each distinct drawn record is decided once, so every
+    point equals `run_trials` at that gate."""
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    pool = _validate_pool(db, pool)
-    scored = [score_frames(db, record, test_window_s=test_window_s)
-              for record, _ in pool]
-    points: list[SweepPoint] = []
-    best: SweepPoint | None = None
-    for ucl in grid.tolist():
-        draws = np.random.default_rng(seed).integers(0, len(pool), size=n)
-        cm, _ = _tally(db, scored, pool, draws, ucl, apr_min, id_margin)
+    grid = grid.tolist()
+    _, _, per_gate = _trials(db, pool, grid, n, seed, test_window_s, apr_min,
+                             id_margin)
+    points = []
+    for ucl, (cm, _) in zip(grid, per_gate):
         chi, _ = accuracy(cm)
         op = overall_performance(cm.accepted, cm.total, chi)
-        point = SweepPoint(ucl=ucl, accepted=cm.accepted, n_trials=cm.total,
-                           accuracy=chi, op=op)
-        points.append(point)
-        if best is None or point.op > best.op:
-            best = point
-    return points, best
+        points.append(SweepPoint(ucl=ucl, accepted=cm.accepted, n_trials=cm.total,
+                                 accuracy=chi, op=op))
+    return points, max(points, key=lambda p: p.op)  # first maximum: smaller UCL
 
 
 def auto_grid(db: ReferenceDb, points: int = 40) -> np.ndarray:

@@ -98,10 +98,12 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
     prefix and suffix sums of the node-centred targets and their squares.
     Only the cuts within ``1e-9 * sum((y - y.mean())**2)`` of the lowest
     screened score, far wider than the rounding error of either formula,
-    are then scored exactly with the two-pass `_sse`, visited feature by
-    feature and cut by cut with a strict ``<``. The exact minimum always
-    survives the screen, so the choice, tie rule included, is that of
-    scoring every cut exactly.
+    are then scored exactly with the two-pass `_sse` of each side's sorted
+    targets, visited feature by feature and cut by cut with a strict ``<``.
+    Sorting makes two cuts that split the node into equal multisets score
+    the same bits, so the tie rule, not the summation order, picks between
+    them. The exact minimum always survives the screen, so the choice, tie
+    rule included, is that of scoring every cut exactly.
     """
     n = y.size
     yc = y - y.mean()
@@ -128,7 +130,7 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
     for f, order, xs, nl, score in screened:
         yo = y[order]
         for i in nl[score <= limit]:
-            exact = _sse(yo[:i]) + _sse(yo[i:])
+            exact = _sse(np.sort(yo[:i])) + _sse(np.sort(yo[i:]))
             if exact < best_score:
                 best_score = exact
                 best = (f, float((xs[i - 1] + xs[i]) / 2.0))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 WAVE_NAMES = ("P", "Q", "R", "S", "T")
+BASELINE_WINDOW_S = 0.6  # moving-median window of the baseline removal
 
 __all__ = [
     "CsvFormatError",
@@ -312,8 +313,8 @@ def _moving_median(x: np.ndarray, win: int) -> np.ndarray:
     return med
 
 
-def preprocess(record: EcgRecord, baseline_window_s: float = 0.6) -> EcgRecord:
-    """Remove baseline wander by subtracting a moving median.
+def preprocess(record: EcgRecord) -> EcgRecord:
+    """Remove baseline wander: subtract a moving median of ``BASELINE_WINDOW_S``.
 
     Keeps length, fs and the mV scale; the only conditioning step applied
     before peak detection and framing. The median of each centred window
@@ -322,7 +323,7 @@ def preprocess(record: EcgRecord, baseline_window_s: float = 0.6) -> EcgRecord:
     ``np.median`` of that window up to the sign of a zero median (see
     `_moving_median`).
     """
-    win = int(round(baseline_window_s * record.fs))
+    win = int(round(BASELINE_WINDOW_S * record.fs))
     if win < 3:
         raise ValueError(f"baseline window of {win} samples is too short (need >= 3)")
     if win > record.samples.size:

@@ -336,15 +336,16 @@ class TestParserDefaults:
         return vars(build_parser().parse_args(list(argv)))
 
     def test_train_window_defaults(self):
+        # eval and sweep take no training window; their probes start at it
         cases = {
-            "enroll": ["--db", "d"],
-            "eval": ["--db", "d", "--manifest", "m"],
-            "sweep": ["--db", "d", "--manifest", "m", "--out", "o"],
-            "bench": ["--input", "i"],
-            "rank": ["--manifest", "m"],
+            "enroll": (["--db", "d"], "train_window_s"),
+            "eval": (["--db", "d", "--manifest", "m"], "offset_s"),
+            "sweep": (["--db", "d", "--manifest", "m", "--out", "o"], "offset_s"),
+            "bench": (["--input", "i"], "train_window_s"),
+            "rank": (["--manifest", "m"], "train_window_s"),
         }
-        for command, argv in cases.items():
-            got = self.defaults(command, *argv)["train_window_s"]
+        for command, (argv, key) in cases.items():
+            got = self.defaults(command, *argv)[key]
             assert got == authcore.DEFAULT_TRAIN_WINDOW_S, command
 
     @pytest.mark.parametrize("command,argv", [

@@ -1,7 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrauth import evalx
+from rrauth.authcore import KNOWN, REJECTED
 from rrauth.evalx import (ConfusionMatrix, accuracy, auto_grid, confusion_csv,
                           format_confusion, overall_performance, run_trials,
                           sweep_csv, sweep_ucl)
@@ -202,3 +207,61 @@ class TestDecideReuse:
             assert point == evalx.SweepPoint(
                 ucl=ucl, accepted=cm.accepted, n_trials=cm.total, accuracy=chi,
                 op=overall_performance(cm.accepted, cm.total, chi))
+
+
+def recount(outcomes):
+    """The confusion matrix counted trial by trial from the outcomes."""
+    cells = {f.name: 0 for f in fields(ConfusionMatrix)}
+    for o in outcomes:
+        dec, truth = o.decision, o.truth
+        if dec.kind == REJECTED:
+            cells["rejected"] += 1
+        elif dec.kind == KNOWN and truth is None:
+            cells["ku"] += 1
+        elif dec.kind == KNOWN:
+            cells["kk_correct" if dec.entity_id == truth else "kk_wrong"] += 1
+        else:
+            cells["uu" if truth is None else "uk"] += 1
+    return ConfusionMatrix(**cells)
+
+
+# gates as multiples of the median training UCL, from a closed gate (0) to an
+# open one (inf)
+gate_factors = st.one_of(st.just(np.inf), st.floats(0.0, 3.0))
+
+
+class TestTrialEngine:
+    """The draws are made once and each drawn record decided once per gate;
+    the results must be those of judging every trial on its own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), factor=gate_factors)
+    def test_matrix_is_recount_of_outcomes(self, small_db, small_pool, seed, n, factor):
+        gate = factor * small_db.median_ucl()
+        cm, outcomes = run_trials(small_db, small_pool, n=n, gate_ucl=gate, seed=seed)
+        draws = np.random.default_rng(seed).integers(0, len(small_pool), size=n)
+        assert [o.index for o in outcomes] == list(range(n))
+        assert [o.pool_index for o in outcomes] == draws.tolist()
+        assert all(o.truth == small_pool[o.pool_index][1] for o in outcomes)
+        assert cm == recount(outcomes)
+        assert all(type(getattr(cm, f.name)) is int for f in fields(cm))
+        assert type(accuracy(cm)[0]) is float
+        shared = {}
+        for o in outcomes:
+            assert shared.setdefault(o.pool_index, o.decision) is o.decision
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
+           factors=st.lists(gate_factors, min_size=1, max_size=5))
+    def test_sweep_point_is_run_trials_at_its_gate(self, small_db, small_pool, seed, n,
+                                                  factors):
+        grid = sorted({f * small_db.median_ucl() for f in factors})
+        points, best = sweep_ucl(small_db, small_pool, grid, n=n, seed=seed)
+        assert [p.ucl for p in points] == grid
+        for point in points:
+            cm, _ = run_trials(small_db, small_pool, n=n, gate_ucl=point.ucl, seed=seed)
+            chi, _ = accuracy(cm)
+            assert point == evalx.SweepPoint(
+                ucl=point.ucl, accepted=cm.accepted, n_trials=cm.total, accuracy=chi,
+                op=overall_performance(cm.accepted, cm.total, chi))
+        assert best == next(p for p in points if p.op == max(q.op for q in points))

@@ -125,8 +125,9 @@ class TestTrainDt:
 
 
 def exact_scan_split(X, y, min_leaf):
-    """Reference split search: every legal cut scored with the two-pass SSE,
-    features then cuts in ascending order, first strict minimum kept."""
+    """Reference split search: every legal cut scored with the two-pass SSE
+    of each side's sorted targets, features then cuts in ascending order,
+    first strict minimum kept."""
 
     def sse(v):
         return float(np.sum((v - v.mean()) ** 2))
@@ -137,7 +138,7 @@ def exact_scan_split(X, y, min_leaf):
         xs, yo = X[order, f], y[order]
         for i in range(1, y.size):
             if xs[i] > xs[i - 1] and min(i, y.size - i) >= min_leaf:
-                score = sse(yo[:i]) + sse(yo[i:])
+                score = sse(np.sort(yo[:i])) + sse(np.sort(yo[i:]))
                 if score < best_score:
                     best_score, best = score, (f, (xs[i - 1] + xs[i]) / 2.0)
     return best
@@ -147,10 +148,10 @@ def assert_splits_match(model, X, y, min_leaf):
     """Every node of the tree holds, for the samples that reach it, the split
     of the reference scan, and a split the brute-force oracle agrees with.
 
-    The oracle sums each side in sample order, the tree in feature order, so
+    The oracle sums each side in sample order, the tree in sorted order, so
     when two features cut the node into the same two sets of samples the
-    rounding of those sums, not the tie rule, decides between them; any
-    other disagreement with the oracle fails.
+    rounding of the oracle's sums, not the tie rule, may decide between
+    them; any other disagreement with the oracle fails.
     """
 
     def sides(rows, f, thr):
@@ -208,6 +209,17 @@ class TestSplitSearch:
         assert (model.root.feature, model.root.threshold) == (0, 2.5)
         assert brute_force_best_split(X, y, 3)[1:] == (0, 2.5)
         assert_splits_match(model, X, y, 3)
+
+    def test_equal_multisets_lowest_threshold_wins(self):
+        # cuts 2.5 and 7.5 each split one 1.0 off the rest; in feature order
+        # the 0.0 of row 26 sits at a different place in the larger side, and
+        # before the sides were sorted that rounded 7.5's score below 2.5's
+        X = np.array([0.0, 10.0] + [5.0] * 28).reshape(-1, 1)
+        y = np.ones(30)
+        y[26] = 0.0
+        model = train_dt(X, y, DtParams(min_leaf_size=1))
+        assert (model.root.feature, model.root.threshold) == (0, 2.5)
+        assert brute_force_best_split(X, y, 1)[1:] == (0, 2.5)
 
 
 def walk_curve(model, length):

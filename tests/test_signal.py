@@ -269,7 +269,7 @@ class TestSubjectProfile:
 class TestPreprocess:
     def test_constant_becomes_zero(self):
         r = EcgRecord("c", 100.0, np.full(500, 3.7))
-        out = preprocess(r, 0.5)
+        out = preprocess(r)
         assert np.array_equal(out.samples, np.zeros(500))
 
     def test_linear_drift_mostly_removed(self):
@@ -280,14 +280,14 @@ class TestPreprocess:
         assert np.max(np.abs(residual)) <= 0.2
 
     def test_window_longer_than_record(self):
-        r = EcgRecord("s", 360.0, np.zeros(360))  # 1 s record
+        r = EcgRecord("s", 360.0, np.zeros(180))  # 0.5 s record, 216-sample window
         with pytest.raises(ValueError, match="exceeds record"):
-            preprocess(r, 5.0)
+            preprocess(r)
 
     def test_window_too_few_samples(self):
-        r = EcgRecord("s", 360.0, np.zeros(360))
+        r = EcgRecord("s", 3.0, np.zeros(360))  # round(0.6 s * 3 Hz) = 2 samples
         with pytest.raises(ValueError, match="too short"):
-            preprocess(r, 0.001)
+            preprocess(r)
 
     def test_keeps_length_and_fs(self):
         rec, _ = synth_ecg(quiet_profile(seed=2, noise_sd=0.02), 5.0, 360.0)
