@@ -9,6 +9,13 @@ Gil-Werman block maximum (Pattern Recognit. Lett. 13(7), 1992; IEEE TPAMI
 ``np.maximum``, O(1) per sample. A maximum only selects among its inputs,
 so each value is exactly its window's ``max``.
 
+Suppression keeps candidates strongest first, each unless a kept one lies
+within the refractory distance. A winner pass settles most of them at once:
+a candidate that outranks every other within that distance (a rolling max
+of the candidates' ranks) is kept by the strongest-first rule, and every
+candidate within that distance of such a winner is dropped by it. The rule
+itself runs only over the candidates that neither settles.
+
 Frames resample each R-to-R segment onto a fixed-length grid anchored at
 both peaks. A record's frames form one `FrameSet`: the peaks they came from
 plus one read-only (n_frames, frame_len) array whose row k spans peaks
@@ -18,6 +25,7 @@ k -> k + 1, so a set of n peaks holds max(n - 1, 0) frames.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +116,34 @@ def _rolling_max(x: np.ndarray, win: int) -> np.ndarray:
     return np.maximum(suffix[:n], prefix[win - 1 : win - 1 + n])
 
 
+def _suppress(strength: np.ndarray, candidates: np.ndarray,
+              refractory: float) -> list[int]:
+    """Refractory suppression; returns the kept candidates in index order.
+
+    Candidates are taken strongest first, lowest index on ties, and each is
+    kept unless a kept one lies closer than `refractory` samples. A winner,
+    a candidate that outranks every other one that close, is kept whatever
+    came before it and drops all of those others. No winner lies that close
+    to the candidates left over, so the rule runs over them alone, with the
+    winners already in place.
+    """
+    order = candidates[np.lexsort((candidates, -strength[candidates]))]
+    span = 2 * (math.ceil(refractory) - 1) + 1  # the offsets closer than `refractory`
+    rank = np.zeros(strength.size)
+    rank[order] = np.arange(order.size, 0, -1)  # strongest first: highest rank
+    winner = (rank > 0) & (rank == _rolling_max(rank, span))
+    near = _rolling_max(winner.astype(float), span) > 0
+    kept = np.flatnonzero(winner).tolist()
+    for c in order[~near[order]].tolist():
+        pos = bisect.bisect_left(kept, c)
+        if pos > 0 and c - kept[pos - 1] < refractory:
+            continue
+        if pos < len(kept) and kept[pos] - c < refractory:
+            continue
+        kept.insert(pos, c)
+    return kept
+
+
 def detect_rpeaks(record: EcgRecord) -> PeakList:
     """Locate R-peaks in a baseline-centered record.
 
@@ -140,17 +176,8 @@ def detect_rpeaks(record: EcgRecord) -> PeakList:
     if candidates.size == 0:
         return PeakList(np.empty(0, dtype=int))
 
-    # refractory suppression: strongest energy first, index ascending on ties
     refractory = REFRACTORY_S * fs
-    order = np.lexsort((candidates, -smooth[candidates]))
-    kept: list[int] = []
-    for c in candidates[order].tolist():
-        pos = bisect.bisect_left(kept, c)
-        if pos > 0 and c - kept[pos - 1] < refractory:
-            continue
-        if pos < len(kept) and kept[pos] - c < refractory:
-            continue
-        kept.insert(pos, c)
+    kept = _suppress(smooth, candidates, refractory)
 
     # refine to raw local maxima over the whole energy event plus a margin
     w = ma_win // 2 + int(round(0.050 * fs))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -71,6 +72,11 @@ def _manifest_records(doc: dict, base: Path, offset_s: float = 0.0,
         if offset_s > 0:
             record = ecgsig.slice_seconds(record, offset_s)
         yield subject, record
+
+
+def _check_offset(offset_s: float) -> None:
+    if not 0 <= offset_s < math.inf:
+        raise ValueError(f"--offset-s must be finite and >= 0, got {offset_s}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +167,7 @@ def _resolve_gate(db: ReferenceDb, gate_ucl) -> float:
 
 
 def cmd_auth(args) -> int:
+    _check_offset(args.offset_s)
     db = load_db(args.db)
     record = ecgsig.load_csv(args.input)
     if args.offset_s > 0:
@@ -183,6 +190,7 @@ def cmd_auth(args) -> int:
 
 
 def _build_pool(manifest_path, offset_s: float):
+    _check_offset(offset_s)
     doc, base = _load_manifest(manifest_path)
     pool = []
     for subject, record in _manifest_records(doc, base, offset_s):
@@ -219,6 +227,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"grid spec must be lo:hi:steps, got {spec!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got {spec!r}")
     if steps < 1:
         raise ValueError(f"grid needs >= 1 step, got {steps}")
     if steps > 1 and hi <= lo:

@@ -3,8 +3,10 @@ matrix, accuracy, overall performance and the control-limit sweep.
 
 Trials draw probe records from a labeled pool with replacement using a
 seed, so every run is replayable. A call draws once, so a sweep is a paired
-comparison that isolates the gate threshold, and each distinct drawn record
-is decided once per gate and counts once per draw.
+comparison that isolates the gate threshold. Each distinct drawn record is
+decided once per distinct set of frames passing the gate, and its decision
+counts once per draw: a sweep's next gate re-decides only the records whose
+passing set it changes.
 """
 
 from __future__ import annotations
@@ -117,11 +119,20 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
     """The trial engine of `run_trials` and `sweep_ucl`.
 
     Validates `n` and the pool, scores every pool record once and draws the
-    `n` trials once. At each gate of `grid` it decides each distinct drawn
-    record once and adds that record's draw count to its confusion cell.
-    Returns the pool list, the draws and an iterator that judges one gate
-    per step, yielding its matrix and the {pool index: decision} map of the
-    drawn records, so a sweep holds one gate's decisions at a time.
+    `n` trials once. Returns the pool list, the draws and an iterator that
+    judges one gate of `grid` per step, yielding its matrix and the
+    {pool index: decision} map of the drawn records; each drawn record's
+    decision counts once per draw in its confusion cell.
+
+    A decision depends on the gate only through the frames that pass it:
+    those whose best MSE is <= the gate. Each drawn record's best MSEs are
+    sorted once, so ``searchsorted(..., side="right")`` counts its passing
+    frames, and an equal count means the very same passing set. A record
+    whose count is the one it had at the previous gate keeps that gate's
+    `AuthDecision` object; only a changed count calls `decide`. Only the
+    last (count, decision) per record is held, one gate at a time. A NaN
+    gate counts as if every frame passed, so only a record's first gate,
+    which always reaches `decide`, may be NaN; `sweep_ucl` refuses one.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -139,13 +150,18 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
     drawn, counts = np.unique(draws, return_counts=True)
     # Python ints: an np.int64 cell would make `accuracy` an np.float64
     drawn, counts = drawn.tolist(), counts.tolist()
+    best_mse = {pi: np.sort(scored[pi].mse.min(axis=1)) for pi in drawn}
+    last: dict[int, tuple[int, AuthDecision]] = {}
 
     def judge(ucl):
         decided: dict[int, AuthDecision] = {}
         tally: Counter[str] = Counter()
         for pi, count in zip(drawn, counts):
-            dec = decided[pi] = decide(db, scored[pi], ucl,
-                                       apr_min=apr_min, id_margin=id_margin)
+            passing = int(np.searchsorted(best_mse[pi], ucl, side="right"))
+            if pi not in last or last[pi][0] != passing:
+                last[pi] = (passing, decide(db, scored[pi], ucl,
+                                            apr_min=apr_min, id_margin=id_margin))
+            dec = decided[pi] = last[pi][1]
             tally[_cell(dec, pool[pi][1])] += count
         return ConfusionMatrix(**tally), decided
 
@@ -181,11 +197,14 @@ def sweep_ucl(db: ReferenceDb, pool, grid, n: int = 100, seed: int = 0, *,
     plus the best-overall-performance point (ties toward the smaller UCL).
 
     Every probe record is framed and scored once and the trials are drawn
-    once; at each gate, each distinct drawn record is decided once, so every
-    point equals `run_trials` at that gate."""
+    once; a drawn record is decided again only at a gate that changes the
+    set of its frames passing, so every point equals `run_trials` at that
+    gate. A NaN gate is a ValueError before any record is scored."""
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
+    if np.isnan(grid).any():
+        raise ValueError("grid holds a NaN gate")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     grid = grid.tolist()

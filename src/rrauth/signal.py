@@ -5,11 +5,12 @@ and moving-median baseline removal. Amplitudes are millivolts throughout;
 sampling frequencies are Hz.
 
 The moving median sorts small integer ranks instead of doubles: the record
-is ranked once by a stable argsort, and every window, edge windows included,
-is one row of a single sorted sliding view of those ranks. Ranks order as
-their values do, so each median is the value ``np.median`` gives for its
-window; only the sign of a zero median may differ, where the stable argsort
-orders ``-0.0`` and ``+0.0`` other than ``np.sort`` would.
+is ranked once by numpy's default (unstable, SIMD) argsort, and every
+window, edge windows included, is one row of a single sorted sliding view
+of those ranks. Ranks order as their values do, equal values in any order
+among themselves, so each median is the value ``np.median`` gives for its
+window; only the sign of a zero median may differ, where the argsort may
+order ``-0.0`` and ``+0.0`` other than ``np.sort`` would.
 """
 
 from __future__ import annotations
@@ -279,24 +280,27 @@ def beat_template(profile: SubjectProfile, frame_len: int = 220) -> np.ndarray:
 def _moving_median(x: np.ndarray, win: int) -> np.ndarray:
     """Centered moving median; windows shrink at the edges.
 
-    The record is replaced by its ranks under a stable argsort, stored in
-    the smallest unsigned type that holds ``x.size`` (uint16 up to 65,535
-    samples), and padded at both ends with the sentinel rank ``x.size``.
-    Every window, the shrinking edge ones included, is then a row of one
-    sliding view of the padded ranks, and one row sort puts each row's real
-    samples first, in value order, with the sentinels after them. The middle
-    rank, or the two middle ones for an even count, is read at the row's
-    real sample count and mapped back to its value; an even count gives
-    ``(a + b) / 2.0``.
+    The record is replaced by its ranks under numpy's default argsort,
+    stored in the smallest unsigned type that holds ``x.size`` (uint16 up
+    to 65,535 samples), and padded at both ends with the sentinel rank
+    ``x.size``. Every window, the shrinking edge ones included, is then a
+    row of one sliding view of the padded ranks, and one row sort puts each
+    row's real samples first, in value order, with the sentinels after
+    them. The middle rank, or the two middle ones for an even count, is
+    read at the row's real sample count and mapped back to its value; an
+    even count gives ``(a + b) / 2.0``.
 
-    Ranks sort exactly as their values do, so on finite input every value
-    equals ``np.median`` of the same window. Only the sign of a zero median
-    can differ: the stable argsort may order ``-0.0`` and ``+0.0`` other
-    than ``np.sort`` does, and the two compare equal.
+    The argsort need not be stable (a stable one is ~5x slower here): tied
+    values may take their ranks in any order, but the ranks still sort as
+    the values do, so a window's k-th smallest rank always maps to its k-th
+    smallest value. On finite input every value therefore equals
+    ``np.median`` of the same window. Only the sign of a zero median can
+    differ: the argsort may order ``-0.0`` and ``+0.0`` other than
+    ``np.sort`` does, and the two compare equal.
     """
     n = x.size
     half = win // 2
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)
     rank_type = np.min_scalar_type(n)
     ranks = np.full(n + win - 1, n, dtype=rank_type)
     ranks[half + order] = np.arange(n, dtype=rank_type)

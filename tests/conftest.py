@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,22 @@ def brute_force_best_split(X, y, min_leaf):
             if best is None or score < best[0]:
                 best = (score, f, thr)
     return best
+
+
+def strongest_first(strength, candidates, refractory) -> list[int]:
+    """The plain refractory rule, one candidate at a time: strongest first,
+    lowest index on ties, each kept unless a kept one is closer than
+    `refractory`. Returns the kept candidates in index order."""
+    order = np.lexsort((candidates, -strength[candidates]))
+    kept: list[int] = []
+    for c in candidates[order].tolist():
+        pos = bisect.bisect_left(kept, c)
+        if pos > 0 and c - kept[pos - 1] < refractory:
+            continue
+        if pos < len(kept) and kept[pos] - c < refractory:
+            continue
+        kept.insert(pos, c)
+    return kept
 
 
 def count_leaves(model) -> int:

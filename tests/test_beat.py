@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrauth.beat import FrameSet, PeakList, _rolling_max, detect_rpeaks, frame_rr
-from rrauth.signal import EcgRecord, preprocess, synth_ecg
+from rrauth import beat
+from rrauth.beat import (FrameSet, PeakList, _rolling_max, _suppress, detect_rpeaks,
+                         frame_rr)
+from rrauth.signal import EcgRecord, preprocess, random_profile, synth_ecg
 
-from conftest import quiet_profile
+from conftest import quiet_profile, strongest_first
 
 FS = 360.0
 
@@ -171,6 +175,54 @@ class TestRollingMax:
         got = _rolling_max(x, win)
         assert got.shape == (n,)
         assert np.array_equal(got, rolling_max_reference(x, win))
+
+
+@st.composite
+def suppression_inputs(draw):
+    """Energies shaped to stress the winner pass, candidates and a refractory
+    distance, fractional ones included (0.25 s at 250 Hz is 62.5 samples)."""
+    n = draw(st.integers(1, 800))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["levels", "plateaus", "ramp_up", "ramp_down", "noise"]))
+    if shape == "levels":  # a few distinct energies: ties everywhere
+        strength = rng.integers(0, 4, n).astype(float)
+    elif shape == "plateaus":  # runs of equal energy
+        strength = np.repeat(rng.random(n), rng.integers(1, 60, n))[:n]
+    elif shape == "ramp_up":  # each candidate outranked by its right neighbour
+        strength = np.arange(n, dtype=float)
+    elif shape == "ramp_down":
+        strength = np.arange(n, 0, -1, dtype=float)
+    else:
+        strength = rng.random(n)
+    density = draw(st.sampled_from([1.0, 0.5, 0.05]), label="density")
+    candidates = np.flatnonzero(rng.random(n) < density)
+    refractory = draw(st.sampled_from([62.5, 90.0]) | st.floats(0.5, 200.0),
+                      label="refractory")
+    return strength, candidates, refractory
+
+
+class TestSuppress:
+    """The winner pass must keep exactly what the plain strongest-first rule
+    keeps."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(suppression_inputs())
+    def test_equals_strongest_first_rule(self, case):
+        strength, candidates, refractory = case
+        assert (_suppress(strength, candidates, refractory)
+                == strongest_first(strength, candidates, refractory))
+
+    @settings(max_examples=40, deadline=None)
+    @given(hr=st.floats(30.0, 240.0), fs=st.sampled_from([250.0, 360.0]),
+           seed=st.integers(0, 2**31 - 1))
+    def test_detector_unchanged_at_30_to_240_bpm(self, hr, fs, seed):
+        profile = replace(random_profile(seed), heart_rate_bpm=hr)
+        rec, _ = synth_ecg(profile, 20.0, fs)
+        clean = preprocess(rec)
+        got = detect_rpeaks(clean).indices.tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(beat, "_suppress", strongest_first)
+            assert detect_rpeaks(clean).indices.tolist() == got
 
 
 def reference_frames(x, peaks, frame_len):

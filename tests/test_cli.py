@@ -328,6 +328,39 @@ class TestNanThresholds:
         assert "error:" in capsys.readouterr().err
 
 
+class TestOffsetAndGridBounds:
+    """A negative or non-finite probe offset, or a non-finite grid bound, is a
+    domain error; the offset used to be read as 0, overlapping training."""
+
+    @pytest.mark.parametrize("offset", ["-5", "nan", "inf"])
+    def test_auth_exits_1_without_traceback(self, offset, cohort_dir, db_path):
+        proc = run_cli("auth", "--db", str(db_path), "--input",
+                       str(cohort_dir / "e01.csv"), "--offset-s", offset)
+        assert proc.returncode == 1, proc.stdout
+        assert "error:" in proc.stderr and "--offset-s" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_eval_and_sweep_exit_1(self, command, cohort_dir, db_path, tmp_path, capsys):
+        rc = main([command, "--db", str(db_path), "--manifest",
+                   str(cohort_dir / "manifest.json"), "--trials", "5",
+                   "--out", str(tmp_path), "--offset-s", "-5"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "error:" in err and "--offset-s" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("grid", ["0.0001:inf:3", "-inf:0.01:3", "nan:0.01:1"])
+    def test_sweep_rejects_non_finite_grid_bounds(self, grid, cohort_dir, db_path, tmp_path):
+        proc = run_cli("sweep", "--db", str(db_path), "--manifest",
+                       str(cohort_dir / "manifest.json"), "--trials", "5",
+                       "--out", str(tmp_path), f"--grid={grid}")
+        assert proc.returncode == 1, proc.stdout
+        assert "error:" in proc.stderr and "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 class TestParserDefaults:
     """The CLI's defaults are the library's own values, not copies of them."""
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrauth import evalx
-from rrauth.authcore import KNOWN, REJECTED
+from rrauth.authcore import KNOWN, REJECTED, decide, score_frames
 from rrauth.evalx import (ConfusionMatrix, accuracy, auto_grid, confusion_csv,
                           format_confusion, overall_performance, run_trials,
                           sweep_csv, sweep_ucl)
@@ -207,6 +207,54 @@ class TestDecideReuse:
             assert point == evalx.SweepPoint(
                 ucl=ucl, accepted=cm.accepted, n_trials=cm.total, accuracy=chi,
                 op=overall_performance(cm.accepted, cm.total, chi))
+
+
+    @staticmethod
+    def boundary_grid(db, pool):
+        """Gates on frame best-MSE values (the `<=` boundary) and one ulp to
+        either side, so neighbouring gates often pass the same frames."""
+        best = [score_frames(db, rec).mse.min(axis=1) for rec, _ in pool]
+        values = np.unique(np.concatenate(best))
+        on = values[:: max(values.size // 8, 1)]
+        grid = np.unique(np.concatenate([np.nextafter(on, -np.inf), on,
+                                         np.nextafter(on, np.inf)]))
+        return best, grid
+
+    def test_gates_on_best_mse_values(self, small_db, small_pool, decide_calls):
+        best, grid = self.boundary_grid(small_db, small_pool)
+        points, _ = sweep_ucl(small_db, small_pool, grid, n=30, seed=3)
+        drawn = set(np.random.default_rng(3).integers(0, len(small_pool), size=30).tolist())
+        passing = {(pi, int(np.sum(best[pi] <= g))) for pi in drawn for g in grid.tolist()}
+        assert len(decide_calls) == len(passing) < len(drawn) * grid.size
+        for ucl, point in zip(grid.tolist(), points):
+            cm, _ = run_trials(small_db, small_pool, n=30, gate_ucl=ucl, seed=3)
+            chi, _ = accuracy(cm)
+            assert point == evalx.SweepPoint(
+                ucl=ucl, accepted=cm.accepted, n_trials=cm.total, accuracy=chi,
+                op=overall_performance(cm.accepted, cm.total, chi))
+
+    def test_reused_decision_is_the_gates_own(self, small_db, small_pool):
+        # a reused decision must equal a fresh one at its gate, field by field
+        _, grid = self.boundary_grid(small_db, small_pool)
+        scored = [score_frames(small_db, rec) for rec, _ in small_pool]
+        _, _, per_gate = evalx._trials(small_db, small_pool, grid.tolist(), 30, 3,
+                                       evalx.DEFAULT_TEST_WINDOW_S, evalx.DEFAULT_APR_MIN,
+                                       evalx.DEFAULT_ID_MARGIN)
+        for ucl, (_, decided) in zip(grid.tolist(), per_gate):
+            for pi, dec in decided.items():
+                assert vars(dec) == vars(decide(small_db, scored[pi], ucl))
+
+    def test_nan_gate_fails_before_scoring(self, small_db, small_pool, monkeypatch):
+        # an all-passing count repeats at a NaN gate, so reuse would skip
+        # `decide`'s own NaN check
+        def no_scoring(*args, **kw):
+            raise AssertionError("scored a probe")
+
+        monkeypatch.setattr(evalx, "score_frames", no_scoring)
+        with pytest.raises(ValueError, match="NaN"):
+            sweep_ucl(small_db, small_pool, [1.0, np.nan], n=5)
+        with pytest.raises(ValueError, match="NaN"):
+            sweep_ucl(small_db, small_pool, [np.nan], n=5)
 
 
 def recount(outcomes):
