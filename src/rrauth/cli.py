@@ -79,6 +79,15 @@ def _check_offset(offset_s: float) -> None:
         raise ValueError(f"--offset-s must be finite and >= 0, got {offset_s}")
 
 
+def _check_windows(args) -> None:
+    """Reject a window option of the parsed command that is not finite and > 0."""
+    for name in ("train_window_s", "test_window_s"):
+        window_s = getattr(args, name, None)
+        if window_s is not None and not 0 < window_s < math.inf:
+            raise ValueError(f"--{name.replace('_', '-')} must be finite and > 0, "
+                             f"got {window_s}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -459,6 +468,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_windows(args)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)

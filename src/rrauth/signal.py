@@ -11,6 +11,23 @@ of those ranks. Ranks order as their values do, equal values in any order
 among themselves, so each median is the value ``np.median`` gives for its
 window; only the sign of a zero median may differ, where the argsort may
 order ``-0.0`` and ``+0.0`` other than ``np.sort`` would.
+
+A CSV body is read without calling ``float`` on most lines. A line of the
+plain form ``[-]digits[.digits]`` is exactly the decimal +-m / 10**k, m its
+digits read as one integer and k its fraction digits. Where
+``np.longdouble`` is the x87 extended format, its 64-bit significand holds
+every m below 2**64 and every 10**k up to k = 27 (5**27 < 2**63) exactly,
+so the long double quotient m / 10**k is correctly rounded to 64 bits.
+Rounding that to float64 then gives the correctly rounded double, which is
+what ``float`` returns, unless the quotient lies exactly halfway between
+two doubles, the one case where rounding twice can differ from rounding
+once (Clinger, PLDI 1990; Lemire, Softw. Pract. Exp. 51(8), 2021). The
+sign is taken from the text, so ``-0.0`` stays negative. Every other line
+goes through ``float`` one at a time: a halfway quotient, a mantissa of 2**64
+or more, k > 27 and any line not of the plain form (an exponent, a space).
+A body with no plain line, and every body where ``np.longdouble`` has no
+64-bit significand, skips the scaling and is read with ``float`` on each
+line of its text.
 """
 
 from __future__ import annotations
@@ -22,6 +39,12 @@ import numpy as np
 
 WAVE_NAMES = ("P", "Q", "R", "S", "T")
 BASELINE_WINDOW_S = 0.6  # moving-median window of the baseline removal
+
+# Exact decimal scaling of plain CSV lines (see the module docstring).
+_LONGDOUBLE_64 = np.finfo(np.longdouble).nmant == 63  # x87 extended precision
+_MAX_EXACT_K = 27  # the largest k with 10**k exact in a 64-bit significand
+_POW10 = np.cumprod(np.r_[1, np.full(_MAX_EXACT_K, 10)].astype(np.longdouble))
+_NOT_DIGIT_OR_LF = bytes(c for c in range(256) if c not in b"0123456789\n")
 
 __all__ = [
     "CsvFormatError",
@@ -120,21 +143,31 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
     uniform ``t,mv`` pairs (t in seconds).
 
     The header is authoritative for fs; a time column is only checked for
-    uniform spacing, never used to re-derive fs. A body of one finite value
-    per line is parsed in one pass with Python's ``float``; any other body
-    (blank lines, ``t,mv`` pairs, a bad or non-finite value) goes through
-    the line-by-line parser, which accepts the same values and names the
-    line of the first error.
+    uniform spacing, never used to re-derive fs. Lines are what
+    ``str.splitlines`` makes of the UTF-8 text. A body of one finite value
+    per line is read from the bytes, with CRLF and CR read as LF: plain
+    decimal lines are scaled exactly, bit-equal to ``float`` on the line,
+    and every other line goes through ``float`` (the module docstring gives
+    the argument and the cases). A body with no plain line, or another line
+    break inside line 1, is read with ``float`` on each line. Any other
+    body (blank lines, ``t,mv`` pairs, a bad or non-finite value) goes
+    through the line-by-line parser, which accepts the same values and
+    names the line of the first error.
     """
     path = str(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    if not lines or not lines[0].strip().startswith("fs="):
+    if b"\r" in data:  # CRLF and a lone CR each end a line, as in str.splitlines
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head, _, body = data.partition(b"\n")
+    first = head.decode("utf-8").splitlines()  # more than line 1 if head holds a break
+    header = first[0].strip() if first else ""
+    if not header.startswith("fs="):
         raise CsvFormatError(f"{path}: line 1: expected 'fs=<Hz>' header")
-    header = lines[0].strip()
     try:
         fs = float(header[3:])
     except ValueError:
@@ -142,19 +175,71 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
     if not 0 < fs < math.inf:
         raise CsvFormatError(f"{path}: line 1: fs must be finite and > 0, got {fs}")
 
-    body = lines[1:]
-    try:
-        samples = np.fromiter(map(float, body), float, count=len(body))
-    except ValueError:  # a blank line, a t,mv pair or a malformed value
-        samples = None
-    if samples is None or not np.all(np.isfinite(samples)):
-        samples = _parse_body(path, body)
+    samples = _parse_decimal_lines(body) if _LONGDOUBLE_64 and len(first) == 1 else None
+    if samples is None:  # no line to scale, or a line float() rejects: float on each line
+        lines = text.splitlines()[1:]
+        try:
+            samples = np.fromiter(map(float, lines), float, count=len(lines))
+        except ValueError:  # a blank line, a t,mv pair or a malformed value
+            samples = _parse_body(path, lines)
+    if not np.all(np.isfinite(samples)):
+        samples = _parse_body(path, text.splitlines()[1:])
     if samples.size < 2:
         raise CsvFormatError(f"{path}: fewer than 2 samples")
     if subject_id is None:
         stem = path.rsplit("/", 1)[-1]
         subject_id = stem[:-4] if stem.endswith(".csv") else stem
     return EcgRecord(subject_id=subject_id, fs=fs, samples=samples)
+
+
+def _parse_decimal_lines(body: bytes) -> np.ndarray | None:
+    """The value of each LF-ended line, bit-equal to ``float`` on the line,
+    where ``np.longdouble`` has a 64-bit significand; None when no line is
+    plain or ``float`` rejects a line.
+
+    A line break other than LF stays inside its line: a line that ``float``
+    accepts has it only around its number, where ``str.splitlines`` would
+    make a blank line of it, which the line-by-line parser skips, so both
+    readings give the same values. One scan finds every byte but a digit. A
+    line is plain when those are at most a leading ``-`` and a ``.`` that
+    follows every other one. The digits of each line, the only bytes kept,
+    give its mantissa as one uint64 (strtoull saturates at 2**64 - 1).
+    """
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    a = np.frombuffer(body, np.uint8)
+    odd = np.flatnonzero(a - np.uint8(48) > 9)  # every byte but a digit
+    kind = a[odd]
+    lf = np.flatnonzero(kind == 10)  # the line ends, as indices into odd
+    ends = odd[lf]
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    n_odd = np.diff(lf, prepend=-1) - 1  # each line's non-digits, its LF aside
+    if np.any(n_odd == ends - starts):
+        return None  # a line without a digit: float() rejects it
+    last = lf - 1  # each line's last non-digit, where n_odd > 0
+    has_dot = (n_odd > 0) & (kind[last] == 46)
+    k = np.where(has_dot, ends - odd[last] - 1, 0)
+    negative = a[starts] == 45
+    exact = (n_odd - has_dot - negative == 0) & (k <= _MAX_EXACT_K)
+    if not exact.any():
+        return None
+    mantissa = np.fromstring(body.translate(None, _NOT_DIGIT_OR_LF), dtype=np.uint64, sep="\n")
+    quotient = mantissa.astype(np.longdouble) / _POW10[np.minimum(k, _MAX_EXACT_K)]
+    values = quotient.astype(np.float64)
+    np.negative(values, out=values, where=negative)
+    # x87 stores the significand first, little-endian, so the first 32-bit
+    # word of each element holds its low bits; 0x400 in the low 11 bits
+    # marks a quotient exactly halfway between two doubles
+    low = quotient.view(np.uint32)[:: quotient.itemsize // 4]
+    exact &= (mantissa < np.iinfo(np.uint64).max) & ((low & 0x7FF) != 0x400)
+    rest = np.flatnonzero(~exact)
+    lines = map(body.__getitem__, map(slice, starts[rest].tolist(), ends[rest].tolist()))
+    try:
+        values[rest] = np.fromiter(map(float, lines), float, count=rest.size)
+    except ValueError:
+        return None
+    return values
 
 
 def _parse_body(path: str, body: list[str]) -> np.ndarray:

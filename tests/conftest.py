@@ -1,12 +1,13 @@
 import bisect
+import math
 
 import numpy as np
 import pytest
 
 from rrauth.authcore import ReferenceDb, enroll
 from rrauth.learners import DtLeaf
-from rrauth.signal import (EcgRecord, SubjectProfile, Wave, cohort_profiles,
-                           slice_seconds, synth_ecg)
+from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave, _parse_body,
+                           cohort_profiles, slice_seconds, synth_ecg)
 
 FS = 360.0
 COHORT_SEED = 42
@@ -77,6 +78,39 @@ def strongest_first(strength, candidates, refractory) -> list[int]:
             continue
         kept.insert(pos, c)
     return kept
+
+
+def reference_load_csv(path) -> EcgRecord:
+    """The plain reading of an ECG CSV that `load_csv` must match: the UTF-8
+    text split by ``str.splitlines``, ``float`` on each line after the
+    header, and the line-by-line parser for a body that ``float`` rejects
+    or that holds a non-finite value. Raises `CsvFormatError` with
+    `load_csv`'s message."""
+    path = str(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if not lines or not lines[0].strip().startswith("fs="):
+        raise CsvFormatError(f"{path}: line 1: expected 'fs=<Hz>' header")
+    header = lines[0].strip()
+    try:
+        fs = float(header[3:])
+    except ValueError:
+        raise CsvFormatError(f"{path}: line 1: invalid fs value {header[3:]!r}") from None
+    if not 0 < fs < math.inf:
+        raise CsvFormatError(f"{path}: line 1: fs must be finite and > 0, got {fs}")
+    body = lines[1:]
+    try:
+        samples = np.array([float(line) for line in body], dtype=float)
+    except ValueError:
+        samples = None
+    if samples is None or not np.all(np.isfinite(samples)):
+        samples = _parse_body(path, body)
+    if samples.size < 2:
+        raise CsvFormatError(f"{path}: fewer than 2 samples")
+    return EcgRecord("reference", fs, samples)
 
 
 def count_leaves(model) -> int:

@@ -87,6 +87,14 @@ class TestEnroll:
             np.mean((frames.values - entry.curve) ** 2, axis=1).tobytes()
 
 
+class TestExtractFrames:
+    @pytest.mark.parametrize("window_s", [0.0, -5.0, np.nan, np.inf])
+    def test_window_must_be_finite_and_positive(self, window_s):
+        rec, _ = synth_ecg(quiet_profile(seed=3), 3.0, 360.0)
+        with pytest.raises(ValueError, match="window_s must be finite and > 0"):
+            extract_frames(rec, window_s, 220)
+
+
 class TestCurveIsTreePrediction:
     """With >= 4 frames the fine tree (minimum leaf 4, no depth cap) on the
     (position, amplitude) pairs predicts exactly the curve `enroll` stores."""

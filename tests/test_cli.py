@@ -361,6 +361,49 @@ class TestOffsetAndGridBounds:
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+class TestWindowBounds:
+    """A window that is not finite and > 0 is a domain error naming its
+    option; a negative probe window used to drop the record's last seconds."""
+
+    @pytest.mark.parametrize("window", ["-5", "nan"])
+    def test_auth_exits_1_without_traceback(self, window, cohort_dir, db_path):
+        proc = run_cli("auth", "--db", str(db_path), "--input", str(cohort_dir / "e01.csv"),
+                       "--offset-s", "50", "--test-window-s", window)
+        assert proc.returncode == 1, proc.stdout
+        assert "error: --test-window-s must be finite and > 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("window", ["0", "inf"])
+    def test_eval_and_sweep_exit_1(self, command, window, cohort_dir, db_path, tmp_path,
+                                   capsys):
+        rc = main([command, "--db", str(db_path), "--manifest",
+                   str(cohort_dir / "manifest.json"), "--trials", "5",
+                   "--out", str(tmp_path), "--test-window-s", window])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "error: --test-window-s must be finite and > 0" in err
+        assert out == ""
+
+    def test_enroll_exits_1_and_writes_no_db(self, cohort_dir, tmp_path):
+        db = tmp_path / "new.json"
+        proc = run_cli("enroll", "--db", str(db), "--manifest",
+                       str(cohort_dir / "manifest.json"), "--train-window-s", "nan")
+        assert proc.returncode == 1, proc.stdout
+        assert "error: --train-window-s must be finite and > 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not db.exists()
+
+    @pytest.mark.parametrize("argv", [["bench", "--input", "e01.csv"],
+                                      ["rank", "--manifest", "manifest.json"]])
+    def test_bench_and_rank_exit_1(self, argv, cohort_dir, capsys):
+        command, flag, name = argv
+        rc = main([command, flag, str(cohort_dir / name), "--train-window-s", "-1"])
+        assert rc == 1
+        assert "error: --train-window-s must be finite and > 0" in capsys.readouterr().err
+
+
 class TestParserDefaults:
     """The CLI's defaults are the library's own values, not copies of them."""
 

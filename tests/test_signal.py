@@ -1,4 +1,6 @@
+import math
 import re
+from decimal import Context, Decimal
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave,
                            _moving_median, beat_template, load_csv, preprocess,
                            save_csv, slice_seconds, synth_ecg)
 
-from conftest import quiet_profile
+from conftest import quiet_profile, reference_load_csv
 
 
 class TestEcgRecord:
@@ -124,20 +126,20 @@ class TestCsv:
             load_csv(p)
 
 
-def load_outcome(path):
-    """What load_csv makes of a file: its fs and sample bytes, or its error."""
+def outcome(load, path):
+    """What a reader makes of a file: its fs and sample bytes, or its error."""
     try:
-        record = load_csv(path)
+        record = load(path)
     except CsvFormatError as exc:
         return "error", str(exc)
     return record.fs, record.samples.tobytes()
 
 
 def load_outcome_line_parser(path):
-    """load_outcome with the one-pass parse failing, so every body goes
+    """load_csv's outcome with ``np.fromiter`` failing, so every body goes
     through the line-by-line parser."""
     with mock.patch("rrauth.signal.np.fromiter", side_effect=ValueError):
-        return load_outcome(path)
+        return outcome(load_csv, path)
 
 
 PAD = st.sampled_from(["", " ", "  ", "\t", "\u00a0"])
@@ -172,6 +174,51 @@ def csv_texts(draw):
     return newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
 
 
+FUZZ_BYTES = st.one_of(csv_texts().map(lambda t: t.encode("utf-8")),
+                       st.text().map(lambda t: ("fs=360\n" + t).encode("utf-8", "surrogatepass")),
+                       st.binary(max_size=200).map(lambda b: b"fs=360\n0.0\n" + b))
+
+
+@st.composite
+def near_midpoints(draw):
+    """Plain decimals of 17-20 significant digits on, or one unit in the
+    last digit either side of, the exact midpoint of two adjacent doubles:
+    the inputs whose long double quotient can land on a float64 midpoint."""
+    x = math.ldexp(draw(st.integers(2**52, 2**53 - 1)), draw(st.integers(-100, 12)))
+    mid = Context(prec=1100).divide(Decimal(x) + Decimal(math.nextafter(x, math.inf)), 2)
+    rounded = Context(prec=draw(st.integers(17, 20)))
+    d = rounded.plus(mid)
+    d = draw(st.sampled_from([d, rounded.next_plus(d), rounded.next_minus(d)]))
+    return draw(st.sampled_from(["", "-"])) + format(d, "f")
+
+
+@st.composite
+def plain_decimals(draw):
+    """``[-]digits[.digits]`` with up to 25 integer and 35 fraction digits:
+    mantissas past 2**64 and more than 27 fraction digits included."""
+    whole = draw(st.text("0123456789", max_size=25))
+    frac = draw(st.text("0123456789", max_size=35))
+    if not (whole or frac):
+        whole = "0"
+    return draw(st.sampled_from(["", "-"])) + whole + draw(st.sampled_from([".", ""])) + frac
+
+
+DECIMAL_LINE = st.one_of(near_midpoints(), plain_decimals(),
+                         st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                         st.sampled_from(["-0.0", "0.0", "-0", "5.", ".5", "-.5", "1e-05",
+                                          "-1.5e-07", "1.2345678901234567e+16",
+                                          "18446744073709551615.5", "0.18446744073709551616",
+                                          "-0.000000000000000000000000000123"]))
+
+
+def assert_read_as_float(tmp_path_factory, lines, newline, exact_scaling):
+    p = tmp_path_factory.getbasetemp() / "decimals.csv"
+    p.write_text(newline.join(["fs=360", *lines]), encoding="utf-8", newline="")
+    with mock.patch("rrauth.signal._LONGDOUBLE_64", exact_scaling):
+        samples = load_csv(p).samples
+    assert samples.tobytes() == np.array([float(s) for s in lines]).tobytes()
+
+
 class TestCsvFastPath:
     @settings(max_examples=200, deadline=None)
     @given(text=csv_texts())
@@ -180,20 +227,60 @@ class TestCsvFastPath:
     @example(text="fs=360\n0.0\n\n0.1\n")
     @example(text="fs=360\n0.0\n\ufeff0.1\n")
     @example(text="fs=360\n0,0.1\n0.01,0.2\n")
+    @example(text="fs=360\x0c\n0.5\n0.1\x0c\n\x0b0.2\n")
+    @example(text="fs=360\x0c0.5\n0.1\n")
+    @example(text="fs=360\r0.5\r0.1\r")
+    @example(text="fs=360\n0.1\u20280.2\n0.3\x850.4\n")
     def test_same_as_line_parser(self, tmp_path_factory, text):
         p = tmp_path_factory.getbasetemp() / "fast_path.csv"
         p.write_text(text, encoding="utf-8", newline="")
-        assert load_outcome(p) == load_outcome_line_parser(p)
+        loaded = outcome(load_csv, p)
+        assert loaded == outcome(reference_load_csv, p)
+        assert loaded == load_outcome_line_parser(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=FUZZ_BYTES)
+    @example(data=b"fs=360\n0.1\n-0.0\n")
+    def test_same_without_exact_scaling(self, tmp_path_factory, data):
+        """Where long double has no 64-bit significand, every line goes
+        through float(), with the same outcome."""
+        p = tmp_path_factory.getbasetemp() / "no_exact_scaling.csv"
+        p.write_bytes(data)
+        with mock.patch("rrauth.signal._LONGDOUBLE_64", False):
+            assert outcome(load_csv, p) == outcome(reference_load_csv, p)
+
+    @pytest.mark.parametrize("exact_scaling", [True, False])
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(DECIMAL_LINE, min_size=2, max_size=40),
+           newline=st.sampled_from(["\n", "\r\n"]))
+    def test_decimal_lines_bit_equal_to_float(self, tmp_path_factory, exact_scaling,
+                                              lines, newline):
+        assert_read_as_float(tmp_path_factory, lines, newline, exact_scaling)
+
+    @pytest.mark.parametrize("exact_scaling", [True, False])
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(near_midpoints(), min_size=2, max_size=60))
+    @example(lines=["1.6830850267032698708", "-0.7788593988420766112", "1.789919793192934816"])
+    def test_near_midpoints_bit_equal_to_float(self, tmp_path_factory, exact_scaling, lines):
+        assert_read_as_float(tmp_path_factory, lines, "\n", exact_scaling)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+                           max_size=40))
+    @example(values=[5e-324, -2.2250738585072014e-308, 1.7976931348623157e+308, -0.0])
+    def test_repr_round_trip_at_every_magnitude(self, tmp_path_factory, values):
+        p = tmp_path_factory.getbasetemp() / "magnitudes.csv"
+        save_csv(EcgRecord("m", 360.0, values), p)
+        assert load_csv(p).samples.tobytes() == np.array(values).tobytes()
 
 
 class TestCsvFuzz:
     @settings(max_examples=200, deadline=None)
-    @given(data=st.one_of(csv_texts().map(lambda t: t.encode("utf-8")),
-                          st.text().map(lambda t: ("fs=360\n" + t).encode("utf-8", "surrogatepass")),
-                          st.binary(max_size=200).map(lambda b: b"fs=360\n0.0\n" + b)))
+    @given(data=FUZZ_BYTES)
     def test_loads_or_raises_csv_format_error(self, tmp_path_factory, data):
         p = tmp_path_factory.getbasetemp() / "fuzz.csv"
         p.write_bytes(data)
+        assert outcome(load_csv, p) == outcome(reference_load_csv, p)
         try:
             record = load_csv(p)
         except CsvFormatError:
