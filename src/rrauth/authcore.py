@@ -232,10 +232,6 @@ class AuthDecision:
     score: float | None = None
     scores: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def is_known(self) -> bool:
-        return self.kind == KNOWN
-
 
 def decide(db: ReferenceDb, scored: FrameScores, gate_ucl: float, *,
            apr_min: float = DEFAULT_APR_MIN,

@@ -56,8 +56,18 @@ def _load_manifest(path) -> tuple[dict, Path]:
     if not path.exists():
         raise ValueError(f"manifest {path} does not exist")
     doc = json.loads(path.read_text(encoding="utf-8"))
-    if "subjects" not in doc:
+    if not isinstance(doc, dict) or "subjects" not in doc:
         raise ValueError(f"{path}: not a cohort manifest")
+    subjects = doc["subjects"]
+    if not isinstance(subjects, list) or not all(isinstance(s, dict) for s in subjects):
+        raise ValueError(f"{path}: subjects must be a list of objects")
+    for k, subject in enumerate(subjects):
+        for key in ("id", "file"):
+            if not isinstance(subject.get(key), str):
+                raise ValueError(f"{path}: subject {k} has no string {key!r}")
+        if subject.get("role") not in ("enrolled", "unknown"):
+            raise ValueError(f"{path}: subject {k} role must be 'enrolled' or 'unknown', "
+                             f"got {subject.get('role')!r}")
     return doc, path.parent
 
 

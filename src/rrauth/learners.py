@@ -279,43 +279,26 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
 
     A step moves only g_i and g_j, so the `up`/`low` index sets are kept
     incrementally as penalty arrays (0 where a variable may move that way,
-    -inf/+inf where it may not) with their counts, and only entries i and j
-    are refreshed after each step. Ties go to the first index.
+    -inf/+inf where it may not), and only entries i and j are refreshed after
+    each step. Ties go to the first index. Neither set can empty: z is +-1
+    with both signs present, box > 0 and each step keeps sum z g = 0, while
+    an empty `up` (every z > 0 variable at box, every z < 0 one at 0) would
+    give sum z g = n_+ * box, and an empty `low` -n_- * box.
     """
     m = z.size
-    n = K.shape[0]
     gamma = np.zeros(m)
-    fx = np.zeros(n)  # raw kernel expansion at each distinct point
+    fx = np.zeros(K.shape[0])  # raw kernel expansion at each distinct point
     zc = z * c
     diag = np.diag(K)[idx]
-    zg = np.empty(m)
-    fx_idx = np.empty(m)
-    scratch = np.empty(m)
-    k_i = np.empty(m)
-    quad = np.empty(m)
-    row = np.empty(n)
-
-    def directions(k: int) -> tuple[bool, bool]:
-        zk, gk = z[k], gamma[k]
-        return (bool((zk > 0 and gk < box) or (zk < 0 and gk > 0)),
-                bool((zk < 0 and gk < box) or (zk > 0 and gk > 0)))
-
-    up = ((z > 0) & (gamma < box)) | ((z < 0) & (gamma > 0))
-    low = ((z < 0) & (gamma < box)) | ((z > 0) & (gamma > 0))
-    up_pen = np.where(up, 0.0, -np.inf)
-    low_pen = np.where(low, 0.0, np.inf)
-    n_up, n_low = int(up.sum()), int(low.sum())
+    up_pen = np.where(z > 0, 0.0, -np.inf)  # at g = 0, z > 0 may rise, z < 0 may fall
+    low_pen = np.where(z < 0, 0.0, np.inf)
     history: list[float] = []
     converged = False
     for _ in range(max_sweeps):
         for _ in range(m):
-            np.take(fx, idx, out=fx_idx)
-            np.subtract(zc, fx_idx, out=zg)
-            if n_up == 0 or n_low == 0:
-                converged = True
-                break
-            i = int(np.argmax(np.add(zg, up_pen, out=scratch)))
-            j = int(np.argmin(np.add(zg, low_pen, out=scratch)))
+            zg = zc - fx[idx]
+            i = int(np.argmax(zg + up_pen))
+            j = int(np.argmin(zg + low_pen))
             if zg[i] - zg[j] <= tol:
                 converged = True
                 break
@@ -323,21 +306,12 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
             # The first-order j has b = gap > tol, so for tol >= 0 there is
             # always a candidate; otherwise that j is kept.
             xi = int(idx[i])
-            np.take(K[xi], idx, out=k_i)
-            np.add(diag, K[xi, xi], out=quad)
-            np.multiply(k_i, 2.0, out=scratch)
-            quad -= scratch
-            np.maximum(quad, 1e-12, out=quad)
-            b_ij = np.subtract(zg[i], zg, out=k_i)
-            np.multiply(b_ij, b_ij, out=scratch)
-            scratch /= quad
-            np.negative(scratch, out=scratch)
-            scratch[b_ij <= 0.0] = np.inf
-            scratch += low_pen
-            j2 = int(np.argmin(scratch))
-            if scratch[j2] < np.inf:
+            quad = np.maximum(diag + K[xi, xi] - K[xi][idx] * 2.0, 1e-12)
+            b_ij = zg[i] - zg
+            gain = np.where(b_ij > 0.0, -(b_ij * b_ij / quad), np.inf) + low_pen
+            j2 = int(np.argmin(gain))
+            if gain[j2] < np.inf:
                 j = j2
-            xj = int(idx[j])
             t = z[i] * b_ij[j] / quad[j]
             # keep both variables in the box; the paired move preserves sum z g
             s = z[i] * z[j]
@@ -350,18 +324,10 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
             gamma[i] = min(max(gamma[i] + t, 0.0), box)
             gamma[j] = min(max(gamma[j] - s * t, 0.0), box)
             for k in (i, j):
-                k_up, k_low = directions(k)
-                if k_up != up[k]:
-                    up[k] = k_up
-                    up_pen[k] = 0.0 if k_up else -np.inf
-                    n_up += 1 if k_up else -1
-                if k_low != low[k]:
-                    low[k] = k_low
-                    low_pen[k] = 0.0 if k_low else np.inf
-                    n_low += 1 if k_low else -1
-            np.subtract(K[xi], K[xj], out=row)
-            row *= t * z[i]
-            fx += row
+                rise, fall = gamma[k] < box, gamma[k] > 0.0
+                up_pen[k] = 0.0 if (rise if z[k] > 0 else fall) else -np.inf
+                low_pen[k] = 0.0 if (fall if z[k] > 0 else rise) else np.inf
+            fx += (K[xi] - K[idx[j]]) * (t * z[i])
         w = float(c @ gamma - 0.5 * np.dot(z * gamma, fx[idx]))
         history.append(w)
         if converged:
@@ -371,10 +337,8 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
     interior = (gamma > 1e-8 * box) & (gamma < box * (1.0 - 1e-8))
     if interior.any():
         b = float(zg[interior].mean())
-    elif n_up and n_low:
-        b = float((np.max(zg[up]) + np.min(zg[low])) / 2.0)
     else:
-        b = float(zg.mean())
+        b = float((np.max(zg[up_pen == 0.0]) + np.min(zg[low_pen == 0.0])) / 2.0)
     return gamma, b, history
 
 

@@ -318,11 +318,11 @@ def synth_ecg(profile: SubjectProfile, duration_s: float, fs: float) -> tuple[Ec
     profile seed, so identical seeds give identical output.
     """
     rr_mean = 60.0 / profile.heart_rate_bpm
-    if duration_s < 2.0 * rr_mean:
-        raise ValueError(f"duration {duration_s}s is shorter than 2 beats at "
-                         f"{profile.heart_rate_bpm} bpm")
-    if fs < 100.0:
-        raise ValueError(f"fs must be >= 100 Hz, got {fs}")
+    if not 2.0 * rr_mean <= duration_s < math.inf:
+        raise ValueError(f"duration must be finite and at least 2 beats at "
+                         f"{profile.heart_rate_bpm} bpm, got {duration_s}s")
+    if not 100.0 <= fs < math.inf:
+        raise ValueError(f"fs must be finite and >= 100 Hz, got {fs}")
 
     rng = np.random.default_rng(profile.seed)
     # enough beats to cover the window even at maximal negative jitter
@@ -459,6 +459,8 @@ def cohort_profiles(count: int, seed: int, min_separation_mse: float = 0.010,
     """
     if count < 1:
         raise ValueError(f"cohort size must be >= 1, got {count}")
+    if math.isnan(min_separation_mse):
+        raise ValueError("separation must be a number, got NaN")
     master = np.random.default_rng(seed)
     profiles: list[SubjectProfile] = []
     templates: list[np.ndarray] = []

@@ -68,6 +68,22 @@ class TestGen:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--fs", "inf", "fs must be finite"), ("--fs", "nan", "fs must be finite"),
+        ("--duration-s", "inf", "duration must be finite"),
+        ("--duration-s", "nan", "duration must be finite"),
+        ("--min-sep", "nan", "separation must be a number"),
+    ])
+    def test_non_finite_value_exits_1_without_traceback(self, flag, value, message,
+                                                        tmp_path):
+        proc = run_cli("gen", "--out", str(tmp_path / "g"), "--enrolled", "1",
+                       "--unknown", "0", flag, value)
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list((tmp_path / "g").glob("*.csv"))
+
+
 class TestEnrollAuth:
     def test_enroll_then_auth_known(self, cohort_dir, db_path, capsys):
         rc = main(["auth", "--db", str(db_path),
@@ -449,3 +465,56 @@ class TestParserDefaults:
             build_parser().parse_args(["sweep", "--db", "d", "--manifest", "m",
                                        "--out", "o", "--grid-auto"])
         assert exc.value.code == 2
+
+
+class TestMalformedManifest:
+    """A manifest whose subjects are not a list of objects with string `id`
+    and `file` and a role of enrolled or unknown is a domain error naming the
+    manifest; a missing role used to end in a KeyError traceback."""
+
+    @staticmethod
+    def write(cohort_dir, tmp_path, edit):
+        doc = json.loads((cohort_dir / "manifest.json").read_text(encoding="utf-8"))
+        for subject in doc["subjects"]:
+            subject["file"] = str(cohort_dir / subject["file"])
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["enroll", "eval", "sweep", "rank"])
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [s.pop("role") for s in doc["subjects"]],
+        lambda doc: doc.update(subjects=5),
+    ], ids=["no-role", "subjects-int"])
+    def test_exits_1_without_traceback(self, command, edit, cohort_dir, db_path, tmp_path):
+        manifest = self.write(cohort_dir, tmp_path, edit)
+        args = {
+            "enroll": ["--db", str(tmp_path / "new.json")],
+            "eval": ["--db", str(db_path), "--trials", "5"],
+            "sweep": ["--db", str(db_path), "--trials", "5", "--out", str(tmp_path / "sw")],
+            "rank": [],
+        }[command]
+        proc = run_cli(command, "--manifest", str(manifest), *args)
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr and str(manifest) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "new.json").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["subjects"].append("e09"), "list of objects"),
+        (lambda doc: doc["subjects"][1].pop("id"), "subject 1 has no string 'id'"),
+        (lambda doc: doc["subjects"][0].update(file=7), "subject 0 has no string 'file'"),
+        (lambda doc: doc["subjects"][2].update(role="guest"), "role must be"),
+    ], ids=["subject-not-object", "no-id", "file-int", "bad-role"])
+    def test_each_rule_names_the_manifest(self, edit, message, cohort_dir, tmp_path):
+        manifest = self.write(cohort_dir, tmp_path, edit)
+        with pytest.raises(ValueError, match=message) as err:
+            cli._load_manifest(manifest)
+        assert str(manifest) in str(err.value)
+
+    def test_not_an_object(self, tmp_path):
+        manifest = tmp_path / "five.json"
+        manifest.write_text("5", encoding="utf-8")
+        with pytest.raises(ValueError, match="not a cohort manifest"):
+            cli._load_manifest(manifest)

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave,
-                           _moving_median, beat_template, load_csv, preprocess,
-                           save_csv, slice_seconds, synth_ecg)
+                           _moving_median, beat_template, cohort_profiles, load_csv,
+                           preprocess, save_csv, slice_seconds, synth_ecg)
 
 from conftest import quiet_profile, reference_load_csv
 
@@ -322,6 +322,16 @@ class TestSynth:
     def test_fs_too_low(self):
         with pytest.raises(ValueError, match="fs"):
             synth_ecg(quiet_profile(), 10.0, 50.0)
+
+    @pytest.mark.parametrize("duration_s,fs", [(10.0, math.inf), (10.0, math.nan),
+                                               (math.inf, 360.0), (math.nan, 360.0)])
+    def test_non_finite_duration_or_fs(self, duration_s, fs):
+        with pytest.raises(ValueError, match="must be finite"):
+            synth_ecg(quiet_profile(), duration_s, fs)
+
+    def test_nan_separation(self):
+        with pytest.raises(ValueError, match="NaN"):
+            cohort_profiles(2, seed=0, min_separation_mse=math.nan)
 
     def test_true_peaks_in_bounds(self):
         rec, peaks = synth_ecg(quiet_profile(seed=3, rr_jitter=0.08), 20.0, 360.0)
