@@ -3,11 +3,17 @@
 The detector is a derivative-energy detector: difference, square, smooth,
 threshold against a rolling energy maximum, suppress within a refractory
 window, then refine each event to the local signal maximum within half the
-smoothing window plus 50 ms. The rolling maximum is the van Herk /
-Gil-Werman block maximum (Pattern Recognit. Lett. 13(7), 1992; IEEE TPAMI
-15(5), 1993): block-wise prefix and suffix maxima combined by one
-``np.maximum``, O(1) per sample. A maximum only selects among its inputs,
-so each value is exactly its window's ``max``.
+smoothing window plus 50 ms. The smoothing is a box sum divided by the
+number of energy samples under the box, which has a closed form, so only
+the sum is a convolution. Every refinement is one row of a single
+``argmax`` over windows of the record padded with -inf, so each lands on
+the first maximum of its search range, as a per-event ``argmax`` would.
+
+The rolling maximum is the van Herk / Gil-Werman block maximum (Pattern
+Recognit. Lett. 13(7), 1992; IEEE TPAMI 15(5), 1993): block-wise prefix
+and suffix maxima combined by one ``np.maximum``, O(1) per sample. A
+maximum only selects among its inputs, so each value is exactly its
+window's ``max``.
 
 Suppression keeps candidates strongest first, each unless a kept one lies
 within the refractory distance. A winner pass settles most of them at once:
@@ -144,15 +150,32 @@ def _suppress(strength: np.ndarray, candidates: np.ndarray,
     return kept
 
 
+def _window_counts(n: int, m: int) -> np.ndarray:
+    """How many of n samples each output of ``np.convolve(., ones(m),
+    "same")`` sums, for n >= m: its window reaches ``(m - 1) // 2`` samples
+    ahead and the rest behind, clipped to the record. Exact integers, equal
+    to ``np.convolve(np.ones(n), np.ones(m), "same")``; an even m makes
+    the window one sample longer behind than ahead.
+    """
+    ahead = (m - 1) // 2
+    i = np.arange(n)
+    return np.minimum(i + ahead + 1, n) - np.maximum(i - (m - 1 - ahead), 0)
+
+
 def detect_rpeaks(record: EcgRecord) -> PeakList:
     """Locate R-peaks in a baseline-centered record.
 
-    Candidates are energy samples above ``THRESH_FRAC`` of the rolling 2 s
-    energy maximum; the strongest candidate wins within each ``REFRACTORY_S``
-    window, and every kept event is refined to the raw local maximum within
-    +/-(half the 150 ms smoothing window + 50 ms). The smoothed-energy peak
-    can lie anywhere on a plateau up to ``ma_win // 2`` samples from R, so a
-    bare +/-50 ms search can miss R and settle on the T wave.
+    The squared first difference is averaged over 150 ms (``ma_win``
+    samples): a box sum over the samples that exist, divided by their
+    count, `_window_counts`, so the edges are not damped. Candidates are
+    smoothed samples above ``THRESH_FRAC`` of the rolling 2 s maximum; the
+    strongest candidate wins within each ``REFRACTORY_S`` window, and every
+    kept event is refined to the raw local maximum within +/-(half the
+    smoothing window + 50 ms), clipped to the record, the first one on a
+    tie. The smoothed-energy peak can lie anywhere on a plateau up to
+    ``ma_win // 2`` samples from R, so a bare +/-50 ms search can miss R
+    and settle on the T wave. Events that refine closer than the
+    refractory distance are merged into the higher one, the earlier on a tie.
     """
     x = record.samples
     fs = record.fs
@@ -166,10 +189,8 @@ def detect_rpeaks(record: EcgRecord) -> PeakList:
 
     diff = np.diff(x)
     energy = diff * diff
-    kernel = np.ones(ma_win)
-    # renormalized moving average so edges are not damped by zero padding
-    smooth = np.convolve(energy, kernel, mode="same")
-    smooth /= np.convolve(np.ones(energy.size), kernel, mode="same")
+    smooth = np.convolve(energy, np.ones(ma_win), mode="same")
+    smooth /= _window_counts(energy.size, ma_win)
 
     ceiling = _rolling_max(smooth, int(round(2.0 * fs)))
     candidates = np.nonzero(smooth > THRESH_FRAC * ceiling)[0]
@@ -179,17 +200,16 @@ def detect_rpeaks(record: EcgRecord) -> PeakList:
     refractory = REFRACTORY_S * fs
     kept = _suppress(smooth, candidates, refractory)
 
-    # refine to raw local maxima over the whole energy event plus a margin
+    # refine to raw local maxima over the whole energy event plus a margin;
+    # the -inf pads clip each search to the record
     w = ma_win // 2 + int(round(0.050 * fs))
-    refined = []
-    for c in kept:
-        lo = max(0, c - w)
-        hi = min(n, c + w + 1)
-        refined.append(lo + int(np.argmax(x[lo:hi])))
+    padded = np.concatenate([np.full(w, -np.inf), x, np.full(w, -np.inf)])
+    search = np.lib.stride_tricks.sliding_window_view(padded, 2 * w + 1)[kept]
+    refined = np.asarray(kept) - w + np.argmax(search, axis=1)
 
     # refinement can merge or reorder events; re-enforce the refractory gap
     final: list[int] = []
-    for p in sorted(set(refined)):
+    for p in np.unique(refined).tolist():
         if final and p - final[-1] < refractory:
             if x[p] > x[final[-1]]:
                 final[-1] = p

@@ -107,19 +107,20 @@ def cmd_gen(args) -> int:
         raise ValueError(f"need at least 1 enrolled subject, got {args.enrolled}")
     if args.unknown < 0:
         raise ValueError(f"unknown count must be >= 0, got {args.unknown}")
+    total = args.enrolled + args.unknown
+    profiles = ecgsig.cohort_profiles(total, args.seed, min_separation_mse=args.min_sep,
+                                      frame_len=args.frame_len)
+    # every record is drawn, so fs and the duration are checked, before anything is written
+    records = [ecgsig.synth_ecg(profile, args.duration_s, args.fs)[0] for profile in profiles]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _print_header("gen", seed=args.seed, enrolled=args.enrolled, unknown=args.unknown,
                   fs=args.fs, duration_s=args.duration_s, min_sep_mse=args.min_sep)
 
-    total = args.enrolled + args.unknown
-    profiles = ecgsig.cohort_profiles(total, args.seed, min_separation_mse=args.min_sep,
-                                      frame_len=args.frame_len)
     subjects = []
-    for k, profile in enumerate(profiles):
+    for k, (profile, record) in enumerate(zip(profiles, records)):
         role = "enrolled" if k < args.enrolled else "unknown"
         sid = f"e{k + 1:02d}" if role == "enrolled" else f"u{k - args.enrolled + 1:02d}"
-        record, _ = ecgsig.synth_ecg(profile, args.duration_s, args.fs)
         record = ecgsig.EcgRecord(sid, record.fs, record.samples)
         ecgsig.save_csv(record, out / f"{sid}.csv")
         subjects.append({
@@ -157,9 +158,6 @@ def cmd_enroll(args) -> int:
     db = load_db(db_path) if db_path.exists() else ReferenceDb(frame_len=args.frame_len)
     if db.frame_len != args.frame_len:
         raise ValueError(f"database frame length {db.frame_len} != --frame-len {args.frame_len}")
-    _print_header("enroll", db=args.db, frame_len=args.frame_len,
-                  train_window_s=args.train_window_s)
-
     if args.manifest:
         doc, base = _load_manifest(args.manifest)
         targets = [(subject["id"], record) for subject, record
@@ -168,6 +166,8 @@ def cmd_enroll(args) -> int:
         if not args.input or not args.id:
             raise ValueError("enroll needs either --manifest or --input with --id")
         targets = [(args.id, ecgsig.load_csv(args.input, subject_id=args.id))]
+    _print_header("enroll", db=args.db, frame_len=args.frame_len,
+                  train_window_s=args.train_window_s)
 
     for entity_id, record in targets:
         entry = authcore.enroll(db, entity_id, record,

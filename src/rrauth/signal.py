@@ -5,12 +5,19 @@ and moving-median baseline removal. Amplitudes are millivolts throughout;
 sampling frequencies are Hz.
 
 The moving median sorts small integer ranks instead of doubles: the record
-is ranked once by numpy's default (unstable, SIMD) argsort, and every
-window, edge windows included, is one row of a single sorted sliding view
-of those ranks. Ranks order as their values do, equal values in any order
-among themselves, so each median is the value ``np.median`` gives for its
-window; only the sign of a zero median may differ, where the argsort may
-order ``-0.0`` and ``+0.0`` other than ``np.sort`` would.
+is ranked once by numpy's default (unstable, SIMD) argsort. Low and high
+sentinel ranks, alternating in the edge pads, make every window, edge
+windows included, hold the same number of entries with its middle ones at
+fixed sorted indices. Neighbouring windows share most of their entries,
+so those are sorted once for many windows: a core once per group of about
+sqrt(win) windows, of which only a band of entries around the middle can
+hold a window's median, then that band with the group's other entries
+once per pair of windows, and one min and one max add each window's last
+entry. The sorts hold O(n * sqrt(win)) entries, not the n * win of a
+sorted row per window. Ranks order as their values do, equal values in
+any order among themselves, so each median is the value ``np.median``
+gives for its window; only the sign of a zero median may differ, where
+the argsort may order ``-0.0`` and ``+0.0`` other than ``np.sort`` would.
 
 A CSV body is read without calling ``float`` on most lines. A line of the
 plain form ``[-]digits[.digits]`` is exactly the decimal +-m / 10**k, m its
@@ -363,17 +370,40 @@ def beat_template(profile: SubjectProfile, frame_len: int = 220) -> np.ndarray:
 
 
 def _moving_median(x: np.ndarray, win: int) -> np.ndarray:
-    """Centered moving median; windows shrink at the edges.
+    """Centered moving median; windows shrink at the edges. Needs
+    ``3 <= win <= x.size``, as `preprocess` checks.
 
-    The record is replaced by its ranks under numpy's default argsort,
-    stored in the smallest unsigned type that holds ``x.size`` (uint16 up
-    to 65,535 samples), and padded at both ends with the sentinel rank
-    ``x.size``. Every window, the shrinking edge ones included, is then a
-    row of one sliding view of the padded ranks, and one row sort puts each
-    row's real samples first, in value order, with the sentinels after
-    them. The middle rank, or the two middle ones for an even count, is
-    read at the row's real sample count and mapped back to its value; an
-    even count gives ``(a + b) / 2.0``.
+    The record is replaced by its ranks 1..n under numpy's default argsort,
+    in the smallest unsigned type that holds n + 1, and padded at both ends
+    with sentinel ranks: 0 (low) and n + 1 (high). The p-th pad entry out
+    from either end of the record is low when ``win - p`` is odd, so a
+    window of c real samples holds ``k - c // 2`` low sentinels, k =
+    ``win // 2``. Every window then holds ``win`` entries with its middle
+    sample at sorted index k and, for an even c, the other middle one at
+    k - 1. Those two order statistics come from two levels of shared
+    sorting (after Suomela, arXiv:1406.1717, 2014):
+
+    - The windows fall into groups of g. The g windows of a group share a
+      core of ``win - g + 1`` entries, sorted once per group; each window
+      adds ``g - 1`` of the ``2g - 2`` entries beside the core, its
+      fringe. The t-th smallest of a sorted core and m other entries lies
+      in ``core[t - m : t + 1]`` or among the others: at least t + 1
+      entries are at or below ``core[t]``, and at most t below
+      ``core[t - m]``. So one band ``core[k - g : k + 1]`` serves every
+      window of the group, whose entries k - 1 and k are the ``g - 1``-th
+      and g-th smallest of band and fringe.
+    - Windows 2r and 2r + 1 of a group share all of their fringe but one
+      entry f each: the entry before the pair's span and the one after
+      it. Band and shared fringe (``2g - 1`` entries) are sorted once per
+      pair into c, and adding f gives the two order statistics as
+      ``max(c[g - 2], min(f, c[g - 1]))`` and ``max(c[g - 1], min(f,
+      c[g]))``. Each pair's entries are one window of a per-group row that
+      puts the band between the fringe on either side of it.
+
+    g is even and about sqrt(win) (at win = 3 it is 1, and the band is
+    already the two entries), so the sorts hold O(n * win / g + n * g)
+    entries, where a sorted row per window held n * win. Each rank maps
+    back to its value; an even count gives ``(a + b) / 2.0``.
 
     The argsort need not be stable (a stable one is ~5x slower here): tied
     values may take their ranks in any order, but the ranks still sort as
@@ -384,22 +414,47 @@ def _moving_median(x: np.ndarray, win: int) -> np.ndarray:
     ``np.sort`` does, and the two compare equal.
     """
     n = x.size
-    half = win // 2
+    k = win // 2
+    g = min(2 * round(math.sqrt(win) / 2), k)  # even from win = 4 on
+    groups = -(-n // g)  # the windows past the record's end are dropped
     order = np.argsort(x)
-    rank_type = np.min_scalar_type(n)
-    ranks = np.full(n + win - 1, n, dtype=rank_type)
-    ranks[half + order] = np.arange(n, dtype=rank_type)
-    # a C-order copy sorts its rows faster than np.sort sorts the strided view
-    rows = np.lib.stride_tricks.sliding_window_view(ranks, win).copy()
-    rows.sort(axis=1)
+    rank_type = np.min_scalar_type(n + 1)
+    ranks = np.full(groups * g + win - 1, n + 1, dtype=rank_type)
+    ranks[k + order] = np.arange(1, n + 1, dtype=rank_type)
+    p = np.arange(1, k + 1)
+    p = p[(win - p) % 2 == 1]  # the pad entries that are low sentinels
+    ranks[k - p] = 0
+    ranks[k + n - 1 + p[p < win - k]] = 0
 
-    starts = np.arange(n) - half
-    count = np.minimum(starts + win, n) - np.maximum(starts, 0)
-    values = x[order]
-    med = values[rows[np.arange(n), count // 2]]
-    even = np.flatnonzero(count % 2 == 0)
-    med[even] = (values[rows[even, count[even] // 2 - 1]] + med[even]) / 2.0
-    return med
+    view = np.lib.stride_tricks.sliding_window_view
+    # a C-order copy sorts its rows faster than np.sort sorts the strided view
+    core = view(ranks, win - g + 1)[g - 1 :: g].copy()
+    core.sort(axis=1)
+    band = core[:, k - g : k + 1]
+    if g == 1:
+        lower, upper = band.T
+    else:
+        # pair r of group q: ranks[qg + 2r + 1 : qg + g - 1], the band and
+        # ranks[qg + win : qg + win + 2r]
+        rows = np.concatenate([view(ranks[1:], g - 2)[: groups * g : g], band,
+                               view(ranks[win:], g - 2)[::g]], axis=1)
+        c = view(rows, 2 * g - 1, axis=1)[:, ::2].copy().reshape(-1, 2 * g - 1)
+        c.sort(axis=1)
+        own = np.stack([ranks[0 : groups * g : 2], ranks[win : win + groups * g : 2]])
+        lower = np.empty((c.shape[0], 2), rank_type)
+        upper = np.empty_like(lower)
+        np.maximum(c[:, g - 2], np.minimum(own, c[:, g - 1]), out=lower.T)
+        np.maximum(c[:, g - 1], np.minimum(own, c[:, g]), out=upper.T)
+        lower, upper = lower.ravel(), upper.ravel()
+
+    values = np.zeros(n + 2)
+    values[1:-1] = x[order]
+    a, b = values[lower[:n]], values[upper[:n]]
+    # window i holds win samples, win - k + i near the start, n - i + k near the end
+    even = np.full(n, win % 2 == 0)
+    even[:k] = np.arange(win - k, win) % 2 == 0
+    even[n - (win - 1 - k) :] = np.arange(win - 1, k, -1) % 2 == 0
+    return np.where(even, (a + b) / 2.0, b)
 
 
 def preprocess(record: EcgRecord) -> EcgRecord:
@@ -407,10 +462,14 @@ def preprocess(record: EcgRecord) -> EcgRecord:
 
     Keeps length, fs and the mV scale; the only conditioning step applied
     before peak detection and framing. The median of each centred window
-    (shrinking at the record's edges) comes from one row sort of the
-    record's ranks, which order exactly as the samples do, so it equals
-    ``np.median`` of that window up to the sign of a zero median (see
-    `_moving_median`).
+    (shrinking at the record's edges, padded with alternating low and high
+    sentinels so that its middle sits at a fixed sorted index) is read from
+    sorts of the record's ranks shared by groups and pairs of windows; the
+    ranks order exactly as the samples do, so it equals ``np.median`` of
+    that window up to the sign of a zero median. Working memory is
+    O(n * g + n * win / g) ranks with g ~ sqrt(win): ~41 MB at most for a
+    10-minute record at 360 Hz, where a sorted row per window took ~201 MB
+    (see `_moving_median`).
     """
     win = int(round(BASELINE_WINDOW_S * record.fs))
     if win < 3:

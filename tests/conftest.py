@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rrauth.authcore import ReferenceDb, enroll
+from rrauth.beat import REFRACTORY_S, THRESH_FRAC, _rolling_max, _suppress
 from rrauth.learners import DtLeaf
 from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave, _parse_body,
                            cohort_profiles, slice_seconds, synth_ecg)
@@ -78,6 +79,63 @@ def strongest_first(strength, candidates, refractory) -> list[int]:
             continue
         kept.insert(pos, c)
     return kept
+
+
+def reference_moving_median(x, win):
+    """The moving median as one sorted row per window: ranks under the same
+    default argsort, padded at both ends with the rank ``x.size`` (above
+    every sample), one row sort of every sliding window, and the middle
+    rank, or the two middle ones for an even count, read at each window's
+    real sample count. Same ranks, so same medians, as bytes."""
+    n = x.size
+    half = win // 2
+    order = np.argsort(x)
+    rank_type = np.min_scalar_type(n)
+    ranks = np.full(n + win - 1, n, dtype=rank_type)
+    ranks[half + order] = np.arange(n, dtype=rank_type)
+    rows = np.lib.stride_tricks.sliding_window_view(ranks, win).copy()
+    rows.sort(axis=1)
+    starts = np.arange(n) - half
+    count = np.minimum(starts + win, n) - np.maximum(starts, 0)
+    values = x[order]
+    med = values[rows[np.arange(n), count // 2]]
+    even = np.flatnonzero(count % 2 == 0)
+    med[even] = (values[rows[even, count[even] // 2 - 1]] + med[even]) / 2.0
+    return med
+
+
+def reference_detect_rpeaks(record) -> np.ndarray:
+    """The detector with its window counts convolved and each event refined
+    alone: the box-sum divisor is ``np.convolve`` of ones with the kernel,
+    and every kept event takes the first ``argmax`` of the record clipped
+    to +/-(ma_win // 2 + 50 ms) around it. Returns the peak indices."""
+    x, fs = record.samples, record.fs
+    n = x.size
+    ma_win = int(round(0.150 * fs))
+    diff = np.diff(x)
+    energy = diff * diff
+    kernel = np.ones(ma_win)
+    smooth = np.convolve(energy, kernel, mode="same")
+    smooth /= np.convolve(np.ones(energy.size), kernel, mode="same")
+    ceiling = _rolling_max(smooth, int(round(2.0 * fs)))
+    candidates = np.nonzero(smooth > THRESH_FRAC * ceiling)[0]
+    if candidates.size == 0:
+        return np.empty(0, dtype=int)
+    refractory = REFRACTORY_S * fs
+    w = ma_win // 2 + int(round(0.050 * fs))
+    refined = []
+    for c in _suppress(smooth, candidates, refractory):
+        lo = max(0, c - w)
+        hi = min(n, c + w + 1)
+        refined.append(lo + int(np.argmax(x[lo:hi])))
+    final: list[int] = []
+    for p in sorted(set(refined)):
+        if final and p - final[-1] < refractory:
+            if x[p] > x[final[-1]]:
+                final[-1] = p
+        else:
+            final.append(p)
+    return np.asarray(final, dtype=int)
 
 
 def reference_load_csv(path) -> EcgRecord:

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrauth import beat
-from rrauth.beat import (FrameSet, PeakList, _rolling_max, _suppress, detect_rpeaks,
-                         frame_rr)
+from rrauth.beat import (FrameSet, PeakList, _rolling_max, _suppress, _window_counts,
+                         detect_rpeaks, frame_rr)
 from rrauth.signal import EcgRecord, preprocess, random_profile, synth_ecg
 
-from conftest import quiet_profile, strongest_first
+from conftest import quiet_profile, reference_detect_rpeaks, strongest_first
 
 FS = 360.0
 
@@ -223,6 +223,44 @@ class TestSuppress:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(beat, "_suppress", strongest_first)
             assert detect_rpeaks(clean).indices.tolist() == got
+
+
+class TestWindowCounts:
+    def test_equals_convolved_ones(self):
+        # even kernels reach one sample further behind than ahead
+        for m in range(3, 201):
+            for n in (m, m + 1, m + 2, 2 * m - 1, 2 * m, 3 * m + 7):
+                expected = np.convolve(np.ones(n), np.ones(m), "same")
+                assert np.array_equal(_window_counts(n, m), expected), (m, n)
+
+
+class TestDetectAgainstOracle:
+    """Peaks equal, as bytes, those of the detector that convolved its
+    window counts and refined each event alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(hr=st.floats(30.0, 240.0), fs=st.sampled_from([250.0, 360.0, 500.0, 1000.0]),
+           jitter=st.floats(0.0, 0.1), noise=st.floats(0.0, 0.05),
+           baseline_removed=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    def test_ecg_at_four_rates(self, hr, fs, jitter, noise, baseline_removed, seed):
+        profile = replace(random_profile(seed), heart_rate_bpm=hr, rr_jitter=jitter,
+                          noise_sd=noise)
+        rec, _ = synth_ecg(profile, 12.0, fs)
+        if baseline_removed:
+            rec = preprocess(rec)
+        assert detect_rpeaks(rec).indices.tobytes() == reference_detect_rpeaks(rec).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(fs=st.sampled_from([250.0, 360.0, 500.0, 1000.0]), levels=st.sampled_from([1.0, 4.0]),
+           shift=st.sampled_from([0.0, -10.0]), seconds=st.floats(1.0, 6.0),
+           seed=st.integers(0, 2**31 - 1))
+    def test_quantised_noise(self, fs, levels, shift, seconds, seed):
+        # coarse levels put ties in every refinement range, where the first
+        # maximum must win; below zero, a search that reached past the record's
+        # ends would find a pad that is not -inf
+        x = np.round(np.random.default_rng(seed).normal(size=int(seconds * fs)) * levels)
+        rec = EcgRecord("q", fs, x / levels + shift)
+        assert detect_rpeaks(rec).indices.tobytes() == reference_detect_rpeaks(rec).tobytes()
 
 
 def reference_frames(x, peaks, frame_len):

@@ -83,6 +83,19 @@ class TestGen:
         assert "Traceback" not in proc.stderr
         assert not list((tmp_path / "g").glob("*.csv"))
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--fs", "inf"), ("--fs", "50"), ("--duration-s", "nan"), ("--duration-s", "0.5"),
+        ("--min-sep", "nan"),
+    ])
+    def test_refused_gen_creates_and_prints_nothing(self, flag, value, tmp_path):
+        # every argument is checked before the output directory is made
+        proc = run_cli("gen", "--out", str(tmp_path / "g"), "--enrolled", "1",
+                       "--unknown", "0", flag, value)
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "g").exists()
+
 
 class TestEnrollAuth:
     def test_enroll_then_auth_known(self, cohort_dir, db_path, capsys):
@@ -518,3 +531,24 @@ class TestMalformedManifest:
         manifest.write_text("5", encoding="utf-8")
         with pytest.raises(ValueError, match="not a cohort manifest"):
             cli._load_manifest(manifest)
+
+
+class TestRefusedEnroll:
+    """A refused `enroll` prints nothing and writes no DB: the manifest and
+    its records, or the input, are read before the header is printed."""
+
+    @pytest.mark.parametrize("source", ["no-role", "missing-manifest", "missing-input"])
+    def test_prints_nothing(self, source, cohort_dir, tmp_path):
+        if source == "no-role":
+            manifest = TestMalformedManifest.write(
+                cohort_dir, tmp_path, lambda doc: [s.pop("role") for s in doc["subjects"]])
+            args = ["--manifest", str(manifest)]
+        elif source == "missing-manifest":
+            args = ["--manifest", str(tmp_path / "absent.json")]
+        else:
+            args = ["--input", str(tmp_path / "absent.csv"), "--id", "x"]
+        proc = run_cli("enroll", "--db", str(tmp_path / "new.json"), *args)
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "new.json").exists()

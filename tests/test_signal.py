@@ -12,7 +12,7 @@ from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave,
                            _moving_median, beat_template, cohort_profiles, load_csv,
                            preprocess, save_csv, slice_seconds, synth_ecg)
 
-from conftest import quiet_profile, reference_load_csv
+from conftest import quiet_profile, reference_load_csv, reference_moving_median
 
 
 class TestEcgRecord:
@@ -364,6 +364,13 @@ class TestSubjectProfile:
 
 
 class TestPreprocess:
+    @pytest.mark.parametrize("fs", [250.0, 360.0, 500.0, 1000.0])
+    def test_bytes_equal_to_sorted_row_oracle(self, fs):
+        rec, _ = synth_ecg(quiet_profile(seed=3, rr_jitter=0.05, noise_sd=0.02), 20.0, fs)
+        win = int(round(0.6 * fs))
+        expected = rec.samples - reference_moving_median(rec.samples, win)
+        assert preprocess(rec).samples.tobytes() == expected.tobytes()
+
     def test_constant_becomes_zero(self):
         r = EcgRecord("c", 100.0, np.full(500, 3.7))
         out = preprocess(r)
@@ -415,9 +422,13 @@ def median_reference(x, win):
                      for i in range(x.size)])
 
 
+# the baseline windows at 250, 360, 500 and 1000 Hz, and odd ones
+WINDOWS = [3, 4, 5, 53, 54, 150, 215, 216, 300, 600]
+
+
 class TestMovingMedian:
     @settings(max_examples=120, deadline=None)
-    @given(win=st.sampled_from([3, 4, 53, 54, 215, 216]),
+    @given(win=st.sampled_from(WINDOWS),
            extra=st.one_of(st.just(0), st.integers(1, 400)),
            levels=st.sampled_from([1.0, 8.0, 1000.0, None]),
            seed=st.integers(0, 2**32 - 1))
@@ -428,6 +439,38 @@ class TestMovingMedian:
         if levels is not None:
             x = np.round(x * levels) / levels
         assert np.array_equal(_moving_median(x, win), median_reference(x, win))
+
+    @settings(max_examples=300, deadline=None)
+    @given(win=st.sampled_from(WINDOWS) | st.integers(3, 700),
+           extra=st.one_of(st.just(0), st.integers(1, 700)),
+           levels=st.sampled_from([1.0, 8.0, None]),
+           signed_zeros=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_to_sorted_row_oracle(self, win, extra, levels, signed_zeros, seed):
+        # the same argsort ranks the record, so even a zero median keeps its sign
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=win + extra)
+        if levels is not None:
+            x = np.round(x * levels) / levels
+        if signed_zeros:
+            x[rng.random(x.size) < 0.4] = 0.0
+            x[rng.random(x.size) < 0.3] = -0.0
+        assert _moving_median(x, win).tobytes() == reference_moving_median(x, win).tobytes()
+
+    @pytest.mark.parametrize("win", WINDOWS)
+    def test_every_length_past_the_window(self, win):
+        # the windows come in groups of about sqrt(win), at most 24 here, so
+        # 64 lengths leave every remainder of the last group
+        rng = np.random.default_rng(win)
+        for n in range(win, win + 64):
+            x = np.round(rng.normal(size=n) * 4) / 4
+            assert _moving_median(x, win).tobytes() == reference_moving_median(x, win).tobytes()
+
+    @pytest.mark.parametrize("n", [65_535, 66_000])
+    def test_record_past_uint16_ranks(self, n):
+        # the high sentinel n + 1 needs 32-bit ranks from 65,535 samples on
+        x = np.round(np.random.default_rng(n).normal(size=n) * 50) / 50
+        assert _moving_median(x, 150).tobytes() == reference_moving_median(x, 150).tobytes()
 
 
 class TestSlice:
