@@ -15,12 +15,11 @@ and suffix maxima combined by one ``np.maximum``, O(1) per sample. A
 maximum only selects among its inputs, so each value is exactly its
 window's ``max``.
 
-Suppression keeps candidates strongest first, each unless a kept one lies
-within the refractory distance. A winner pass settles most of them at once:
-a candidate that outranks every other within that distance (a rolling max
-of the candidates' ranks) is kept by the strongest-first rule, and every
-candidate within that distance of such a winner is dropped by it. The rule
-itself runs only over the candidates that neither settles.
+Suppression takes candidates strongest first, lowest index on ties, and
+keeps each one that no kept candidate lies closer to than the refractory
+distance. One pass does it: a byte mask marks every sample that a kept
+candidate blocks, so each candidate costs one lookup, and each kept one
+sets its block.
 
 Frames resample each R-to-R segment onto a fixed-length grid anchored at
 both peaks. A record's frames form one `FrameSet`: the peaks they came from
@@ -30,15 +29,13 @@ k -> k + 1, so a set of n peaks holds max(n - 1, 0) frames.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from rrauth.signal import EcgRecord
+from rrauth.signal import DEFAULT_FRAME_LEN, EcgRecord
 
-DEFAULT_FRAME_LEN = 220
 REFRACTORY_S = 0.25  # minimum R-to-R gap
 THRESH_FRAC = 0.4  # candidate threshold, as a fraction of the rolling energy maximum
 
@@ -127,26 +124,23 @@ def _suppress(strength: np.ndarray, candidates: np.ndarray,
     """Refractory suppression; returns the kept candidates in index order.
 
     Candidates are taken strongest first, lowest index on ties, and each is
-    kept unless a kept one lies closer than `refractory` samples. A winner,
-    a candidate that outranks every other one that close, is kept whatever
-    came before it and drops all of those others. No winner lies that close
-    to the candidates left over, so the rule runs over them alone, with the
-    winners already in place.
+    kept unless a kept one lies closer than `refractory` samples. For an
+    integer distance d, d < refractory exactly when d <= reach =
+    ceil(refractory) - 1, so a kept c blocks samples c - reach .. c + reach.
+    The mask holds sample i at byte i + reach, so every block fits: it is
+    exactly n + 2 * reach bytes, since a slice assignment past the end of a
+    bytearray would grow it instead of failing.
     """
     order = candidates[np.lexsort((candidates, -strength[candidates]))]
-    span = 2 * (math.ceil(refractory) - 1) + 1  # the offsets closer than `refractory`
-    rank = np.zeros(strength.size)
-    rank[order] = np.arange(order.size, 0, -1)  # strongest first: highest rank
-    winner = (rank > 0) & (rank == _rolling_max(rank, span))
-    near = _rolling_max(winner.astype(float), span) > 0
-    kept = np.flatnonzero(winner).tolist()
-    for c in order[~near[order]].tolist():
-        pos = bisect.bisect_left(kept, c)
-        if pos > 0 and c - kept[pos - 1] < refractory:
-            continue
-        if pos < len(kept) and kept[pos] - c < refractory:
-            continue
-        kept.insert(pos, c)
+    reach = math.ceil(refractory) - 1
+    block = b"\x01" * (2 * reach + 1)
+    blocked = bytearray(strength.size + 2 * reach)
+    kept = []
+    for c in order.tolist():
+        if not blocked[c + reach]:
+            kept.append(c)
+            blocked[c : c + 2 * reach + 1] = block
+    kept.sort()
     return kept
 
 

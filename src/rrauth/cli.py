@@ -30,7 +30,10 @@ __all__ = ["main", "build_parser"]
 
 
 def _print_header(command: str, **values) -> None:
-    """Echo the command and its resolved parameters as two comment lines."""
+    """Echo the command and its resolved parameters as two comment lines.
+
+    Every command calls this only after all of its fallible work is done,
+    so a refused command prints nothing on stdout."""
     pairs = " ".join(f"{k}={v}" for k, v in values.items())
     print(f"# rrauth {command}\n# {pairs}")
 
@@ -114,9 +117,6 @@ def cmd_gen(args) -> int:
     records = [ecgsig.synth_ecg(profile, args.duration_s, args.fs)[0] for profile in profiles]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _print_header("gen", seed=args.seed, enrolled=args.enrolled, unknown=args.unknown,
-                  fs=args.fs, duration_s=args.duration_s, min_sep_mse=args.min_sep)
-
     subjects = []
     for k, (profile, record) in enumerate(zip(profiles, records)):
         role = "enrolled" if k < args.enrolled else "unknown"
@@ -139,16 +139,18 @@ def cmd_gen(args) -> int:
         "subjects": subjects,
     }
     _write_manifest(out / "manifest.json", manifest)
+    _print_header("gen", seed=args.seed, enrolled=args.enrolled, unknown=args.unknown,
+                  fs=args.fs, duration_s=args.duration_s, min_sep_mse=args.min_sep)
     print(f"wrote {total} records + manifest to {out}")
     return 0
 
 
 def cmd_frames(args) -> int:
     record = ecgsig.load_csv(args.input)
-    _print_header("frames", input=args.input, frame_len=args.frame_len)
     frames = authcore.extract_frames(record, record.duration_s, args.frame_len)
     lines = [",".join(map(repr, row)) for row in frames.values.tolist()]
     Path(args.dump).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _print_header("frames", input=args.input, frame_len=args.frame_len)
     print(f"peaks={len(frames.peaks)} frames={len(frames)} -> {args.dump}")
     return 0
 
@@ -166,17 +168,19 @@ def cmd_enroll(args) -> int:
         if not args.input or not args.id:
             raise ValueError("enroll needs either --manifest or --input with --id")
         targets = [(args.id, ecgsig.load_csv(args.input, subject_id=args.id))]
-    _print_header("enroll", db=args.db, frame_len=args.frame_len,
-                  train_window_s=args.train_window_s)
-
+    lines = []
     for entity_id, record in targets:
         entry = authcore.enroll(db, entity_id, record,
                                 train_window_s=args.train_window_s,
                                 allow_short=args.allow_short,
                                 enrolled_at=args.enrolled_at)
-        print(f"enrolled {entity_id}: frames={entry.stats.mses.size} "
-              f"mean_mse={entry.stats.mean!r} ucl={entry.stats.ucl!r}")
+        lines.append(f"enrolled {entity_id}: frames={entry.stats.mses.size} "
+                     f"mean_mse={entry.stats.mean!r} ucl={entry.stats.ucl!r}")
     save_db(db, db_path)
+    _print_header("enroll", db=args.db, frame_len=args.frame_len,
+                  train_window_s=args.train_window_s)
+    for line in lines:
+        print(line)
     print(f"database: {len(db.entries)} entities -> {db_path}")
     return 0
 
@@ -192,12 +196,12 @@ def cmd_auth(args) -> int:
     if args.offset_s > 0:
         record = ecgsig.slice_seconds(record, args.offset_s)
     gate = _resolve_gate(db, args.gate_ucl)
-    _print_header("auth", db=args.db, input=args.input, gate_ucl=gate,
-                  test_window_s=args.test_window_s, apr_min=args.apr_min,
-                  id_margin=args.id_margin, offset_s=args.offset_s)
     decision = authcore.authenticate(db, record, gate,
                                      test_window_s=args.test_window_s,
                                      apr_min=args.apr_min, id_margin=args.id_margin)
+    _print_header("auth", db=args.db, input=args.input, gate_ucl=gate,
+                  test_window_s=args.test_window_s, apr_min=args.apr_min,
+                  id_margin=args.id_margin, offset_s=args.offset_s)
     if decision.kind == authcore.REJECTED:
         print(f"decision=Rejected apr={decision.apr!r}")
     elif decision.kind == authcore.KNOWN:
@@ -222,19 +226,20 @@ def cmd_eval(args) -> int:
     db = load_db(args.db)
     pool = _build_pool(args.manifest, args.offset_s)
     gate = _resolve_gate(db, args.gate_ucl)
-    _print_header("eval", db=args.db, manifest=args.manifest, trials=args.trials,
-                  gate_ucl=gate, seed=args.seed, test_window_s=args.test_window_s,
-                  apr_min=args.apr_min, id_margin=args.id_margin, offset_s=args.offset_s)
     cm, _ = evalx.run_trials(db, pool, n=args.trials, gate_ucl=gate, seed=args.seed,
                              test_window_s=args.test_window_s,
                              apr_min=args.apr_min, id_margin=args.id_margin)
     chi, degenerate = evalx.accuracy(cm)
     op = evalx.overall_performance(cm.accepted, cm.total, chi)
+    path = _write_output(args.out, "confusion.csv", evalx.confusion_csv(cm)) if args.out else None
+    _print_header("eval", db=args.db, manifest=args.manifest, trials=args.trials,
+                  gate_ucl=gate, seed=args.seed, test_window_s=args.test_window_s,
+                  apr_min=args.apr_min, id_margin=args.id_margin, offset_s=args.offset_s)
     print(evalx.format_confusion(cm))
     suffix = " (no accepted trials)" if degenerate else ""
     print(f"phi={cm.accepted} N={cm.total} accuracy={chi!r}{suffix} op={op!r}")
-    if args.out:
-        print(f"wrote {_write_output(args.out, 'confusion.csv', evalx.confusion_csv(cm))}")
+    if path:
+        print(f"wrote {path}")
     return 0
 
 
@@ -262,14 +267,14 @@ def cmd_sweep(args) -> int:
         grid = _parse_grid(args.grid)
     else:
         grid = evalx.auto_grid(db, points=args.grid_points)
-    _print_header("sweep", db=args.db, manifest=args.manifest, trials=args.trials,
-                  seed=args.seed, grid_points=grid.size, grid_lo=float(grid[0]),
-                  grid_hi=float(grid[-1]), test_window_s=args.test_window_s,
-                  apr_min=args.apr_min, id_margin=args.id_margin, offset_s=args.offset_s)
     points, best = evalx.sweep_ucl(db, pool, grid, n=args.trials, seed=args.seed,
                                    test_window_s=args.test_window_s,
                                    apr_min=args.apr_min, id_margin=args.id_margin)
     path = _write_output(args.out, "sweep.csv", evalx.sweep_csv(points))
+    _print_header("sweep", db=args.db, manifest=args.manifest, trials=args.trials,
+                  seed=args.seed, grid_points=grid.size, grid_lo=float(grid[0]),
+                  grid_hi=float(grid[-1]), test_window_s=args.test_window_s,
+                  apr_min=args.apr_min, id_margin=args.id_margin, offset_s=args.offset_s)
     print(f"wrote {len(points)} grid points -> {path}")
     print(f"best ucl={best.ucl!r} phi={best.accepted} N={best.n_trials} "
           f"accuracy={best.accuracy!r} op={best.op!r}")
@@ -294,9 +299,6 @@ def cmd_bench(args) -> int:
                                                        replace=False)
         keep.sort()
         X, y = X[keep], y[keep]
-    _print_header("bench", input=args.input, pairs=X.shape[0],
-                  min_leaf=args.min_leaf, kernel_scale=args.kernel_scale,
-                  svr_c=args.svr_c, seed=args.seed)
 
     t0 = time.perf_counter()
     dt_model = learners.train_dt(X, y, DtParams(min_leaf_size=args.min_leaf))
@@ -316,30 +318,36 @@ def cmd_bench(args) -> int:
         ("MAE (mV)", dt_rep.mae, svr_rep.mae),
         ("Training Time (s)", dt_rep.train_time, svr_rep.train_time),
     ]
-    print(f"{'metric':<20}{'DT (fine tree)':>18}{'SVR (fine Gaussian)':>22}")
-    for name, dt_v, svr_v in rows:
-        print(f"{name:<20}{dt_v:>18.6f}{svr_v:>22.6f}")
+    path = None
     if args.out:
         lines = ["metric,dt,svr"]
         for name, dt_v, svr_v in rows:
             lines.append(f"{name},{dt_v!r},{svr_v!r}")
         path = _write_output(args.out, "bench.csv", "\n".join(lines) + "\n")
+    _print_header("bench", input=args.input, pairs=X.shape[0],
+                  min_leaf=args.min_leaf, kernel_scale=args.kernel_scale,
+                  svr_c=args.svr_c, seed=args.seed)
+    print(f"{'metric':<20}{'DT (fine tree)':>18}{'SVR (fine Gaussian)':>22}")
+    for name, dt_v, svr_v in rows:
+        print(f"{name:<20}{dt_v:>18.6f}{svr_v:>22.6f}")
+    if path:
         print(f"wrote {path}")
     return 0
 
 
 def cmd_rank(args) -> int:
     doc, base = _load_manifest(args.manifest)
-    _print_header("rank", manifest=args.manifest, bins=args.bins, k=args.k,
-                  frame_len=args.frame_len, train_window_s=args.train_window_s)
     sets = [authcore.extract_frames(record, args.train_window_s, args.frame_len)
             for _, record in _manifest_records(doc, base, enrolled_only=True)]
     ranking = infotheory.rank_features(sets, bins=args.bins, top_k=args.k)
     lines = ["position,mi_bits"]
     lines.extend(f"{pos},{mi!r}" for pos, mi in ranking.entries)
     text = "\n".join(lines) + "\n"
-    if args.out:
-        print(f"wrote {_write_output(args.out, 'ranking.csv', text)}")
+    path = _write_output(args.out, "ranking.csv", text) if args.out else None
+    _print_header("rank", manifest=args.manifest, bins=args.bins, k=args.k,
+                  frame_len=args.frame_len, train_window_s=args.train_window_s)
+    if path:
+        print(f"wrote {path}")
     print(text, end="")
     return 0
 

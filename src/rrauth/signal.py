@@ -46,6 +46,7 @@ import numpy as np
 
 WAVE_NAMES = ("P", "Q", "R", "S", "T")
 BASELINE_WINDOW_S = 0.6  # moving-median window of the baseline removal
+DEFAULT_FRAME_LEN = 220  # samples per RR frame
 
 # Exact decimal scaling of plain CSV lines (see the module docstring).
 _LONGDOUBLE_64 = np.finfo(np.longdouble).nmant == 63  # x87 extended precision
@@ -54,6 +55,7 @@ _POW10 = np.cumprod(np.r_[1, np.full(_MAX_EXACT_K, 10)].astype(np.longdouble))
 _NOT_DIGIT_OR_LF = bytes(c for c in range(256) if c not in b"0123456789\n")
 
 __all__ = [
+    "DEFAULT_FRAME_LEN",
     "CsvFormatError",
     "EcgRecord",
     "Wave",
@@ -297,11 +299,22 @@ def save_csv(record: EcgRecord, path) -> None:
 
 
 def slice_seconds(record: EcgRecord, start_s: float, duration_s: float | None = None) -> EcgRecord:
-    """Cut a time window out of a record (used to split train/test segments)."""
-    i0 = int(round(start_s * record.fs))
-    i1 = record.samples.size if duration_s is None else i0 + int(round(duration_s * record.fs))
+    """Cut a time window out of a record (used to split train/test segments).
+
+    The start must be finite and >= 0 and a duration finite and > 0. Both
+    are capped at the record's length before they become sample counts, so
+    a huge finite value cannot overflow the conversion.
+    """
+    if not 0 <= start_s < math.inf:
+        raise ValueError(f"slice start must be finite and >= 0 s, got {start_s}")
+    if duration_s is not None and not 0 < duration_s < math.inf:
+        raise ValueError(f"slice duration must be finite and > 0 s, got {duration_s}")
+    length_s = record.duration_s
+    i0 = int(round(min(start_s, length_s) * record.fs))
+    i1 = (record.samples.size if duration_s is None
+          else i0 + int(round(min(duration_s, length_s) * record.fs)))
     i1 = min(i1, record.samples.size)
-    if not 0 <= i0 <= i1 - 2:
+    if i0 > i1 - 2:
         raise ValueError(f"slice [{start_s}s, ...) leaves fewer than 2 samples")
     return EcgRecord(record.subject_id, record.fs, record.samples[i0:i1])
 
@@ -356,7 +369,7 @@ def synth_ecg(profile: SubjectProfile, duration_s: float, fs: float) -> tuple[Ec
     return record, peaks
 
 
-def beat_template(profile: SubjectProfile, frame_len: int = 220) -> np.ndarray:
+def beat_template(profile: SubjectProfile, frame_len: int = DEFAULT_FRAME_LEN) -> np.ndarray:
     """Noise-free expected frame (R-peak anchored) for a profile.
 
     Useful as a ground-truth reference curve in tests and for checking
@@ -509,7 +522,7 @@ def random_profile(seed) -> SubjectProfile:
 
 
 def cohort_profiles(count: int, seed: int, min_separation_mse: float = 0.010,
-                    frame_len: int = 220) -> list[SubjectProfile]:
+                    frame_len: int = DEFAULT_FRAME_LEN) -> list[SubjectProfile]:
     """Draw `count` profiles whose noise-free templates are pairwise separated
     by at least `min_separation_mse` (mean squared difference, mV^2).
 

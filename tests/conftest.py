@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rrauth.authcore import ReferenceDb, enroll
-from rrauth.beat import REFRACTORY_S, THRESH_FRAC, _rolling_max, _suppress
+from rrauth.beat import REFRACTORY_S, THRESH_FRAC, _rolling_max
 from rrauth.learners import DtLeaf
 from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave, _parse_body,
                            cohort_profiles, slice_seconds, synth_ecg)
@@ -105,10 +105,12 @@ def reference_moving_median(x, win):
 
 
 def reference_detect_rpeaks(record) -> np.ndarray:
-    """The detector with its window counts convolved and each event refined
-    alone: the box-sum divisor is ``np.convolve`` of ones with the kernel,
-    and every kept event takes the first ``argmax`` of the record clipped
-    to +/-(ma_win // 2 + 50 ms) around it. Returns the peak indices."""
+    """The detector with its window counts convolved, suppression by the
+    plain rule and each event refined alone: the box-sum divisor is
+    ``np.convolve`` of ones with the kernel, `strongest_first` picks the
+    events, and every kept event takes the first ``argmax`` of the record
+    clipped to +/-(ma_win // 2 + 50 ms) around it. Returns the peak
+    indices."""
     x, fs = record.samples, record.fs
     n = x.size
     ma_win = int(round(0.150 * fs))
@@ -124,7 +126,7 @@ def reference_detect_rpeaks(record) -> np.ndarray:
     refractory = REFRACTORY_S * fs
     w = ma_win // 2 + int(round(0.050 * fs))
     refined = []
-    for c in _suppress(smooth, candidates, refractory):
+    for c in strongest_first(smooth, candidates, refractory):
         lo = max(0, c - w)
         hi = min(n, c + w + 1)
         refined.append(lo + int(np.argmax(x[lo:hi])))

@@ -179,8 +179,9 @@ class TestRollingMax:
 
 @st.composite
 def suppression_inputs(draw):
-    """Energies shaped to stress the winner pass, candidates and a refractory
-    distance, fractional ones included (0.25 s at 250 Hz is 62.5 samples)."""
+    """Energies shaped to stress the strongest-first order (ties, plateaus,
+    monotone ramps), candidates and a refractory distance, fractional ones
+    included (0.25 s at 250 Hz is 62.5 samples)."""
     n = draw(st.integers(1, 800))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["levels", "plateaus", "ramp_up", "ramp_down", "noise"]))
@@ -202,8 +203,8 @@ def suppression_inputs(draw):
 
 
 class TestSuppress:
-    """The winner pass must keep exactly what the plain strongest-first rule
-    keeps."""
+    """The masked pass must keep exactly what the plain strongest-first rule,
+    one bisect per candidate, keeps."""
 
     @settings(max_examples=400, deadline=None)
     @given(suppression_inputs())
@@ -211,6 +212,16 @@ class TestSuppress:
         strength, candidates, refractory = case
         assert (_suppress(strength, candidates, refractory)
                 == strongest_first(strength, candidates, refractory))
+
+    def test_refractory_longer_than_record(self):
+        # kept blocks reach past both ends of the record, from either end
+        for first, last, winner in ((2.0, 1.0, 0), (1.0, 2.0, 4), (1.0, 1.0, 0)):
+            strength = np.array([first, 0.0, 0.0, 0.0, last])
+            candidates = np.array([0, 4])
+            for refractory in (4.5, 62.5, 1000.0):
+                assert _suppress(strength, candidates, refractory) == [winner]
+            for refractory in (3.5, 4.0):  # distance 4 is not closer than 4
+                assert _suppress(strength, candidates, refractory) == [0, 4]
 
     @settings(max_examples=40, deadline=None)
     @given(hr=st.floats(30.0, 240.0), fs=st.sampled_from([250.0, 360.0]),

@@ -552,3 +552,48 @@ class TestRefusedEnroll:
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stdout == ""
         assert not (tmp_path / "new.json").exists()
+
+
+class TestRefusedCommandPrintsNothing:
+    """Every command does its fallible work before it prints its header, so
+    a refused one leaves stdout empty, and a refused `enroll` saves no DB."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--trials", "0"],
+        ["sweep", "--trials", "0"],
+        ["rank", "--k", "0"],
+        ["rank", "--bins", "0"],
+        ["frames", "--frame-len", "1"],
+        ["bench", "--limit", "0"],
+        ["auth", "--apr-min", "nan"],
+        ["enroll"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_exit_1_and_empty_stdout(self, argv, cohort_dir, db_path, tmp_path, capsys):
+        manifest = str(cohort_dir / "manifest.json")
+        record = str(cohort_dir / "e01.csv")
+        command, flags = argv[0], argv[1:]
+        db = tmp_path / "held.json"
+        if command == "enroll":
+            # the DB already holds e02, so the manifest's e01 enrols and e02 is refused
+            assert main(["enroll", "--db", str(db), "--input",
+                         str(cohort_dir / "e02.csv"), "--id", "e02"]) == 0
+            capsys.readouterr()
+            flags = ["--db", str(db), "--manifest", manifest]
+        elif command in ("eval", "sweep"):
+            flags += ["--db", str(db_path), "--manifest", manifest,
+                      "--out", str(tmp_path / "out")]
+        elif command == "rank":
+            flags += ["--manifest", manifest]
+        elif command == "frames":
+            flags += ["--input", record, "--dump", str(tmp_path / "f.csv")]
+        elif command == "bench":
+            flags += ["--input", record]
+        else:
+            flags += ["--db", str(db_path), "--input", record, "--offset-s", "50"]
+        before = db.read_bytes() if db.exists() else None
+        assert main([command, *flags]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+        if before is not None:
+            assert db.read_bytes() == before

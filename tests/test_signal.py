@@ -482,8 +482,30 @@ class TestSlice:
 
     def test_slice_too_far(self):
         rec, _ = synth_ecg(quiet_profile(), 4.0, 360.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fewer than 2 samples"):
             slice_seconds(rec, 4.0)
+
+    @pytest.mark.parametrize("start_s", [math.inf, -math.inf, math.nan, -1.0, -1e-9])
+    def test_bad_start_refused(self, start_s):
+        rec, _ = synth_ecg(quiet_profile(), 4.0, 360.0)
+        with pytest.raises(ValueError, match=f"slice start must be finite and >= 0 s, got {start_s}"):
+            slice_seconds(rec, start_s)
+
+    @pytest.mark.parametrize("duration_s", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_bad_duration_refused(self, duration_s):
+        rec, _ = synth_ecg(quiet_profile(), 4.0, 360.0)
+        with pytest.raises(ValueError,
+                           match=f"slice duration must be finite and > 0 s, got {duration_s}"):
+            slice_seconds(rec, 1.0, duration_s)
+
+    def test_huge_bounds(self):
+        # capped at the record's length: no overflow, the same slices as any
+        # bound past the end
+        rec, _ = synth_ecg(quiet_profile(), 4.0, 360.0)
+        with pytest.raises(ValueError, match="fewer than 2 samples"):
+            slice_seconds(rec, 1e308)
+        assert np.array_equal(slice_seconds(rec, 1.0, 1e308).samples, rec.samples[360:])
+        assert np.array_equal(slice_seconds(rec, 1.0, 3.0).samples, rec.samples[360:])
 
 
 def test_beat_template_peaks_at_anchor():
