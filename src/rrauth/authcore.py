@@ -146,7 +146,8 @@ def extract_frames(record: EcgRecord, window_s: float, frame_len: int) -> FrameS
     """
     if not 0 < window_s < math.inf:
         raise ValueError(f"window_s must be finite and > 0, got {window_s}")
-    n_keep = min(record.samples.size, int(round(window_s * record.fs)))
+    # capped at the record's length, so a huge window cannot overflow the count
+    n_keep = min(record.samples.size, int(round(min(window_s, record.duration_s) * record.fs)))
     clean = preprocess(EcgRecord(record.subject_id, record.fs, record.samples[:n_keep]))
     return frame_rr(clean, detect_rpeaks(clean), frame_len)
 

@@ -148,8 +148,9 @@ def cmd_gen(args) -> int:
 def cmd_frames(args) -> int:
     record = ecgsig.load_csv(args.input)
     frames = authcore.extract_frames(record, record.duration_s, args.frame_len)
-    lines = [",".join(map(repr, row)) for row in frames.values.tolist()]
-    Path(args.dump).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # one line per frame; a dump of no frames is one empty line
+    text = ecgsig._repr_rows(frames.values) or "\n"
+    Path(args.dump).write_text(text, encoding="utf-8")
     _print_header("frames", input=args.input, frame_len=args.frame_len)
     print(f"peaks={len(frames.peaks)} frames={len(frames)} -> {args.dump}")
     return 0

@@ -35,6 +35,27 @@ or more, k > 27 and any line not of the plain form (an exponent, a space).
 A body with no plain line, and every body where ``np.longdouble`` has no
 64-bit significand, skips the scaling and is read with ``float`` on each
 line of its text.
+
+A CSV file is written without calling ``repr`` on most values, and with
+the same bytes. ``repr`` writes the shortest decimal that reads back as
+the double x, the nearest to x of those (Steele & White, PLDI 1990; Gay,
+1990), in positional form with at least one fraction digit when 1e-4 <=
+|x| < 2**53. A decimal reads back as x when it lies within half an ulp of
+x. Unless x is a power of two, that interval is symmetric about x, so a
+decimal with k fraction digits reads back as x if any does exactly when
+the nearest one does: ``repr``'s digits are the nearest decimal at the
+fewest k that has one. Ryu (Adams, PLDI 2018) finds them with fixed-width
+integers; here float64 arithmetic does. E = |x| * 10**k, k for 17
+significant digits (which always read back), is the exact sum of two
+doubles (Dekker's product; 10**k is exact up to k = 22), which give
+n = floor(E) as an int64 and d = E - n to within 2**-46. With m trailing
+digits of n dropped, the nearest candidate lies min(u + d, 10**m - u - d)
+from E, u = n mod 10**m, and that is compared with half an ulp times
+10**k, which is exact. A value whose distance lies within the rounding
+error of half an ulp, or whose two nearest candidates are equally near
+within it, gets ``repr``, as do zero, values outside that range and powers
+of two (the interval below them is half as wide). Unlike the reader's
+scaling this needs no long double, so every platform takes the same path.
 """
 
 from __future__ import annotations
@@ -53,6 +74,34 @@ _LONGDOUBLE_64 = np.finfo(np.longdouble).nmant == 63  # x87 extended precision
 _MAX_EXACT_K = 27  # the largest k with 10**k exact in a 64-bit significand
 _POW10 = np.cumprod(np.r_[1, np.full(_MAX_EXACT_K, 10)].astype(np.longdouble))
 _NOT_DIGIT_OR_LF = bytes(c for c in range(256) if c not in b"0123456789\n")
+
+# Shortest-digit CSV writing (see the module docstring).
+_POW10_F64 = _POW10[:23].astype(np.float64)  # 10**k is exact in float64 up to k = 22
+_SPLIT = 2.0**27 + 1  # Veltkamp's split of a double into two 26-bit halves
+_POW10_HI = _POW10_F64 * _SPLIT - (_POW10_F64 * _SPLIT - _POW10_F64)
+_POW10_LO = _POW10_F64 - _POW10_HI
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+_MANTISSA = np.int64(2**52 - 1)
+_EXPONENT = np.int64(0x7FF << 52)
+_DIGITS4 = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+_DIGITS4 = (_DIGITS4 % 10 + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]  # "0000".."9999"
+_BLOCK = 8192  # values per block: its (block, _ROW) byte arrays stay in cache
+# One value's bytes: its text right-aligned before a separator byte. The
+# 20-digit text of 100 * digits ends the row, so the digits end at byte
+# _ROW - 3, leaving room for the point, a sign and any repr; 32-byte rows
+# gather faster than narrower ones.
+_ROW = 32
+_K, _FIRST, _NEGATIVE, _COL = np.indices((22, _ROW, 2, _ROW), sparse=True)
+_POINT_AT = _ROW - 2 - _K  # k fraction digits, at most 21
+_ON, _OFF = np.uint8(0xFF), np.uint8(0)
+_FRACTION = np.where((_COL > _POINT_AT) & (_COL < _ROW - 1), _ON, _OFF)[:, 0, 0]
+# Rows by (k * _ROW + first) * 2 + negative: the integer part from its
+# first byte (the same for either sign), and the point and the sign.
+_INTEGER = np.where((_COL >= _FIRST) & (_COL < _POINT_AT) & (_NEGATIVE >= 0), _ON, _OFF)
+_INTEGER = _INTEGER.reshape(-1, _ROW)
+_MARKS = np.where(_COL == _POINT_AT, np.uint8(ord(".")),
+                  np.where((_COL == _FIRST - 1) & (_NEGATIVE == 1), np.uint8(ord("-")), _OFF))
+_MARKS = _MARKS.reshape(-1, _ROW)
 
 __all__ = [
     "DEFAULT_FRAME_LEN",
@@ -291,11 +340,138 @@ def _parse_body(path: str, body: list[str]) -> np.ndarray:
 
 
 def save_csv(record: EcgRecord, path) -> None:
-    """Write a record in the single-column CSV format; round-trips exactly."""
-    lines = [f"fs={record.fs!r}"]
-    lines.extend(repr(v) for v in record.samples.tolist())
+    """Write a record in the single-column CSV format: ``fs=<repr(fs)>``,
+    then ``repr`` of each sample on its own line. It round-trips exactly.
+
+    The text is what ``repr`` writes, byte for byte; most values are
+    formatted without it (`_repr_rows`, and the module docstring).
+    """
     with open(str(path), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"fs={record.fs!r}\n" + _repr_rows(record.samples[:, None]))
+
+
+def _repr_rows(matrix: np.ndarray) -> str:
+    """Each row of a float64 matrix as its values' ``repr`` joined by ``,``,
+    each row ended by ``\\n``; the same text as the per-value ``repr`` join.
+
+    Works through blocks of at most `_BLOCK` values (whole rows, or one
+    row if a row is longer), so its temporaries stay small.
+    """
+    values = np.ascontiguousarray(matrix, dtype=np.float64)
+    rows, cols = values.shape
+    per = max(1, _BLOCK // cols)
+    sep = np.tile(np.r_[np.full(cols - 1, ord(",")), ord("\n")].astype(np.uint8), per)
+    blocks = (values[r : r + per].ravel() for r in range(0, rows, per))
+    return b"".join(_repr_block(b, sep[: b.size]) for b in blocks).decode("ascii")
+
+
+def _repr_block(x: np.ndarray, sep: np.ndarray) -> bytes:
+    """``repr`` of each value followed by its separator byte.
+
+    A value's row of `_ROW` bytes holds 100 times its digits as text, the
+    integer part masked from its first digit (one ``0`` when it has none),
+    the fraction shifted one byte right, the point and sign between, and
+    every other byte zero; dropping the zero bytes joins the rows. A value
+    `_shortest_digits` cannot settle gets ``repr``'s text in its row.
+    """
+    bits = x.view(np.int64)
+    ax = np.abs(x)
+    slow = ~((ax >= 1e-4) & (ax < 2.0**53) & ((bits & _MANTISSA) != 0))
+    fast = np.flatnonzero(~slow)
+    k = np.ones(x.size, np.intp)
+    digits = np.zeros(x.size, np.int64)
+    e10 = np.zeros(x.size, np.intp)
+    k[fast], digits[fast], e10[fast], slow[fast] = _shortest_digits(ax[fast])
+    slow = np.flatnonzero(slow)
+    k[slow], digits[slow], e10[slow] = 1, 0, 0  # "0.0" until repr's text replaces it
+
+    groups = np.empty((5, x.size), np.intp)  # the 4-digit groups of 100 * digits
+    rest = digits // 100
+    groups[4] = (digits - rest * 100) * 100
+    for j in (3, 2, 1):
+        quot = rest // 10000
+        groups[j] = rest - quot * 10000
+        rest = quot
+    groups[0] = rest
+    text = np.empty((x.size, _ROW // 4), np.uint32)
+    text[:, :-5] = _DIGITS4[0]
+    text[:, -5:] = _DIGITS4[groups.T]
+    text = text.view(np.uint8)
+    shifted = np.empty_like(text)
+    shifted.reshape(-1)[1:] = text.reshape(-1)[:-1]
+    first = _ROW - 3 - k - np.maximum(e10, 0)  # the integer part's first byte
+    layout = (k * _ROW + first) * 2 + (bits < 0)
+    text &= np.take(_INTEGER, layout, axis=0)
+    shifted &= np.take(_FRACTION, k, axis=0)
+    text |= shifted
+    text |= np.take(_MARKS, layout, axis=0)
+    text[:, -1] = sep
+    if slow.size:
+        reprs = np.array([repr(v) for v in x[slow].tolist()], f"S{_ROW - 1}")
+        text[slow, :-1] = reprs.view(np.uint8).reshape(slow.size, _ROW - 1)
+    return text[text != 0].tobytes()
+
+
+def _shortest_digits(ax: np.ndarray):
+    """``repr``'s digits of positive doubles in [1e-4, 2**53) that are not
+    powers of two.
+
+    Returns, per value: its fraction digits k (at least 1), the digits as
+    one integer (the decimal is digits / 10**k), its decimal exponent
+    floor(log10(value)), and whether the answer is in doubt, so that
+    ``repr`` must give the text. See the module docstring for the method.
+    """
+    e10 = np.floor(np.log10(ax)).astype(np.intp)  # may be one off near a power of ten
+    k = np.maximum(16 - e10, 1)  # 17 significant digits
+    # E = ax * 10**k exactly, as hi + lo (Dekker's product of split halves)
+    hi = ax * _POW10_F64[k]
+    t = ax * _SPLIT
+    ax_hi = t - (t - ax)
+    ax_lo = ax - ax_hi
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((ax_hi * p_hi - hi) + ax_hi * p_lo + ax_lo * p_hi) + ax_lo * p_lo
+    # n = floor(E) and d = E - n in [0, 1), to within 2**-46
+    whole = np.floor(hi)
+    r = (hi - whole) + lo
+    r_whole = np.floor(r)
+    n = whole.astype(np.int64) + r_whole.astype(np.int64)
+    d = r - r_whole
+    e10 = 16 - k + (n >= 10**17)  # exact where E >= 1e16
+    half_ulp = (ax.view(np.int64) & _EXPONENT).view(np.float64) * 2.0**-53 * _POW10_F64[k]
+    err = 2.0**-40  # above the error of n + d and of the sums below
+    doubt = n < 10**16  # e10 one too high: 16 digits, which may not read back
+
+    # Drop trailing digits of n while the nearest multiple of 10**m to E is
+    # surely within half an ulp; rows still open shrink into `work`, whose
+    # last array counts the digits each row dropped.
+    drop = np.zeros(ax.size, np.intp)
+    work = np.arange(ax.size), n, d, half_ulp - err, half_ulp + err, k, drop.copy()
+    open_ = ~doubt & (k > 1)
+    for m in range(1, 18):
+        if np.count_nonzero(open_) * 4 < open_.size:
+            drop[work[0]] = work[-1]
+            keep = np.flatnonzero(open_)
+            work = [a[keep] for a in work]
+            open_ = open_[keep]
+        rows, wn, wd, surely_in, surely_out, wk, wdrop = work
+        step = 10**m
+        u = wn - wn // step * step
+        dist = np.minimum(u + wd, (step - u) - wd)
+        inside = dist < surely_in
+        doubt[rows[open_ & ~inside & (dist <= surely_out)]] = True
+        inside &= open_
+        wdrop += inside
+        open_ = inside & (wk > m + 1)
+        if not open_.any():
+            break
+    drop[work[0]] = work[-1]
+
+    step = _POW10_INT[drop]
+    quot = n // step
+    u = n - quot * step
+    below, above = u + d, (step - u) - d  # E's distances to the multiples either side
+    doubt |= np.abs(above - below) <= 2 * err  # the two equally near
+    return k - drop, quot + (above < below), e10, doubt
 
 
 def slice_seconds(record: EcgRecord, start_s: float, duration_s: float | None = None) -> EcgRecord:
@@ -527,15 +703,20 @@ def cohort_profiles(count: int, seed: int, min_separation_mse: float = 0.010,
     by at least `min_separation_mse` (mean squared difference, mV^2).
 
     Separation uses the same statistic the authentication decision scores
-    with, so cohorts stay distinguishable at desk scale.
+    with, so cohorts stay distinguishable at desk scale. A candidate is
+    checked against every accepted template at once; each row's mean runs
+    along its contiguous axis, as the mean of one difference would, so
+    every MSE is the same double.
     """
     if count < 1:
         raise ValueError(f"cohort size must be >= 1, got {count}")
     if math.isnan(min_separation_mse):
         raise ValueError("separation must be a number, got NaN")
+    if frame_len < 2:
+        raise ValueError(f"frame_len must be >= 2, got {frame_len}")
     master = np.random.default_rng(seed)
     profiles: list[SubjectProfile] = []
-    templates: list[np.ndarray] = []
+    templates = np.empty((count, frame_len))
     attempts = 0
     while len(profiles) < count:
         attempts += 1
@@ -544,10 +725,10 @@ def cohort_profiles(count: int, seed: int, min_separation_mse: float = 0.010,
                                f"{min_separation_mse} mV^2; lower the separation")
         candidate = random_profile(int(master.integers(2**31)))
         template = beat_template(candidate, frame_len)
-        if all(float(np.mean((template - t) ** 2)) >= min_separation_mse
-               for t in templates):
+        accepted = templates[: len(profiles)]
+        if np.all(np.mean((accepted - template) ** 2, axis=1) >= min_separation_mse):
+            templates[len(profiles)] = template
             profiles.append(candidate)
-            templates.append(template)
     return profiles
 
 

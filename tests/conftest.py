@@ -8,7 +8,8 @@ from rrauth.authcore import ReferenceDb, enroll
 from rrauth.beat import REFRACTORY_S, THRESH_FRAC, _rolling_max
 from rrauth.learners import DtLeaf
 from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave, _parse_body,
-                           cohort_profiles, slice_seconds, synth_ecg)
+                           beat_template, cohort_profiles, random_profile, slice_seconds,
+                           synth_ecg)
 
 FS = 360.0
 COHORT_SEED = 42
@@ -171,6 +172,25 @@ def reference_load_csv(path) -> EcgRecord:
     if samples.size < 2:
         raise CsvFormatError(f"{path}: fewer than 2 samples")
     return EcgRecord("reference", fs, samples)
+
+
+def reference_cohort_profiles(count, seed, min_separation_mse=0.010, frame_len=220):
+    """`cohort_profiles` with its separation check as a loop: a candidate is
+    kept when the MSE of its template against each kept template, one at a
+    time, is at least the separation."""
+    master = np.random.default_rng(seed)
+    profiles, templates = [], []
+    attempts = 0
+    while len(profiles) < count:
+        attempts += 1
+        if attempts > 200 * count:
+            raise RuntimeError("could not draw the cohort")
+        candidate = random_profile(int(master.integers(2**31)))
+        template = beat_template(candidate, frame_len)
+        if all(float(np.mean((template - t) ** 2)) >= min_separation_mse for t in templates):
+            profiles.append(candidate)
+            templates.append(template)
+    return profiles
 
 
 def count_leaves(model) -> int:

@@ -94,6 +94,14 @@ class TestExtractFrames:
         with pytest.raises(ValueError, match="window_s must be finite and > 0"):
             extract_frames(rec, window_s, 220)
 
+    def test_huge_window_is_the_whole_record(self):
+        rec, _ = synth_ecg(quiet_profile(seed=3), 10.0, 360.0)
+        whole = extract_frames(rec, rec.duration_s, 220)
+        huge = extract_frames(rec, 1e308, 220)
+        assert len(whole) > 0
+        assert huge.peaks.indices.tobytes() == whole.peaks.indices.tobytes()
+        assert huge.values.tobytes() == whole.values.tobytes()
+
 
 class TestCurveIsTreePrediction:
     """With >= 4 frames the fine tree (minimum leaf 4, no depth cap) on the

@@ -192,6 +192,14 @@ class TestRankAndFrames:
         assert len(rows) > 10
         assert all(len(r.split(",")) == 128 for r in rows)
 
+    def test_frames_dump_of_no_frames_is_one_empty_line(self, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("fs=360.0\n" + "0.5\n" * 720, encoding="utf-8")
+        dump = tmp_path / "flat_frames.csv"
+        assert main(["frames", "--input", str(flat), "--dump", str(dump)]) == 0
+        assert dump.read_bytes() == b"\n"
+        assert capsys.readouterr().out.splitlines()[-1].endswith(f"frames=0 -> {dump}")
+
     def test_rank_zero_bins_is_domain_error(self, cohort_dir, capsys):
         rc = main(["rank", "--manifest", str(cohort_dir / "manifest.json"),
                    "--bins", "0"])
@@ -402,6 +410,16 @@ class TestWindowBounds:
         assert "error: --test-window-s must be finite and > 0" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_huge_auth_window_takes_the_whole_probe(self, cohort_dir, db_path):
+        argv = ["auth", "--db", str(db_path), "--input", str(cohort_dir / "e01.csv"),
+                "--offset-s", "50", "--test-window-s"]
+        huge = run_cli(*argv, "1e308")
+        assert huge.returncode == 0, huge.stderr
+        assert "Traceback" not in huge.stderr
+        whole = run_cli(*argv, "15")  # the 65 s record's last 15 s
+        assert huge.stdout.splitlines()[-1] == whole.stdout.splitlines()[-1]
+        assert huge.stdout.splitlines()[-1].startswith("decision=Known:e01")
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     @pytest.mark.parametrize("window", ["0", "inf"])

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave,
-                           _moving_median, beat_template, cohort_profiles, load_csv,
-                           preprocess, save_csv, slice_seconds, synth_ecg)
+from rrauth.signal import (_BLOCK, CsvFormatError, EcgRecord, SubjectProfile, Wave,
+                           _moving_median, _repr_rows, beat_template, cohort_profiles,
+                           load_csv, preprocess, save_csv, slice_seconds, synth_ecg)
 
-from conftest import quiet_profile, reference_load_csv, reference_moving_median
+from conftest import (quiet_profile, reference_cohort_profiles, reference_load_csv,
+                      reference_moving_median)
 
 
 class TestEcgRecord:
@@ -272,6 +273,106 @@ class TestCsvFastPath:
         p = tmp_path_factory.getbasetemp() / "magnitudes.csv"
         save_csv(EcgRecord("m", 360.0, values), p)
         assert load_csv(p).samples.tobytes() == np.array(values).tobytes()
+
+
+def repr_join(matrix) -> str:
+    """The text the CSV writers reproduce: each row's ``repr`` joined by
+    ``,``, every row ended by ``\\n``."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in np.asarray(matrix).tolist())
+
+
+def around(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# The edges of the path that formats without repr: zero, the smallest
+# subnormal, both ends of [1e-4, 2**53), powers of two and of ten one ulp
+# either side, and 2**53 + 1, which reads as 2**53.
+EDGES = [0.0, 5e-324, *around(1e-4), *around(2.0**53), 9007199254740993.0,
+         *(v for e in (-14, -1, 0, 1, 49, 52) for v in around(2.0**e)),
+         *(v for e in (-4, -3, -1, 0, 1, 15) for v in around(10.0**e))]
+EDGES += [-v for v in EDGES]
+
+
+@st.composite
+def short_decimals(draw):
+    """Doubles read from decimals of 1-17 significant digits scaled by
+    1e-21 to 1: values whose repr drops many digits."""
+    digits = draw(st.integers(1, 10**draw(st.integers(1, 17)) - 1))
+    return draw(st.sampled_from([1.0, -1.0])) * float(f"{digits}e{draw(st.integers(-21, 0))}")
+
+
+@st.composite
+def large_fractions(draw):
+    """Doubles in [2**49, 2**53) with 0-3 fraction bits, where the nearest
+    candidate with one fraction digit can sit exactly halfway."""
+    return draw(st.integers(2**49, 2**53 - 1)) + draw(st.integers(0, 7)) / 8
+
+
+WRITER_VALUE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), short_decimals(),
+                         large_fractions(), st.integers(-2**53, 2**53).map(float))
+
+
+class TestCsvWriter:
+    @settings(max_examples=600, deadline=None)
+    @given(values=st.lists(WRITER_VALUE, min_size=2, max_size=60))
+    @example(values=EDGES)
+    @example(values=[0.1, 0.3, 2.5, 0.375, 1e15 + 0.25, 2.0**50 + 0.25, 123456.789])
+    def test_save_csv_bytes_are_repr(self, tmp_path_factory, values):
+        p = tmp_path_factory.getbasetemp() / "written.csv"
+        save_csv(EcgRecord("w", 257.31, values), p)
+        want = "fs=257.31\n" + "\n".join(map(repr, values)) + "\n"
+        assert p.read_bytes() == want.encode("ascii")
+
+    @pytest.mark.parametrize("offset", [-0.4, 0.4])
+    def test_log10_one_off_changes_no_byte(self, offset):
+        """The decimal exponent comes from ``np.log10``, which may round
+        to the wrong side of an integer; an estimate one too low or one
+        too high still gives repr's text."""
+        rng = np.random.default_rng(19)
+        values = np.concatenate([EDGES, rng.normal(size=2000), np.round(rng.normal(size=500), 3),
+                                 10.0 ** rng.uniform(-4, 15.9, 2000)])
+        log10 = np.log10
+        with mock.patch("rrauth.signal.np.log10", lambda a: log10(a) + offset):
+            assert _repr_rows(values[:, None]) == repr_join(values[:, None])
+
+    def test_record_longer_than_one_block(self, tmp_path):
+        record, _ = synth_ecg(cohort_profiles(1, seed=42)[0], 65.0, 360.0)
+        assert len(record) > 2 * _BLOCK
+        p = tmp_path / "long.csv"
+        save_csv(record, p)
+        assert p.read_text(encoding="utf-8") == "fs=360.0\n" + repr_join(record.samples[:, None])
+
+    @pytest.mark.parametrize("shape", [(0, 220), (1, 1), (3, 220), (_BLOCK // 220 + 5, 220),
+                                       (2, _BLOCK + 3), (40, 7)])
+    def test_rows_are_the_repr_join(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        kinds = [rng.normal(size=shape), np.round(rng.normal(size=shape), 3),
+                 rng.integers(-500, 500, shape) * 0.005, rng.integers(-9, 9, shape) * 1e-5]
+        matrix = np.choose(rng.integers(0, len(kinds), shape), kinds)
+        assert _repr_rows(matrix) == repr_join(matrix)
+
+
+class TestCohortProfiles:
+    @pytest.mark.parametrize("count, seed, separation", [
+        (1, 0, 0.010), (12, 42, 0.010), (12, 7, 0.0), (8, 3, 0.015), (40, 11, 0.005),
+        (125, 1, 0.005)])
+    def test_same_profiles_as_pairwise_loop(self, count, seed, separation):
+        assert (cohort_profiles(count, seed, min_separation_mse=separation)
+                == reference_cohort_profiles(count, seed, separation))
+
+    def test_same_profiles_at_another_frame_length(self):
+        assert (cohort_profiles(12, 5, frame_len=64)
+                == reference_cohort_profiles(12, 5, frame_len=64))
+
+    def test_separation_too_large_to_meet(self):
+        with pytest.raises(RuntimeError, match="lower the separation"):
+            cohort_profiles(3, seed=0, min_separation_mse=10.0)
+
+    @pytest.mark.parametrize("frame_len", [1, 0, -5])
+    def test_short_frame_refused(self, frame_len):
+        with pytest.raises(ValueError, match="frame_len must be >= 2"):
+            cohort_profiles(2, seed=0, frame_len=frame_len)
 
 
 class TestCsvFuzz:
