@@ -71,12 +71,7 @@ class DbFormatError(ValueError):
 
 def compute_ucl(mses) -> float:
     """Upper control limit: mean + 3 sample standard deviations (n-1)."""
-    mses = np.asarray(mses, dtype=float)
-    if mses.size < 2:
-        raise ValueError(f"need >= 2 MSE values, got {mses.size}")
-    if np.any(mses < 0):
-        raise ValueError("MSE values must be >= 0")
-    return float(mses.mean() + 3.0 * mses.std(ddof=1))
+    return QualityStats.from_mses(mses).ucl
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +85,14 @@ class QualityStats:
 
     @classmethod
     def from_mses(cls, mses) -> "QualityStats":
-        mses = np.asarray(mses, dtype=float)
-        ucl = compute_ucl(mses)
-        mses = mses.copy()
+        mses = np.array(mses, dtype=float)  # a copy, made read-only
+        if mses.size < 2:
+            raise ValueError(f"need >= 2 MSE values, got {mses.size}")
+        if np.any(mses < 0):
+            raise ValueError("MSE values must be >= 0")
         mses.flags.writeable = False
-        return cls(mses=mses, mean=float(mses.mean()),
-                   std=float(mses.std(ddof=1)), ucl=ucl)
+        mean, std = float(mses.mean()), float(mses.std(ddof=1))
+        return cls(mses=mses, mean=mean, std=std, ucl=mean + 3.0 * std)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +164,6 @@ def enroll(db: ReferenceDb, entity_id: str, record: EcgRecord, *,
     tree pooled positions only where its caps bound: 2-3 frames, or its
     depth limit of 32 on a few long frames.
     """
-    if not entity_id:
-        raise ValueError("entity_id must be non-empty")
     if entity_id in db.entries:
         raise ValueError(f"entity {entity_id!r} is already enrolled")
     if record.duration_s < train_window_s and not allow_short:
@@ -208,12 +203,12 @@ def score_frames(db: ReferenceDb, record: EcgRecord, *,
     """
     if not db.entries:
         raise ValueError("reference database is empty")
-    matrix = extract_frames(record, test_window_s, db.frame_len).matrix()
-    if matrix.shape[0] == 0:
+    frames = extract_frames(record, test_window_s, db.frame_len).values
+    if frames.shape[0] == 0:
         raise ValueError("probe record produced no frames")
     ids = tuple(db.entity_ids())
     curves = np.stack([db.entries[e].curve for e in ids])
-    mse = ((matrix[:, None, :] - curves[None, :, :]) ** 2).mean(axis=2)
+    mse = ((frames[:, None, :] - curves[None, :, :]) ** 2).mean(axis=2)
     return FrameScores(entity_ids=ids, mse=mse)
 
 
@@ -248,12 +243,14 @@ def decide(db: ReferenceDb, scored: FrameScores, gate_ucl: float, *,
     into a contiguous (entity, frame) array and averaged along each row.
     A contiguous row is summed by the same pairwise reduction as the strided
     column it came from, so each score equals that column's `mean()` exactly.
-    A NaN threshold, which no comparison satisfies, is a ValueError.
+    A NaN threshold, which no comparison satisfies, or an empty table is a ValueError.
     """
     if math.isnan(gate_ucl) or math.isnan(apr_min) or math.isnan(id_margin):
         raise ValueError(f"NaN threshold: gate_ucl={gate_ucl} apr_min={apr_min} "
                          f"id_margin={id_margin}")
     n_frames = scored.mse.shape[0]
+    if n_frames == 0:
+        raise ValueError("no frames to decide on")
     passing = scored.mse.min(axis=1) <= gate_ucl
     apr = float(passing.sum() / n_frames)
     if apr < apr_min or not passing.any():

@@ -91,7 +91,7 @@ class FrameSet:
         return self.values.shape[0]
 
     def matrix(self) -> np.ndarray:
-        """The (n_frames, frame_len) frame array itself (read-only, not a copy)."""
+        """`.values` itself; only `benchmarks/` calls this, until its upkeep."""
         return self.values
 
 

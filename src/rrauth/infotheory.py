@@ -152,7 +152,7 @@ def rank_features(frame_sets, bins: int = 16, top_k: int = 32) -> MiRanking:
         raise ValueError(f"top_k must be in [1, {frame_len}], got {top_k}")
 
     code = {e: i for i, e in enumerate(entities)}
-    pooled = np.vstack([s.matrix() for s in sets])
+    pooled = np.vstack([s.values for s in sets])
     labels = np.concatenate([np.full(len(s), code[s.entity_id]) for s in sets])
     if pooled.shape[0] == 0:
         raise ValueError("frame sets contain no frames")

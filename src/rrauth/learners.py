@@ -15,10 +15,12 @@ cuts near the screened minimum with the exact two-pass SSE. The chosen
 split, and its tie rule (on equal exact scores, lowest feature, then lowest
 threshold), are those of scoring every cut exactly.
 
-The kernel machines build their Gram matrix over the distinct rows of X
-only: duplicate rows have identical kernel rows, so `rrauth bench`'s 2000
-(position, amplitude) pairs need a 220 x 220 kernel, not 2000 x 2000.
-Batch prediction likewise evaluates each distinct query row once.
+All three trainers check their data in one place, and the kernel machines
+fit and predict with one Gaussian kernel. They build their Gram matrix over
+the distinct rows of X only: duplicate rows have identical kernel rows, so
+`rrauth bench`'s 2000 (position, amplitude) pairs need a 220 x 220 kernel,
+not 2000 x 2000. Batch prediction likewise evaluates each distinct query
+row once.
 """
 
 from __future__ import annotations
@@ -78,8 +80,6 @@ class DtModel:
     root: DtNode
     n_features: int
     params: DtParams
-    y_min: float
-    y_max: float
 
 
 def _sse(y: np.ndarray) -> float:
@@ -161,6 +161,24 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
+def _training_set(X, y, min_rows: int, **positive: float):
+    """X as a float matrix and y as a float vector, as every trainer checks
+    them: equal lengths, at least `min_rows` rows, finite values, and each
+    keyword in `positive` (the kernel machines' C and kernel_scale) > 0."""
+    X = _as_matrix(X)
+    y = np.asarray(y, dtype=float)
+    if X.shape[0] != y.size:
+        raise ValueError(f"length mismatch: {X.shape[0]} rows vs {y.size} targets")
+    if y.size < min_rows:
+        raise ValueError(f"empty or too small training set: {y.size} rows, need {min_rows}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("training data must be finite")
+    for name, value in positive.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+    return X, y
+
+
 def train_dt(X, y, params: DtParams = DtParams()) -> DtModel:
     """Grow a greedy variance-reduction regression tree.
 
@@ -168,19 +186,11 @@ def train_dt(X, y, params: DtParams = DtParams()) -> DtModel:
     the depth limit is reached, or the node targets are constant. Fully
     deterministic: identical inputs produce identical trees.
     """
-    X = _as_matrix(X)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.size:
-        raise ValueError(f"length mismatch: {X.shape[0]} rows vs {y.size} targets")
-    if y.size == 0:
-        raise ValueError("empty training set")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("training data must be finite")
+    X, y = _training_set(X, y, 1)
     if params.min_leaf_size < 1 or params.max_depth < 0:
         raise ValueError("min_leaf_size must be >= 1 and max_depth >= 0")
     root = _grow(X, y, 0, params)
-    return DtModel(root=root, n_features=X.shape[1], params=params,
-                   y_min=float(y.min()), y_max=float(y.max()))
+    return DtModel(root=root, n_features=X.shape[1], params=params)
 
 
 def predict_dt(model: DtModel, x) -> float:
@@ -249,12 +259,20 @@ class KernelModel:
     objective_history: tuple[float, ...] = field(default_factory=tuple)
 
 
-def _gram(X: np.ndarray, scale: float) -> np.ndarray:
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+def _kernel(A: np.ndarray, B: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-||a - b||^2 / (2 scale^2)) for every row a of A and b of B."""
+    sq_a = np.sum(A * A, axis=1)
+    sq_b = np.sum(B * B, axis=1)
+    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
     return np.exp(-d2 / (2.0 * scale * scale))
+
+
+def _gram(X: np.ndarray, scale: float) -> np.ndarray:
+    """The kernel between the rows of X, with k(x, x) = 1 exactly."""
+    K = _kernel(X, X, scale)
+    np.fill_diagonal(K, 1.0)
+    return K
 
 
 def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
@@ -350,22 +368,11 @@ def train_svm_binary(X, y, C: float = 1.0, kernel_scale: float = 0.35,
     the KKT violation is at most `tol` or after `max_sweeps` sweeps; a sweep
     is len(y) pair updates.
     """
-    X = _as_matrix(X)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.size:
-        raise ValueError(f"length mismatch: {X.shape[0]} rows vs {y.size} labels")
-    if y.size < 2:
-        raise ValueError("need at least 2 training points")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("training data must be finite")
+    X, y = _training_set(X, y, 2, C=C, kernel_scale=kernel_scale)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("both classes must be present")
-    if C <= 0:
-        raise ValueError(f"C must be > 0, got {C}")
-    if kernel_scale <= 0:
-        raise ValueError(f"kernel_scale must be > 0, got {kernel_scale}")
 
     U, inv = np.unique(X, axis=0, return_inverse=True)
     alpha, b, history = _solve_box_dual(_gram(U, kernel_scale), y.copy(), np.ones(y.size),
@@ -394,22 +401,11 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
     `max_sweeps` sweeps; a sweep is 2 * len(y) pair updates, one per dual
     variable. `epsilon=None` selects the IQR/13.49 heuristic.
     """
-    X = _as_matrix(X)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.size:
-        raise ValueError(f"length mismatch: {X.shape[0]} rows vs {y.size} targets")
-    if y.size < 2:
-        raise ValueError("need at least 2 training points")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("training data must be finite")
-    if C <= 0:
-        raise ValueError(f"C must be > 0, got {C}")
+    X, y = _training_set(X, y, 2, C=C, kernel_scale=kernel_scale)
     if epsilon is None:
         epsilon = auto_epsilon(y)
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if kernel_scale <= 0:
-        raise ValueError(f"kernel_scale must be > 0, got {kernel_scale}")
 
     n = y.size
     U, inv = np.unique(X, axis=0, return_inverse=True)
@@ -426,12 +422,7 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
 def kernel_predict_batch(model: KernelModel, X) -> np.ndarray:
     """f at each row of X; each distinct row is evaluated once."""
     X, inv = np.unique(_as_matrix(X), axis=0, return_inverse=True)
-    sq_m = np.sum(model.X * model.X, axis=1)
-    sq_x = np.sum(X * X, axis=1)
-    d2 = sq_x[:, None] + sq_m[None, :] - 2.0 * (X @ model.X.T)
-    np.maximum(d2, 0.0, out=d2)
-    k = np.exp(-d2 / (2.0 * model.kernel_scale ** 2))
-    return (k @ model.coef + model.b)[inv]
+    return (_kernel(X, model.X, model.kernel_scale) @ model.coef + model.b)[inv]
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,20 @@ class TestEnroll:
         entry = enroll(db, "s", rec, allow_short=True, enrolled_at=EPOCH)
         assert entry.stats.mses.size >= 2
 
+    def test_fewer_than_two_frames_rejected(self):
+        rec, _ = synth_ecg(quiet_profile(seed=3), 2.0, 360.0)
+        assert len(extract_frames(rec, 50.0, 220)) == 1
+        db = ReferenceDb()
+        with pytest.raises(ValueError, match="need >= 2"):
+            enroll(db, "s", rec, allow_short=True)
+        assert db.entries == {}
+
+    def test_empty_id_rejected(self, small_cohort):
+        db = ReferenceDb()
+        with pytest.raises(ValueError, match="non-empty"):
+            enroll(db, "", small_cohort[0][2])
+        assert db.entries == {}
+
     def test_two_frame_curve_is_position_mean(self):
         # Below the tree's minimum leaf of 4, which pooled positions here.
         rec, _ = synth_ecg(quiet_profile(seed=3, noise_sd=0.01), 3.0, 360.0)
@@ -179,6 +193,16 @@ class TestAuthenticate:
         with pytest.raises(ValueError, match="empty"):
             authenticate(ReferenceDb(), rec, 1.0)
 
+    def test_frameless_probe_rejected(self, small_db):
+        flat = EcgRecord("flat", FS, np.full(20 * int(FS), 0.5))
+        with pytest.raises(ValueError, match="no frames"):
+            score_frames(small_db, flat)
+
+    def test_decide_on_no_frames_is_value_error(self):
+        scored = FrameScores(("a",), np.empty((0, 1)))
+        with pytest.raises(ValueError, match="no frames"):
+            decide(ReferenceDb(), scored, 1.0)
+
     @pytest.mark.parametrize("kwargs", [{"gate_ucl": math.nan},
                                         {"apr_min": math.nan},
                                         {"id_margin": math.nan}])
@@ -219,7 +243,7 @@ class TestScoreFrames:
                 stats=stats, enrolled_at=EPOCH)
         rec, _ = small_pool[seed % len(small_pool)]
         scored = score_frames(db, rec)
-        matrix = extract_frames(rec, authcore.DEFAULT_TEST_WINDOW_S, frame_len).matrix()
+        matrix = extract_frames(rec, authcore.DEFAULT_TEST_WINDOW_S, frame_len).values
         ids = tuple(db.entity_ids())
         loop = np.column_stack([np.mean((matrix - db.entries[e].curve) ** 2, axis=1)
                                 for e in ids])

@@ -137,14 +137,14 @@ class TestFrameRr:
         rng = np.random.default_rng(3)
         base = rng.normal(size=2000)
         peaks = PeakList(np.array([50, 700, 1300, 1900]))
-        f0 = frame_rr(EcgRecord("x", FS, base), peaks, 220).matrix()
-        f1 = frame_rr(EcgRecord("x", FS, base + 2.5), peaks, 220).matrix()
+        f0 = frame_rr(EcgRecord("x", FS, base), peaks, 220).values
+        f1 = frame_rr(EcgRecord("x", FS, base + 2.5), peaks, 220).values
         assert np.max(np.abs((f1 - f0) - 2.5)) < 1e-12
 
     def test_periodic_signal_gives_identical_frames(self):
         rec, _ = synth_ecg(quiet_profile(), 20.0, FS)
         clean = preprocess(rec)
-        frames = frame_rr(clean, detect_rpeaks(clean), 220).matrix()
+        frames = frame_rr(clean, detect_rpeaks(clean), 220).values
         diffs = np.abs(np.diff(frames, axis=0))
         assert diffs.max() <= 1e-6
 

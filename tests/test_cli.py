@@ -114,6 +114,21 @@ class TestEnrollAuth:
         out = capsys.readouterr().out
         assert "decision=Rejected apr=0" in out
 
+    def test_auth_zero_margin_prints_unknown(self, cohort_dir, db_path, capsys):
+        rc = main(["auth", "--db", str(db_path), "--id-margin", "0",
+                   "--input", str(cohort_dir / "e01.csv"), "--offset-s", "50"])
+        assert rc == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("decision=Unknown score=") and " apr=" in line
+
+    def test_enroll_frame_len_must_match_db(self, cohort_dir, db_path, capsys):
+        before = db_path.read_bytes()
+        rc = main(["enroll", "--db", str(db_path), "--frame-len", "200",
+                   "--input", str(cohort_dir / "u01.csv"), "--id", "u01"])
+        assert rc == 1
+        assert "frame length 220 != --frame-len 200" in capsys.readouterr().err
+        assert db_path.read_bytes() == before
+
     def test_enroll_needs_target(self, tmp_path, capsys):
         rc = main(["enroll", "--db", str(tmp_path / "db.json")])
         assert rc == 1
@@ -284,7 +299,7 @@ class TestOneExtractionPath:
         assert main(["rank", "--manifest", str(cohort / "manifest.json")]) == 0
         assert [fs.entity_id for fs in seen] == db.entity_ids()
         for frames in seen:
-            self.assert_enrolled_frames(db.entries[frames.entity_id], frames.matrix())
+            self.assert_enrolled_frames(db.entries[frames.entity_id], frames.values)
 
     def test_frames_dump_covers_whole_record(self, pinned, tmp_path, capsys):
         cohort, _ = pinned

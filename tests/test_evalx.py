@@ -98,6 +98,13 @@ class TestRunTrials:
         assert cm.total == 40
         assert len(outcomes) == 40
 
+    def test_unknown_subject_accepted_as_known_is_ku(self, small_db, small_pool):
+        unknown_pool = [(r, t) for r, t in small_pool if t is None]
+        cm, outcomes = run_trials(small_db, unknown_pool, n=10, gate_ucl=np.inf, seed=0,
+                                  apr_min=0.0, id_margin=1e9)
+        assert cm == ConfusionMatrix(ku=10)
+        assert all(o.decision.kind == KNOWN and o.truth is None for o in outcomes)
+
     def test_deterministic(self, small_db, small_pool):
         cm1, o1 = run_trials(small_db, small_pool, n=25, gate_ucl=0.002, seed=9)
         cm2, o2 = run_trials(small_db, small_pool, n=25, gate_ucl=0.002, seed=9)

@@ -116,7 +116,7 @@ class TestTrainDt:
         y = rng.normal(size=60)
         m = train_dt(X, y)
         for x in rng.normal(scale=10.0, size=(50, 1)):
-            assert m.y_min <= predict_dt(m, x) <= m.y_max
+            assert y.min() <= predict_dt(m, x) <= y.max()
 
     def test_max_depth_zero_gives_stump(self):
         X = np.arange(16.0).reshape(-1, 1)
@@ -244,8 +244,7 @@ def position_trees(draw):
                        left=node(depth - 1), right=node(depth - 1))
 
     root = node(draw(st.integers(0, 6)))
-    return DtModel(root=root, n_features=1, params=DtParams(), y_min=0.0,
-                   y_max=0.0), length
+    return DtModel(root=root, n_features=1, params=DtParams()), length
 
 
 class TestPredictCurve:
@@ -473,6 +472,13 @@ class TestKernel:
             assert np.all(np.diag(learners._gram(X, 0.35)) == 1.0)
             assert all(gaussian_kernel(x, x, 0.35) == 1.0 for x in X)
 
+    def test_fit_and_prediction_share_the_kernel(self):
+        # at this scale 2.0 * s ** 2 and 2.0 * s * s are different doubles
+        s = 1.451543790965273
+        X = np.random.default_rng(18).normal(size=(6, 2))
+        off = ~np.eye(6, dtype=bool)
+        assert learners._kernel(X, X, s)[off].tobytes() == learners._gram(X, s)[off].tobytes()
+
     def test_range(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -481,6 +487,42 @@ class TestKernel:
             assert np.all((K > 0.0) & (K <= 1.0))
             for i, j in zip(*np.triu_indices(5, 1)):
                 assert abs(K[i, j] - gaussian_kernel(X[i], X[j], 0.35)) <= 1e-12
+
+
+TRAINERS = {"dt": (train_dt, 1), "svm": (train_svm_binary, 2), "svr": (train_svr, 2)}
+
+
+def rejected_training_set(case, min_rows):
+    """Four ±1 targets on four positions, made invalid in one way."""
+    X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
+    if case == "mismatch":
+        return X, y[:3], "length mismatch"
+    if case == "too_few":
+        return X[:min_rows - 1], y[:min_rows - 1], "too small"
+    if case == "x_nonfinite":
+        X[1, 0] = np.nan
+    else:
+        y[1] = np.inf
+    return X, y, "must be finite"
+
+
+class TestOneInputCheck:
+    @pytest.mark.parametrize("case", ["mismatch", "too_few", "x_nonfinite", "y_nonfinite"])
+    @pytest.mark.parametrize("trainer", sorted(TRAINERS))
+    def test_bad_training_set(self, trainer, case):
+        train, min_rows = TRAINERS[trainer]
+        X, y, message = rejected_training_set(case, min_rows)
+        with pytest.raises(ValueError, match=message):
+            train(X, y)
+
+    @pytest.mark.parametrize("kwargs", [{"C": 0.0}, {"C": -1.0},
+                                        {"kernel_scale": 0.0}, {"kernel_scale": -0.35}])
+    @pytest.mark.parametrize("trainer", ["svm", "svr"])
+    def test_kernel_params_must_be_positive(self, trainer, kwargs):
+        X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"{name} must be > 0, got {value}"):
+            TRAINERS[trainer][0](X, y, **kwargs)
 
 
 class TestSvmBinary:
