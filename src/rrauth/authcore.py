@@ -29,7 +29,7 @@ import numpy as np
 from rrauth.beat import DEFAULT_FRAME_LEN, FrameSet, detect_rpeaks, frame_rr
 # Unused here; benchmarks/spans.py patches `authcore.predict_curve` and `.train_dt`.
 from rrauth.learners import predict_curve, train_dt  # noqa: F401
-from rrauth.signal import EcgRecord, preprocess
+from rrauth.signal import EcgRecord, preprocess, slice_seconds
 
 DB_VERSION = "2"
 DB_FORMAT = "rrauth-reference-db"
@@ -88,7 +88,7 @@ class QualityStats:
         mses = np.array(mses, dtype=float)  # a copy, made read-only
         if mses.size < 2:
             raise ValueError(f"need >= 2 MSE values, got {mses.size}")
-        if np.any(mses < 0):
+        if not np.all(mses >= 0):
             raise ValueError("MSE values must be >= 0")
         mses.flags.writeable = False
         mean, std = float(mses.mean()), float(mses.std(ddof=1))
@@ -134,8 +134,9 @@ class ReferenceDb:
 
 
 def extract_frames(record: EcgRecord, window_s: float, frame_len: int) -> FrameSet:
-    """The one frame-extraction path: keep the first `window_s` seconds,
-    remove the baseline, detect R-peaks and cut RR frames of `frame_len`.
+    """The one frame-extraction path: keep the first `window_s` seconds
+    (`slice_seconds`, which caps the window at the record's length), remove
+    the baseline, detect R-peaks and cut RR frames of `frame_len`.
 
     Truncating before the baseline removal means a frame depends only on the
     samples inside the window. Neither `preprocess` nor the detector has
@@ -143,9 +144,7 @@ def extract_frames(record: EcgRecord, window_s: float, frame_len: int) -> FrameS
     """
     if not 0 < window_s < math.inf:
         raise ValueError(f"window_s must be finite and > 0, got {window_s}")
-    # capped at the record's length, so a huge window cannot overflow the count
-    n_keep = min(record.samples.size, int(round(min(window_s, record.duration_s) * record.fs)))
-    clean = preprocess(EcgRecord(record.subject_id, record.fs, record.samples[:n_keep]))
+    clean = preprocess(slice_seconds(record, 0.0, window_s))
     return frame_rr(clean, detect_rpeaks(clean), frame_len)
 
 

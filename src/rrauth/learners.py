@@ -6,8 +6,8 @@ predicts the per-position frame mean that `enroll` computes directly) and a
 Gaussian-kernel machine (binary max-margin classifier and epsilon-insensitive
 regressor) whose dual is solved by pairwise coordinate ascent with
 second-order working-set selection (Fan, Chen & Lin, JMLR 6, 2005, as in
-LIBSVM). Fit quality is reported as RMSE/MAE in mV plus wall-clock training
-time.
+LIBSVM) and stopped at LIBSVM's default KKT tolerance of 1e-3. Fit quality
+is reported as RMSE/MAE in mV plus wall-clock training time.
 
 The tree's split search screens every cut of a feature at once with prefix
 sums of the node-centred targets and their squares, then confirms the few
@@ -174,7 +174,7 @@ def _training_set(X, y, min_rows: int, **positive: float):
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("training data must be finite")
     for name, value in positive.items():
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value}")
     return X, y
 
@@ -237,17 +237,19 @@ def predict_curve(model: DtModel, length: int) -> np.ndarray:
 # Gaussian-kernel machines
 
 
+_KKT_TOL = 1e-3  # the solver's stop on the KKT violation (LIBSVM's default)
+
+
 @dataclass(frozen=True, eq=False)
 class KernelModel:
     """Kernel expansion f(x) = sum_i coef_i k(x, x_i) + b.
 
-    In classification mode coef_i = y_i * a_i with duals a in [0, C] and
-    sum a_i y_i = 0; in regression mode coef_i is the signed coefficient in
-    [-C, C] with sum coef_i = 0. `objective_history` holds the dual objective
-    after each solver sweep of len(dual) pair updates, and at the stop.
+    A classifier (`epsilon` None) has coef_i = y_i * a_i with duals a in
+    [0, C] and sum a_i y_i = 0; a regressor has signed coef_i in [-C, C] with
+    sum coef_i = 0. `objective_history` holds the dual objective after each
+    solver sweep of len(dual) pair updates, and at the stop.
     """
 
-    mode: str  # "classification" | "regression"
     X: np.ndarray
     y: np.ndarray
     coef: np.ndarray
@@ -276,7 +278,7 @@ def _gram(X: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
-                    idx: np.ndarray, tol: float, max_sweeps: int):
+                    idx: np.ndarray, max_sweeps: int):
     """Maximize W(g) = c.g - 1/2 sum_mm' g_m g_m' z_m z_m' K[idx_m, idx_m']
     subject to sum z_m g_m = 0 and 0 <= g_m <= box.
 
@@ -291,9 +293,13 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
     b_ij = zg_i - zg_j > 0 that maximizes the two-variable gain b_ij^2 / a_ij,
     where a_ij = max(K_ii + K_jj - 2 K_ij, 1e-12). Each update solves the
     pair's subproblem exactly within the box, so the objective never
-    decreases. Stops when the KKT violation zg_i - min_low zg drops to `tol`
-    or after `max_sweeps` passes of len(g) updates; the objective is
-    recorded after each pass and at the stop.
+    decreases. Stops when the KKT violation zg_i - min_low zg drops to
+    `_KKT_TOL` or after `max_sweeps` passes of len(g) updates; the objective
+    is recorded after each pass and at the stop.
+
+    The tolerance is positive, so the first-order j has b_ij > 0 and the
+    second-order search always finds a j; and i in `up`, j in `low` may each
+    move the way the pair's step takes them, so the clipped step is never 0.
 
     A step moves only g_i and g_j, so the `up`/`low` index sets are kept
     incrementally as penalty arrays (0 where a variable may move that way,
@@ -317,28 +323,21 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
             zg = zc - fx[idx]
             i = int(np.argmax(zg + up_pen))
             j = int(np.argmin(zg + low_pen))
-            if zg[i] - zg[j] <= tol:
+            if zg[i] - zg[j] <= _KKT_TOL:
                 converged = True
                 break
-            # second-order choice of j: largest b^2 / a over low with b > 0.
-            # The first-order j has b = gap > tol, so for tol >= 0 there is
-            # always a candidate; otherwise that j is kept.
+            # second-order choice of j: largest b^2 / a over low with b > 0
             xi = int(idx[i])
             quad = np.maximum(diag + K[xi, xi] - K[xi][idx] * 2.0, 1e-12)
             b_ij = zg[i] - zg
             gain = np.where(b_ij > 0.0, -(b_ij * b_ij / quad), np.inf) + low_pen
-            j2 = int(np.argmin(gain))
-            if gain[j2] < np.inf:
-                j = j2
+            j = int(np.argmin(gain))
             t = z[i] * b_ij[j] / quad[j]
             # keep both variables in the box; the paired move preserves sum z g
             s = z[i] * z[j]
             lo_t = max(-gamma[i], (gamma[j] - box) if s > 0 else -gamma[j])
             hi_t = min(box - gamma[i], gamma[j] if s > 0 else box - gamma[j])
             t = min(max(t, lo_t), hi_t)
-            if t == 0.0:
-                converged = True
-                break
             gamma[i] = min(max(gamma[i] + t, 0.0), box)
             gamma[j] = min(max(gamma[j] - s * t, 0.0), box)
             for k in (i, j):
@@ -361,11 +360,11 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
 
 
 def train_svm_binary(X, y, C: float = 1.0, kernel_scale: float = 0.35,
-                     tol: float = 1e-3, max_sweeps: int = 200) -> KernelModel:
+                     max_sweeps: int = 200) -> KernelModel:
     """Train the binary max-margin classifier on labels in {-1, +1}.
 
     The kernel is built over the distinct rows of X. The solver stops when
-    the KKT violation is at most `tol` or after `max_sweeps` sweeps; a sweep
+    the KKT violation is at most 1e-3 or after `max_sweeps` sweeps; a sweep
     is len(y) pair updates.
     """
     X, y = _training_set(X, y, 2, C=C, kernel_scale=kernel_scale)
@@ -376,8 +375,8 @@ def train_svm_binary(X, y, C: float = 1.0, kernel_scale: float = 0.35,
 
     U, inv = np.unique(X, axis=0, return_inverse=True)
     alpha, b, history = _solve_box_dual(_gram(U, kernel_scale), y.copy(), np.ones(y.size),
-                                        C, inv, tol, max_sweeps)
-    return KernelModel(mode="classification", X=X, y=y, coef=y * alpha,
+                                        C, inv, max_sweeps)
+    return KernelModel(X=X, y=y, coef=y * alpha,
                        dual=alpha, b=b, kernel_scale=kernel_scale, C=C,
                        epsilon=None, objective_history=tuple(history))
 
@@ -390,31 +389,30 @@ def auto_epsilon(y) -> float:
 
 
 def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
-              kernel_scale: float = 0.35, tol: float = 1e-3,
-              max_sweeps: int = 200) -> KernelModel:
+              kernel_scale: float = 0.35, max_sweeps: int = 200) -> KernelModel:
     """Train the epsilon-insensitive kernel regressor.
 
     The regression dual is the same box-constrained QP as the classifier,
     doubled: one nonnegative variable per side of the tube. Both share the
     coordinate-ascent core and build the kernel over the distinct rows of X.
-    The solver stops when the KKT violation is at most `tol` or after
+    The solver stops when the KKT violation is at most 1e-3 or after
     `max_sweeps` sweeps; a sweep is 2 * len(y) pair updates, one per dual
     variable. `epsilon=None` selects the IQR/13.49 heuristic.
     """
     X, y = _training_set(X, y, 2, C=C, kernel_scale=kernel_scale)
     if epsilon is None:
         epsilon = auto_epsilon(y)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
     n = y.size
     U, inv = np.unique(X, axis=0, return_inverse=True)
     z = np.concatenate([np.ones(n), -np.ones(n)])
     c = np.concatenate([y - epsilon, -y - epsilon])
     gamma, b, history = _solve_box_dual(_gram(U, kernel_scale), z, c, C,
-                                        np.concatenate([inv, inv]), tol, max_sweeps)
+                                        np.concatenate([inv, inv]), max_sweeps)
     beta = gamma[:n] - gamma[n:]
-    return KernelModel(mode="regression", X=X, y=y, coef=beta, dual=gamma,
+    return KernelModel(X=X, y=y, coef=beta, dual=gamma,
                        b=b, kernel_scale=kernel_scale, C=C, epsilon=float(epsilon),
                        objective_history=tuple(history))
 

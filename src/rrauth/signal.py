@@ -4,6 +4,9 @@ CSV import/export, a seeded synthetic generator for desk-scale experiments,
 and moving-median baseline removal. Amplitudes are millivolts throughout;
 sampling frequencies are Hz.
 
+A random profile draws its 18 values in one call over `_PROFILE_RANGES`, one
+table of (lo, hi) ranges in draw order: the bits of one scalar draw per row.
+
 The moving median sorts small integer ranks instead of doubles: the record
 is ranked once by numpy's default (unstable, SIMD) argsort. Low and high
 sentinel ranks, alternating in the edge pads, make every window, edge
@@ -68,6 +71,16 @@ import numpy as np
 WAVE_NAMES = ("P", "Q", "R", "S", "T")
 BASELINE_WINDOW_S = 0.6  # moving-median window of the baseline removal
 DEFAULT_FRAME_LEN = 220  # samples per RR frame
+
+# (lo, hi) of each value a random profile draws, in draw order
+_PROFILE_RANGES = np.array([
+    (0.10, 0.18), (0.025, 0.045), (0.05, 0.25),  # P phase, width, amplitude
+    (0.28, 0.315), (0.008, 0.016), (-0.30, -0.05),  # Q
+    (0.34, 0.36), (0.012, 0.022), (1.0, 1.6),  # R
+    (0.385, 0.43), (0.010, 0.020), (-0.45, -0.10),  # S
+    (0.55, 0.72), (0.045, 0.09), (0.10, 0.50),  # T
+    (55.0, 95.0), (0.02, 0.08), (0.008, 0.020),  # heart rate (bpm), RR jitter, noise sd
+])
 
 # Exact decimal scaling of plain CSV lines (see the module docstring).
 _LONGDOUBLE_64 = np.finfo(np.longdouble).nmant == 63  # x87 extended precision
@@ -186,14 +199,14 @@ class SubjectProfile:
         if set(self.waves) != set(WAVE_NAMES):
             raise ValueError(f"waves must be exactly {WAVE_NAMES}")
         for name in WAVE_NAMES:
-            if self.waves[name].width <= 0:
+            if not self.waves[name].width > 0:
                 raise ValueError(f"{name} wave width must be > 0")
             if not 0.0 <= self.waves[name].phase < 1.0:
                 raise ValueError(f"{name} wave phase must be in [0, 1)")
-        if self.waves["R"].amplitude <= 0:
+        if not self.waves["R"].amplitude > 0:
             raise ValueError("R wave amplitude must be > 0")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        if not 0 <= self.noise_sd < math.inf:
+            raise ValueError("noise_sd must be >= 0 and finite")
 
 
 def load_csv(path, subject_id: str | None = None) -> EcgRecord:
@@ -677,24 +690,11 @@ def random_profile(seed) -> SubjectProfile:
     ranges, so different seeds give distinct beat shapes.
     """
     rng = np.random.default_rng(seed)
-
-    def u(lo: float, hi: float) -> float:
-        return float(rng.uniform(lo, hi))
-
-    waves = {
-        "P": Wave(phase=u(0.10, 0.18), width=u(0.025, 0.045), amplitude=u(0.05, 0.25)),
-        "Q": Wave(phase=u(0.28, 0.315), width=u(0.008, 0.016), amplitude=u(-0.30, -0.05)),
-        "R": Wave(phase=u(0.34, 0.36), width=u(0.012, 0.022), amplitude=u(1.0, 1.6)),
-        "S": Wave(phase=u(0.385, 0.43), width=u(0.010, 0.020), amplitude=u(-0.45, -0.10)),
-        "T": Wave(phase=u(0.55, 0.72), width=u(0.045, 0.09), amplitude=u(0.10, 0.50)),
-    }
-    return SubjectProfile(
-        heart_rate_bpm=u(55.0, 95.0),
-        rr_jitter=u(0.02, 0.08),
-        waves=waves,
-        noise_sd=u(0.008, 0.020),
-        seed=int(rng.integers(2**31)),
-    )
+    values = rng.uniform(_PROFILE_RANGES[:, 0], _PROFILE_RANGES[:, 1]).tolist()
+    waves = {name: Wave(*values[3 * k: 3 * k + 3]) for k, name in enumerate(WAVE_NAMES)}
+    heart_rate_bpm, rr_jitter, noise_sd = values[15:]
+    return SubjectProfile(heart_rate_bpm=heart_rate_bpm, rr_jitter=rr_jitter, waves=waves,
+                          noise_sd=noise_sd, seed=int(rng.integers(2**31)))
 
 
 def cohort_profiles(count: int, seed: int, min_separation_mse: float = 0.010,

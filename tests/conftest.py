@@ -174,6 +174,31 @@ def reference_load_csv(path) -> EcgRecord:
     return EcgRecord("reference", fs, samples)
 
 
+def reference_random_profile(seed) -> SubjectProfile:
+    """`random_profile` as one scalar ``rng.uniform`` per value, in the
+    table's order: phase, width and amplitude of P, Q, R, S and T, then heart
+    rate, RR jitter and noise, then the record seed."""
+    rng = np.random.default_rng(seed)
+
+    def u(lo: float, hi: float) -> float:
+        return float(rng.uniform(lo, hi))
+
+    waves = {
+        "P": Wave(phase=u(0.10, 0.18), width=u(0.025, 0.045), amplitude=u(0.05, 0.25)),
+        "Q": Wave(phase=u(0.28, 0.315), width=u(0.008, 0.016), amplitude=u(-0.30, -0.05)),
+        "R": Wave(phase=u(0.34, 0.36), width=u(0.012, 0.022), amplitude=u(1.0, 1.6)),
+        "S": Wave(phase=u(0.385, 0.43), width=u(0.010, 0.020), amplitude=u(-0.45, -0.10)),
+        "T": Wave(phase=u(0.55, 0.72), width=u(0.045, 0.09), amplitude=u(0.10, 0.50)),
+    }
+    return SubjectProfile(
+        heart_rate_bpm=u(55.0, 95.0),
+        rr_jitter=u(0.02, 0.08),
+        waves=waves,
+        noise_sd=u(0.008, 0.020),
+        seed=int(rng.integers(2**31)),
+    )
+
+
 def reference_cohort_profiles(count, seed, min_separation_mse=0.010, frame_len=220):
     """`cohort_profiles` with its separation check as a loop: a candidate is
     kept when the MSE of its template against each kept template, one at a

@@ -43,6 +43,10 @@ class TestComputeUcl:
         with pytest.raises(ValueError):
             compute_ucl([1.0, -0.1])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="MSE values must be >= 0"):
+            QualityStats.from_mses([math.nan, 1.0])
+
     def test_quality_stats_fields(self):
         qs = QualityStats.from_mses([1.0, 2.0, 3.0])
         assert qs.mean == 2.0
@@ -55,6 +59,9 @@ class TestEnroll:
         entry = next(iter(small_db.entries.values()))
         assert entry.stats.mean == pytest.approx(entry.stats.mses.mean(), abs=1e-12)
         assert entry.stats.ucl >= entry.stats.mean
+
+    def test_entry_frame_len_is_the_db_frame_len(self, small_db):
+        assert {e.frame_len for e in small_db.entries.values()} == {small_db.frame_len}
 
     def test_duplicate_id_rejected(self, small_db, small_cohort):
         sid, _, rec = small_cohort[0]
@@ -107,6 +114,11 @@ class TestExtractFrames:
         rec, _ = synth_ecg(quiet_profile(seed=3), 3.0, 360.0)
         with pytest.raises(ValueError, match="window_s must be finite and > 0"):
             extract_frames(rec, window_s, 220)
+
+    def test_window_too_short_for_two_samples(self):
+        rec, _ = synth_ecg(quiet_profile(seed=3), 3.0, 360.0)
+        with pytest.raises(ValueError):
+            extract_frames(rec, 1.0 / 720.0, 220)
 
     def test_huge_window_is_the_whole_record(self):
         rec, _ = synth_ecg(quiet_profile(seed=3), 10.0, 360.0)
@@ -187,6 +199,10 @@ class TestAuthenticate:
             assert set(d.scores) == set(small_db.entries)
             assert all(np.isfinite(v) for v in d.scores.values())
             assert d.score == min(d.scores.values())
+
+    def test_median_ucl_of_empty_db(self):
+        with pytest.raises(ValueError, match="reference database is empty"):
+            ReferenceDb().median_ucl()
 
     def test_empty_db(self, small_pool):
         rec, _ = small_pool[0]
@@ -346,6 +362,12 @@ class TestPersistence:
         with pytest.raises(DbFormatError, match="corrupted database structure"):
             load_db(path)
 
+    def test_other_format_refused(self, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text('{"format": "something-else", "version": "2"}', encoding="utf-8")
+        with pytest.raises(DbFormatError, match="not a reference database file"):
+            load_db(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "db.json"
         path.write_text("not json at all")
@@ -427,7 +449,9 @@ class TestLoadValidation:
         lambda e: e["stats"].update(ucl=math.nan),
         lambda e: e.update(curve=[math.nan] + e["curve"][1:]),
         lambda e: e.update(curve=[[v] for v in e["curve"]]),
-    ], ids=["string mses", "string ucl", "nan ucl", "nan curve", "nested curve"])
+        lambda e: e.update(enrolled_at=0),
+    ], ids=["string mses", "string ucl", "nan ucl", "nan curve", "nested curve",
+            "number enrolled_at"])
     def test_bad_entity_field(self, small_db, tmp_path, mutate):
         doc = _saved_doc(small_db)
         mutate(doc["entities"]["e01"])

@@ -77,6 +77,10 @@ class TestPeakList:
         with pytest.raises(ValueError):
             PeakList(np.array([-1, 5]))
 
+    def test_two_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            PeakList(np.array([[1, 5]]))
+
 
 class TestFrameRr:
     def test_count_and_length(self):

@@ -67,6 +67,12 @@ class TestGen:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_negative_unknown_is_domain_error(self, tmp_path, capsys):
+        rc = main(["gen", "--out", str(tmp_path / "x"), "--unknown", "-1"])
+        assert rc == 1
+        assert "unknown count must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--fs", "inf", "fs must be finite"), ("--fs", "nan", "fs must be finite"),
@@ -251,6 +257,31 @@ class TestBench:
         assert rows[0] == "metric,dt,svr"
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--kernel-scale", "nan"), ("--svr-c", "nan"),
+        ("--svr-epsilon", "nan"), ("--svr-epsilon", "inf"),
+    ])
+    def test_non_finite_svr_param_exits_1(self, flag, value, cohort_dir, tmp_path):
+        out = tmp_path / "out"
+        proc = run_cli("bench", "--input", str(cohort_dir / "e01.csv"), "--limit", "300",
+                       "--out", str(out), flag, value)
+        assert proc.returncode == 1, proc.stdout
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    def test_zero_sweeps_is_a_fit(self, cohort_dir, capsys):
+        rc = main(["bench", "--input", str(cohort_dir / "e01.csv"), "--limit", "300",
+                   "--svr-max-sweeps", "0"])
+        assert rc == 0
+        assert "RMSE (mV)" in capsys.readouterr().out
+
+    def test_record_without_frames(self, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("fs=360.0\n" + "0.0\n" * 3600, encoding="utf-8")
+        assert main(["bench", "--input", str(flat)]) == 1
+        assert "record produced no frames" in capsys.readouterr().err
+
 
 class TestOneExtractionPath:
     """`bench` and `rank` analyse the very frames `enroll` trained on, on the
@@ -402,6 +433,18 @@ class TestOffsetAndGridBounds:
         out, err = capsys.readouterr()
         assert "error:" in err and "--offset-s" in err
         assert out == ""
+
+    @pytest.mark.parametrize("spec,message", [
+        ("a:0.01:3", "grid spec must be lo:hi:steps"),
+        ("0.001:0.01:1.5", "grid spec must be lo:hi:steps"),
+        ("0.0001:inf:3", "grid bounds must be finite"),
+        ("0.001:0.01:0", "grid needs >= 1 step, got 0"),
+        ("0.01:0.001:3", "grid needs hi > lo"),
+        ("0.01:0.01:2", "grid needs hi > lo"),
+    ])
+    def test_parse_grid_refusals(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            cli._parse_grid(spec)
 
     @pytest.mark.parametrize("grid", ["0.0001:inf:3", "-inf:0.01:3", "nan:0.01:1"])
     def test_sweep_rejects_non_finite_grid_bounds(self, grid, cohort_dir, db_path, tmp_path):
@@ -558,6 +601,10 @@ class TestMalformedManifest:
         with pytest.raises(ValueError, match=message) as err:
             cli._load_manifest(manifest)
         assert str(manifest) in str(err.value)
+
+    def test_missing(self, tmp_path):
+        with pytest.raises(ValueError, match="does not exist"):
+            cli._load_manifest(tmp_path / "absent.json")
 
     def test_not_an_object(self, tmp_path):
         manifest = tmp_path / "five.json"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrauth import evalx
-from rrauth.authcore import KNOWN, REJECTED, decide, score_frames
+from rrauth.authcore import KNOWN, REJECTED, ReferenceDb, decide, score_frames
 from rrauth.evalx import (ConfusionMatrix, accuracy, auto_grid, confusion_csv,
                           format_confusion, overall_performance, run_trials,
                           sweep_csv, sweep_ucl)
@@ -79,6 +79,10 @@ class TestOverallPerformance:
         with pytest.raises(ValueError):
             overall_performance(5, 10, 1.5)
 
+    def test_total_below_one(self):
+        with pytest.raises(ValueError, match="total must be >= 1, got 0"):
+            overall_performance(0, 0, 1.0)
+
     def test_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -130,6 +134,10 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="n must be"):
             run_trials(small_db, small_pool, n=0, gate_ucl=0.01, seed=0)
 
+    def test_empty_db(self, small_pool):
+        with pytest.raises(ValueError, match="reference database is empty"):
+            run_trials(ReferenceDb(), small_pool, n=5, gate_ucl=0.01, seed=0)
+
 
 class TestSweep:
     def test_single_point_is_argmax(self, small_db, small_pool):
@@ -161,6 +169,10 @@ class TestSweep:
         assert all(best.op >= p.op for p in points)
         first_max = min(p.ucl for p in points if p.op == best.op)
         assert best.ucl == first_max  # ties toward the smaller UCL
+
+    def test_auto_grid_needs_a_point(self, small_db):
+        with pytest.raises(ValueError, match="points must be >= 1, got 0"):
+            auto_grid(small_db, points=0)
 
     def test_empty_grid(self, small_db, small_pool):
         with pytest.raises(ValueError, match="grid"):

@@ -53,6 +53,10 @@ class TestConditionalEntropy:
         j = make_joint([[5, 5], [5, 5]])
         assert conditional_entropy(j) == pytest.approx(1.0, abs=1e-12)
 
+    def test_empty(self):
+        with pytest.raises(ValueError, match="empty joint histogram"):
+            conditional_entropy(make_joint(np.zeros((2, 2))))
+
     def test_single_cell(self):
         j = make_joint([[0, 0], [0, 9]])
         assert conditional_entropy(j) == pytest.approx(0.0, abs=1e-12)
@@ -74,6 +78,15 @@ class TestJointHistogram:
             joint_histogram(xs, xs, bins_x, bins_y)
         with pytest.raises(ValueError, match="bins must be >= 1"):
             mutual_information(xs, xs, bins_x, bins_y)
+
+
+    def test_empty_histogram_rejected(self):
+        with pytest.raises(ValueError, match="cannot histogram empty input"):
+            histogram([])
+
+    def test_histogram_bins_below_one_rejected(self):
+        with pytest.raises(ValueError, match="bins must be >= 1, got 0"):
+            histogram([1.0, 2.0], bins=0)
 
 
 class TestMutualInformation:
@@ -132,6 +145,10 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="empty"):
             mutual_information([], [], 4, 4)
 
+    def test_direct_form_empty(self):
+        with pytest.raises(ValueError, match="empty joint histogram"):
+            mi_from_joint(make_joint(np.zeros((2, 2))))
+
     def test_nonnegative_clamp(self):
         # constant x: H(x) = 0, so MI must come out exactly 0, never negative
         assert mutual_information(np.ones(50), np.arange(50.0), 8, 8) == 0.0
@@ -158,6 +175,21 @@ class TestRankFeatures:
         sets = [frameset(e, rng.normal(size=(5, 16))) for e in "ab"]
         with pytest.raises(ValueError, match="top_k"):
             rank_features(sets, top_k=17)
+
+    def test_needs_a_frame_set(self):
+        with pytest.raises(ValueError, match="at least one frame set"):
+            rank_features([])
+
+    def test_frame_lengths_must_agree(self):
+        rng = np.random.default_rng(12)
+        sets = [frameset("a", rng.normal(size=(5, 16))), frameset("b", rng.normal(size=(5, 8)))]
+        with pytest.raises(ValueError, match="share the frame length"):
+            rank_features(sets)
+
+    def test_sets_without_frames(self):
+        sets = [frameset(e, np.empty((0, 16))) for e in "ab"]
+        with pytest.raises(ValueError, match="contain no frames"):
+            rank_features(sets, top_k=4)
 
     def test_needs_two_entities(self):
         rng = np.random.default_rng(10)

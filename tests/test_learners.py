@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -272,7 +273,7 @@ class TestPredictCurve:
             predict_curve(one, -1)
 
 
-def rebuild_masks_solve_box_dual(K, z, c, box, idx, tol, max_sweeps):
+def rebuild_masks_solve_box_dual(K, z, c, box, idx, max_sweeps):
     """Reference solver: the maximal-violating-pair loop that rebuilds the
     `up`/`low` masks over every variable at each step."""
     m = z.size
@@ -292,7 +293,7 @@ def rebuild_masks_solve_box_dual(K, z, c, box, idx, tol, max_sweeps):
             i = int(np.argmax(np.where(up, zg, -np.inf)))
             j = int(np.argmin(np.where(low, zg, np.inf)))
             gap = zg[i] - zg[j]
-            if gap <= tol:
+            if gap <= learners._KKT_TOL:
                 converged = True
                 break
             xi, xj = int(idx[i]), int(idx[j])
@@ -329,10 +330,7 @@ def rebuild_masks_solve_box_dual(K, z, c, box, idx, tol, max_sweeps):
 
 @st.composite
 def kernel_problems(draw):
-    """Small problems; some repeat rows of X, some stop after 1-3 sweeps.
-    About half pass a `tol` of 0 or -1 in place of the default 1e-3: the gap
-    can fall to 0 but never to -1, so those fits also stop on a zero step or
-    run out of sweeps, and near the optimum find no second-order j."""
+    """Small problems; some repeat rows of X, some stop after 1-3 sweeps."""
     n = draw(st.integers(2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.normal(size=(n, draw(st.integers(1, 2))))
@@ -342,8 +340,7 @@ def kernel_problems(draw):
     labels = np.where(y > np.median(y), 1.0, -1.0)
     labels[0], labels[-1] = 1.0, -1.0
     fit = dict(C=draw(st.floats(0.05, 10.0)), kernel_scale=draw(st.floats(0.2, 2.0)),
-               max_sweeps=draw(st.sampled_from([1, 2, 3, 200])),
-               tol=draw(st.one_of(st.just(1e-3), st.sampled_from([0.0, -1.0]))))
+               max_sweeps=draw(st.sampled_from([1, 2, 3, 200])))
     return X, y, labels, fit
 
 
@@ -361,7 +358,7 @@ def kkt_gap(model):
     row of X (no dedup) and the expansion recomputed in one product."""
     K = learners._gram(model.X, model.kernel_scale)
     fx = K @ model.coef
-    if model.mode == "regression":
+    if model.epsilon is not None:
         z = np.concatenate([np.ones(model.y.size), -np.ones(model.y.size)])
         c = np.concatenate([model.y - model.epsilon, -model.y - model.epsilon])
         fx = np.concatenate([fx, fx])
@@ -376,20 +373,17 @@ def kkt_gap(model):
     return float(np.max(zg[up]) - np.min(zg[low]))
 
 
-def assert_solver_contract(model, reference, max_sweeps, tol=1e-3):
+def assert_solver_contract(model, reference, max_sweeps):
     g, box = model.dual, model.C
     assert np.all(g >= 0.0) and np.all(g <= box)
-    balance = np.sum(model.coef) if model.mode == "regression" else np.sum(g * model.y)
+    balance = np.sum(model.coef) if model.epsilon is not None else np.sum(g * model.y)
     assert abs(balance) <= 1e-9
     h = model.objective_history
     assert len(h) >= 1 and all(p <= q + 1e-9 for p, q in zip(h, h[1:]))
-    if tol <= 0.0:
-        # such a fit may stop on a zero step with the gap above tol
-        return
     if len(h) < max_sweeps:
         # the solver stopped on its own gap, which it tracks in a running sum
         # of kernel rows; a fresh product differs from it only by rounding
-        assert kkt_gap(model) <= tol + 1e-9
+        assert kkt_gap(model) <= learners._KKT_TOL + 1e-9
     if max_sweeps == 200:
         ref = reference.objective_history[-1]
         assert h[-1] >= ref - 1e-3 * abs(ref)
@@ -407,13 +401,11 @@ class TestSolverContract:
         X, y, labels, fit = problem
         svr = train_svr(X, y, epsilon=epsilon, **fit)
         svm = train_svm_binary(X, labels, **fit)
-        svr_ref = svm_ref = None  # compared with only at the default tol
-        if fit["tol"] > 0.0:
-            with mock.patch.object(learners, "_solve_box_dual", rebuild_masks_solve_box_dual):
-                svr_ref = train_svr(X, y, epsilon=epsilon, **fit)
-                svm_ref = train_svm_binary(X, labels, **fit)
-        assert_solver_contract(svr, svr_ref, fit["max_sweeps"], fit["tol"])
-        assert_solver_contract(svm, svm_ref, fit["max_sweeps"], fit["tol"])
+        with mock.patch.object(learners, "_solve_box_dual", rebuild_masks_solve_box_dual):
+            svr_ref = train_svr(X, y, epsilon=epsilon, **fit)
+            svm_ref = train_svm_binary(X, labels, **fit)
+        assert_solver_contract(svr, svr_ref, fit["max_sweeps"])
+        assert_solver_contract(svm, svm_ref, fit["max_sweeps"])
 
     def test_bench_pairs(self, bench_pairs):
         # 17.816352053181078 is the reference loop's objective on these pairs
@@ -516,13 +508,25 @@ class TestOneInputCheck:
             train(X, y)
 
     @pytest.mark.parametrize("kwargs", [{"C": 0.0}, {"C": -1.0},
-                                        {"kernel_scale": 0.0}, {"kernel_scale": -0.35}])
+                                        {"kernel_scale": 0.0}, {"kernel_scale": -0.35},
+                                        {"C": math.nan}, {"kernel_scale": math.nan}])
     @pytest.mark.parametrize("trainer", ["svm", "svr"])
     def test_kernel_params_must_be_positive(self, trainer, kwargs):
         X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
         (name, value), = kwargs.items()
         with pytest.raises(ValueError, match=f"{name} must be > 0, got {value}"):
             TRAINERS[trainer][0](X, y, **kwargs)
+
+    @pytest.mark.parametrize("epsilon", [-0.1, math.nan, math.inf])
+    def test_svr_epsilon_must_be_finite_and_nonnegative(self, epsilon):
+        X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            train_svr(X, y, epsilon=epsilon)
+
+    @pytest.mark.parametrize("params", [DtParams(min_leaf_size=0), DtParams(max_depth=-1)])
+    def test_tree_params_must_be_in_range(self, params):
+        with pytest.raises(ValueError, match="min_leaf_size must be >= 1 and max_depth >= 0"):
+            train_dt(np.arange(4.0), np.arange(4.0), params)
 
 
 class TestSvmBinary:
@@ -666,3 +670,7 @@ class TestFitReport:
     def test_invalid_report_rejected(self):
         with pytest.raises(ValueError):
             FitReport(rmse=1.0, mae=2.0, train_time=0.0)
+
+    def test_negative_error_rejected(self):
+        with pytest.raises(ValueError, match="rmse and mae must be >= 0"):
+            FitReport(rmse=-1.0, mae=0.0, train_time=0.0)

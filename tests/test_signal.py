@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from decimal import Context, Decimal
 from unittest import mock
 
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from rrauth.signal import (_BLOCK, CsvFormatError, EcgRecord, SubjectProfile, Wave,
                            _moving_median, _repr_rows, beat_template, cohort_profiles,
-                           load_csv, preprocess, save_csv, slice_seconds, synth_ecg)
+                           load_csv, preprocess, random_profile, save_csv, slice_seconds,
+                           synth_ecg)
 
 from conftest import (quiet_profile, reference_cohort_profiles, reference_load_csv,
-                      reference_moving_median)
+                      reference_moving_median, reference_random_profile)
 
 
 class TestEcgRecord:
@@ -39,6 +41,10 @@ class TestEcgRecord:
         r = EcgRecord("a", 360.0, [0.0, 0.1])
         with pytest.raises(ValueError):
             r.samples[0] = 5.0
+
+    def test_two_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            EcgRecord("a", 360.0, [[0.0, 0.1], [0.2, 0.3]])
 
 
 class TestCsv:
@@ -374,6 +380,15 @@ class TestCohortProfiles:
         with pytest.raises(ValueError, match="frame_len must be >= 2"):
             cohort_profiles(2, seed=0, frame_len=frame_len)
 
+    def test_empty_cohort_refused(self):
+        with pytest.raises(ValueError, match="cohort size must be >= 1, got 0"):
+            cohort_profiles(0, seed=0)
+
+    def test_random_profile_is_the_scalar_draws(self):
+        # one vector draw over the range table gives each scalar draw's bits
+        for seed in range(20000):
+            assert random_profile(seed) == reference_random_profile(seed)
+
 
 class TestCsvFuzz:
     @settings(max_examples=200, deadline=None)
@@ -461,6 +476,28 @@ class TestSubjectProfile:
         waves = dict(p.waves)
         waves["T"] = Wave(phase=0.65, width=0.0, amplitude=0.3)
         with pytest.raises(ValueError, match="width"):
+            SubjectProfile(60.0, 0.0, waves, 0.0, 0)
+
+    @pytest.mark.parametrize("wave,field,value,message", [
+        ("P", "width", math.nan, "P wave width must be > 0"),
+        ("R", "amplitude", math.nan, "R wave amplitude must be > 0"),
+        ("S", "phase", 1.0, r"S wave phase must be in \[0, 1\)"),
+    ], ids=["nan P width", "nan R amplitude", "S phase 1"])
+    def test_nan_or_out_of_range_wave_refused(self, wave, field, value, message):
+        waves = dict(quiet_profile().waves)
+        waves[wave] = replace(waves[wave], **{field: value})
+        with pytest.raises(ValueError, match=message):
+            SubjectProfile(60.0, 0.0, waves, 0.0, 0)
+
+    @pytest.mark.parametrize("noise_sd", [-0.01, math.nan, math.inf])
+    def test_noise_sd_must_be_finite_and_nonnegative(self, noise_sd):
+        with pytest.raises(ValueError, match="noise_sd must be >= 0"):
+            quiet_profile(noise_sd=noise_sd)
+
+    def test_waves_must_be_the_five_names(self):
+        waves = dict(quiet_profile().waves)
+        del waves["T"]
+        with pytest.raises(ValueError, match="waves must be exactly"):
             SubjectProfile(60.0, 0.0, waves, 0.0, 0)
 
 
@@ -607,6 +644,11 @@ class TestSlice:
             slice_seconds(rec, 1e308)
         assert np.array_equal(slice_seconds(rec, 1.0, 1e308).samples, rec.samples[360:])
         assert np.array_equal(slice_seconds(rec, 1.0, 3.0).samples, rec.samples[360:])
+
+
+def test_beat_template_needs_two_samples():
+    with pytest.raises(ValueError, match="frame_len must be >= 2"):
+        beat_template(quiet_profile(), 1)
 
 
 def test_beat_template_peaks_at_anchor():
