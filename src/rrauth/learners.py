@@ -16,7 +16,9 @@ split, and its tie rule (on equal exact scores, lowest feature, then lowest
 threshold), are those of scoring every cut exactly.
 
 All three trainers check their data in one place, and the kernel machines
-fit and predict with one Gaussian kernel. They build their Gram matrix over
+check their parameters in one more (`check_kernel_params`, which `rrauth
+bench` calls before it reads its record). The kernel machines fit and
+predict with one Gaussian kernel. They build their Gram matrix over
 the distinct rows of X only: duplicate rows have identical kernel rows, so
 `rrauth bench`'s 2000 (position, amplitude) pairs need a 220 x 220 kernel,
 not 2000 x 2000. Batch prediction likewise evaluates each distinct query
@@ -43,6 +45,7 @@ __all__ = [
     "predict_curve",
     "train_svm_binary",
     "train_svr",
+    "check_kernel_params",
     "kernel_predict_batch",
     "fit_report",
 ]
@@ -161,10 +164,19 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def _training_set(X, y, min_rows: int, **positive: float):
+def check_kernel_params(C: float, kernel_scale: float, epsilon: float | None = None) -> None:
+    """The kernel machines' parameter rule: C and kernel_scale > 0 and, when
+    given, epsilon finite and >= 0. Each test is written so that NaN fails it."""
+    for name, value in (("C", C), ("kernel_scale", kernel_scale)):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+    if epsilon is not None and not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+
+
+def _training_set(X, y, min_rows: int):
     """X as a float matrix and y as a float vector, as every trainer checks
-    them: equal lengths, at least `min_rows` rows, finite values, and each
-    keyword in `positive` (the kernel machines' C and kernel_scale) > 0."""
+    them: equal lengths, at least `min_rows` rows and finite values."""
     X = _as_matrix(X)
     y = np.asarray(y, dtype=float)
     if X.shape[0] != y.size:
@@ -173,9 +185,6 @@ def _training_set(X, y, min_rows: int, **positive: float):
         raise ValueError(f"empty or too small training set: {y.size} rows, need {min_rows}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("training data must be finite")
-    for name, value in positive.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be > 0, got {value}")
     return X, y
 
 
@@ -367,7 +376,8 @@ def train_svm_binary(X, y, C: float = 1.0, kernel_scale: float = 0.35,
     the KKT violation is at most 1e-3 or after `max_sweeps` sweeps; a sweep
     is len(y) pair updates.
     """
-    X, y = _training_set(X, y, 2, C=C, kernel_scale=kernel_scale)
+    X, y = _training_set(X, y, 2)
+    check_kernel_params(C, kernel_scale)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
     if not (np.any(y > 0) and np.any(y < 0)):
@@ -399,11 +409,10 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
     `max_sweeps` sweeps; a sweep is 2 * len(y) pair updates, one per dual
     variable. `epsilon=None` selects the IQR/13.49 heuristic.
     """
-    X, y = _training_set(X, y, 2, C=C, kernel_scale=kernel_scale)
+    X, y = _training_set(X, y, 2)
     if epsilon is None:
         epsilon = auto_epsilon(y)
-    if not 0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    check_kernel_params(C, kernel_scale, epsilon)
 
     n = y.size
     U, inv = np.unique(X, axis=0, return_inverse=True)
@@ -434,9 +443,9 @@ class FitReport:
     train_time: float
 
     def __post_init__(self) -> None:
-        if self.rmse < 0 or self.mae < 0:
+        if not (self.rmse >= 0 and self.mae >= 0):
             raise ValueError("rmse and mae must be >= 0")
-        if self.rmse < self.mae - 1e-12 * (1.0 + self.mae):
+        if not self.rmse >= self.mae - 1e-12 * (1.0 + self.mae):
             raise ValueError(f"rmse {self.rmse} < mae {self.mae}")
 
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 from unittest import mock
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rrauth import authcore
 from rrauth.authcore import (DbFormatError, KNOWN, REJECTED, UNKNOWN,
@@ -229,12 +231,14 @@ class TestAuthenticate:
             decide(small_db, scored, **args)
 
 
-def stub_db(ids, ucl):
-    """Entries with a flat reference curve and the given training UCL."""
+def stub_db(ids, ucl, frame_len=2, rng=None):
+    """Entries with the given training UCL and a flat reference curve, or
+    normal draws from `rng`."""
     stats = QualityStats(mses=np.zeros(2), mean=0.0, std=0.0, ucl=ucl)
-    db = ReferenceDb(frame_len=2)
+    db = ReferenceDb(frame_len=frame_len)
     for e in ids:
-        db.entries[e] = ReferenceEntry(entity_id=e, curve=np.zeros(2), stats=stats,
+        curve = np.zeros(frame_len) if rng is None else rng.normal(0.0, 0.5, frame_len)
+        db.entries[e] = ReferenceEntry(entity_id=e, curve=curve, stats=stats,
                                        enrolled_at=EPOCH)
     return db
 
@@ -266,6 +270,43 @@ class TestScoreFrames:
         assert scored.entity_ids == ids
         assert scored.mse.shape == loop.shape
         assert scored.mse.tobytes() == loop.tobytes()
+
+    @staticmethod
+    def broadcast_table(db, values):
+        """Reference: the whole (frames, entities, frame_len) broadcast at once."""
+        curves = np.stack([db.entries[e].curve for e in db.entity_ids()])
+        return ((values[:, None, :] - curves[None, :, :]) ** 2).mean(axis=2)
+
+    @staticmethod
+    def scored_in_blocks(db, values, budget):
+        frames = FrameSet("p", PeakList(np.arange(values.shape[0] + 1)), values)
+        with mock.patch.object(authcore, "extract_frames", return_value=frames), \
+                mock.patch.object(authcore, "_SCORE_BLOCK_BYTES", budget):
+            return score_frames(db, EcgRecord("p", FS, np.zeros(2)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_frames=st.integers(1, 40), n_entities=st.integers(1, 60),
+           frame_len=st.sampled_from([2, 7, 220, 301]),
+           rows_per_block=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_bytes_equal_one_broadcast(self, n_frames, n_entities, frame_len,
+                                              rows_per_block, seed):
+        # rows_per_block 0: one frame's rows exceed the budget, one frame per block
+        rng = np.random.default_rng(seed)
+        db = stub_db([f"e{k:03d}" for k in range(n_entities)], 1.0, frame_len, rng)
+        values = rng.normal(0.0, 0.5, (n_frames, frame_len))
+        frame_bytes = n_entities * frame_len * 8
+        budget = max(1, rows_per_block * frame_bytes + int(rng.integers(frame_bytes)) - 1)
+        scored = self.scored_in_blocks(db, values, budget)
+        assert scored.mse.tobytes() == self.broadcast_table(db, values).tobytes()
+
+    def test_frame_over_the_real_budget(self):
+        # 600 x 220 x 8 bytes is over 1 MiB: each of the 5 frames is its own block
+        rng = np.random.default_rng(7)
+        db = stub_db([f"e{k:03d}" for k in range(600)], 1.0, 220, rng)
+        assert 600 * 220 * 8 > authcore._SCORE_BLOCK_BYTES
+        values = rng.normal(0.0, 0.5, (5, 220))
+        scored = self.scored_in_blocks(db, values, authcore._SCORE_BLOCK_BYTES)
+        assert scored.mse.tobytes() == self.broadcast_table(db, values).tobytes()
 
 
 class TestDecideScores:
@@ -343,7 +384,7 @@ class TestPersistence:
 
     def test_version_mismatch(self, small_db, tmp_path):
         path = tmp_path / "db.json"
-        path.write_text(db_to_json(small_db).replace('"version": "2"', '"version": "0"'),
+        path.write_text(db_to_json(small_db).replace('"version": "3"', '"version": "0"'),
                         encoding="utf-8")
         with pytest.raises(DbFormatError, match=r"version '0' unsupported"):
             load_db(path)
@@ -351,9 +392,59 @@ class TestPersistence:
     def test_v1_tree_db_refused(self, tmp_path):
         path = tmp_path / "db.json"
         path.write_text(json.dumps(V1_DOC), encoding="utf-8")
-        with pytest.raises(DbFormatError,
-                           match=r"version '1' unsupported \(expected '2'\); re-enrol"):
+        with pytest.raises(DbFormatError, match=r"version '1' unsupported "
+                                                r"\(expected '2' or '3'\); re-enrol"):
             load_db(path)
+
+    def test_v3_layout(self, small_db):
+        doc = _saved_doc(small_db)
+        assert (doc["version"], doc["frontend"]) == ("3", authcore.FRONTEND)
+        e = doc["entities"]["e01"]
+        assert base64.b64decode(e["curve"], validate=True) == \
+            small_db.entries["e01"].curve.astype("<f8").tobytes()
+        assert base64.b64decode(e["stats"]["mses"], validate=True) == \
+            small_db.entries["e01"].stats.mses.astype("<f8").tobytes()
+        assert e["stats"]["ucl"] == small_db.entries["e01"].stats.ucl
+
+    @pytest.mark.parametrize("frontend", ["missing", None, "", "rrauth-frontend-0"])
+    def test_other_frontend_refused(self, small_db, tmp_path, frontend):
+        doc = _saved_doc(small_db)
+        if frontend == "missing":
+            del doc["frontend"]
+        else:
+            doc["frontend"] = frontend
+        _write_doc(tmp_path / "db.json", doc)
+        shown = None if frontend == "missing" else frontend
+        with pytest.raises(DbFormatError, match=rf"front end {shown!r} unsupported "
+                                                r".*; re-enrol from the records"):
+            load_db(tmp_path / "db.json")
+
+    def test_v2_document_loads_and_resaves_as_v3(self, small_db, tmp_path):
+        path = tmp_path / "v2.json"
+        _write_doc(path, _v2_doc(small_db))
+        loaded = load_db(path)
+        assert_same_entries(loaded, small_db)
+        assert db_to_json(loaded) == db_to_json(small_db)
+        save_db(loaded, path)
+        assert _saved_doc(load_db(path))["version"] == "3"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), frame_len=st.integers(2, 40), n_mses=st.integers(2, 40))
+    def test_round_trip_is_exact(self, tmp_path_factory, data, frame_len, n_mses):
+        edge = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308])
+        value = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+        curve = data.draw(arrays(np.float64, frame_len, elements=value))
+        mses = data.draw(arrays(np.float64, n_mses, elements=st.one_of(
+            st.sampled_from([-0.0, 0.0, 5e-324, 1e308]), st.floats(0.0, 1e308))))
+        stats = QualityStats(mses=mses, mean=1.0, std=0.5, ucl=2.5)
+        db = ReferenceDb(frame_len=frame_len, entries={"x": ReferenceEntry(
+            entity_id="x", curve=curve, stats=stats, enrolled_at=EPOCH)})
+        path = tmp_path_factory.mktemp("round") / "db.json"
+        save_db(db, path)
+        loaded = load_db(path)
+        assert_same_entries(loaded, db)
+        assert not loaded.entries["x"].curve.flags.writeable
+        assert not loaded.entries["x"].stats.mses.flags.writeable
 
     def test_corrupted_structure(self, tmp_path):
         path = tmp_path / "db.json"
@@ -377,6 +468,21 @@ class TestPersistence:
 
 def _saved_doc(db) -> dict:
     return json.loads(db_to_json(db))
+
+
+def _v2_doc(db) -> dict:
+    """The version-2 document of a DB: arrays as JSON lists, no front end."""
+    doc = _saved_doc(db)
+    doc["version"] = "2"
+    del doc["frontend"]
+    for eid, e in doc["entities"].items():
+        e["curve"] = db.entries[eid].curve.tolist()
+        e["stats"]["mses"] = db.entries[eid].stats.mses.tolist()
+    return doc
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def _leaf_paths(node, path=()):
@@ -419,7 +525,7 @@ class TestLoadValidation:
     @given(st.data())
     def test_one_mutated_leaf_loads_or_raises_db_error(self, small_db, tmp_path_factory,
                                                        data):
-        doc = _saved_doc(small_db)
+        doc = data.draw(st.sampled_from([_saved_doc, _v2_doc]))(small_db)
         path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
         parent = doc
         for key in path[:-1]:
@@ -453,6 +559,35 @@ class TestLoadValidation:
     ], ids=["string mses", "string ucl", "nan ucl", "nan curve", "nested curve",
             "number enrolled_at"])
     def test_bad_entity_field(self, small_db, tmp_path, mutate):
+        doc = _v2_doc(small_db)
+        mutate(doc["entities"]["e01"])
+        _write_doc(tmp_path / "db.json", doc)
+        with pytest.raises(DbFormatError, match="entity 'e01'"):
+            load_db(tmp_path / "db.json")
+
+    @pytest.mark.parametrize("mutate", [
+        lambda e: e.update(curve="!" + e["curve"]),
+        lambda e: e.update(curve=e["curve"][:8] + "*" + e["curve"][8:]),
+        lambda e: e.update(curve=e["curve"][:8] + "\n" + e["curve"][8:]),
+        lambda e: e.update(curve=e["curve"] + "="),
+        lambda e: e.update(curve=e["curve"].rstrip("=")),
+        lambda e: e.update(curve=e["curve"][:-4]),
+        lambda e: e.update(curve=base64.b64encode(base64.b64decode(e["curve"])[:-1])
+                           .decode("ascii")),
+        lambda e: e.update(curve=_b64(np.r_[np.zeros(219), math.nan])),
+        lambda e: e.update(curve=_b64(np.r_[math.inf, np.zeros(219)])),
+        lambda e: e.update(curve=_b64(np.zeros(219))),
+        lambda e: e.update(curve=[0.0] * 220),
+        lambda e: e.update(curve=None),
+        lambda e: e["stats"].update(mses=_b64([0.1, -math.inf])),
+        lambda e: e["stats"].update(mses=_b64([0.1, -0.2])),
+        lambda e: e["stats"].update(mses=_b64([0.1])),
+        lambda e: e["stats"].update(mses="é" + e["stats"]["mses"]),
+    ], ids=["leading bang", "stray star", "newline", "extra padding", "no padding",
+            "truncated text", "7-byte tail", "nan bits", "inf bits", "219 values",
+            "v2 list in v3", "null curve", "-inf mse bits", "negative mse",
+            "one mse", "non-ascii mses"])
+    def test_bad_base64_field(self, small_db, tmp_path, mutate):
         doc = _saved_doc(small_db)
         mutate(doc["entities"]["e01"])
         _write_doc(tmp_path / "db.json", doc)

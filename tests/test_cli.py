@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,6 +271,22 @@ class TestBench:
         assert proc.stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--kernel-scale", "nan", "kernel_scale must be > 0"),
+        ("--svr-c", "0", "C must be > 0"),
+        ("--svr-c", "nan", "C must be > 0"),
+        ("--svr-epsilon", "-1", "epsilon must be finite and >= 0"),
+        ("--svr-epsilon", "inf", "epsilon must be finite and >= 0"),
+    ])
+    def test_svr_params_checked_before_the_record_is_read(self, flag, value, message,
+                                                          cohort_dir, capsys):
+        with mock.patch.object(cli.ecgsig, "load_csv", side_effect=AssertionError("read")):
+            rc = main(["bench", "--input", str(cohort_dir / "e01.csv"), flag, value])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"bench: error: {message}" in captured.err
+        assert captured.out == ""
+
     def test_zero_sweeps_is_a_fit(self, cohort_dir, capsys):
         rc = main(["bench", "--input", str(cohort_dir / "e01.csv"), "--limit", "300",
                    "--svr-max-sweeps", "0"])
@@ -382,6 +399,29 @@ class TestV1DbRefused:
         assert proc.returncode == 1, proc.stderr
         assert "error:" in proc.stderr and "re-enrol" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert db.read_bytes() == before
+
+
+class TestOtherFrontEndRefused:
+    """A version-3 DB names its front end; one from another front end is
+    refused with the re-enrol message, and enroll leaves the file as it was."""
+
+    @pytest.mark.parametrize("command", ["auth", "enroll"])
+    def test_exits_1_with_re_enrol_message(self, command, cohort_dir, db_path, tmp_path,
+                                          capsys):
+        doc = json.loads(db_path.read_text(encoding="utf-8"))
+        doc["frontend"] = "rrauth-frontend-0"
+        db = tmp_path / "other.json"
+        db.write_text(json.dumps(doc), encoding="utf-8")
+        before = db.read_bytes()
+        args = ["--input", str(cohort_dir / "e03.csv")]
+        if command == "enroll":
+            args += ["--id", "x03"]
+        assert main([command, "--db", str(db), *args]) == 1
+        captured = capsys.readouterr()
+        assert "front end 'rrauth-frontend-0' unsupported" in captured.err
+        assert "re-enrol from the records" in captured.err
+        assert captured.out == ""
         assert db.read_bytes() == before
 
 

@@ -674,3 +674,19 @@ class TestFitReport:
     def test_negative_error_rejected(self):
         with pytest.raises(ValueError, match="rmse and mae must be >= 0"):
             FitReport(rmse=-1.0, mae=0.0, train_time=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    @pytest.mark.parametrize("field", ["rmse", "mae"])
+    def test_nan_or_negative_infinite_error_rejected(self, field, value):
+        kwargs = {"rmse": 1.0, "mae": 0.5, field: value}
+        with pytest.raises(ValueError, match="rmse and mae must be >= 0"):
+            FitReport(train_time=0.0, **kwargs)
+
+    def test_infinite_rmse_over_finite_mae_accepted(self):
+        assert FitReport(rmse=math.inf, mae=1.0, train_time=0.0).rmse == math.inf
+
+    @pytest.mark.parametrize("rmse", [1.0, math.inf])
+    def test_infinite_mae_rejected(self, rmse):
+        # mae - tolerance is inf - inf = NaN, which no RMSE may pass
+        with pytest.raises(ValueError, match=f"rmse {rmse} < mae inf"):
+            FitReport(rmse=rmse, mae=math.inf, train_time=0.0)
