@@ -490,7 +490,7 @@ def main(argv=None) -> int:
     try:
         _check_windows(args)
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 1
 

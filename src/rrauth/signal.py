@@ -7,6 +7,20 @@ sampling frequencies are Hz.
 A random profile draws its 18 values in one call over `_PROFILE_RANGES`, one
 table of (lo, hi) ranges in draw order: the bits of one scalar draw per row.
 
+The generator sums, at each sample's beat phase u, one Gaussian per wave and
+shift, ``amplitude * exp(-(d * d) / (2 * width * width))`` with
+d = u - phase + shift. It calls exp only where the argument is not below
+-746 and leaves +0.0 elsewhere. e**-746 is below 2**-1075, half the smallest
+subnormal, so exp rounds to exactly +0.0 there on every correct path; a NaN
+argument is not below -746 and still reaches exp. About 40 % of a record's
+arguments lie below -746, and numpy 2.4's AVX-512 exp spends ~15 ns on
+each of them against ~2 ns on an ordinary one; arguments whose exp is
+subnormal are still computed. Every operation is elementwise, so a
+sample's double depends only on its own phase and its profile's
+parameters: the templates of a batch of candidates, built on one
+(batch, frame_len) grid with each profile's parameters broadcast along its
+row, are the doubles one call per profile gives.
+
 The moving median sorts small integer ranks instead of doubles: the record
 is ranked once by numpy's default (unstable, SIMD) argsort. Low and high
 sentinel ranks, alternating in the edge pads, make every window, edge
@@ -71,6 +85,8 @@ import numpy as np
 WAVE_NAMES = ("P", "Q", "R", "S", "T")
 BASELINE_WINDOW_S = 0.6  # moving-median window of the baseline removal
 DEFAULT_FRAME_LEN = 220  # samples per RR frame
+_EXP_ZERO_BELOW = -746.0  # e**-746 < 2**-1075, so exp is exactly +0.0 below it
+_TEMPLATE_BATCH = 64  # most candidate templates `cohort_profiles` builds per `_bump_sum` call
 
 # (lo, hi) of each value a random profile draws, in draw order
 _PROFILE_RANGES = np.array([
@@ -508,15 +524,54 @@ def slice_seconds(record: EcgRecord, start_s: float, duration_s: float | None = 
     return EcgRecord(record.subject_id, record.fs, record.samples[i0:i1])
 
 
-def _bump_sum(u: np.ndarray, waves: dict[str, Wave]) -> np.ndarray:
-    """Sum of per-wave Gaussians at beat phase u, wrapped across beat edges."""
+def _wave_table(profile: SubjectProfile) -> np.ndarray:
+    """The (phase, width, amplitude) of each wave of a profile, a (5, 3) array
+    in WAVE_NAMES order."""
+    return np.array([[w.phase, w.width, w.amplitude] for w in map(profile.waves.get, WAVE_NAMES)])
+
+
+def _bump_sum(u: np.ndarray, waves: np.ndarray) -> np.ndarray:
+    """Sum of per-wave Gaussians at beat phase u, wrapped across beat edges.
+
+    ``waves[k]`` is the (phase, width, amplitude) of wave k of WAVE_NAMES,
+    each of which broadcasts against u: a (5, 3) table for one profile's
+    phases, or a (5, 3, batch, 1) stack of tables for a (batch, frame_len)
+    grid, one profile a row. Each sample is the double that
+    ``amplitude * exp(-(d * d) / (2 * width * width))``, summed over waves and
+    shifts in order, gives; exp is skipped only where its argument is below
+    `_EXP_ZERO_BELOW`, where it is exactly +0.0 (see the module docstring).
+    Temporaries stay full-length: gathering the kept arguments and scattering
+    their exp back gives the same doubles but allocates arrays of a
+    different size on every term.
+    """
     out = np.zeros_like(u)
-    for name in WAVE_NAMES:
-        w = waves[name]
+    d = np.empty_like(u)
+    e = np.empty_like(u)
+    keep = np.empty(u.shape, dtype=bool)
+    for phase, width, amplitude in waves:
+        denominator = 2.0 * width * width
         for shift in (-1.0, 0.0, 1.0):
-            d = u - w.phase + shift
-            out += w.amplitude * np.exp(-(d * d) / (2.0 * w.width * w.width))
+            np.subtract(u, phase, out=d)
+            d += shift
+            np.multiply(d, d, out=d)
+            np.negative(d, out=d)
+            d /= denominator
+            np.less(d, _EXP_ZERO_BELOW, out=keep)
+            np.logical_not(keep, out=keep)  # a NaN argument still reaches exp
+            e.fill(0.0)
+            np.exp(d, out=e, where=keep)
+            e *= amplitude
+            out += e
     return out
+
+
+def _beat_templates(profiles: list[SubjectProfile], frame_len: int) -> np.ndarray:
+    """`beat_template` of each profile, one row each, built in one `_bump_sum`
+    call on a (len(profiles), frame_len) phase grid."""
+    waves = np.stack([_wave_table(p) for p in profiles], axis=-1)[..., None]
+    r_phase = waves[WAVE_NAMES.index("R"), 0]
+    u = (r_phase + np.arange(frame_len) / (frame_len - 1)) % 1.0
+    return _bump_sum(u, waves)
 
 
 def synth_ecg(profile: SubjectProfile, duration_s: float, fs: float) -> tuple[EcgRecord, np.ndarray]:
@@ -546,7 +601,7 @@ def synth_ecg(profile: SubjectProfile, duration_s: float, fs: float) -> tuple[Ec
     times = np.arange(n) / fs
     beat = np.searchsorted(starts, times, side="right") - 1
     u = (times - starts[beat]) / rr[beat]
-    samples = _bump_sum(u, profile.waves)
+    samples = _bump_sum(u, _wave_table(profile))
     samples += rng.normal(0.0, profile.noise_sd, size=n) if profile.noise_sd > 0 else 0.0
 
     n_beats = int(np.searchsorted(starts, duration_s, side="left"))
@@ -566,9 +621,7 @@ def beat_template(profile: SubjectProfile, frame_len: int = DEFAULT_FRAME_LEN) -
     """
     if frame_len < 2:
         raise ValueError("frame_len must be >= 2")
-    r_phase = profile.waves["R"].phase
-    u = (r_phase + np.arange(frame_len) / (frame_len - 1)) % 1.0
-    return _bump_sum(u, profile.waves)
+    return _beat_templates([profile], frame_len)[0]
 
 
 def _moving_median(x: np.ndarray, win: int) -> np.ndarray:
@@ -703,10 +756,13 @@ def cohort_profiles(count: int, seed: int, min_separation_mse: float = 0.010,
     by at least `min_separation_mse` (mean squared difference, mV^2).
 
     Separation uses the same statistic the authentication decision scores
-    with, so cohorts stay distinguishable at desk scale. A candidate is
-    checked against every accepted template at once; each row's mean runs
-    along its contiguous axis, as the mean of one difference would, so
-    every MSE is the same double.
+    with, so cohorts stay distinguishable at desk scale. Candidates are drawn
+    and their templates built in batches of up to `_TEMPLATE_BATCH`, one
+    `_bump_sum` call each, then checked one at a time in draw order, so the
+    profiles, the attempt count and the error are those of drawing one
+    candidate at a time. A candidate is checked against every accepted
+    template at once; each row's mean runs along its contiguous axis, as the
+    mean of one difference would, so every MSE is the same double.
     """
     if count < 1:
         raise ValueError(f"cohort size must be >= 1, got {count}")
@@ -716,19 +772,26 @@ def cohort_profiles(count: int, seed: int, min_separation_mse: float = 0.010,
         raise ValueError(f"frame_len must be >= 2, got {frame_len}")
     master = np.random.default_rng(seed)
     profiles: list[SubjectProfile] = []
-    templates = np.empty((count, frame_len))
+    templates = np.empty((count, frame_len))  # up front: a count too large fails here
+    max_attempts = 200 * count
     attempts = 0
     while len(profiles) < count:
-        attempts += 1
-        if attempts > 200 * count:
+        if attempts == max_attempts:
             raise RuntimeError(f"could not draw {count} profiles separated by "
                                f"{min_separation_mse} mV^2; lower the separation")
-        candidate = random_profile(int(master.integers(2**31)))
-        template = beat_template(candidate, frame_len)
-        accepted = templates[: len(profiles)]
-        if np.all(np.mean((accepted - template) ** 2, axis=1) >= min_separation_mse):
-            templates[len(profiles)] = template
-            profiles.append(candidate)
+        # the missing count, or as many as were drawn so far if more: a cohort
+        # that keeps every candidate draws no extra one, and a final batch at
+        # most doubles the draws
+        size = min(_TEMPLATE_BATCH, max(count - len(profiles), attempts), max_attempts - attempts)
+        batch = [random_profile(int(master.integers(2**31))) for _ in range(size)]
+        for candidate, template in zip(batch, _beat_templates(batch, frame_len)):
+            attempts += 1
+            accepted = templates[: len(profiles)]
+            if np.all(np.mean((accepted - template) ** 2, axis=1) >= min_separation_mse):
+                templates[len(profiles)] = template
+                profiles.append(candidate)
+                if len(profiles) == count:
+                    break
     return profiles
 
 

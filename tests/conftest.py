@@ -8,8 +8,7 @@ from rrauth.authcore import ReferenceDb, enroll
 from rrauth.beat import REFRACTORY_S, THRESH_FRAC, _rolling_max
 from rrauth.learners import DtLeaf
 from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave, _parse_body,
-                           beat_template, cohort_profiles, random_profile, slice_seconds,
-                           synth_ecg)
+                           cohort_profiles, random_profile, slice_seconds, synth_ecg)
 
 FS = 360.0
 COHORT_SEED = 42
@@ -199,23 +198,40 @@ def reference_random_profile(seed) -> SubjectProfile:
     )
 
 
+def reference_bump_sum(u, waves):
+    """The generator's formula with exp evaluated at every argument: each
+    wave's (phase, width, amplitude) and shift in order."""
+    out = np.zeros_like(u)
+    for phase, width, amplitude in waves:
+        for shift in (-1.0, 0.0, 1.0):
+            d = u - phase + shift
+            out += amplitude * np.exp(-(d * d) / (2.0 * width * width))
+    return out
+
+
+def reference_beat_template(profile, frame_len):
+    """One profile's template from `reference_bump_sum` on its own phase grid."""
+    u = (profile.waves["R"].phase + np.arange(frame_len) / (frame_len - 1)) % 1.0
+    waves = [(w.phase, w.width, w.amplitude) for w in map(profile.waves.get, "PQRST")]
+    return reference_bump_sum(u, waves)
+
+
 def reference_cohort_profiles(count, seed, min_separation_mse=0.010, frame_len=220):
-    """`cohort_profiles` with its separation check as a loop: a candidate is
-    kept when the MSE of its template against each kept template, one at a
-    time, is at least the separation."""
+    """`cohort_profiles` one candidate at a time: a candidate, its template
+    from `reference_beat_template`, is kept when its MSE against each kept
+    template, one at a time, is at least the separation. Returns the kept
+    (draw index, profile, template) triples."""
     master = np.random.default_rng(seed)
-    profiles, templates = [], []
-    attempts = 0
-    while len(profiles) < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise RuntimeError("could not draw the cohort")
+    kept = []
+    for attempt in range(200 * count):
         candidate = random_profile(int(master.integers(2**31)))
-        template = beat_template(candidate, frame_len)
-        if all(float(np.mean((template - t) ** 2)) >= min_separation_mse for t in templates):
-            profiles.append(candidate)
-            templates.append(template)
-    return profiles
+        template = reference_beat_template(candidate, frame_len)
+        if all(float(np.mean((template - t) ** 2)) >= min_separation_mse for _, _, t in kept):
+            kept.append((attempt, candidate, template))
+            if len(kept) == count:
+                return kept
+    raise RuntimeError(f"could not draw {count} profiles separated by "
+                       f"{min_separation_mse} mV^2; lower the separation")
 
 
 def count_leaves(model) -> int:

@@ -74,6 +74,14 @@ class TestGen:
         assert "unknown count must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_huge_count_exits_1_and_creates_nothing(self, tmp_path, capsys):
+        # its (count, frame_len) template buffer fails to allocate at once
+        out = tmp_path / "gbig"
+        assert main(["gen", "--out", str(out), "--enrolled", "1000000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("gen: error: ")
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--fs", "inf", "fs must be finite"), ("--fs", "nan", "fs must be finite"),
@@ -681,6 +689,9 @@ class TestRefusedCommandPrintsNothing:
     @pytest.mark.parametrize("argv", [
         ["eval", "--trials", "0"],
         ["sweep", "--trials", "0"],
+        # counts whose arrays exceed 2**47 bytes: no overcommit setting lets them allocate
+        ["eval", "--trials", "1000000000000000"],
+        ["sweep", "--grid-points", "1000000000000000"],
         ["rank", "--k", "0"],
         ["rank", "--bins", "0"],
         ["frames", "--frame-len", "1"],

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrauth.signal import (_BLOCK, CsvFormatError, EcgRecord, SubjectProfile, Wave,
-                           _moving_median, _repr_rows, beat_template, cohort_profiles,
-                           load_csv, preprocess, random_profile, save_csv, slice_seconds,
-                           synth_ecg)
+from rrauth import signal
+from rrauth.signal import (_BLOCK, _PROFILE_RANGES, CsvFormatError, EcgRecord, SubjectProfile,
+                           Wave, _bump_sum, _moving_median, _repr_rows, beat_template,
+                           cohort_profiles, load_csv, preprocess, random_profile, save_csv,
+                           slice_seconds, synth_ecg)
 
-from conftest import (quiet_profile, reference_cohort_profiles, reference_load_csv,
-                      reference_moving_median, reference_random_profile)
+from conftest import (quiet_profile, reference_beat_template, reference_bump_sum,
+                      reference_cohort_profiles, reference_load_csv, reference_moving_median,
+                      reference_random_profile)
 
 
 class TestEcgRecord:
@@ -359,17 +361,66 @@ class TestCsvWriter:
         assert _repr_rows(matrix) == repr_join(matrix)
 
 
+def assert_same_cohort_as_one_at_a_time(count, seed, separation, frame_len=220):
+    """`cohort_profiles` keeps the profiles, or raises the error, of the loop
+    that builds and checks one candidate at a time, and each kept profile's
+    `beat_template` is the batch row it was accepted with."""
+    rows, build = [], signal._beat_templates
+
+    def recorded(batch, length):
+        templates = build(batch, length)
+        rows.extend(templates)
+        return templates
+
+    try:
+        kept = reference_cohort_profiles(count, seed, separation, frame_len)
+    except RuntimeError as exc:
+        with mock.patch.object(signal, "_beat_templates", recorded):
+            with pytest.raises(RuntimeError) as caught:
+                cohort_profiles(count, seed, separation, frame_len)
+        assert str(caught.value) == str(exc)
+        return
+    with mock.patch.object(signal, "_beat_templates", recorded):
+        profiles = cohort_profiles(count, seed, separation, frame_len)
+    assert profiles == [profile for _, profile, _ in kept]
+    for index, profile, template in kept:
+        assert beat_template(profile, frame_len).tobytes() == rows[index].tobytes()
+        assert rows[index].tobytes() == template.tobytes()
+
+
 class TestCohortProfiles:
     @pytest.mark.parametrize("count, seed, separation", [
         (1, 0, 0.010), (12, 42, 0.010), (12, 7, 0.0), (8, 3, 0.015), (40, 11, 0.005),
         (125, 1, 0.005)])
     def test_same_profiles_as_pairwise_loop(self, count, seed, separation):
-        assert (cohort_profiles(count, seed, min_separation_mse=separation)
-                == reference_cohort_profiles(count, seed, separation))
+        assert_same_cohort_as_one_at_a_time(count, seed, separation)
 
     def test_same_profiles_at_another_frame_length(self):
-        assert (cohort_profiles(12, 5, frame_len=64)
-                == reference_cohort_profiles(12, 5, frame_len=64))
+        assert_same_cohort_as_one_at_a_time(12, 5, 0.010, frame_len=64)
+
+    @pytest.mark.parametrize("count, seed, separation, frame_len", [
+        (30, 1, 0.0, 2), (1, 2, 0.005, 2), (9, 2, 0.005, 2), (3, 4, 0.010, 2),
+        (40, 3, 0.0, 3), (9, 4, 0.005, 3), (9, 5, 0.010, 3),
+        (70, 6, 0.0, 220), (130, 7, 0.005, 220), (20, 8, 0.010, 220), (30, 9, 0.010, 220),
+        (40, 10, 0.0, 600), (70, 11, 0.005, 600), (9, 12, 0.010, 600), (25, 13, 0.010, 600),
+        (3, 14, 10.0, 600),
+    ])
+    def test_same_outcome_as_one_at_a_time(self, count, seed, separation, frame_len):
+        # some of these cannot be met and end in the RuntimeError
+        assert_same_cohort_as_one_at_a_time(count, seed, separation, frame_len)
+
+    def test_second_profile_on_the_last_attempt(self):
+        # of seed 5's first 400 candidates the 400th lies farthest from the
+        # first: at its MSE the second profile is the last of the 200 * 2
+        # attempts, and at the next larger double the cohort cannot be drawn
+        master = np.random.default_rng(5)
+        first, *rest = (reference_beat_template(random_profile(int(master.integers(2**31))), 220)
+                        for _ in range(400))
+        mses = [float(np.mean((t - first) ** 2)) for t in rest]
+        assert mses[-1] > max(mses[:-1])
+        assert [index for index, _, _ in reference_cohort_profiles(2, 5, mses[-1])] == [0, 399]
+        assert_same_cohort_as_one_at_a_time(2, 5, mses[-1])
+        assert_same_cohort_as_one_at_a_time(2, 5, math.nextafter(mses[-1], 1.0))
 
     def test_separation_too_large_to_meet(self):
         with pytest.raises(RuntimeError, match="lower the separation"):
@@ -403,6 +454,64 @@ class TestCsvFuzz:
             return
         assert record.samples.size >= 2 and np.all(np.isfinite(record.samples))
         assert 0 < record.fs < np.inf
+
+
+@st.composite
+def bump_sum_cases(draw):
+    """A phase grid and wave parameters for `_bump_sum`: one record's beat
+    phases with a (5, 3) table, or a (batch, frame_len) template grid with a
+    (5, 3, batch, 1) stack of tables. Each value lies inside its
+    `_PROFILE_RANGES` row or up to `stretch` of the row's width beyond it.
+    With `lone`, one wave alone has an amplitude, so far from it a sample is
+    only its subnormal exp values. A `tiny` width makes 2 * width**2
+    underflow to 0; its wave's phase is a grid point, where d == 0 gives exp
+    a NaN argument."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stretch = draw(st.sampled_from([0.0, 0.5, 4.0]))
+    batch = draw(st.sampled_from([0, 1, 3, 17]))  # 0: one record's beat phases
+    tiny = draw(st.sampled_from([None, 5e-324, 1e-200, 1e-162]))
+    lo, hi = _PROFILE_RANGES[:15].T
+    values = rng.uniform(lo - stretch * (hi - lo), hi + stretch * (hi - lo), (max(batch, 1), 15))
+    waves = values.T.reshape(5, 3, -1)
+    if batch == 0:
+        rr = draw(st.floats(0.25, 2.0))
+        u = (np.arange(draw(st.integers(2, 4000))) / 360.0 % rr) / rr
+        waves = waves[..., 0]
+    else:
+        frame_len = draw(st.sampled_from([2, 3, 220, 600]))
+        u = (waves[2, 0][:, None] + np.arange(frame_len) / (frame_len - 1)) % 1.0
+        waves = waves[..., None]
+    if draw(st.booleans()):  # lone
+        waves[np.arange(5) != draw(st.integers(0, 4)), 2] = 0.0
+    if tiny is not None:
+        k, j = draw(st.integers(0, 4)), draw(st.integers(0, u.shape[-1] - 1))
+        waves[k, 0] = u[j] if batch == 0 else u[:, j:j + 1]
+        waves[k, 1] = tiny
+    return u, waves, tiny is not None
+
+
+class TestBumpSum:
+    @settings(max_examples=150, deadline=None)
+    @given(case=bump_sum_cases())
+    def test_same_bytes_as_exp_everywhere(self, case):
+        # exp is skipped only where it would give exactly +0.0
+        u, waves, nan_argument = case
+        with np.errstate(all="ignore"):
+            out = _bump_sum(u, waves)
+            expected = reference_bump_sum(u, waves)
+        assert out.tobytes() == expected.tobytes()
+        if nan_argument:
+            assert np.isnan(out).any()
+
+    def test_exp_at_the_cut(self):
+        # arguments from -747 to -744 for P alone: exp is +0.0 below about
+        # -745.13 and the smallest subnormal above it
+        width = 0.01
+        u = np.sqrt(np.linspace(747.0, 744.0, 3001) * (2.0 * width * width))
+        waves = np.array([[0.0, width, 1.0]] + [[0.5, 0.02, 0.0]] * 4)
+        expected = reference_bump_sum(u, waves)
+        assert (expected == 0.0).any() and (expected > 0.0).any()
+        assert _bump_sum(u, waves).tobytes() == expected.tobytes()
 
 
 class TestSynth:
