@@ -49,9 +49,14 @@ once (Clinger, PLDI 1990; Lemire, Softw. Pract. Exp. 51(8), 2021). The
 sign is taken from the text, so ``-0.0`` stays negative. Every other line
 goes through ``float`` one at a time: a halfway quotient, a mantissa of 2**64
 or more, k > 27 and any line not of the plain form (an exponent, a space).
-A body with no plain line, and every body where ``np.longdouble`` has no
-64-bit significand, skips the scaling and is read with ``float`` on each
-line of its text.
+A body with a block of lines (`_READ_BLOCK`) without a plain line, and
+every body where ``np.longdouble`` has no 64-bit significand, skips the
+scaling and is read with ``float`` on each line of its text. The body is
+scanned in those blocks of whole lines, in place after line 1, and an
+ASCII file is not decoded to text, so the reader holds the file's bytes,
+the samples and one block's temporaries: ~1.3 MB at its peak for a 65 s
+record at 360 Hz (478 kB), where scanning the whole body at once held
+~4.2 MB.
 
 A CSV file is written without calling ``repr`` on most values, and with
 the same bytes. ``repr`` writes the shortest decimal that reads back as
@@ -84,6 +89,7 @@ import numpy as np
 
 WAVE_NAMES = ("P", "Q", "R", "S", "T")
 BASELINE_WINDOW_S = 0.6  # moving-median window of the baseline removal
+_MEDIAN_BLOCK = 8192  # windows per block of the moving median: its sorts stay small
 DEFAULT_FRAME_LEN = 220  # samples per RR frame
 _EXP_ZERO_BELOW = -746.0  # e**-746 < 2**-1075, so exp is exactly +0.0 below it
 _TEMPLATE_BATCH = 64  # most candidate templates `cohort_profiles` builds per `_bump_sum` call
@@ -103,6 +109,7 @@ _LONGDOUBLE_64 = np.finfo(np.longdouble).nmant == 63  # x87 extended precision
 _MAX_EXACT_K = 27  # the largest k with 10**k exact in a 64-bit significand
 _POW10 = np.cumprod(np.r_[1, np.full(_MAX_EXACT_K, 10)].astype(np.longdouble))
 _NOT_DIGIT_OR_LF = bytes(c for c in range(256) if c not in b"0123456789\n")
+_READ_BLOCK = 1 << 17  # body bytes per block of the reader: its temporaries stay small
 
 # Shortest-digit CSV writing (see the module docstring).
 _POW10_F64 = _POW10[:23].astype(np.float64)  # 10**k is exact in float64 up to k = 22
@@ -235,23 +242,28 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
     per line is read from the bytes, with CRLF and CR read as LF: plain
     decimal lines are scaled exactly, bit-equal to ``float`` on the line,
     and every other line goes through ``float`` (the module docstring gives
-    the argument and the cases). A body with no plain line, or another line
-    break inside line 1, is read with ``float`` on each line. Any other
-    body (blank lines, ``t,mv`` pairs, a bad or non-finite value) goes
-    through the line-by-line parser, which accepts the same values and
-    names the line of the first error.
+    the argument and the cases). A body with a block of lines without a
+    plain line, or another line break inside line 1, is read with ``float``
+    on each line. Any other body (blank lines, ``t,mv`` pairs, a bad or
+    non-finite value) goes through the line-by-line parser, which accepts
+    the same values and names the line of the first error.
     """
     path = str(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    raw = data
+    if not data.isascii():  # ASCII is UTF-8; other bytes are decoded to be checked
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not UTF-8 text "
+                                 f"({exc.reason} at byte {exc.start})") from None
     if b"\r" in data:  # CRLF and a lone CR each end a line, as in str.splitlines
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    head, _, body = data.partition(b"\n")
-    first = head.decode("utf-8").splitlines()  # more than line 1 if head holds a break
+    cut = data.find(b"\n")  # the end of line 1; the body is read in place after it
+    if cut < 0:
+        cut = len(data)
+    first = data[:cut].decode("utf-8").splitlines()  # more than line 1 if it holds a break
     header = first[0].strip() if first else ""
     if not header.startswith("fs="):
         raise CsvFormatError(f"{path}: line 1: expected 'fs=<Hz>' header")
@@ -262,15 +274,15 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
     if not 0 < fs < math.inf:
         raise CsvFormatError(f"{path}: line 1: fs must be finite and > 0, got {fs}")
 
-    samples = _parse_decimal_lines(body) if _LONGDOUBLE_64 and len(first) == 1 else None
-    if samples is None:  # no line to scale, or a line float() rejects: float on each line
-        lines = text.splitlines()[1:]
+    samples = _parse_decimal_lines(data, cut + 1) if _LONGDOUBLE_64 and len(first) == 1 else None
+    if samples is None:  # a block without a line to scale, or a line float() rejects
+        lines = raw.decode("utf-8").splitlines()[1:]
         try:
             samples = np.fromiter(map(float, lines), float, count=len(lines))
         except ValueError:  # a blank line, a t,mv pair or a malformed value
             samples = _parse_body(path, lines)
     if not np.all(np.isfinite(samples)):
-        samples = _parse_body(path, text.splitlines()[1:])
+        samples = _parse_body(path, raw.decode("utf-8").splitlines()[1:])
     if samples.size < 2:
         raise CsvFormatError(f"{path}: fewer than 2 samples")
     if subject_id is None:
@@ -279,10 +291,35 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
     return EcgRecord(subject_id=subject_id, fs=fs, samples=samples)
 
 
-def _parse_decimal_lines(body: bytes) -> np.ndarray | None:
-    """The value of each LF-ended line, bit-equal to ``float`` on the line,
-    where ``np.longdouble`` has a 64-bit significand; None when no line is
-    plain or ``float`` rejects a line.
+def _parse_decimal_lines(data: bytes, start: int) -> np.ndarray | None:
+    """The value of each LF-ended line of ``data[start:]`` (a last line
+    without LF included), bit-equal to ``float`` on the line, where
+    ``np.longdouble`` has a 64-bit significand; None when a block holds no
+    plain line or ``float`` rejects a line.
+
+    The lines go in blocks of whole lines of about `_READ_BLOCK` bytes,
+    each read by `_parse_decimal_block`, so the reader's temporaries stay
+    small whatever the file's size. A line's value depends only on its own
+    bytes, so the blocks, joined, give the values one pass over the whole
+    body gives. A block without a plain line returns None, and the caller
+    reads the body with ``float`` on each line, which gives the same values.
+    """
+    blocks = []
+    while start < len(data):
+        end = data.find(b"\n", start + _READ_BLOCK - 1) + 1 or len(data)
+        block = _parse_decimal_block(data[start:end])
+        if block is None:
+            return None
+        blocks.append(block)
+        start = end
+    if len(blocks) < 2:
+        return blocks[0] if blocks else None
+    return np.concatenate(blocks)
+
+
+def _parse_decimal_block(body: bytes) -> np.ndarray | None:
+    """The value of each LF-ended line of one block, bit-equal to ``float``
+    on the line; None when no line is plain or ``float`` rejects a line.
 
     A line break other than LF stays inside its line: a line that ``float``
     accepts has it only around its number, where ``str.splitlines`` would
@@ -292,7 +329,7 @@ def _parse_decimal_lines(body: bytes) -> np.ndarray | None:
     follows every other one. The digits of each line, the only bytes kept,
     give its mantissa as one uint64 (strtoull saturates at 2**64 - 1).
     """
-    if body and not body.endswith(b"\n"):
+    if not body.endswith(b"\n"):
         body += b"\n"
     a = np.frombuffer(body, np.uint8)
     odd = np.flatnonzero(a - np.uint8(48) > 9)  # every byte but a digit
@@ -311,8 +348,10 @@ def _parse_decimal_lines(body: bytes) -> np.ndarray | None:
     exact = (n_odd - has_dot - negative == 0) & (k <= _MAX_EXACT_K)
     if not exact.any():
         return None
+    del a, odd, kind, lf, n_odd, last, has_dot  # the scan's arrays, before the wider quotients
     mantissa = np.fromstring(body.translate(None, _NOT_DIGIT_OR_LF), dtype=np.uint64, sep="\n")
-    quotient = mantissa.astype(np.longdouble) / _POW10[np.minimum(k, _MAX_EXACT_K)]
+    quotient = mantissa.astype(np.longdouble)
+    quotient /= _POW10[np.minimum(k, _MAX_EXACT_K)]
     values = quotient.astype(np.float64)
     np.negative(values, out=values, where=negative)
     # x87 stores the significand first, little-endian, so the first 32-bit
@@ -657,7 +696,10 @@ def _moving_median(x: np.ndarray, win: int) -> np.ndarray:
 
     g is even and about sqrt(win) (at win = 3 it is 1, and the band is
     already the two entries), so the sorts hold O(n * win / g + n * g)
-    entries, where a sorted row per window held n * win. Each rank maps
+    entries, where a sorted row per window held n * win. They are done in
+    blocks of whole groups, about `_MEDIAN_BLOCK` windows each, so only one
+    block's entries are held at a time; every group is sorted on its own,
+    so the blocks give the order statistics one pass gives. Each rank maps
     back to its value; an even count gives ``(a + b) / 2.0``.
 
     The argsort need not be stable (a stable one is ~5x slower here): tied
@@ -682,34 +724,40 @@ def _moving_median(x: np.ndarray, win: int) -> np.ndarray:
     ranks[k + n - 1 + p[p < win - k]] = 0
 
     view = np.lib.stride_tricks.sliding_window_view
-    # a C-order copy sorts its rows faster than np.sort sorts the strided view
-    core = view(ranks, win - g + 1)[g - 1 :: g].copy()
-    core.sort(axis=1)
-    band = core[:, k - g : k + 1]
-    if g == 1:
-        lower, upper = band.T
-    else:
+    lower = np.empty(groups * g, rank_type)
+    upper = np.empty_like(lower)
+    step = max(1, _MEDIAN_BLOCK // g)  # groups a block
+    for q0 in range(0, groups, step):
+        q1 = min(q0 + step, groups)
+        # a C-order copy sorts its rows faster than np.sort sorts the strided view
+        core = view(ranks[q0 * g :], win - g + 1)[g - 1 : (q1 - q0) * g : g].copy()
+        core.sort(axis=1)
+        band = core[:, k - g : k + 1]
+        if g == 1:
+            lower[q0:q1], upper[q0:q1] = band.T
+            continue
         # pair r of group q: ranks[qg + 2r + 1 : qg + g - 1], the band and
         # ranks[qg + win : qg + win + 2r]
-        rows = np.concatenate([view(ranks[1:], g - 2)[: groups * g : g], band,
-                               view(ranks[win:], g - 2)[::g]], axis=1)
+        rows = np.concatenate([view(ranks[q0 * g + 1 :], g - 2)[: (q1 - q0) * g : g], band,
+                               view(ranks[q0 * g + win :], g - 2)[: (q1 - q0) * g : g]], axis=1)
         c = view(rows, 2 * g - 1, axis=1)[:, ::2].copy().reshape(-1, 2 * g - 1)
         c.sort(axis=1)
-        own = np.stack([ranks[0 : groups * g : 2], ranks[win : win + groups * g : 2]])
-        lower = np.empty((c.shape[0], 2), rank_type)
-        upper = np.empty_like(lower)
-        np.maximum(c[:, g - 2], np.minimum(own, c[:, g - 1]), out=lower.T)
-        np.maximum(c[:, g - 1], np.minimum(own, c[:, g]), out=upper.T)
-        lower, upper = lower.ravel(), upper.ravel()
+        own = np.stack([ranks[q0 * g : q1 * g : 2], ranks[q0 * g + win : q1 * g + win : 2]])
+        pairs = slice(q0 * g // 2, q1 * g // 2)  # this block's rows of the (pair, 2) views
+        np.maximum(c[:, g - 2], np.minimum(own, c[:, g - 1]), out=lower.reshape(-1, 2)[pairs].T)
+        np.maximum(c[:, g - 1], np.minimum(own, c[:, g]), out=upper.reshape(-1, 2)[pairs].T)
 
     values = np.zeros(n + 2)
-    values[1:-1] = x[order]
+    np.take(x, order, out=values[1:-1])
     a, b = values[lower[:n]], values[upper[:n]]
     # window i holds win samples, win - k + i near the start, n - i + k near the end
     even = np.full(n, win % 2 == 0)
     even[:k] = np.arange(win - k, win) % 2 == 0
     even[n - (win - 1 - k) :] = np.arange(win - 1, k, -1) % 2 == 0
-    return np.where(even, (a + b) / 2.0, b)
+    a += b
+    a /= 2.0
+    np.copyto(b, a, where=even)
+    return b
 
 
 def preprocess(record: EcgRecord) -> EcgRecord:
@@ -721,9 +769,10 @@ def preprocess(record: EcgRecord) -> EcgRecord:
     sentinels so that its middle sits at a fixed sorted index) is read from
     sorts of the record's ranks shared by groups and pairs of windows; the
     ranks order exactly as the samples do, so it equals ``np.median`` of
-    that window up to the sign of a zero median. Working memory is
-    O(n * g + n * win / g) ranks with g ~ sqrt(win): ~41 MB at most for a
-    10-minute record at 360 Hz, where a sorted row per window took ~201 MB
+    that window up to the sign of a zero median. Working memory is a few
+    arrays of n values plus the sorts of one block of `_MEDIAN_BLOCK`
+    windows: ~10 MB at most for a 10-minute record at 360 Hz, where sorting
+    every group at once took ~41 MB and a sorted row per window ~201 MB
     (see `_moving_median`).
     """
     win = int(round(BASELINE_WINDOW_S * record.fs))

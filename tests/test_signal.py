@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from decimal import Context, Decimal
 from unittest import mock
@@ -281,6 +282,42 @@ class TestCsvFastPath:
         p = tmp_path_factory.getbasetemp() / "magnitudes.csv"
         save_csv(EcgRecord("m", 360.0, values), p)
         assert load_csv(p).samples.tobytes() == np.array(values).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=csv_texts(), block=st.integers(1, 40))
+    @example(text="fs=360\n0.1\n1e-3\n0.2\n", block=1)
+    @example(text="fs=360\n0.1\n0.2", block=5)
+    def test_blocks_of_lines_same_as_line_parser(self, tmp_path_factory, text, block):
+        """Bodies read a few lines a block, lines longer than a block and
+        blocks without a plain line included, give the plain reading."""
+        p = tmp_path_factory.getbasetemp() / "blocks.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        with mock.patch("rrauth.signal._READ_BLOCK", block):
+            assert outcome(load_csv, p) == outcome(reference_load_csv, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(DECIMAL_LINE, min_size=2, max_size=60), block=st.integers(1, 200),
+           newline=st.sampled_from(["\n", "\r\n"]))
+    def test_blocks_of_decimal_lines_bit_equal_to_float(self, tmp_path_factory, lines, block,
+                                                          newline):
+        with mock.patch("rrauth.signal._READ_BLOCK", block):
+            assert_read_as_float(tmp_path_factory, lines, newline, True)
+
+    def test_temporaries_stay_small(self, tmp_path):
+        """A 65 s record (~478 kB) is read with ~1.3 MB of memory at its
+        peak, the file's bytes and the samples included; the whole-body scan
+        held ~4.2 MB."""
+        rec, _ = synth_ecg(quiet_profile(seed=4, noise_sd=0.02), 65.0, 360.0)
+        p = tmp_path / "r.csv"
+        save_csv(rec, p)
+        tracemalloc.start()
+        try:
+            loaded = load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.samples.tobytes() == rec.samples.tobytes()
+        assert peak < 3 * p.stat().st_size
 
 
 def repr_join(matrix) -> str:
@@ -712,6 +749,29 @@ class TestMovingMedian:
         for n in range(win, win + 64):
             x = np.round(rng.normal(size=n) * 4) / 4
             assert _moving_median(x, win).tobytes() == reference_moving_median(x, win).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(win=st.sampled_from(WINDOWS) | st.integers(3, 300),
+           extra=st.integers(0, 900), block=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_of_windows_bytes_equal(self, win, extra, block, seed):
+        # blocks of one group up to several, with a short last block
+        x = np.round(np.random.default_rng(seed).normal(size=win + extra) * 8) / 8
+        with mock.patch("rrauth.signal._MEDIAN_BLOCK", block):
+            assert _moving_median(x, win).tobytes() == reference_moving_median(x, win).tobytes()
+
+    def test_temporaries_stay_small(self):
+        # 50 s at 360 Hz, the enrolment window: ~7x the record with the
+        # sorts of one block at a time, where sorting every group at once
+        # held ~15x
+        x = np.random.default_rng(6).normal(size=18_000)
+        tracemalloc.start()
+        try:
+            _moving_median(x, 216)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * x.nbytes
 
     @pytest.mark.parametrize("n", [65_535, 66_000])
     def test_record_past_uint16_ranks(self, n):
