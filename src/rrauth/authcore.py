@@ -18,12 +18,8 @@ stay JSON values. Binary arrays round-trip exactly, and a DB loads 3-4x and
 writes 6-8x faster than with JSON's decimal floats, in half the bytes.
 The `frontend` id names the baseline removal, detector and framing that cut
 the enrolment frames; a file from another front end is refused, because its
-curves would be compared with frames cut another way.
-
-Version 2, the same document with the arrays as JSON lists of numbers and
-no `frontend` (it reads as today's front end), still loads. A version-1
-file, which stored each entity's regression tree instead of its curve, is
-refused, and its entities are re-enrolled from their records.
+curves would be compared with frames cut another way. A file of any other
+version is refused too, and its entities are re-enrolled from their records.
 """
 
 from __future__ import annotations
@@ -108,6 +104,8 @@ class QualityStats:
             raise ValueError(f"need >= 2 MSE values, got {mses.size}")
         if not np.all(mses >= 0):
             raise ValueError("MSE values must be >= 0")
+        if not np.isfinite(mses).all():
+            raise ValueError("MSE values must be finite")
         mses.flags.writeable = False
         mean, std = float(mses.mean()), float(mses.std(ddof=1))
         return cls(mses=mses, mean=mean, std=std, ucl=mean + 3.0 * std)
@@ -351,16 +349,8 @@ def save_db(db: ReferenceDb, path) -> None:
         fh.write(db_to_json(db))
 
 
-def _list_array(value, what: str) -> np.ndarray:
-    """A version-2 array: a flat JSON list of numbers."""
-    arr = np.asarray(value)
-    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise DbFormatError(f"{what} must be a flat list of numbers")
-    return arr.astype(float)
-
-
 def _b64_array(value, what: str) -> np.ndarray:
-    """A version-3 array: base64 of little-endian float64 values.
+    """A stored array: base64 of little-endian float64 values.
 
     `a2b_base64` skips characters outside the alphabet, so the text must be
     exactly what `_b64` writes for the bytes it decodes to.
@@ -375,9 +365,6 @@ def _b64_array(value, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(float)
 
 
-_ARRAY_DECODERS = {"2": _list_array, "3": _b64_array}
-
-
 def _stat(value, what: str) -> float:
     """A finite, non-negative JSON number (every stored statistic is one)."""
     if type(value) not in (int, float) or not 0.0 <= value < math.inf:
@@ -385,11 +372,11 @@ def _stat(value, what: str) -> float:
     return float(value)
 
 
-def _entry_from_doc(entity_id: str, e: dict, frame_len: int, decode) -> ReferenceEntry:
+def _entry_from_doc(entity_id: str, e: dict, frame_len: int) -> ReferenceEntry:
     what = f"entity {entity_id!r}"
 
     def finite(value, name: str) -> np.ndarray:
-        arr = decode(value, f"{what} {name}")
+        arr = _b64_array(value, f"{what} {name}")
         if not np.isfinite(arr).all():
             raise DbFormatError(f"{what} {name} must be finite")
         arr.flags.writeable = False
@@ -413,15 +400,13 @@ def _entry_from_doc(entity_id: str, e: dict, frame_len: int, decode) -> Referenc
 
 
 def load_db(path) -> ReferenceDb:
-    """Read a version-3 or version-2 database; any defect is a DbFormatError.
+    """Read a version-3 database; any defect is a DbFormatError.
 
-    Version 3 (what `save_db` writes) holds each entity's `curve` and
+    The file (what `save_db` writes) holds each entity's `curve` and
     `stats.mses` as base64 of little-endian float64, and names its front end,
-    which must be `FRONTEND`. Version 2 holds them as JSON lists and reads
-    as today's front end. Every array must be finite, each curve
+    which must be `FRONTEND`. Every array must be finite, each curve
     `frame_len` long, and each entity needs >= 2 MSEs, all >= 0. Any other
-    version, version 1 included, or another front end is refused: re-enrol
-    from the records.
+    version or front end is refused: re-enrol from the records.
     """
     try:
         with open(str(path), "r", encoding="utf-8") as fh:
@@ -434,20 +419,19 @@ def load_db(path) -> ReferenceDb:
         if doc.get("format") != DB_FORMAT:
             raise DbFormatError("not a reference database file")
         version = doc["version"]
-        if version not in ("2", "3"):
+        if version != DB_VERSION:
             raise DbFormatError(f"version {version!r} unsupported "
-                                f"(expected '2' or '3'); re-enrol from the records")
-        frontend = doc.get("frontend") if version == "3" else FRONTEND
+                                f"(expected {DB_VERSION!r}); re-enrol from the records")
+        frontend = doc.get("frontend")
         if frontend != FRONTEND:
             raise DbFormatError(f"front end {frontend!r} unsupported "
                                 f"(expected {FRONTEND!r}); re-enrol from the records")
         frame_len = doc["frame_len"]
         if type(frame_len) is not int or frame_len < 2:
             raise DbFormatError(f"frame_len must be an integer >= 2, got {frame_len!r}")
-        decode = _ARRAY_DECODERS[version]
         db = ReferenceDb(frame_len=frame_len)
         for entity_id, e in doc["entities"].items():
-            db.entries[entity_id] = _entry_from_doc(entity_id, e, frame_len, decode)
+            db.entries[entity_id] = _entry_from_doc(entity_id, e, frame_len)
     except DbFormatError as exc:
         raise DbFormatError(f"{path}: {exc}") from None
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:

@@ -49,7 +49,7 @@ class PeakList:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.array(self.indices, dtype=int)  # a copy, made read-only
         if idx.ndim != 1:
             raise ValueError("peak indices must be one-dimensional")
         if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):

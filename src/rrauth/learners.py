@@ -214,32 +214,12 @@ def predict_dt(model: DtModel, x) -> float:
 
 
 def predict_curve(model: DtModel, length: int) -> np.ndarray:
-    """Predictions at scalar positions 0..length-1 (position-only models).
-
-    One walk over the tree hands each node a range of positions. Integer
-    position p goes left iff p <= threshold, i.e. p < floor(threshold) + 1,
-    so a split cuts its range there (clamped to the range; a NaN threshold
-    sends every position right, as the comparison does) and each leaf
-    fills its range with its mean: the values `predict_dt` gives per position.
-    """
+    """`predict_dt` at each scalar position 0..length-1 (position-only models)."""
     if model.n_features != 1:
         raise ValueError("predict_curve requires a single-feature model")
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    curve = np.empty(length)
-    stack = [(model.root, 0, length)]
-    while stack:
-        node, lo, hi = stack.pop()
-        if lo >= hi:
-            continue
-        if isinstance(node, DtLeaf):
-            curve[lo:hi] = node.mean
-            continue
-        th = node.threshold
-        cut = lo if not th >= lo else hi if th >= hi else math.floor(th) + 1
-        stack.append((node.left, lo, cut))
-        stack.append((node.right, cut, hi))
-    return curve
+    return np.array([predict_dt(model, p) for p in range(length)], dtype=float)
 
 
 # ---------------------------------------------------------------------------

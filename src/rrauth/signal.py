@@ -627,16 +627,20 @@ def synth_ecg(profile: SubjectProfile, duration_s: float, fs: float) -> tuple[Ec
     if not 100.0 <= fs < math.inf:
         raise ValueError(f"fs must be finite and >= 100 Hz, got {fs}")
 
-    rng = np.random.default_rng(profile.seed)
     # enough beats to cover the window even at maximal negative jitter
     min_factor = max(0.05, 1.0 - 3.0 * profile.rr_jitter)
-    max_beats = int(math.ceil(duration_s / (rr_mean * min_factor))) + 2
+    beats, samples = duration_s / (rr_mean * min_factor), duration_s * fs
+    if not (beats < math.inf and samples < math.inf):
+        raise ValueError(f"{duration_s}s at {fs} Hz gives a non-finite sample or beat count")
+
+    rng = np.random.default_rng(profile.seed)
+    max_beats = int(math.ceil(beats)) + 2
     g = np.clip(rng.standard_normal(max_beats), -3.0, 3.0)
     rr = rr_mean * (1.0 + profile.rr_jitter * g)
     rr = np.maximum(rr, 0.05 * rr_mean)  # keep intervals positive at extreme jitter
     starts = np.concatenate([[0.0], np.cumsum(rr)])
 
-    n = int(round(duration_s * fs))
+    n = int(round(samples))
     times = np.arange(n) / fs
     beat = np.searchsorted(starts, times, side="right") - 1
     u = (times - starts[beat]) / rr[beat]

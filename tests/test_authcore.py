@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,13 @@ class TestComputeUcl:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="MSE values must be >= 0"):
             QualityStats.from_mses([math.nan, 1.0])
+
+    def test_inf_rejected(self):
+        # load_db refuses non-finite MSEs, so enrolment does too, before any arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="MSE values must be finite"):
+                QualityStats.from_mses([math.inf, 1.0])
 
     def test_quality_stats_fields(self):
         qs = QualityStats.from_mses([1.0, 2.0, 3.0])
@@ -393,7 +401,15 @@ class TestPersistence:
         path = tmp_path / "db.json"
         path.write_text(json.dumps(V1_DOC), encoding="utf-8")
         with pytest.raises(DbFormatError, match=r"version '1' unsupported "
-                                                r"\(expected '2' or '3'\); re-enrol"):
+                                                r"\(expected '3'\); re-enrol"):
+            load_db(path)
+
+    def test_v2_db_refused(self, small_db, tmp_path):
+        # the retired layout: arrays as JSON lists and no front end
+        path = tmp_path / "v2.json"
+        _write_doc(path, _v2_doc(small_db))
+        with pytest.raises(DbFormatError, match=r"version '2' unsupported "
+                                                r"\(expected '3'\); re-enrol from the records$"):
             load_db(path)
 
     def test_v3_layout(self, small_db):
@@ -419,15 +435,6 @@ class TestPersistence:
                                                 r".*; re-enrol from the records"):
             load_db(tmp_path / "db.json")
 
-    def test_v2_document_loads_and_resaves_as_v3(self, small_db, tmp_path):
-        path = tmp_path / "v2.json"
-        _write_doc(path, _v2_doc(small_db))
-        loaded = load_db(path)
-        assert_same_entries(loaded, small_db)
-        assert db_to_json(loaded) == db_to_json(small_db)
-        save_db(loaded, path)
-        assert _saved_doc(load_db(path))["version"] == "3"
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), frame_len=st.integers(2, 40), n_mses=st.integers(2, 40))
     def test_round_trip_is_exact(self, tmp_path_factory, data, frame_len, n_mses):
@@ -448,14 +455,14 @@ class TestPersistence:
 
     def test_corrupted_structure(self, tmp_path):
         path = tmp_path / "db.json"
-        path.write_text('{"format": "rrauth-reference-db", "version": "2"}',
-                        encoding="utf-8")
+        path.write_text('{"format": "rrauth-reference-db", "version": "3", '
+                        '"frontend": "rrauth-frontend-1"}', encoding="utf-8")
         with pytest.raises(DbFormatError, match="corrupted database structure"):
             load_db(path)
 
     def test_other_format_refused(self, tmp_path):
         path = tmp_path / "db.json"
-        path.write_text('{"format": "something-else", "version": "2"}', encoding="utf-8")
+        path.write_text('{"format": "something-else", "version": "3"}', encoding="utf-8")
         with pytest.raises(DbFormatError, match="not a reference database file"):
             load_db(path)
 
@@ -471,7 +478,7 @@ def _saved_doc(db) -> dict:
 
 
 def _v2_doc(db) -> dict:
-    """The version-2 document of a DB: arrays as JSON lists, no front end."""
+    """The retired version-2 document of a DB: arrays as JSON lists, no front end."""
     doc = _saved_doc(db)
     doc["version"] = "2"
     del doc["frontend"]
@@ -525,7 +532,7 @@ class TestLoadValidation:
     @given(st.data())
     def test_one_mutated_leaf_loads_or_raises_db_error(self, small_db, tmp_path_factory,
                                                        data):
-        doc = data.draw(st.sampled_from([_saved_doc, _v2_doc]))(small_db)
+        doc = _saved_doc(small_db)
         path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
         parent = doc
         for key in path[:-1]:
@@ -553,13 +560,11 @@ class TestLoadValidation:
         lambda e: e["stats"].update(mses=["a", "b"]),
         lambda e: e["stats"].update(ucl="0.001"),
         lambda e: e["stats"].update(ucl=math.nan),
-        lambda e: e.update(curve=[math.nan] + e["curve"][1:]),
-        lambda e: e.update(curve=[[v] for v in e["curve"]]),
+        lambda e: e.update(curve=[[0.0]] * 220),
         lambda e: e.update(enrolled_at=0),
-    ], ids=["string mses", "string ucl", "nan ucl", "nan curve", "nested curve",
-            "number enrolled_at"])
+    ], ids=["string mses", "string ucl", "nan ucl", "nested curve", "number enrolled_at"])
     def test_bad_entity_field(self, small_db, tmp_path, mutate):
-        doc = _v2_doc(small_db)
+        doc = _saved_doc(small_db)
         mutate(doc["entities"]["e01"])
         _write_doc(tmp_path / "db.json", doc)
         with pytest.raises(DbFormatError, match="entity 'e01'"):

@@ -81,6 +81,14 @@ class TestPeakList:
         with pytest.raises(ValueError, match="one-dimensional"):
             PeakList(np.array([[1, 5]]))
 
+    def test_copies_the_callers_array(self):
+        a = np.array([1, 5, 9])
+        p = PeakList(a)
+        assert a.flags.writeable and p.indices is not a
+        assert not p.indices.flags.writeable
+        a[0] = 7
+        assert p.indices.tolist() == [1, 5, 9]
+
 
 class TestFrameRr:
     def test_count_and_length(self):

@@ -728,3 +728,85 @@ class TestRefusedCommandPrintsNothing:
         assert captured.out == ""
         if before is not None:
             assert db.read_bytes() == before
+
+
+class TestV2DbRefused:
+    """A version-2 DB (arrays as JSON lists, no front end) is refused like a
+    version-1 one; enroll leaves the file as it was."""
+
+    @pytest.mark.parametrize("command", ["auth", "enroll"])
+    def test_exits_1_with_re_enrol_message(self, command, cohort_dir, db_path, tmp_path,
+                                          capsys):
+        doc = json.loads(db_path.read_text(encoding="utf-8"))
+        doc["version"] = "2"
+        del doc["frontend"]
+        db = tmp_path / "v2.json"
+        db.write_text(json.dumps(doc), encoding="utf-8")
+        before = db.read_bytes()
+        args = ["--input", str(cohort_dir / "e03.csv")]
+        if command == "enroll":
+            args += ["--id", "x03"]
+        assert main([command, "--db", str(db), *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.rstrip().endswith(
+            "version '2' unsupported (expected '3'); re-enrol from the records")
+        assert captured.out == ""
+        assert db.read_bytes() == before
+
+
+def _float_flags():
+    """(command, flag) for every option of every command that parses a float."""
+    sub = build_parser()._subparsers._group_actions[0]
+    return [(command, action.option_strings[-1])
+            for command, p in sub.choices.items()
+            for action in p._actions if action.type is float]
+
+
+@pytest.fixture(scope="module")
+def tiny_cohort(tmp_path_factory):
+    """2 enrolled and 1 unknown subject, enrolled into one DB."""
+    out = tmp_path_factory.mktemp("tiny") / "c"
+    assert main(["gen", "--out", str(out), "--enrolled", "2", "--unknown", "1"]) == 0
+    assert main(["enroll", "--db", str(out / "db.json"),
+                 "--manifest", str(out / "manifest.json")]) == 0
+    return out
+
+
+class TestFloatFlagGrid:
+    """Every float flag, at each edge value, exits 0 or 1 without an exception;
+    a refusal prints nothing on stdout and creates no output or DB."""
+
+    def test_grid_covers_every_command_with_a_float_flag(self):
+        assert {command for command, _ in _float_flags()} == \
+            {"gen", "enroll", "auth", "eval", "sweep", "bench", "rank"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.0", "-0.0", "-1",
+                                       "5e-324", "1e308", "1.7e308"])
+    @pytest.mark.parametrize("command,flag", _float_flags(),
+                             ids=lambda x: x.lstrip("-"))
+    def test_exit_0_or_1(self, command, flag, value, tiny_cohort, tmp_path, capsys):
+        capsys.readouterr()
+        manifest = str(tiny_cohort / "manifest.json")
+        record = str(tiny_cohort / "e01.csv")
+        db, out = str(tiny_cohort / "db.json"), tmp_path / "out"
+        new_db = tmp_path / "new.json"
+        argv = {
+            "gen": ["--enrolled", "2", "--unknown", "1"],
+            "enroll": ["--db", str(new_db), "--manifest", manifest],
+            "auth": ["--db", db, "--input", record, "--offset-s", "50"],
+            "eval": ["--db", db, "--manifest", manifest, "--trials", "10"],
+            "sweep": ["--db", db, "--manifest", manifest, "--trials", "10",
+                      "--grid-points", "3"],
+            "bench": ["--input", record, "--limit", "200", "--svr-max-sweeps", "5"],
+            "rank": ["--manifest", manifest],
+        }[command]
+        if command not in ("enroll", "auth"):
+            argv += ["--out", str(out)]
+        # the last occurrence wins; `=` keeps "-inf" from reading as a flag
+        rc = main([command, *argv, f"{flag}={value}"])
+        assert rc in (0, 1)
+        if rc == 1:
+            captured = capsys.readouterr()
+            assert f"{command}: error: " in captured.err
+            assert captured.out == ""
+            assert not out.exists() and not new_db.exists()

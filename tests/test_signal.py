@@ -591,6 +591,13 @@ class TestSynth:
         with pytest.raises(ValueError, match="must be finite"):
             synth_ecg(quiet_profile(), duration_s, fs)
 
+    @pytest.mark.parametrize("duration_s,fs", [(10.0, 1e308), (1e308, 360.0),
+                                               (1.7e308, 360.0)])
+    def test_count_overflow_is_value_error(self, duration_s, fs):
+        # finite values whose sample or beat count is not: refused before any draw
+        with pytest.raises(ValueError, match="non-finite sample or beat count"):
+            synth_ecg(quiet_profile(), duration_s, fs)
+
     def test_nan_separation(self):
         with pytest.raises(ValueError, match="NaN"):
             cohort_profiles(2, seed=0, min_separation_mse=math.nan)
