@@ -560,9 +560,12 @@ class TestLoadValidation:
         lambda e: e["stats"].update(mses=["a", "b"]),
         lambda e: e["stats"].update(ucl="0.001"),
         lambda e: e["stats"].update(ucl=math.nan),
+        lambda e: e.update(curve=_b64(np.r_[math.nan, np.frombuffer(
+            base64.b64decode(e["curve"]), dtype="<f8")[1:]])),
         lambda e: e.update(curve=[[0.0]] * 220),
         lambda e: e.update(enrolled_at=0),
-    ], ids=["string mses", "string ucl", "nan ucl", "nested curve", "number enrolled_at"])
+    ], ids=["string mses", "string ucl", "nan ucl", "nan curve", "nested curve",
+            "number enrolled_at"])
     def test_bad_entity_field(self, small_db, tmp_path, mutate):
         doc = _saved_doc(small_db)
         mutate(doc["entities"]["e01"])
