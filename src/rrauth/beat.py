@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rrauth.signal import DEFAULT_FRAME_LEN, EcgRecord
+from rrauth.signal import DEFAULT_FRAME_LEN, MAX_POINTS, EcgRecord
 
 REFRACTORY_S = 0.25  # minimum R-to-R gap
 THRESH_FRAC = 0.4  # candidate threshold, as a fraction of the rolling energy maximum
@@ -223,6 +223,8 @@ def frame_rr(record: EcgRecord, peaks: PeakList,
     """
     if frame_len < 2:
         raise ValueError(f"frame_len must be >= 2, got {frame_len}")
+    if frame_len > MAX_POINTS:
+        raise ValueError(f"frame_len must be <= {MAX_POINTS}, got {frame_len}")
     idx = peaks.indices
     x = record.samples
     if idx.size and idx[-1] >= x.size:

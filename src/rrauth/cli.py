@@ -256,6 +256,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid bounds must be finite, got {spec!r}")
     if steps < 1:
         raise ValueError(f"grid needs >= 1 step, got {steps}")
+    if steps > ecgsig.MAX_POINTS:
+        raise ValueError(f"grid needs <= {ecgsig.MAX_POINTS} steps, got {steps}")
     if steps > 1 and hi <= lo:
         raise ValueError(f"grid needs hi > lo, got {spec!r}")
     return np.linspace(lo, hi, steps)

@@ -19,6 +19,7 @@ import numpy as np
 from rrauth.authcore import (DEFAULT_APR_MIN, DEFAULT_ID_MARGIN,
                              DEFAULT_TEST_WINDOW_S, KNOWN, REJECTED,
                              AuthDecision, ReferenceDb, decide, score_frames)
+from rrauth.signal import MAX_POINTS
 
 __all__ = [
     "ConfusionMatrix",
@@ -225,6 +226,8 @@ def auto_grid(db: ReferenceDb, points: int = 40) -> np.ndarray:
     median_ucl = db.median_ucl()
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
+    if points > MAX_POINTS:
+        raise ValueError(f"points must be <= {MAX_POINTS}, got {points}")
     return np.linspace(0.5 * median_ucl, 3.0 * median_ucl, points)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rrauth.beat import FrameSet
+from rrauth.signal import MAX_POINTS
 
 __all__ = [
     "Histogram",
@@ -51,6 +52,8 @@ class MiRanking:
 
 
 def _bin_edges(values: np.ndarray, bins: int) -> np.ndarray:
+    if bins >= MAX_POINTS:
+        raise ValueError(f"bins must be < {MAX_POINTS}, got {bins}")
     lo = float(values.min())
     hi = float(values.max())
     if lo == hi:

@@ -22,7 +22,9 @@ predict with one Gaussian kernel. They build their Gram matrix over
 the distinct rows of X only: duplicate rows have identical kernel rows, so
 `rrauth bench`'s 2000 (position, amplitude) pairs need a 220 x 220 kernel,
 not 2000 x 2000. Batch prediction likewise evaluates each distinct query
-row once.
+row once. The kernel is built in two buffers of its full size, by the same
+operations in the same order as the one-line expression, so fits and
+predictions are byte-equal to that expression's.
 """
 
 from __future__ import annotations
@@ -165,11 +167,16 @@ def _as_matrix(X) -> np.ndarray:
 
 
 def check_kernel_params(C: float, kernel_scale: float, epsilon: float | None = None) -> None:
-    """The kernel machines' parameter rule: C and kernel_scale > 0 and, when
-    given, epsilon finite and >= 0. Each test is written so that NaN fails it."""
+    """The kernel machines' parameter rule: C and kernel_scale > 0, the
+    kernel's divisor 2 kernel_scale^2 > 0 too (a scale below ~1.1e-162
+    squares to 0), and, when given, epsilon finite and >= 0. Each test is
+    written so that NaN fails it."""
     for name, value in (("C", C), ("kernel_scale", kernel_scale)):
         if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value}")
+    if not 2.0 * kernel_scale * kernel_scale > 0:
+        raise ValueError(f"kernel_scale must be large enough that 2 * kernel_scale**2 "
+                         f"> 0, got {kernel_scale}")
     if epsilon is not None and not 0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
@@ -251,12 +258,26 @@ class KernelModel:
 
 
 def _kernel(A: np.ndarray, B: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-||a - b||^2 / (2 scale^2)) for every row a of A and b of B."""
+    """exp(-||a - b||^2 / (2 scale^2)) for every row a of A and b of B.
+
+    Evaluated as exp(-max(|a|^2 + |b|^2 - 2 (a.b), 0) / (2 scale^2)) in two
+    (rows of A) x (rows of B) buffers: the doubled product is subtracted in
+    place from the outer sum of squared norms and dropped, and the clamp,
+    negation, division and exp then run in place on the one buffer left.
+    The operations and their order are those of the expression, so every
+    value, and with it every fit and prediction, is the same to the bit.
+    """
     sq_a = np.sum(A * A, axis=1)
     sq_b = np.sum(B * B, axis=1)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T)
+    d2 = sq_a[:, None] + sq_b[None, :]
+    ab = A @ B.T
+    ab *= 2.0
+    d2 -= ab
+    del ab
     np.maximum(d2, 0.0, out=d2)
-    return np.exp(-d2 / (2.0 * scale * scale))
+    np.negative(d2, out=d2)
+    d2 /= 2.0 * scale * scale
+    return np.exp(d2, out=d2)
 
 
 def _gram(X: np.ndarray, scale: float) -> np.ndarray:
@@ -393,6 +414,11 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
     if epsilon is None:
         epsilon = auto_epsilon(y)
     check_kernel_params(C, kernel_scale, epsilon)
+    # the solver's differences of c = (y - epsilon, -y - epsilon) reach this span
+    top = float(np.max(np.abs(y)))
+    if not math.isfinite(2.0 * (top + float(epsilon))):
+        raise ValueError(f"epsilon {epsilon} with targets up to |y| = {top} gives a "
+                         f"non-finite tube span 2 * (max|y| + epsilon)")
 
     n = y.size
     U, inv = np.unique(X, axis=0, return_inverse=True)

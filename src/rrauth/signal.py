@@ -91,6 +91,9 @@ WAVE_NAMES = ("P", "Q", "R", "S", "T")
 BASELINE_WINDOW_S = 0.6  # moving-median window of the baseline removal
 _MEDIAN_BLOCK = 8192  # windows per block of the moving median: its sorts stay small
 DEFAULT_FRAME_LEN = 220  # samples per RR frame
+# the most float64 values one array can hold: a larger count of points is
+# refused up front, since np.linspace fails on one near 2**63 with an IndexError
+MAX_POINTS = np.iinfo(np.intp).max // 8
 _EXP_ZERO_BELOW = -746.0  # e**-746 < 2**-1075, so exp is exactly +0.0 below it
 _TEMPLATE_BATCH = 64  # most candidate templates `cohort_profiles` builds per `_bump_sum` call
 
@@ -141,6 +144,7 @@ _MARKS = _MARKS.reshape(-1, _ROW)
 
 __all__ = [
     "DEFAULT_FRAME_LEN",
+    "MAX_POINTS",
     "CsvFormatError",
     "EcgRecord",
     "Wave",

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -487,6 +488,8 @@ class TestOffsetAndGridBounds:
         ("0.001:0.01:1.5", "grid spec must be lo:hi:steps"),
         ("0.0001:inf:3", "grid bounds must be finite"),
         ("0.001:0.01:0", "grid needs >= 1 step, got 0"),
+        ("0.001:0.01:9223372036854775807", "grid needs <= "),
+        ("0.001:0.01:" + "9" * 30, "grid needs <= "),
         ("0.01:0.001:3", "grid needs hi > lo"),
         ("0.01:0.01:2", "grid needs hi > lo"),
     ])
@@ -754,12 +757,20 @@ class TestV2DbRefused:
         assert db.read_bytes() == before
 
 
-def _float_flags():
-    """(command, flag) for every option of every command that parses a float."""
+def _flags_of_type(kind):
+    """(command, flag) for every option of every command that parses `kind`."""
     sub = build_parser()._subparsers._group_actions[0]
     return [(command, action.option_strings[-1])
             for command, p in sub.choices.items()
-            for action in p._actions if action.type is float]
+            for action in p._actions if action.type is kind]
+
+
+def _float_flags():
+    return _flags_of_type(float)
+
+
+def _int_flags():
+    return _flags_of_type(int)
 
 
 @pytest.fixture(scope="module")
@@ -772,9 +783,52 @@ def tiny_cohort(tmp_path_factory):
     return out
 
 
+def run_flag_on_tiny_cohort(command, flag, value, cohort, tmp_path, capsys):
+    """Run `command` on the tiny cohort with `flag` set to `value` and hold it
+    to the grid's rule: exit 0 or 1 with no exception and no RuntimeWarning;
+    on exit 1, `<command>: error:` on stderr, nothing on stdout and no
+    `--out` directory, `--dump` file or new `--db` file. Returns (rc, stderr)."""
+    capsys.readouterr()
+    manifest = str(cohort / "manifest.json")
+    record = str(cohort / "e01.csv")
+    db, out = str(cohort / "db.json"), tmp_path / "out"
+    new_db, dump = tmp_path / "new.json", tmp_path / "f.csv"
+    argv = {
+        "gen": ["--enrolled", "2", "--unknown", "1"],
+        "frames": ["--input", record, "--dump", str(dump)],
+        "enroll": ["--db", str(new_db), "--manifest", manifest],
+        "auth": ["--db", db, "--input", record, "--offset-s", "50"],
+        "eval": ["--db", db, "--manifest", manifest, "--trials", "10"],
+        "sweep": ["--db", db, "--manifest", manifest, "--trials", "10",
+                  "--grid-points", "3"],
+        "bench": ["--input", record, "--limit", "200", "--svr-max-sweeps", "5"],
+        "rank": ["--manifest", manifest],
+    }[command]
+    if command not in ("enroll", "auth", "frames"):
+        argv += ["--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # the last occurrence wins; `=` keeps "-inf" from reading as a flag
+        rc = main([command, *argv, f"{flag}={value}"])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert rc in (0, 1)
+    captured = capsys.readouterr()
+    if rc == 1:
+        assert f"{command}: error: " in captured.err
+        assert captured.out == ""
+        assert not (out.exists() or new_db.exists() or dump.exists())
+    return rc, captured.err
+
+
 class TestFloatFlagGrid:
     """Every float flag, at each edge value, exits 0 or 1 without an exception;
     a refusal prints nothing on stdout and creates no output or DB."""
+
+    REFUSED = {
+        ("--kernel-scale", "5e-324"): "kernel_scale must be large enough",
+        ("--svr-epsilon", "1e308"): "epsilon 1e+308 with targets up to",
+        ("--svr-epsilon", "1.7e308"): "epsilon 1.7e+308 with targets up to",
+    }
 
     def test_grid_covers_every_command_with_a_float_flag(self):
         assert {command for command, _ in _float_flags()} == \
@@ -785,28 +839,40 @@ class TestFloatFlagGrid:
     @pytest.mark.parametrize("command,flag", _float_flags(),
                              ids=lambda x: x.lstrip("-"))
     def test_exit_0_or_1(self, command, flag, value, tiny_cohort, tmp_path, capsys):
-        capsys.readouterr()
-        manifest = str(tiny_cohort / "manifest.json")
-        record = str(tiny_cohort / "e01.csv")
-        db, out = str(tiny_cohort / "db.json"), tmp_path / "out"
-        new_db = tmp_path / "new.json"
-        argv = {
-            "gen": ["--enrolled", "2", "--unknown", "1"],
-            "enroll": ["--db", str(new_db), "--manifest", manifest],
-            "auth": ["--db", db, "--input", record, "--offset-s", "50"],
-            "eval": ["--db", db, "--manifest", manifest, "--trials", "10"],
-            "sweep": ["--db", db, "--manifest", manifest, "--trials", "10",
-                      "--grid-points", "3"],
-            "bench": ["--input", record, "--limit", "200", "--svr-max-sweeps", "5"],
-            "rank": ["--manifest", manifest],
-        }[command]
-        if command not in ("enroll", "auth"):
-            argv += ["--out", str(out)]
-        # the last occurrence wins; `=` keeps "-inf" from reading as a flag
-        rc = main([command, *argv, f"{flag}={value}"])
-        assert rc in (0, 1)
-        if rc == 1:
-            captured = capsys.readouterr()
-            assert f"{command}: error: " in captured.err
-            assert captured.out == ""
-            assert not out.exists() and not new_db.exists()
+        rc, err = run_flag_on_tiny_cohort(command, flag, value, tiny_cohort, tmp_path,
+                                          capsys)
+        if command == "bench" and (flag, value) in self.REFUSED:
+            assert rc == 1
+            assert self.REFUSED[flag, value] in err
+
+
+class TestIntFlagGrid:
+    """Every int flag, at -1, 0, 1 and 2**63 - 1, is held to the float grid's
+    rule. Counts near 2**31 stay out: under overcommit they can allocate
+    gigabytes."""
+
+    def test_grid_covers_every_command_with_an_int_flag(self):
+        assert {command for command, _ in _int_flags()} == \
+            {"gen", "frames", "enroll", "eval", "sweep", "bench", "rank"}
+
+    @pytest.mark.parametrize("value", ["-1", "0", "1", str(2**63 - 1)])
+    @pytest.mark.parametrize("command,flag", _int_flags(),
+                             ids=lambda x: x.lstrip("-"))
+    def test_exit_0_or_1(self, command, flag, value, tiny_cohort, tmp_path, capsys):
+        run_flag_on_tiny_cohort(command, flag, value, tiny_cohort, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command,flag,message", [
+        ("sweep", "--grid-points", "points must be <= "),
+        ("frames", "--frame-len", "frame_len must be <= "),
+        ("enroll", "--frame-len", "frame_len must be <= "),
+        ("bench", "--frame-len", "frame_len must be <= "),
+        ("rank", "--frame-len", "frame_len must be <= "),
+        ("rank", "--bins", "bins must be < "),
+    ])
+    def test_count_past_any_array_is_refused(self, command, flag, message, tiny_cohort,
+                                             tmp_path, capsys):
+        # np.linspace fails on these with an IndexError
+        rc, err = run_flag_on_tiny_cohort(command, flag, str(2**63 - 1), tiny_cohort,
+                                          tmp_path, capsys)
+        assert rc == 1
+        assert message in err

@@ -1,4 +1,7 @@
 import math
+import re
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,9 +11,9 @@ from hypothesis import strategies as st
 
 from rrauth import learners
 from rrauth.cli import _training_pairs
-from rrauth.learners import (DtLeaf, DtModel, DtParams, DtSplit, FitReport, auto_epsilon,
-                             fit_report, kernel_predict_batch, predict_curve, predict_dt,
-                             train_dt, train_svm_binary, train_svr)
+from rrauth.learners import (DtLeaf, DtModel, DtParams, DtSplit, FitReport, KernelModel,
+                             auto_epsilon, fit_report, kernel_predict_batch, predict_curve,
+                             predict_dt, train_dt, train_svm_binary, train_svr)
 
 from conftest import brute_force_best_split, count_leaves, gaussian_kernel, kernel_predict
 
@@ -481,6 +484,49 @@ class TestKernel:
                 assert abs(K[i, j] - gaussian_kernel(X[i], X[j], 0.35)) <= 1e-12
 
 
+def kernel_expression(A, B, s):
+    """The kernel as one expression, each step in a fresh array."""
+    sq_a, sq_b = np.sum(A * A, axis=1), np.sum(B * B, axis=1)
+    return np.exp(-np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T), 0.0)
+                  / (2.0 * s * s))
+
+
+class TestKernelInPlace:
+    """`_kernel` evaluates the expression in two buffers, to the same bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 300),
+           st.integers(1, 3000), st.floats(0.05, 3.0))
+    def test_bytes_equal_to_the_expression(self, seed, d, na, nb, s):
+        rng = np.random.default_rng(seed)
+        # rows drawn with repeats from a small pool, so equal rows meet
+        pool = rng.normal(size=(int(rng.integers(1, 50)), d)) * rng.uniform(0.1, 5.0)
+        A = pool[rng.integers(0, pool.shape[0], size=na)]
+        B = pool[rng.integers(0, pool.shape[0], size=nb)]
+        assert learners._kernel(A, B, s).tobytes() == kernel_expression(A, B, s).tobytes()
+        expected = kernel_expression(A, A, s)
+        np.fill_diagonal(expected, 1.0)
+        assert learners._gram(A, s).tobytes() == expected.tobytes()
+
+    def test_prediction_holds_two_kernel_matrices_at_most(self):
+        """220 distinct queries against 2000 training rows, as `rrauth bench`
+        predicts: the five full-size temporaries of the expression held 3.0
+        matrices at once, the in-place kernel holds 2."""
+        rng = np.random.default_rng(21)
+        X = np.tile(np.arange(220.0), 10)[:2000].reshape(-1, 1)
+        m = KernelModel(X=X, y=np.zeros(2000), coef=rng.normal(size=2000), dual=np.zeros(4000),
+                        b=0.5, kernel_scale=0.35, C=1.0, epsilon=0.1)
+        queries = np.repeat(np.arange(220.0), 3).reshape(-1, 1)
+        tracemalloc.start()
+        try:
+            pred = kernel_predict_batch(m, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pred.shape == (660,)
+        assert peak < 2.2 * 220 * 2000 * 8
+
+
 TRAINERS = {"dt": (train_dt, 1), "svm": (train_svm_binary, 2), "svr": (train_svr, 2)}
 
 
@@ -516,6 +562,30 @@ class TestOneInputCheck:
         (name, value), = kwargs.items()
         with pytest.raises(ValueError, match=f"{name} must be > 0, got {value}"):
             TRAINERS[trainer][0](X, y, **kwargs)
+
+    @pytest.mark.parametrize("scale", [5e-324, 1.1e-162, -0.0])
+    @pytest.mark.parametrize("trainer", ["svm", "svr"])
+    def test_kernel_scale_must_square_to_positive(self, trainer, scale):
+        # 2 * 1.1e-162**2 rounds to 0, 2 * 1.2e-162**2 to the least subnormal
+        X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="kernel_scale must be"):
+            TRAINERS[trainer][0](X, y, kernel_scale=scale)
+        learners.check_kernel_params(1.0, 1.2e-162)
+
+    @pytest.mark.parametrize("epsilon", [1e308, 1.7e308, np.finfo(float).max])
+    def test_svr_epsilon_span_must_be_finite(self, epsilon):
+        X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match=re.escape(f"epsilon {epsilon} with targets up to")):
+            train_svr(X, y, epsilon=epsilon)
+
+    def test_svr_epsilon_with_finite_span_fits(self):
+        # every target lies inside the tube, so no dual moves
+        X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = train_svr(X, y, epsilon=1e307)
+        assert np.all(m.dual == 0.0) and math.isfinite(m.b)
+        assert all(math.isfinite(w) for w in m.objective_history)
 
     @pytest.mark.parametrize("epsilon", [-0.1, math.nan, math.inf])
     def test_svr_epsilon_must_be_finite_and_nonnegative(self, epsilon):
