@@ -262,8 +262,8 @@ def _kernel(A: np.ndarray, B: np.ndarray, scale: float) -> np.ndarray:
 
     Evaluated as exp(-max(|a|^2 + |b|^2 - 2 (a.b), 0) / (2 scale^2)) in two
     (rows of A) x (rows of B) buffers: the doubled product is subtracted in
-    place from the outer sum of squared norms and dropped, and the clamp,
-    negation, division and exp then run in place on the one buffer left.
+    place from the outer sum of squared norms, and the clamp, negation,
+    division and exp then run in place on that sum.
     The operations and their order are those of the expression, so every
     value, and with it every fit and prediction, is the same to the bit.
     """
@@ -273,7 +273,6 @@ def _kernel(A: np.ndarray, B: np.ndarray, scale: float) -> np.ndarray:
     ab = A @ B.T
     ab *= 2.0
     d2 -= ab
-    del ab
     np.maximum(d2, 0.0, out=d2)
     np.negative(d2, out=d2)
     d2 /= 2.0 * scale * scale
