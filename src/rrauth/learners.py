@@ -263,9 +263,9 @@ def _kernel(A: np.ndarray, B: np.ndarray, scale: float) -> np.ndarray:
     Evaluated as exp(-max(|a|^2 + |b|^2 - 2 (a.b), 0) / (2 scale^2)) in two
     (rows of A) x (rows of B) buffers: the doubled product is subtracted in
     place from the outer sum of squared norms, and the clamp, negation,
-    division and exp then run in place on that sum.
-    The operations and their order are those of the expression, so every
-    value, and with it every fit and prediction, is the same to the bit.
+    division and exp then run in place on that sum. The operations and their
+    order are those of the expression, so every value, and with it every fit
+    and prediction, is the same to the bit.
     """
     sq_a = np.sum(A * A, axis=1)
     sq_b = np.sum(B * B, axis=1)
