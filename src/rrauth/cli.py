@@ -295,7 +295,8 @@ def _training_pairs(record, frame_len, train_window_s):
 
 
 def cmd_bench(args) -> int:
-    learners.check_kernel_params(args.svr_c, args.kernel_scale, args.svr_epsilon)
+    learners.check_kernel_params(args.svr_c, args.kernel_scale, args.svr_max_sweeps,
+                                 args.svr_epsilon)
     record = ecgsig.load_csv(args.input)
     X, y = _training_pairs(record, args.frame_len, args.train_window_s)
     if X.shape[0] > args.limit:

@@ -6,7 +6,9 @@ seed, so every run is replayable. A call draws once, so a sweep is a paired
 comparison that isolates the gate threshold. Each distinct drawn record is
 decided once per distinct set of frames passing the gate, and its decision
 counts once per draw: a sweep's next gate re-decides only the records whose
-passing set it changes.
+passing set it changes. No per-trial list is built: `run_trials` returns the
+matrix and the {pool index: decision} map of the drawn records, one entry
+per distinct record.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from rrauth.signal import MAX_POINTS
 
 __all__ = [
     "ConfusionMatrix",
-    "TrialOutcome",
     "SweepPoint",
     "run_trials",
     "accuracy",
@@ -63,14 +64,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return self.accepted + self.rejected
-
-
-@dataclass(frozen=True, eq=False)
-class TrialOutcome:
-    index: int
-    pool_index: int
-    truth: str | None  # enrolled entity id, or None for an unknown subject
-    decision: AuthDecision
 
 
 @dataclass(frozen=True)
@@ -120,10 +113,10 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
     """The trial engine of `run_trials` and `sweep_ucl`.
 
     Validates `n` and the pool, scores every pool record once and draws the
-    `n` trials once. Returns the pool list, the draws and an iterator that
-    judges one gate of `grid` per step, yielding its matrix and the
-    {pool index: decision} map of the drawn records; each drawn record's
-    decision counts once per draw in its confusion cell.
+    `n` trials once. Returns an iterator that judges one gate of `grid` per
+    step, yielding its matrix and the {pool index: decision} map of the drawn
+    records; each drawn record's decision counts once per draw in its
+    confusion cell.
 
     A decision depends on the gate only through the frames that pass it:
     those whose best MSE is <= the gate. Each drawn record's best MSEs are
@@ -166,28 +159,27 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
             tally[_cell(dec, pool[pi][1])] += count
         return ConfusionMatrix(**tally), decided
 
-    return pool, draws, map(judge, grid)
+    return map(judge, grid)
 
 
 def run_trials(db: ReferenceDb, pool, n: int = 100, gate_ucl: float = 0.0,
                seed: int = 0, *,
                test_window_s: float = DEFAULT_TEST_WINDOW_S,
                apr_min: float = DEFAULT_APR_MIN,
-               id_margin: float = DEFAULT_ID_MARGIN) -> tuple[ConfusionMatrix, list[TrialOutcome]]:
+               id_margin: float = DEFAULT_ID_MARGIN) -> tuple[ConfusionMatrix, dict[int, AuthDecision]]:
     """Run n authentication trials on records drawn from the pool.
 
     The pool is a sequence of (record, truth) pairs where truth is an
     enrolled entity id or None for subjects outside the database. Draws are
     uniform with replacement from `seed`; identical inputs replay exactly.
-    The draws are made once, and each distinct drawn record is decided once:
-    the trials that draw it share one `AuthDecision`.
+    The draws are made once, and each distinct drawn record is decided once.
+    Returns the confusion matrix and the {pool index: decision} map of the
+    drawn records: one `AuthDecision` per distinct record, shared by every
+    trial that draws it, so the map never outgrows the pool. Trial t drew
+    ``np.random.default_rng(seed).integers(0, len(pool), size=n)[t]``.
     """
-    pool, draws, [(cm, decided)] = _trials(db, pool, [gate_ucl], n, seed,
-                                           test_window_s, apr_min, id_margin)
-    outcomes = [TrialOutcome(index=t, pool_index=pi, truth=pool[pi][1],
-                             decision=decided[pi])
-                for t, pi in enumerate(draws.tolist())]
-    return cm, outcomes
+    return next(_trials(db, pool, [gate_ucl], n, seed, test_window_s, apr_min,
+                        id_margin))
 
 
 def sweep_ucl(db: ReferenceDb, pool, grid, n: int = 100, seed: int = 0, *,
@@ -209,8 +201,7 @@ def sweep_ucl(db: ReferenceDb, pool, grid, n: int = 100, seed: int = 0, *,
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     grid = grid.tolist()
-    _, _, per_gate = _trials(db, pool, grid, n, seed, test_window_s, apr_min,
-                             id_margin)
+    per_gate = _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin)
     points = []
     for ucl, (cm, _) in zip(grid, per_gate):
         chi, _ = accuracy(cm)

@@ -166,17 +166,20 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def check_kernel_params(C: float, kernel_scale: float, epsilon: float | None = None) -> None:
+def check_kernel_params(C: float, kernel_scale: float, max_sweeps: int,
+                        epsilon: float | None = None) -> None:
     """The kernel machines' parameter rule: C and kernel_scale > 0, the
     kernel's divisor 2 kernel_scale^2 > 0 too (a scale below ~1.1e-162
-    squares to 0), and, when given, epsilon finite and >= 0. Each test is
-    written so that NaN fails it."""
+    squares to 0), the solver's sweep cap an integer >= 0 and, when given,
+    epsilon finite and >= 0. Each test is written so that NaN fails it."""
     for name, value in (("C", C), ("kernel_scale", kernel_scale)):
         if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value}")
     if not 2.0 * kernel_scale * kernel_scale > 0:
         raise ValueError(f"kernel_scale must be large enough that 2 * kernel_scale**2 "
                          f"> 0, got {kernel_scale}")
+    if not (isinstance(max_sweeps, (int, np.integer)) and max_sweeps >= 0):
+        raise ValueError(f"max_sweeps must be an integer >= 0, got {max_sweeps!r}")
     if epsilon is not None and not 0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
@@ -275,7 +278,8 @@ def _kernel(A: np.ndarray, B: np.ndarray, scale: float) -> np.ndarray:
     d2 -= ab
     np.maximum(d2, 0.0, out=d2)
     np.negative(d2, out=d2)
-    d2 /= 2.0 * scale * scale
+    with np.errstate(over="ignore"):  # a subnormal divisor sends d2 to -inf: exp gives 0
+        d2 /= 2.0 * scale * scale
     return np.exp(d2, out=d2)
 
 
@@ -377,7 +381,7 @@ def train_svm_binary(X, y, C: float = 1.0, kernel_scale: float = 0.35,
     is len(y) pair updates.
     """
     X, y = _training_set(X, y, 2)
-    check_kernel_params(C, kernel_scale)
+    check_kernel_params(C, kernel_scale, max_sweeps)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
     if not (np.any(y > 0) and np.any(y < 0)):
@@ -412,7 +416,7 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
     X, y = _training_set(X, y, 2)
     if epsilon is None:
         epsilon = auto_epsilon(y)
-    check_kernel_params(C, kernel_scale, epsilon)
+    check_kernel_params(C, kernel_scale, max_sweeps, epsilon)
     # the solver's differences of c = (y - epsilon, -y - epsilon) reach this span
     top = float(np.max(np.abs(y)))
     if not math.isfinite(2.0 * (top + float(epsilon))):

@@ -93,6 +93,16 @@ class TestEnroll:
         entry = enroll(db, "s", rec, allow_short=True, enrolled_at=EPOCH)
         assert entry.stats.mses.size >= 2
 
+    def test_record_of_exactly_the_window_enrols(self):
+        # the window is a floor: a record of exactly its length is long enough
+        rec, _ = synth_ecg(quiet_profile(seed=1), 20.0, 360.0)
+        entry = enroll(ReferenceDb(), "s", rec, train_window_s=rec.duration_s,
+                       enrolled_at=EPOCH)
+        assert entry.stats.mses.size >= 2
+        with pytest.raises(ValueError, match="shorter"):
+            enroll(ReferenceDb(), "s", rec,
+                   train_window_s=math.nextafter(rec.duration_s, math.inf))
+
     def test_fewer_than_two_frames_rejected(self):
         rec, _ = synth_ecg(quiet_profile(seed=3), 2.0, 360.0)
         assert len(extract_frames(rec, 50.0, 220)) == 1
@@ -330,6 +340,22 @@ class TestDecideScores:
         assert d.kind == KNOWN
         assert d.scores == column_mean_scores(mse, passing, ids)
         assert all(type(v) is float for v in d.scores.values())
+
+    def test_apr_at_apr_min_is_not_rejected(self):
+        # two of four frames pass: an APR of exactly apr_min is enough
+        mse = np.array([[0.1], [0.1], [5.0], [5.0]])
+        scored, db = FrameScores(("e1",), mse), stub_db(("e1",), 1.0)
+        d = decide(db, scored, 1.0, apr_min=0.5)
+        assert (d.kind, d.apr) == (KNOWN, 0.5)
+        assert decide(db, scored, 1.0, apr_min=math.nextafter(0.5, 1.0)).kind == REJECTED
+
+    def test_score_at_margin_times_ucl_is_known(self):
+        # 2.0 * 0.25 and the mean of three 0.5s are both exactly 0.5
+        mse = np.full((3, 1), 0.5)
+        scored, db = FrameScores(("e1",), mse), stub_db(("e1",), 0.25)
+        d = decide(db, scored, 1.0, id_margin=2.0)
+        assert (d.kind, d.entity_id, d.score) == (KNOWN, "e1", 0.5)
+        assert decide(db, scored, 1.0, id_margin=math.nextafter(2.0, 0.0)).kind == UNKNOWN
 
     def test_tie_goes_to_lower_id(self):
         rng = np.random.default_rng(3)

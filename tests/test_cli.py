@@ -286,6 +286,7 @@ class TestBench:
         ("--svr-c", "nan", "C must be > 0"),
         ("--svr-epsilon", "-1", "epsilon must be finite and >= 0"),
         ("--svr-epsilon", "inf", "epsilon must be finite and >= 0"),
+        ("--svr-max-sweeps", "-1", "max_sweeps must be an integer >= 0, got -1"),
     ])
     def test_svr_params_checked_before_the_record_is_read(self, flag, value, message,
                                                           cohort_dir, capsys):
@@ -301,6 +302,17 @@ class TestBench:
                    "--svr-max-sweeps", "0"])
         assert rc == 0
         assert "RMSE (mV)" in capsys.readouterr().out
+
+    def test_least_kernel_scale_fits_without_a_warning(self, cohort_dir, capsys):
+        # 2 * 1.2e-162**2 is the least subnormal: the kernel's division
+        # overflows to -inf, whose exp is the kernel value 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["bench", "--input", str(cohort_dir / "e01.csv"), "--limit", "300",
+                       "--kernel-scale", "1.2e-162"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "RMSE (mV)" in captured.out and captured.err == ""
 
     def test_record_without_frames(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
@@ -843,26 +855,28 @@ class TestIntFlagGrid:
     rule. Counts near 2**31 stay out: under overcommit they can allocate
     gigabytes."""
 
-    # np.linspace fails on these with an IndexError
+    # np.linspace fails on the 2**63 - 1 counts with an IndexError
+    HUGE = str(2**63 - 1)
     REFUSED = {
-        ("sweep", "--grid-points"): "points must be <= ",
-        ("frames", "--frame-len"): "frame_len must be <= ",
-        ("enroll", "--frame-len"): "frame_len must be <= ",
-        ("bench", "--frame-len"): "frame_len must be <= ",
-        ("rank", "--frame-len"): "frame_len must be <= ",
-        ("rank", "--bins"): "bins must be < ",
+        ("sweep", "--grid-points", HUGE): "points must be <= ",
+        ("frames", "--frame-len", HUGE): "frame_len must be <= ",
+        ("enroll", "--frame-len", HUGE): "frame_len must be <= ",
+        ("bench", "--frame-len", HUGE): "frame_len must be <= ",
+        ("rank", "--frame-len", HUGE): "frame_len must be <= ",
+        ("rank", "--bins", HUGE): "bins must be < ",
+        ("bench", "--svr-max-sweeps", "-1"): "max_sweeps must be an integer >= 0, got -1",
     }
 
     def test_grid_covers_every_command_with_an_int_flag(self):
         assert {command for command, _ in _flags_of_type(int)} == \
             {"gen", "frames", "enroll", "eval", "sweep", "bench", "rank"}
 
-    @pytest.mark.parametrize("value", ["-1", "0", "1", str(2**63 - 1)])
+    @pytest.mark.parametrize("value", ["-1", "0", "1", HUGE])
     @pytest.mark.parametrize("command,flag", _flags_of_type(int),
                              ids=lambda x: x.lstrip("-"))
     def test_exit_0_or_1(self, command, flag, value, tiny_cohort, tmp_path, capsys):
         rc, err = run_flag_on_tiny_cohort(command, flag, value, tiny_cohort, tmp_path,
                                           capsys)
-        if value == str(2**63 - 1) and (command, flag) in self.REFUSED:
+        if (command, flag, value) in self.REFUSED:
             assert rc == 1
-            assert self.REFUSED[command, flag] in err
+            assert self.REFUSED[command, flag, value] in err

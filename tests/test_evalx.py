@@ -93,28 +93,43 @@ class TestOverallPerformance:
             assert 0.0 <= op <= min(accepted / total, chi) + 1e-12
 
 
+def drawn_indices(seed, pool_size, n):
+    """The pool index each of the n trials draws, in trial order."""
+    return np.random.default_rng(seed).integers(0, pool_size, size=n).tolist()
+
+
 class TestRunTrials:
     def test_enrolled_only_pool_with_open_gate(self, small_db, small_pool):
         enrolled_pool = [(r, t) for r, t in small_pool if t is not None]
-        cm, outcomes = run_trials(small_db, enrolled_pool, n=40, gate_ucl=np.inf,
-                                  seed=5)
+        cm, decisions = run_trials(small_db, enrolled_pool, n=40, gate_ucl=np.inf,
+                                   seed=5)
         assert cm.ku == 0 and cm.uu == 0 and cm.rejected == 0
         assert cm.total == 40
-        assert len(outcomes) == 40
+        assert set(decisions) == set(drawn_indices(5, len(enrolled_pool), 40))
 
     def test_unknown_subject_accepted_as_known_is_ku(self, small_db, small_pool):
         unknown_pool = [(r, t) for r, t in small_pool if t is None]
-        cm, outcomes = run_trials(small_db, unknown_pool, n=10, gate_ucl=np.inf, seed=0,
-                                  apr_min=0.0, id_margin=1e9)
+        cm, decisions = run_trials(small_db, unknown_pool, n=10, gate_ucl=np.inf, seed=0,
+                                   apr_min=0.0, id_margin=1e9)
         assert cm == ConfusionMatrix(ku=10)
-        assert all(o.decision.kind == KNOWN and o.truth is None for o in outcomes)
+        assert decisions and all(d.kind == KNOWN for d in decisions.values())
 
     def test_deterministic(self, small_db, small_pool):
-        cm1, o1 = run_trials(small_db, small_pool, n=25, gate_ucl=0.002, seed=9)
-        cm2, o2 = run_trials(small_db, small_pool, n=25, gate_ucl=0.002, seed=9)
+        cm1, d1 = run_trials(small_db, small_pool, n=25, gate_ucl=0.002, seed=9)
+        cm2, d2 = run_trials(small_db, small_pool, n=25, gate_ucl=0.002, seed=9)
         assert cm1 == cm2
-        assert [o.pool_index for o in o1] == [o.pool_index for o in o2]
-        assert [o.decision.kind for o in o1] == [o.decision.kind for o in o2]
+        assert {pi: vars(d) for pi, d in d1.items()} == {pi: vars(d) for pi, d in d2.items()}
+
+    def test_one_decision_per_drawn_record(self, small_db, small_pool):
+        # 10,000 trials on a small pool hold one decision per drawn record,
+        # not one per trial
+        cm, decisions = run_trials(small_db, small_pool, n=10_000, gate_ucl=0.002, seed=4)
+        assert cm.total == 10_000
+        assert len(decisions) <= len(small_pool)
+        assert set(decisions) == set(drawn_indices(4, len(small_pool), 10_000))
+        for pi, dec in decisions.items():
+            fresh = decide(small_db, score_frames(small_db, small_pool[pi][0]), 0.002)
+            assert vars(dec) == vars(fresh)
 
     def test_matrix_conservation(self, small_db, small_pool):
         cm, _ = run_trials(small_db, small_pool, n=37, gate_ucl=0.001, seed=2)
@@ -205,21 +220,17 @@ class TestDecideReuse:
 
     def test_run_trials_decides_each_drawn_record_once(self, small_db, small_pool,
                                                        decide_calls):
-        cm, outcomes = run_trials(small_db, small_pool, n=60, gate_ucl=0.003, seed=1)
-        drawn = {o.pool_index for o in outcomes}
-        assert len(decide_calls) == len(drawn) < 60
+        cm, decisions = run_trials(small_db, small_pool, n=60, gate_ucl=0.003, seed=1)
+        assert set(decisions) == set(drawn_indices(1, len(small_pool), 60))
+        assert len(decide_calls) == len(decisions) < 60
         assert len(set(decide_calls)) == len(decide_calls)
-        by_record = {}
-        for o in outcomes:
-            assert by_record.setdefault(o.pool_index, o.decision) is o.decision
         assert cm.total == 60
 
     def test_sweep_reuses_decisions_and_matches_run_trials(self, small_db, small_pool,
                                                            decide_calls):
         grid = auto_grid(small_db, points=7)
         points, _ = sweep_ucl(small_db, small_pool, grid, n=45, seed=2)
-        draws = np.random.default_rng(2).integers(0, len(small_pool), size=45)
-        assert len(decide_calls) <= len(grid) * len(set(draws.tolist()))
+        assert len(decide_calls) <= len(grid) * len(set(drawn_indices(2, len(small_pool), 45)))
         for ucl, point in zip(grid.tolist(), points):
             cm, _ = run_trials(small_db, small_pool, n=45, gate_ucl=ucl, seed=2)
             chi, _ = accuracy(cm)
@@ -242,7 +253,7 @@ class TestDecideReuse:
     def test_gates_on_best_mse_values(self, small_db, small_pool, decide_calls):
         best, grid = self.boundary_grid(small_db, small_pool)
         points, _ = sweep_ucl(small_db, small_pool, grid, n=30, seed=3)
-        drawn = set(np.random.default_rng(3).integers(0, len(small_pool), size=30).tolist())
+        drawn = set(drawn_indices(3, len(small_pool), 30))
         passing = {(pi, int(np.sum(best[pi] <= g))) for pi in drawn for g in grid.tolist()}
         assert len(decide_calls) == len(passing) < len(drawn) * grid.size
         for ucl, point in zip(grid.tolist(), points):
@@ -256,9 +267,9 @@ class TestDecideReuse:
         # a reused decision must equal a fresh one at its gate, field by field
         _, grid = self.boundary_grid(small_db, small_pool)
         scored = [score_frames(small_db, rec) for rec, _ in small_pool]
-        _, _, per_gate = evalx._trials(small_db, small_pool, grid.tolist(), 30, 3,
-                                       evalx.DEFAULT_TEST_WINDOW_S, evalx.DEFAULT_APR_MIN,
-                                       evalx.DEFAULT_ID_MARGIN)
+        per_gate = evalx._trials(small_db, small_pool, grid.tolist(), 30, 3,
+                                 evalx.DEFAULT_TEST_WINDOW_S, evalx.DEFAULT_APR_MIN,
+                                 evalx.DEFAULT_ID_MARGIN)
         for ucl, (_, decided) in zip(grid.tolist(), per_gate):
             for pi, dec in decided.items():
                 assert vars(dec) == vars(decide(small_db, scored[pi], ucl))
@@ -276,11 +287,12 @@ class TestDecideReuse:
             sweep_ucl(small_db, small_pool, [np.nan], n=5)
 
 
-def recount(outcomes):
-    """The confusion matrix counted trial by trial from the outcomes."""
+def recount(draws, decisions, pool):
+    """The confusion matrix counted trial by trial: trial t is decided by
+    `decisions[draws[t]]` against its record's truth."""
     cells = {f.name: 0 for f in fields(ConfusionMatrix)}
-    for o in outcomes:
-        dec, truth = o.decision, o.truth
+    for pi in draws:
+        dec, truth = decisions[pi], pool[pi][1]
         if dec.kind == REJECTED:
             cells["rejected"] += 1
         elif dec.kind == KNOWN and truth is None:
@@ -305,17 +317,12 @@ class TestTrialEngine:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), factor=gate_factors)
     def test_matrix_is_recount_of_outcomes(self, small_db, small_pool, seed, n, factor):
         gate = factor * small_db.median_ucl()
-        cm, outcomes = run_trials(small_db, small_pool, n=n, gate_ucl=gate, seed=seed)
-        draws = np.random.default_rng(seed).integers(0, len(small_pool), size=n)
-        assert [o.index for o in outcomes] == list(range(n))
-        assert [o.pool_index for o in outcomes] == draws.tolist()
-        assert all(o.truth == small_pool[o.pool_index][1] for o in outcomes)
-        assert cm == recount(outcomes)
+        cm, decisions = run_trials(small_db, small_pool, n=n, gate_ucl=gate, seed=seed)
+        draws = drawn_indices(seed, len(small_pool), n)
+        assert set(decisions) == set(draws)
+        assert cm == recount(draws, decisions, small_pool)
         assert all(type(getattr(cm, f.name)) is int for f in fields(cm))
         assert type(accuracy(cm)[0]) is float
-        shared = {}
-        for o in outcomes:
-            assert shared.setdefault(o.pool_index, o.decision) is o.decision
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),

@@ -508,6 +508,15 @@ class TestKernelInPlace:
         np.fill_diagonal(expected, 1.0)
         assert learners._gram(A, s).tobytes() == expected.tobytes()
 
+    def test_least_kernel_scale_is_silent(self):
+        # 2 * 1.2e-162**2 is the least subnormal: every distance but 0
+        # overflows the division to -inf, and exp(-inf) is 0 without a warning
+        A = np.array([[0.0], [1.0], [3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = learners._kernel(A, A, 1.2e-162)
+        assert K.tobytes() == np.eye(3).tobytes()
+
     def test_prediction_holds_two_kernel_matrices_at_most(self):
         """220 distinct queries against 2000 training rows, as `rrauth bench`
         predicts: the five full-size temporaries of the expression held 3.0
@@ -570,7 +579,15 @@ class TestOneInputCheck:
         X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
         with pytest.raises(ValueError, match="kernel_scale must be"):
             TRAINERS[trainer][0](X, y, kernel_scale=scale)
-        learners.check_kernel_params(1.0, 1.2e-162)
+        learners.check_kernel_params(1.0, 1.2e-162, 0)
+
+    @pytest.mark.parametrize("max_sweeps", [-1, 2.0, None])
+    @pytest.mark.parametrize("trainer", ["svm", "svr"])
+    def test_max_sweeps_must_be_a_count(self, trainer, max_sweeps):
+        X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="max_sweeps must be an integer >= 0"):
+            TRAINERS[trainer][0](X, y, max_sweeps=max_sweeps)
+        TRAINERS[trainer][0](X, y, max_sweeps=np.int64(0))
 
     @pytest.mark.parametrize("epsilon", [1e308, 1.7e308, np.finfo(float).max])
     def test_svr_epsilon_span_must_be_finite(self, epsilon):
