@@ -141,22 +141,22 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
     draws = np.random.default_rng(seed).integers(0, len(pool), size=n)
     scored = [score_frames(db, record, test_window_s=test_window_s)
               for record, _ in pool]
-    drawn, counts = np.unique(draws, return_counts=True)
+    counts = np.bincount(draws, minlength=len(pool))
     # Python ints: an np.int64 cell would make `accuracy` an np.float64
-    drawn, counts = drawn.tolist(), counts.tolist()
+    drawn, counts = np.flatnonzero(counts).tolist(), counts.tolist()
     best_mse = {pi: np.sort(scored[pi].mse.min(axis=1)) for pi in drawn}
     last: dict[int, tuple[int, AuthDecision]] = {}
 
     def judge(ucl):
         decided: dict[int, AuthDecision] = {}
         tally: Counter[str] = Counter()
-        for pi, count in zip(drawn, counts):
+        for pi in drawn:
             passing = int(np.searchsorted(best_mse[pi], ucl, side="right"))
             if pi not in last or last[pi][0] != passing:
                 last[pi] = (passing, decide(db, scored[pi], ucl,
                                             apr_min=apr_min, id_margin=id_margin))
             dec = decided[pi] = last[pi][1]
-            tally[_cell(dec, pool[pi][1])] += count
+            tally[_cell(dec, pool[pi][1])] += counts[pi]
         return ConfusionMatrix(**tally), decided
 
     return map(judge, grid)

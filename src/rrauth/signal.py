@@ -38,25 +38,21 @@ the argsort may order ``-0.0`` and ``+0.0`` other than ``np.sort`` would.
 
 A CSV body is read without calling ``float`` on most lines. A line of the
 plain form ``[-]digits[.digits]`` is exactly the decimal +-m / 10**k, m its
-digits read as one integer and k its fraction digits. Where
-``np.longdouble`` is the x87 extended format, its 64-bit significand holds
-every m below 2**64 and every 10**k up to k = 27 (5**27 < 2**63) exactly,
-so the long double quotient m / 10**k is correctly rounded to 64 bits.
-Rounding that to float64 then gives the correctly rounded double, which is
-what ``float`` returns, unless the quotient lies exactly halfway between
-two doubles, the one case where rounding twice can differ from rounding
-once (Clinger, PLDI 1990; Lemire, Softw. Pract. Exp. 51(8), 2021). The
-sign is taken from the text, so ``-0.0`` stays negative. Every other line
-goes through ``float`` one at a time: a halfway quotient, a mantissa of 2**64
-or more, k > 27 and any line not of the plain form (an exponent, a space).
-A body with a block of lines (`_READ_BLOCK`) without a plain line, and
-every body where ``np.longdouble`` has no 64-bit significand, skips the
-scaling and is read with ``float`` on each line of its text. The body is
-scanned in those blocks of whole lines, in place after line 1, and an
-ASCII file is not decoded to text, so the reader holds the file's bytes,
-the samples and one block's temporaries: ~1.3 MB at its peak for a 65 s
-record at 360 Hz (478 kB), where scanning the whole body at once held
-~4.2 MB.
+digits read as one integer and k its fraction digits. For m < 2**62 and
+k <= 22 it is scaled in float64 on every host (after Clinger, PLDI 1990):
+10**k is exact, and so is m - mh, mh = float(m). q = mh / 10**k is correctly
+rounded, so the remainder mh - q * 10**k is a double (Boldo & Daumas, ARITH
+2003), found exactly as (mh - P) - E from Dekker's product P + E = q * 10**k
+(the writer's, below). v = q + (remainder + m - mh) / 10**k, and (q - v)
+plus that correction is m / 10**k - v to within 2**-50 of an ulp. v is what
+``float`` returns unless that distance comes within 2**-40 of half an ulp
+(of the narrower side at a power of two); such a line goes through
+``float``, as do those with m >= 2**62 or k > 22 and those not of the plain
+form (an exponent, a space). The sign comes from the text, so ``-0.0``
+stays negative. The body is scanned in place after line 1, in blocks of
+whole lines (`_READ_BLOCK`), so the reader holds the file's bytes, the
+samples and one block's temporaries: ~1.2 MB at its peak for a 65 s record
+at 360 Hz (478 kB), where a whole-body scan held ~4.2 MB.
 
 A CSV file is written without calling ``repr`` on most values, and with
 the same bytes. ``repr`` writes the shortest decimal that reads back as
@@ -76,8 +72,8 @@ from E, u = n mod 10**m, and that is compared with half an ulp times
 10**k, which is exact. A value whose distance lies within the rounding
 error of half an ulp, or whose two nearest candidates are equally near
 within it, gets ``repr``, as do zero, values outside that range and powers
-of two (the interval below them is half as wide). Unlike the reader's
-scaling this needs no long double, so every platform takes the same path.
+of two (the interval below them is half as wide). Reader and writer use
+float64 arithmetic only, so every platform takes the same path.
 """
 
 from __future__ import annotations
@@ -107,15 +103,11 @@ _PROFILE_RANGES = np.array([
     (55.0, 95.0), (0.02, 0.08), (0.008, 0.020),  # heart rate (bpm), RR jitter, noise sd
 ])
 
-# Exact decimal scaling of plain CSV lines (see the module docstring).
-_LONGDOUBLE_64 = np.finfo(np.longdouble).nmant == 63  # x87 extended precision
-_MAX_EXACT_K = 27  # the largest k with 10**k exact in a 64-bit significand
-_POW10 = np.cumprod(np.r_[1, np.full(_MAX_EXACT_K, 10)].astype(np.longdouble))
+# CSV reading and writing in float64 (see the module docstring).
+_MAX_EXACT_K = 22  # the largest k with 10**k exact in float64
+_POW10_F64 = np.cumprod(np.r_[1.0, np.full(_MAX_EXACT_K, 10.0)])
 _NOT_DIGIT_OR_LF = bytes(c for c in range(256) if c not in b"0123456789\n")
 _READ_BLOCK = 1 << 17  # body bytes per block of the reader: its temporaries stay small
-
-# Shortest-digit CSV writing (see the module docstring).
-_POW10_F64 = _POW10[:23].astype(np.float64)  # 10**k is exact in float64 up to k = 22
 _SPLIT = 2.0**27 + 1  # Veltkamp's split of a double into two 26-bit halves
 _POW10_HI = _POW10_F64 * _SPLIT - (_POW10_F64 * _SPLIT - _POW10_F64)
 _POW10_LO = _POW10_F64 - _POW10_HI
@@ -243,26 +235,23 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
     The header is authoritative for fs; a time column is only checked for
     uniform spacing, never used to re-derive fs. Lines are what
     ``str.splitlines`` makes of the UTF-8 text. A body of one finite value
-    per line is read from the bytes, with CRLF and CR read as LF: plain
-    decimal lines are scaled exactly, bit-equal to ``float`` on the line,
-    and every other line goes through ``float`` (the module docstring gives
-    the argument and the cases). A body with a block of lines without a
-    plain line, or another line break inside line 1, is read with ``float``
-    on each line. Any other body (blank lines, ``t,mv`` pairs, a bad or
-    non-finite value) goes through the line-by-line parser, which accepts
-    the same values and names the line of the first error.
+    per line is read from the bytes, with CRLF and CR read as LF, on one
+    path on every host: each value bit-equal to ``float`` on its line, most
+    scaled in float64 (see the module docstring). Any other body (blank
+    lines, ``t,mv`` pairs, a bad or non-finite value, another line break
+    inside line 1) goes through the line-by-line parser, which accepts the
+    same values and names the line of the first error.
     """
     path = str(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    raw = data
     if not data.isascii():  # ASCII is UTF-8; other bytes are decoded to be checked
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"{path}: not UTF-8 text "
                                  f"({exc.reason} at byte {exc.start})") from None
-    if b"\r" in data:  # CRLF and a lone CR each end a line, as in str.splitlines
+    if b"\r" in data:  # each CRLF or lone CR becomes one LF: the same str.splitlines lines
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     cut = data.find(b"\n")  # the end of line 1; the body is read in place after it
     if cut < 0:
@@ -278,15 +267,9 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
     if not 0 < fs < math.inf:
         raise CsvFormatError(f"{path}: line 1: fs must be finite and > 0, got {fs}")
 
-    samples = _parse_decimal_lines(data, cut + 1) if _LONGDOUBLE_64 and len(first) == 1 else None
-    if samples is None:  # a block without a line to scale, or a line float() rejects
-        lines = raw.decode("utf-8").splitlines()[1:]
-        try:
-            samples = np.fromiter(map(float, lines), float, count=len(lines))
-        except ValueError:  # a blank line, a t,mv pair or a malformed value
-            samples = _parse_body(path, lines)
-    if not np.all(np.isfinite(samples)):
-        samples = _parse_body(path, raw.decode("utf-8").splitlines()[1:])
+    samples = _parse_decimal_lines(data, cut + 1) if len(first) == 1 else None
+    if samples is None or not np.all(np.isfinite(samples)):
+        samples = _parse_body(path, data.decode("utf-8").splitlines()[1:])
     if samples.size < 2:
         raise CsvFormatError(f"{path}: fewer than 2 samples")
     if subject_id is None:
@@ -297,33 +280,28 @@ def load_csv(path, subject_id: str | None = None) -> EcgRecord:
 
 def _parse_decimal_lines(data: bytes, start: int) -> np.ndarray | None:
     """The value of each LF-ended line of ``data[start:]`` (a last line
-    without LF included), bit-equal to ``float`` on the line, where
-    ``np.longdouble`` has a 64-bit significand; None when a block holds no
-    plain line or ``float`` rejects a line.
+    without LF included), bit-equal to ``float`` on the line; None when the
+    body is empty or `_parse_decimal_block` refuses a block of it.
 
-    The lines go in blocks of whole lines of about `_READ_BLOCK` bytes,
-    each read by `_parse_decimal_block`, so the reader's temporaries stay
-    small whatever the file's size. A line's value depends only on its own
-    bytes, so the blocks, joined, give the values one pass over the whole
-    body gives. A block without a plain line returns None, and the caller
-    reads the body with ``float`` on each line, which gives the same values.
+    Blocks of whole lines of about `_READ_BLOCK` bytes keep the temporaries
+    small whatever the file's size; a line's value depends only on its own
+    bytes, so the blocks, joined, give the values of one pass over the body.
     """
     blocks = []
+    view = memoryview(data)
     while start < len(data):
         end = data.find(b"\n", start + _READ_BLOCK - 1) + 1 or len(data)
-        block = _parse_decimal_block(data[start:end])
+        block = _parse_decimal_block(view[start:end])
         if block is None:
             return None
         blocks.append(block)
         start = end
-    if len(blocks) < 2:
-        return blocks[0] if blocks else None
-    return np.concatenate(blocks)
+    return np.concatenate(blocks) if len(blocks) > 1 else next(iter(blocks), None)
 
 
-def _parse_decimal_block(body: bytes) -> np.ndarray | None:
+def _parse_decimal_block(body: memoryview) -> np.ndarray | None:
     """The value of each LF-ended line of one block, bit-equal to ``float``
-    on the line; None when no line is plain or ``float`` rejects a line.
+    on the line; None when a line has no digit or ``float`` rejects a line.
 
     A line break other than LF stays inside its line: a line that ``float``
     accepts has it only around its number, where ``str.splitlines`` would
@@ -331,45 +309,72 @@ def _parse_decimal_block(body: bytes) -> np.ndarray | None:
     readings give the same values. One scan finds every byte but a digit. A
     line is plain when those are at most a leading ``-`` and a ``.`` that
     follows every other one. The digits of each line, the only bytes kept,
-    give its mantissa as one uint64 (strtoull saturates at 2**64 - 1).
+    give its mantissa as one uint64 (strtoull saturates at 2**64 - 1); any
+    other line, or one `_scale` leaves in doubt, goes through ``float``.
     """
-    if not body.endswith(b"\n"):
-        body += b"\n"
+    if body[-1:] != b"\n":
+        body = bytes(body) + b"\n"
     a = np.frombuffer(body, np.uint8)
     odd = np.flatnonzero(a - np.uint8(48) > 9)  # every byte but a digit
     kind = a[odd]
     lf = np.flatnonzero(kind == 10)  # the line ends, as indices into odd
-    ends = odd[lf]
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + 1
+    ends = np.r_[-1, odd[lf]]  # -1, then each line's LF
+    starts = ends[:-1] + 1
     n_odd = np.diff(lf, prepend=-1) - 1  # each line's non-digits, its LF aside
-    if np.any(n_odd == ends - starts):
+    if np.any(n_odd == ends[1:] - starts):
         return None  # a line without a digit: float() rejects it
     last = lf - 1  # each line's last non-digit, where n_odd > 0
     has_dot = (n_odd > 0) & (kind[last] == 46)
-    k = np.where(has_dot, ends - odd[last] - 1, 0)
+    k = np.where(has_dot, ends[1:] - odd[last] - 1, 0)
     negative = a[starts] == 45
-    exact = (n_odd - has_dot - negative == 0) & (k <= _MAX_EXACT_K)
-    if not exact.any():
-        return None
-    del a, odd, kind, lf, n_odd, last, has_dot  # the scan's arrays, before the wider quotients
-    mantissa = np.fromstring(body.translate(None, _NOT_DIGIT_OR_LF), dtype=np.uint64, sep="\n")
-    quotient = mantissa.astype(np.longdouble)
-    quotient /= _POW10[np.minimum(k, _MAX_EXACT_K)]
-    values = quotient.astype(np.float64)
+    plain = n_odd - has_dot - negative == 0
+    del a, odd, kind, lf, n_odd, last, has_dot, starts  # the scan's arrays, before the scaling's
+    mantissa = np.fromstring(bytes(body).translate(None, _NOT_DIGIT_OR_LF), np.uint64, sep="\n")
+    values, doubt = _scale(mantissa, k)
     np.negative(values, out=values, where=negative)
-    # x87 stores the significand first, little-endian, so the first 32-bit
-    # word of each element holds its low bits; 0x400 in the low 11 bits
-    # marks a quotient exactly halfway between two doubles
-    low = quotient.view(np.uint32)[:: quotient.itemsize // 4]
-    exact &= (mantissa < np.iinfo(np.uint64).max) & ((low & 0x7FF) != 0x400)
-    rest = np.flatnonzero(~exact)
-    lines = map(body.__getitem__, map(slice, starts[rest].tolist(), ends[rest].tolist()))
+    rest = np.flatnonzero(doubt | ~plain)
+    lines = map(body.__getitem__, map(slice, (ends[rest] + 1).tolist(), ends[rest + 1].tolist()))
     try:
         values[rest] = np.fromiter(map(float, lines), float, count=rest.size)
     except ValueError:
         return None
     return values
+
+
+def _scale(m: np.ndarray, k: np.ndarray):
+    """m / 10**k for uint64 m and int k >= 0, overwriting both, and whether each
+    value may not be the correctly rounded one (see the module docstring)."""
+    doubt = (m >= 2**62) | (k > _MAX_EXACT_K)
+    m = np.minimum(m, 2**62, out=m).view(np.int64)  # m - float(m) is then an exact int64
+    p = _POW10_F64[np.minimum(k, _MAX_EXACT_K, out=k)]
+    mh = m.astype(np.float64)
+    q = mh / p
+    r, lo = _times_pow10(q, k)
+    np.subtract(mh, r, out=r)  # exact (Sterbenz): the product is within a factor 2 of mh
+    r -= lo  # exact: mh - q * 10**k, the remainder of a correctly rounded quotient
+    r += m - mh.astype(np.int64)  # m - mh, an exact int64
+    r /= p
+    values = np.add(q, r, out=mh)
+    q -= values  # exact (Sterbenz): values is within two ulps of q
+    q += r  # m / 10**k - values, to within 2**-50 of an ulp
+    # half an ulp of the double below values (+inf at zero), less 2**-40 of it
+    bound = ((values.view(np.int64) - 1) & _EXPONENT).view(np.float64)
+    bound *= 2.0**-53 - 2.0**-93
+    return values, doubt | (np.abs(q, out=q) > bound)
+
+
+def _times_pow10(x: np.ndarray, k: np.ndarray):
+    """x * 10**k as hi + lo exactly, hi the rounded product (Dekker's product
+    of Veltkamp's split halves; 10**k is exact up to k = 22)."""
+    hi = x * _POW10_F64[k]
+    x_hi = x * _SPLIT
+    x_hi -= x_hi - x
+    x_lo = x - x_hi
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = x_hi * p_hi - hi
+    for a, b in ((x_hi, p_lo), (x_lo, p_hi), (x_lo, p_lo)):  # in this order, each sum exact
+        lo += a * b
+    return hi, lo
 
 
 def _parse_body(path: str, body: list[str]) -> np.ndarray:
@@ -496,12 +501,7 @@ def _shortest_digits(ax: np.ndarray):
     e10 = np.floor(np.log10(ax)).astype(np.intp)  # may be one off near a power of ten
     k = np.maximum(16 - e10, 1)  # 17 significant digits
     # E = ax * 10**k exactly, as hi + lo (Dekker's product of split halves)
-    hi = ax * _POW10_F64[k]
-    t = ax * _SPLIT
-    ax_hi = t - (t - ax)
-    ax_lo = ax - ax_hi
-    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
-    lo = ((ax_hi * p_hi - hi) + ax_hi * p_lo + ax_lo * p_hi) + ax_lo * p_lo
+    hi, lo = _times_pow10(ax, k)
     # n = floor(E) and d = E - n in [0, 1), to within 2**-46
     whole = np.floor(hi)
     r = (hi - whole) + lo

@@ -57,6 +57,11 @@ class TestComputeUcl:
             with pytest.raises(ValueError, match="MSE values must be finite"):
                 QualityStats.from_mses([math.inf, 1.0])
 
+    def test_zero_mse_accepted(self):
+        # a frame the curve reproduces exactly scores 0.0, which is >= 0
+        qs = QualityStats.from_mses([0.0, 1.0])
+        assert (qs.mean, qs.std) == (0.5, math.sqrt(0.5))
+
     def test_quality_stats_fields(self):
         qs = QualityStats.from_mses([1.0, 2.0, 3.0])
         assert qs.mean == 2.0
@@ -627,6 +632,13 @@ class TestLoadValidation:
         _write_doc(tmp_path / "db.json", doc)
         with pytest.raises(DbFormatError, match="entity 'e01'"):
             load_db(tmp_path / "db.json")
+
+    def test_zero_std_loads(self, small_db, tmp_path):
+        """A stored statistic of exactly 0.0 is finite and >= 0, so it loads."""
+        doc = _saved_doc(small_db)
+        doc["entities"]["e01"]["stats"]["std"] = 0.0
+        _write_doc(tmp_path / "db.json", doc)
+        assert load_db(tmp_path / "db.json").entries["e01"].stats.std == 0.0
 
     @pytest.mark.parametrize("frame_len", ["220", "x", 1, -220, 219, 220.0])
     def test_bad_frame_len(self, small_db, tmp_path, frame_len):

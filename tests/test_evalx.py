@@ -189,6 +189,9 @@ class TestSweep:
         with pytest.raises(ValueError, match="points must be >= 1, got 0"):
             auto_grid(small_db, points=0)
 
+    def test_auto_grid_of_one_point(self, small_db):
+        assert auto_grid(small_db, points=1).tolist() == [0.5 * small_db.median_ucl()]
+
     def test_empty_grid(self, small_db, small_pool):
         with pytest.raises(ValueError, match="grid"):
             sweep_ucl(small_db, small_pool, [], n=10, seed=0)
@@ -196,6 +199,10 @@ class TestSweep:
     def test_non_increasing_grid(self, small_db, small_pool):
         with pytest.raises(ValueError, match="increasing"):
             sweep_ucl(small_db, small_pool, [0.002, 0.001], n=10, seed=0)
+
+    def test_repeated_gate_refused(self, small_db, small_pool):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep_ucl(small_db, small_pool, [0.001, 0.002, 0.002], n=10, seed=0)
 
     def test_csv_replayable(self, small_db, small_pool):
         grid = auto_grid(small_db, points=5)

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 from decimal import Context, Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -193,7 +194,7 @@ FUZZ_BYTES = st.one_of(csv_texts().map(lambda t: t.encode("utf-8")),
 def near_midpoints(draw):
     """Plain decimals of 17-20 significant digits on, or one unit in the
     last digit either side of, the exact midpoint of two adjacent doubles:
-    the inputs whose long double quotient can land on a float64 midpoint."""
+    the inputs whose float64 scaling lands nearest a rounding boundary."""
     x = math.ldexp(draw(st.integers(2**52, 2**53 - 1)), draw(st.integers(-100, 12)))
     mid = Context(prec=1100).divide(Decimal(x) + Decimal(math.nextafter(x, math.inf)), 2)
     rounded = Context(prec=draw(st.integers(17, 20)))
@@ -205,7 +206,7 @@ def near_midpoints(draw):
 @st.composite
 def plain_decimals(draw):
     """``[-]digits[.digits]`` with up to 25 integer and 35 fraction digits:
-    mantissas past 2**64 and more than 27 fraction digits included."""
+    mantissas past 2**62 and 2**64 and more than 22 fraction digits included."""
     whole = draw(st.text("0123456789", max_size=25))
     frac = draw(st.text("0123456789", max_size=35))
     if not (whole or frac):
@@ -221,12 +222,32 @@ DECIMAL_LINE = st.one_of(near_midpoints(), plain_decimals(),
                                           "-0.000000000000000000000000000123"]))
 
 
-def assert_read_as_float(tmp_path_factory, lines, newline, exact_scaling):
+def assert_read_as_float(tmp_path_factory, lines, newline):
     p = tmp_path_factory.getbasetemp() / "decimals.csv"
     p.write_text(newline.join(["fs=360", *lines]), encoding="utf-8", newline="")
-    with mock.patch("rrauth.signal._LONGDOUBLE_64", exact_scaling):
-        samples = load_csv(p).samples
+    samples = load_csv(p).samples
     assert samples.tobytes() == np.array([float(s) for s in lines]).tobytes()
+
+
+def midpoint_lines(x: float) -> list[str]:
+    """The exact decimal midpoints below and above x, each with the decimals
+    one unit in its last digit either side of it."""
+    exact = Context(prec=1100)
+    lines = []
+    for y in (math.nextafter(x, 0.0), math.nextafter(x, math.inf)):
+        mid = exact.divide(exact.add(Decimal(x), Decimal(y)), 2)
+        unit = Decimal(1).scaleb(mid.as_tuple().exponent)
+        lines += [format(d, "f") for d in (exact.subtract(mid, unit), mid, exact.add(mid, unit))]
+    return lines
+
+
+# plain lines at the scaling's limits: mantissas around 2**53 and 2**62,
+# k = 22 (scaled) and k = 23 (read by float), zero and powers of two
+LIMIT_LINES = [str(2**53 - 1), str(2**53), str(2**53 + 1), str(2**62 - 1), str(2**62),
+               "9007199254740993", "9007199254740991.5", "0.9007199254740993",
+               "-4.611686018427387903", "0.0000000000000000012345", "0.00000000000000000012345",
+               "-0.0000000000000000000001", "0.00000000000000000000001", "0", "-0.000",
+               "0.5", "-1.0", "2", "0.0009765625"]
 
 
 class TestCsvFastPath:
@@ -248,31 +269,45 @@ class TestCsvFastPath:
         assert loaded == outcome(reference_load_csv, p)
         assert loaded == load_outcome_line_parser(p)
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=FUZZ_BYTES)
-    @example(data=b"fs=360\n0.1\n-0.0\n")
-    def test_same_without_exact_scaling(self, tmp_path_factory, data):
-        """Where long double has no 64-bit significand, every line goes
-        through float(), with the same outcome."""
-        p = tmp_path_factory.getbasetemp() / "no_exact_scaling.csv"
-        p.write_bytes(data)
-        with mock.patch("rrauth.signal._LONGDOUBLE_64", False):
-            assert outcome(load_csv, p) == outcome(reference_load_csv, p)
-
-    @pytest.mark.parametrize("exact_scaling", [True, False])
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(DECIMAL_LINE, min_size=2, max_size=40),
            newline=st.sampled_from(["\n", "\r\n"]))
-    def test_decimal_lines_bit_equal_to_float(self, tmp_path_factory, exact_scaling,
-                                              lines, newline):
-        assert_read_as_float(tmp_path_factory, lines, newline, exact_scaling)
+    @example(lines=LIMIT_LINES, newline="\n")
+    @example(lines=[*midpoint_lines(0.5), *midpoint_lines(1.0), *midpoint_lines(2.0)],
+             newline="\n")
+    def test_decimal_lines_bit_equal_to_float(self, tmp_path_factory, lines, newline):
+        assert_read_as_float(tmp_path_factory, lines, newline)
 
-    @pytest.mark.parametrize("exact_scaling", [True, False])
     @settings(max_examples=100, deadline=None)
     @given(lines=st.lists(near_midpoints(), min_size=2, max_size=60))
     @example(lines=["1.6830850267032698708", "-0.7788593988420766112", "1.789919793192934816"])
-    def test_near_midpoints_bit_equal_to_float(self, tmp_path_factory, exact_scaling, lines):
-        assert_read_as_float(tmp_path_factory, lines, "\n", exact_scaling)
+    def test_near_midpoints_bit_equal_to_float(self, tmp_path_factory, lines):
+        assert_read_as_float(tmp_path_factory, lines, "\n")
+
+    @pytest.mark.parametrize("line", ["0.0000000027052343540099", "0.0000154855596132053508"])
+    def test_decimal_next_to_a_midpoint_is_left_to_float(self, line):
+        """A plain decimal ~2**-52 ulp from the midpoint of two doubles lies
+        inside the scaling's 2**-40 margin, so ``float`` reads it."""
+        x, v = Fraction(line), float(line)
+        ulp = Fraction(math.nextafter(v, math.inf)) - Fraction(v)
+        assert abs(abs(x - Fraction(v)) - ulp / 2) < ulp * 2**-40
+        m, k = np.array([line.replace(".", "")], np.uint64), np.array([22])
+        assert signal._scale(m, k)[1].tolist() == [True]
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=40),
+           spec=st.sampled_from([".16e", "e", ".3E"]), block=st.integers(1, 200))
+    @example(values=[1e-05, -1.5e-07, 1.2345678901234567e+16, -0.0], spec=".16e", block=1 << 17)
+    def test_exponent_lines_read_by_the_block_reader(self, tmp_path_factory, values, spec,
+                                                     block):
+        """A body without a plain line is read by the block reader, with
+        ``float`` on each line."""
+        p = tmp_path_factory.getbasetemp() / "exponents.csv"
+        p.write_text("fs=360\n" + "".join(f"{v:{spec}}\n" for v in values), encoding="utf-8")
+        with mock.patch("rrauth.signal._READ_BLOCK", block), \
+                mock.patch("rrauth.signal._parse_body", side_effect=AssertionError):
+            loaded = outcome(load_csv, p)
+        assert loaded == outcome(reference_load_csv, p)
 
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
@@ -301,10 +336,10 @@ class TestCsvFastPath:
     def test_blocks_of_decimal_lines_bit_equal_to_float(self, tmp_path_factory, lines, block,
                                                           newline):
         with mock.patch("rrauth.signal._READ_BLOCK", block):
-            assert_read_as_float(tmp_path_factory, lines, newline, True)
+            assert_read_as_float(tmp_path_factory, lines, newline)
 
     def test_temporaries_stay_small(self, tmp_path):
-        """A 65 s record (~478 kB) is read with ~1.3 MB of memory at its
+        """A 65 s record (~478 kB) is read with ~1.2 MB of memory at its
         peak, the file's bytes and the samples included; the whole-body scan
         held ~4.2 MB."""
         rec, _ = synth_ecg(quiet_profile(seed=4, noise_sd=0.02), 65.0, 360.0)
