@@ -222,6 +222,11 @@ DECIMAL_LINE = st.one_of(near_midpoints(), plain_decimals(),
                                           "-0.000000000000000000000000000123"]))
 
 
+def flip_sign(line: str) -> str:
+    """The line with its leading ``-`` dropped, or one put in front of it."""
+    return line[1:] if line.startswith("-") else "-" + line
+
+
 def assert_read_as_float(tmp_path_factory, lines, newline):
     p = tmp_path_factory.getbasetemp() / "decimals.csv"
     p.write_text(newline.join(["fs=360", *lines]), encoding="utf-8", newline="")
@@ -269,20 +274,27 @@ class TestCsvFastPath:
         assert loaded == outcome(reference_load_csv, p)
         assert loaded == load_outcome_line_parser(p)
 
+    @pytest.mark.parametrize("negated", [True, False])
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(DECIMAL_LINE, min_size=2, max_size=40),
            newline=st.sampled_from(["\n", "\r\n"]))
     @example(lines=LIMIT_LINES, newline="\n")
     @example(lines=[*midpoint_lines(0.5), *midpoint_lines(1.0), *midpoint_lines(2.0)],
              newline="\n")
-    def test_decimal_lines_bit_equal_to_float(self, tmp_path_factory, lines, newline):
-        assert_read_as_float(tmp_path_factory, lines, newline)
+    def test_decimal_lines_bit_equal_to_float(self, tmp_path_factory, negated, lines,
+                                              newline):
+        """Each line, and with ``negated`` each line of the opposite sign,
+        reads as ``float`` on it."""
+        assert_read_as_float(tmp_path_factory,
+                             [flip_sign(s) for s in lines] if negated else lines, newline)
 
+    @pytest.mark.parametrize("negated", [True, False])
     @settings(max_examples=100, deadline=None)
     @given(lines=st.lists(near_midpoints(), min_size=2, max_size=60))
     @example(lines=["1.6830850267032698708", "-0.7788593988420766112", "1.789919793192934816"])
-    def test_near_midpoints_bit_equal_to_float(self, tmp_path_factory, lines):
-        assert_read_as_float(tmp_path_factory, lines, "\n")
+    def test_near_midpoints_bit_equal_to_float(self, tmp_path_factory, negated, lines):
+        assert_read_as_float(tmp_path_factory,
+                             [flip_sign(s) for s in lines] if negated else lines, "\n")
 
     @pytest.mark.parametrize("line", ["0.0000000027052343540099", "0.0000154855596132053508"])
     def test_decimal_next_to_a_midpoint_is_left_to_float(self, line):
