@@ -8,7 +8,8 @@ decided once per distinct set of frames passing the gate, and its decision
 counts once per draw: a sweep's next gate re-decides only the records whose
 passing set it changes. No per-trial list is built: `run_trials` returns the
 matrix and the {pool index: decision} map of the drawn records, one entry
-per distinct record.
+per distinct record, and the draws themselves are counted in fixed-size
+blocks, so memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from rrauth.authcore import (DEFAULT_APR_MIN, DEFAULT_ID_MARGIN,
                              DEFAULT_TEST_WINDOW_S, KNOWN, REJECTED,
                              AuthDecision, ReferenceDb, decide, score_frames)
 from rrauth.signal import MAX_POINTS
+
+_DRAW_BLOCK = 1 << 16  # trials drawn and counted per block: 512 KiB of draws
+# the most trials a call may draw: 2**47 bytes of int64 draws, which no
+# machine could have held as the one array they were once drawn into
+_MAX_TRIALS = 2**44
 
 __all__ = [
     "ConfusionMatrix",
@@ -113,10 +119,13 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
     """The trial engine of `run_trials` and `sweep_ucl`.
 
     Validates `n` and the pool, scores every pool record once and draws the
-    `n` trials once. Returns an iterator that judges one gate of `grid` per
-    step, yielding its matrix and the {pool index: decision} map of the drawn
-    records; each drawn record's decision counts once per draw in its
-    confusion cell.
+    `n` trials once, in blocks of `_DRAW_BLOCK` whose draws are counted per
+    pool record and dropped. The bit generator keeps the unused half of a
+    64-bit word between calls, so consecutive blocks draw the very stream
+    of one ``integers(0, len(pool), size=n)`` call. Returns an iterator
+    that judges one gate of `grid` per step, yielding its matrix and the
+    {pool index: decision} map of the drawn records; each drawn record's
+    decision counts once per draw in its confusion cell.
 
     A decision depends on the gate only through the frames that pass it:
     those whose best MSE is <= the gate. Each drawn record's best MSEs are
@@ -130,6 +139,8 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > _MAX_TRIALS:
+        raise ValueError(f"n must be <= {_MAX_TRIALS}, got {n}")
     pool = list(pool)
     if not pool:
         raise ValueError("pool must be non-empty")
@@ -138,10 +149,13 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
     for record, truth in pool:
         if truth is not None and truth not in db.entries:
             raise ValueError(f"pool label {truth!r} is not an enrolled entity")
-    draws = np.random.default_rng(seed).integers(0, len(pool), size=n)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(pool), dtype=np.int64)
+    for start in range(0, n, _DRAW_BLOCK):
+        block = rng.integers(0, len(pool), size=min(_DRAW_BLOCK, n - start))
+        counts += np.bincount(block, minlength=len(pool))
     scored = [score_frames(db, record, test_window_s=test_window_s)
               for record, _ in pool]
-    counts = np.bincount(draws, minlength=len(pool))
     # Python ints: an np.int64 cell would make `accuracy` an np.float64
     drawn, counts = np.flatnonzero(counts).tolist(), counts.tolist()
     best_mse = {pi: np.sort(scored[pi].mse.min(axis=1)) for pi in drawn}
@@ -172,11 +186,14 @@ def run_trials(db: ReferenceDb, pool, n: int = 100, gate_ucl: float = 0.0,
     The pool is a sequence of (record, truth) pairs where truth is an
     enrolled entity id or None for subjects outside the database. Draws are
     uniform with replacement from `seed`; identical inputs replay exactly.
-    The draws are made once, and each distinct drawn record is decided once.
-    Returns the confusion matrix and the {pool index: decision} map of the
-    drawn records: one `AuthDecision` per distinct record, shared by every
-    trial that draws it, so the map never outgrows the pool. Trial t drew
-    ``np.random.default_rng(seed).integers(0, len(pool), size=n)[t]``.
+    The draws are made once, in fixed-size blocks that are counted and
+    dropped, so memory stays flat in n (at most 2**44), and each distinct
+    drawn record is decided once. Returns the confusion matrix and the
+    {pool index: decision} map of the drawn records: one `AuthDecision` per
+    distinct record, shared by every trial that draws it, so the map never
+    outgrows the pool. Trial t drew
+    ``np.random.default_rng(seed).integers(0, len(pool), size=n)[t]``, as
+    the blocks draw that stream.
     """
     return next(_trials(db, pool, [gate_ucl], n, seed, test_window_s, apr_min,
                         id_margin))

@@ -13,7 +13,20 @@ The tree's split search screens every cut of a feature at once with prefix
 sums of the node-centred targets and their squares, then confirms the few
 cuts near the screened minimum with the exact two-pass SSE. The chosen
 split, and its tie rule (on equal exact scores, lowest feature, then lowest
-threshold), are those of scoring every cut exactly.
+threshold), are those of scoring every cut exactly. The rows are argsorted
+stably once per feature at the root, and each split filters those orders
+into its children, which keeps them stable (presorted CART, as in SLIQ:
+Mehta, Agrawal & Rissanen, EDBT 1996). So every node sees the order an
+argsort of its own rows would give, while its targets stay in row order for
+the centring mean, the constancy test and the leaf mean: the tree is the
+one that sorting and masking at each node grows.
+
+The solver picks its working pair over the distinct points, not over the
+2n dual variables: the variables of one point share its kernel expansion,
+and rounding is monotone, so each point's best variable is the one with
+the extreme zc, and a search over ~220 points picks the i and j of a search
+over all 4000 variables of `rrauth bench` (`_solve_box_dual` says why the
+choice, ties included, is the same to the bit).
 
 All three trainers check their data in one place, and the kernel machines
 check their parameters in one more (`check_kernel_params`, which `rrauth
@@ -87,17 +100,25 @@ class DtModel:
     params: DtParams
 
 
+def _mean(y: np.ndarray) -> np.float64:
+    """`y.mean()`, which is this sum over the count, without its overhead."""
+    return np.add.reduce(y) / y.size
+
+
 def _sse(y: np.ndarray) -> float:
-    return float(np.sum((y - y.mean()) ** 2))
+    d = y - _mean(y)
+    return float(np.add.reduce(d * d))
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
+def _best_split(columns: np.ndarray, y: np.ndarray, yn: np.ndarray, orders, min_leaf: int):
     """Exhaustive scan over every feature's sorted unique midpoints.
 
-    Returns (feature, threshold) minimizing the summed child SSE, or None if
-    no split leaves both children with at least `min_leaf` samples. Equal
-    computed scores go to the lowest feature index, then the lowest
-    threshold.
+    `columns[f]` holds feature f of every row, `yn` the node's targets in
+    row order and `orders[f]` the node's rows (indices into the columns and
+    y) in stable order of feature f. Returns (feature, threshold) minimizing
+    the summed child SSE, or None if no split leaves both children with at
+    least `min_leaf` samples. Equal computed scores go to the lowest feature
+    index, then the lowest threshold.
 
     Every legal cut of a feature is screened in one vectorised pass from
     prefix and suffix sums of the node-centred targets and their squares.
@@ -108,54 +129,79 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
     Sorting makes two cuts that split the node into equal multisets score
     the same bits, so the tie rule, not the summation order, picks between
     them. The exact minimum always survives the screen, so the choice, tie
-    rule included, is that of scoring every cut exactly.
+    rule included, is that of scoring every cut exactly, and a cut that
+    survives alone is the split without being scored, unless the node's sum
+    of squares is within reach of overflow.
+
+    No argsort runs here. A stable argsort of the node's rows ranks them by
+    value, then by row, and so does the root's stable order of every row
+    filtered down to the node's rows. So `orders[f]` is that argsort mapped
+    to rows, and each value below, from the centring mean of `yn` in row
+    order to every prefix sum, is the one an argsort at this node gives.
     """
-    n = y.size
-    yc = y - y.mean()
+    n = yn.size
+    mean = _mean(yn)
+    yc = yn - mean
     screened = []
     floor = np.inf
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        nl = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-        nl = nl[(nl >= min_leaf) & (n - nl >= min_leaf)]
+    for f, order in enumerate(orders):
+        xs = columns[f][order]
+        # legal cuts: a value step with at least min_leaf rows on each side
+        nl = (xs[min_leaf:n - min_leaf + 1] > xs[min_leaf - 1:n - min_leaf]).nonzero()[0]
         if nl.size == 0:
             continue
-        yo = yc[order]
-        sq = yo * yo
-        left1, left2 = np.cumsum(yo)[nl - 1], np.cumsum(sq)[nl - 1]
-        right1, right2 = np.cumsum(yo[::-1])[::-1][nl], np.cumsum(sq[::-1])[::-1][nl]
+        nl += min_leaf
+        yo = y[order]
+        c1 = yo - mean
+        c2 = c1 * c1
+        left1, left2 = c1.cumsum()[nl - 1], c2.cumsum()[nl - 1]
+        right1, right2 = c1[::-1].cumsum()[::-1][nl], c2[::-1].cumsum()[::-1][nl]
         score = left2 - left1 * left1 / nl + right2 - right1 * right1 / (n - nl)
         floor = min(floor, float(score.min()))
-        screened.append((f, order, xs, nl, score))
+        screened.append((f, xs, yo, nl, score))
 
-    limit = floor + 1e-9 * float(np.dot(yc, yc))
+    total = float(np.dot(yc, yc))
+    limit = floor + 1e-9 * total
+    cuts = [(f, xs, yo, i) for f, xs, yo, nl, score in screened
+            for i in nl[score <= limit].tolist()]
+    if len(cuts) == 1 and total < 1e300:
+        # The exact minimum always passes the screen, so a lone cut is the
+        # split: scoring it could refuse it only by overflowing, and neither
+        # side's SSE exceeds `total`.
+        f, xs, _, i = cuts[0]
+        return f, float((xs[i - 1] + xs[i]) / 2.0)
     best_score = np.inf
     best = None
-    for f, order, xs, nl, score in screened:
-        yo = y[order]
-        for i in nl[score <= limit]:
-            exact = _sse(np.sort(yo[:i])) + _sse(np.sort(yo[i:]))
-            if exact < best_score:
-                best_score = exact
-                best = (f, float((xs[i - 1] + xs[i]) / 2.0))
+    for f, xs, yo, i in cuts:
+        exact = _sse(np.sort(yo[:i])) + _sse(np.sort(yo[i:]))
+        if exact < best_score:
+            best_score = exact
+            best = (f, float((xs[i - 1] + xs[i]) / 2.0))
     return best
 
 
-def _grow(X: np.ndarray, y: np.ndarray, depth: int, params: DtParams) -> DtNode:
-    n = y.size
-    if n < 2 * params.min_leaf_size or depth >= params.max_depth or np.ptp(y) == 0:
-        return DtLeaf(mean=float(y.mean()), count=n)
-    best = _best_split(X, y, params.min_leaf_size)
+def _grow(columns: np.ndarray, y: np.ndarray, rows: np.ndarray, orders, depth: int,
+          params: DtParams) -> DtNode:
+    """The subtree of the node holding `rows` (ascending), whose rows in
+    stable order of each feature f are `orders[f]`."""
+    yn = y[rows]
+    n = rows.size
+    if (n < 2 * params.min_leaf_size or depth >= params.max_depth
+            or np.maximum.reduce(yn) == np.minimum.reduce(yn)):  # constant targets
+        return DtLeaf(mean=float(_mean(yn)), count=n)
+    best = _best_split(columns, y, yn, orders, params.min_leaf_size)
     if best is None:
-        return DtLeaf(mean=float(y.mean()), count=n)
+        return DtLeaf(mean=float(_mean(yn)), count=n)
     feature, threshold = best
-    mask = X[:, feature] <= threshold
+    goes_left = columns[feature] <= threshold
+    # filtering an order keeps it stable, and `rows` ascending
+    left, right = ([order[side[order]] for order in [rows, *orders]]
+                   for side in (goes_left, ~goes_left))
     return DtSplit(
         feature=feature,
         threshold=threshold,
-        left=_grow(X[mask], y[mask], depth + 1, params),
-        right=_grow(X[~mask], y[~mask], depth + 1, params),
+        left=_grow(columns, y, left[0], left[1:], depth + 1, params),
+        right=_grow(columns, y, right[0], right[1:], depth + 1, params),
     )
 
 
@@ -208,7 +254,9 @@ def train_dt(X, y, params: DtParams = DtParams()) -> DtModel:
     X, y = _training_set(X, y, 1)
     if params.min_leaf_size < 1 or params.max_depth < 0:
         raise ValueError("min_leaf_size must be >= 1 and max_depth >= 0")
-    root = _grow(X, y, 0, params)
+    columns = np.ascontiguousarray(X.T)
+    orders = [np.argsort(column, kind="stable") for column in columns]
+    root = _grow(columns, y, np.arange(y.size), orders, 0, params)
     return DtModel(root=root, n_features=X.shape[1], params=params)
 
 
@@ -290,14 +338,33 @@ def _gram(X: np.ndarray, scale: float) -> np.ndarray:
     return K
 
 
+def _neighbours(zc: np.ndarray, idx: np.ndarray, rising: np.ndarray):
+    """Each variable's nearest distinct zc below and above it among the
+    variables of its point (-inf / +inf where there is none); `rising`
+    orders the variables by point, then by zc."""
+    v, p = zc[rising], idx[rising]
+    m = v.size
+    pos = np.arange(m)
+    run = np.ones(m + 1, dtype=bool)  # where a run of one point's equal zc starts
+    run[1:-1] = (p[1:] != p[:-1]) | (v[1:] != v[:-1])
+    first = np.maximum.accumulate(np.where(run[:-1], pos, 0))
+    last = np.minimum.accumulate(np.where(run[1:], pos, m)[::-1])[::-1]
+    prev, nxt = np.maximum(first - 1, 0), np.minimum(last + 1, m - 1)
+    below, above = np.empty(m), np.empty(m)
+    below[rising] = np.where((first > 0) & (p[prev] == p), v[prev], -np.inf)
+    above[rising] = np.where((last + 1 < m) & (p[nxt] == p), v[nxt], np.inf)
+    return below, above
+
+
 def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
                     idx: np.ndarray, max_sweeps: int):
     """Maximize W(g) = c.g - 1/2 sum_mm' g_m g_m' z_m z_m' K[idx_m, idx_m']
     subject to sum z_m g_m = 0 and 0 <= g_m <= box.
 
-    `K` holds the kernel over distinct points only; variable m sits on point
-    idx_m, so duplicate rows share one kernel row and one entry of the
-    expansion `fx`, which each step updates over the distinct points.
+    `K` is a `_gram` matrix over distinct points only, so its diagonal is
+    exactly 1; variable m sits on point idx_m, so duplicate rows share one
+    kernel row and one entry of the expansion `fx`, which each step updates
+    over the distinct points.
 
     Pairwise coordinate ascent with second-order working-set selection (Fan,
     Chen & Lin, "Working set selection using second order information",
@@ -308,56 +375,139 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
     pair's subproblem exactly within the box, so the objective never
     decreases. Stops when the KKT violation zg_i - min_low zg drops to
     `_KKT_TOL` or after `max_sweeps` passes of len(g) updates; the objective
-    is recorded after each pass and at the stop.
+    is recorded after each pass and at the stop. Ties go to the lowest
+    variable index.
 
     The tolerance is positive, so the first-order j has b_ij > 0 and the
     second-order search always finds a j; and i in `up`, j in `low` may each
     move the way the pair's step takes them, so the clipped step is never 0.
+    Neither set can empty: z is +-1 with both signs present, box > 0 and
+    each step keeps sum z g = 0, while an empty `up` (every z > 0 variable
+    at box, every z < 0 one at 0) would give sum z g = n_+ * box, and an
+    empty `low` -n_- * box.
 
-    A step moves only g_i and g_j, so the `up`/`low` index sets are kept
-    incrementally as penalty arrays (0 where a variable may move that way,
-    -inf/+inf where it may not), and only entries i and j are refreshed after
-    each step. Ties go to the first index. Neither set can empty: z is +-1
-    with both signs present, box > 0 and each step keeps sum z g = 0, while
-    an empty `up` (every z > 0 variable at box, every z < 0 one at 0) would
-    give sum z g = n_+ * box, and an empty `low` -n_- * box.
+    Selection runs over the distinct points, not the variables. The
+    variables of one point share fx_p, and rounding is monotone, so
+    fl(zc - fx_p) keeps the order of zc, and fl(b * b) / a_p the order of
+    b > 0. Per point, the largest zc in `up` therefore gives the point's
+    largest zg, and the smallest zc in `low` its largest b and gain. Each
+    point keeps those two, each with the lowest index holding it; a step
+    changes the sets only at i and j, so only their points are updated, and
+    a point is scanned again only when its holder leaves a set. i, the stop
+    test and j are taken from these per-point arrays. Monotone rounding
+    keeps order but may tie distinct values: where a second point reaches
+    the best score, or the distinct zc next to the point's own (fixed, since
+    zc is) reaches it too, the members of the tied points are scanned in
+    index order. b is clipped at 0 before it is squared, so a point with no
+    b > 0 scores 0, which only a tie at 0 can reach; the scan tests b > 0
+    itself. Every step thus picks the i and j of a search over all the
+    variables, and every dual, intercept and objective is the same double.
     """
-    m = z.size
+    m, n = z.size, K.shape[0]
     gamma = np.zeros(m)
-    fx = np.zeros(K.shape[0])  # raw kernel expansion at each distinct point
+    fx = np.zeros(n)  # raw kernel expansion at each distinct point
     zc = z * c
-    diag = np.diag(K)[idx]
-    up_pen = np.where(z > 0, 0.0, -np.inf)  # at g = 0, z > 0 may rise, z < 0 may fall
-    low_pen = np.where(z < 0, 0.0, np.inf)
+    # row x holds a_xp = max((K_xx + K_pp) - 2 K_xp, 1e-12), and K_xx + K_pp = 2
+    quad = K * -2.0
+    quad += 2.0
+    np.maximum(quad, 1e-12, out=quad)
+    up, low = z > 0, z < 0  # at g = 0, z > 0 may rise, z < 0 may fall
+    # each point's variables by falling zc (for `up`) and by rising zc (for
+    # `low`), equal zc in index order
+    ends = np.cumsum(np.bincount(idx, minlength=n))
+    starts = ends - np.bincount(idx, minlength=n)
+    falling, rising = np.lexsort((-zc, idx)), np.lexsort((zc, idx))
+    below, above = _neighbours(zc, idx, rising)
+    up_zc, up_first = np.empty(n), np.empty(n, dtype=np.intp)
+    low_zc, low_first = np.empty(n), np.empty(n, dtype=np.intp)
+
+    def rescan(p, order, allowed, best, first, empty):
+        """Point p's first `allowed` variable in `order`, its zc and index
+        (`empty` and 0 where it has none)."""
+        mem = order[starts.item(p):ends.item(p)]
+        k = mem[allowed[mem].argmax()]
+        best[p], first[p] = (zc[k], k) if allowed[k] else (empty, 0)
+
+    def scan(points, best, allowed, score):
+        """The lowest index among the `allowed` variables, on the points
+        scoring `best`, whose own score(zg, point) is `best`."""
+        hits = []
+        for p in np.flatnonzero(points == best).tolist():
+            mem = np.sort(rising[starts[p]:ends[p]])
+            hits.extend(mem[allowed[mem] & (score(zc[mem] - fx[p], p) == best)][:1].tolist())
+        return min(hits)
+
+    def gain_of(zg, p):
+        b = top - zg
+        return np.where(b > 0.0, b * b / a[p], -np.inf)
+
+    for p in range(n):
+        rescan(p, falling, up, up_zc, up_first, -np.inf)
+        rescan(p, rising, low, low_zc, low_first, np.inf)
+    gain = np.empty(n)
     history: list[float] = []
     converged = False
     for _ in range(max_sweeps):
         for _ in range(m):
-            zg = zc - fx[idx]
-            i = int(np.argmax(zg + up_pen))
-            j = int(np.argmin(zg + low_pen))
-            if zg[i] - zg[j] <= _KKT_TOL:
+            up_zg = up_zc - fx
+            low_zg = low_zc - fx
+            p = up_zg.argmax()
+            top = up_zg.item(p)
+            if top - low_zg.item(low_zg.argmin()) <= _KKT_TOL:
                 converged = True
                 break
+            i = up_first.item(p)
+            up_zg[p] = -np.inf
+            if below.item(i) - fx.item(p) == top or up_zg.item(up_zg.argmax()) == top:
+                up_zg[p] = top
+                i = scan(up_zg, top, up, lambda zg, _: zg)
             # second-order choice of j: largest b^2 / a over low with b > 0
-            xi = int(idx[i])
-            quad = np.maximum(diag + K[xi, xi] - K[xi][idx] * 2.0, 1e-12)
-            b_ij = zg[i] - zg
-            gain = np.where(b_ij > 0.0, -(b_ij * b_ij / quad), np.inf) + low_pen
-            j = int(np.argmin(gain))
-            t = z[i] * b_ij[j] / quad[j]
+            xi = idx.item(i)
+            a = quad[xi]
+            b_ij = top - low_zg
+            np.maximum(b_ij, 0.0, out=b_ij)
+            np.multiply(b_ij, b_ij, out=b_ij)
+            np.divide(b_ij, a, out=gain)
+            q = gain.argmax()
+            best = gain.item(q)
+            j = low_first.item(q)
+            b_next = top - (above.item(j) - fx.item(q))
+            gain[q] = -np.inf
+            if ((b_next > 0.0 and b_next * b_next / a.item(q) == best)
+                    or gain.item(gain.argmax()) == best):
+                gain[q] = best
+                j = scan(gain, best, low, gain_of)
+            xj = idx.item(j)
+            zi, gi, gj = z.item(i), gamma.item(i), gamma.item(j)
+            t = zi * (top - (zc.item(j) - fx.item(xj))) / a.item(xj)
             # keep both variables in the box; the paired move preserves sum z g
-            s = z[i] * z[j]
-            lo_t = max(-gamma[i], (gamma[j] - box) if s > 0 else -gamma[j])
-            hi_t = min(box - gamma[i], gamma[j] if s > 0 else box - gamma[j])
+            s = zi * z.item(j)
+            lo_t = max(-gi, (gj - box) if s > 0 else -gj)
+            hi_t = min(box - gi, gj if s > 0 else box - gj)
             t = min(max(t, lo_t), hi_t)
-            gamma[i] = min(max(gamma[i] + t, 0.0), box)
-            gamma[j] = min(max(gamma[j] - s * t, 0.0), box)
-            for k in (i, j):
-                rise, fall = gamma[k] < box, gamma[k] > 0.0
-                up_pen[k] = 0.0 if (rise if z[k] > 0 else fall) else -np.inf
-                low_pen[k] = 0.0 if (fall if z[k] > 0 else rise) else np.inf
-            fx += (K[xi] - K[idx[j]]) * (t * z[i])
+            gi, gj = min(max(gi + t, 0.0), box), min(max(gj - s * t, 0.0), box)
+            gamma[i], gamma[j] = gi, gj
+            # a variable joining a set may become its point's holder; one
+            # leaving it sends the point to a rescan if it held it
+            for k, g, zk in ((i, gi, zi), (j, gj, zi * s)):
+                rise, fall = g < box, g > 0.0
+                u, lo = (rise, fall) if zk > 0 else (fall, rise)
+                p, v = idx.item(k), zc.item(k)
+                if up.item(k) != u:
+                    up[k] = u
+                    if not u:
+                        if up_first.item(p) == k:
+                            rescan(p, falling, up, up_zc, up_first, -np.inf)
+                    elif v > up_zc.item(p) or (v == up_zc.item(p) and k < up_first.item(p)):
+                        up_zc[p], up_first[p] = v, k
+                if low.item(k) != lo:
+                    low[k] = lo
+                    if not lo:
+                        if low_first.item(p) == k:
+                            rescan(p, rising, low, low_zc, low_first, np.inf)
+                    elif v < low_zc.item(p) or (v == low_zc.item(p) and k < low_first.item(p)):
+                        low_zc[p], low_first[p] = v, k
+            fx += (K[xi] - K[xj]) * (t * zi)
         w = float(c @ gamma - 0.5 * np.dot(z * gamma, fx[idx]))
         history.append(w)
         if converged:
@@ -368,7 +518,7 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
     if interior.any():
         b = float(zg[interior].mean())
     else:
-        b = float((np.max(zg[up_pen == 0.0]) + np.min(zg[low_pen == 0.0])) / 2.0)
+        b = float((np.max(zg[up]) + np.min(zg[low])) / 2.0)
     return gamma, b, history
 
 

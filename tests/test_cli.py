@@ -704,7 +704,8 @@ class TestRefusedCommandPrintsNothing:
     @pytest.mark.parametrize("argv", [
         ["eval", "--trials", "0"],
         ["sweep", "--trials", "0"],
-        # counts whose arrays exceed 2**47 bytes: no overcommit setting lets them allocate
+        # counts whose arrays would exceed 2**47 bytes: `eval` refuses more than 2**44
+        # trials, and no overcommit setting lets the grid allocate
         ["eval", "--trials", "1000000000000000"],
         ["sweep", "--grid-points", "1000000000000000"],
         ["rank", "--k", "0"],

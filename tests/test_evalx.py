@@ -149,9 +149,42 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="n must be"):
             run_trials(small_db, small_pool, n=0, gate_ucl=0.01, seed=0)
 
+    def test_most_trials(self, small_db, small_pool, monkeypatch):
+        with pytest.raises(ValueError, match=r"n must be <= 17592186044416, got 17592186044417"):
+            run_trials(small_db, small_pool, n=2**44 + 1, gate_ucl=0.01, seed=0)
+        monkeypatch.setattr(evalx, "_MAX_TRIALS", 50)
+        assert run_trials(small_db, small_pool, n=50, gate_ucl=0.01, seed=0)[0].total == 50
+        with pytest.raises(ValueError, match="n must be <= 50, got 51"):
+            run_trials(small_db, small_pool, n=51, gate_ucl=0.01, seed=0)
+
+    @pytest.mark.parametrize("block", [1, 7, 40, 41])
+    def test_block_size_changes_nothing(self, small_db, small_pool, monkeypatch, block):
+        # 40 trials make one block at the default size, and 40, 6, 1 and 1
+        # blocks at these sizes
+        cm, decisions = run_trials(small_db, small_pool, n=40, gate_ucl=0.002, seed=6)
+        monkeypatch.setattr(evalx, "_DRAW_BLOCK", block)
+        cm_b, decisions_b = run_trials(small_db, small_pool, n=40, gate_ucl=0.002, seed=6)
+        assert cm_b == cm
+        assert {pi: vars(d) for pi, d in decisions_b.items()} == {
+            pi: vars(d) for pi, d in decisions.items()}
+
     def test_empty_db(self, small_pool):
         with pytest.raises(ValueError, match="reference database is empty"):
             run_trials(ReferenceDb(), small_pool, n=5, gate_ucl=0.01, seed=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 50, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3,
+                               2**63 - 1])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_blocked_draws_are_one_stream(k, block):
+    """`_trials` draws in blocks: consecutive `integers` calls of any sizes
+    give the stream of one call, below and above 2**32 values, whose draws
+    take half and whole 64-bit words, and at every block edge."""
+    for n in (block - 1, block, block + 1, 3 * block, 3 * block + 1):
+        rng = np.random.default_rng(2**40 + 11)
+        parts = [rng.integers(0, k, size=min(block, n - s)) for s in range(0, n, block)]
+        whole = np.random.default_rng(2**40 + 11).integers(0, k, size=n)
+        assert np.concatenate(parts or [whole[:0]]).tobytes() == whole.tobytes()
 
 
 class TestSweep:

@@ -214,6 +214,15 @@ class TestSplitSearch:
         assert brute_force_best_split(X, y, 3)[1:] == (0, 2.5)
         assert_splits_match(model, X, y, 3)
 
+    def test_cuts_within_the_screen_margin_scored_exactly(self):
+        # cuts 0.5 and 2.5 both pass the screen; the -1e-12 makes 2.5's exact
+        # SSE the lower one, so the first cut to pass must not be taken
+        X, y = np.arange(4.0), np.array([0.0, 1.0, 1.0, -1e-12])
+        params = DtParams(min_leaf_size=1, max_depth=1)
+        model = train_dt(X, y, params)
+        assert model.root.threshold == 2.5
+        assert_same_tree(model, X, y, params)
+
     def test_equal_multisets_lowest_threshold_wins(self):
         # cuts 2.5 and 7.5 each split one 1.0 off the rest; in feature order
         # the 0.0 of row 26 sits at a different place in the larger side, and
@@ -417,6 +426,260 @@ class TestSolverContract:
         m = train_svr(X, y, C=1.0, kernel_scale=0.35, max_sweeps=30)
         assert_solver_contract(m, None, max_sweeps=30)
         assert m.objective_history[-1] >= 17.816352053181078 * (1.0 - 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: tree growth and the kernel solver as they were before the tree
+# split presorted rows and the solver selected over distinct points. Their
+# code is kept as it was; the trainers must match them bit for bit, compared
+# in the same process, since `_kernel`'s exp differs by an ulp between
+# numpy's SIMD kernels.
+
+
+def oracle_sse(y: np.ndarray) -> float:
+    return float(np.sum((y - y.mean()) ** 2))
+
+
+def oracle_best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
+    n = y.size
+    yc = y - y.mean()
+    screened = []
+    floor = np.inf
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        nl = np.nonzero(xs[1:] > xs[:-1])[0] + 1
+        nl = nl[(nl >= min_leaf) & (n - nl >= min_leaf)]
+        if nl.size == 0:
+            continue
+        yo = yc[order]
+        sq = yo * yo
+        left1, left2 = np.cumsum(yo)[nl - 1], np.cumsum(sq)[nl - 1]
+        right1, right2 = np.cumsum(yo[::-1])[::-1][nl], np.cumsum(sq[::-1])[::-1][nl]
+        score = left2 - left1 * left1 / nl + right2 - right1 * right1 / (n - nl)
+        floor = min(floor, float(score.min()))
+        screened.append((f, order, xs, nl, score))
+
+    limit = floor + 1e-9 * float(np.dot(yc, yc))
+    best_score = np.inf
+    best = None
+    for f, order, xs, nl, score in screened:
+        yo = y[order]
+        for i in nl[score <= limit]:
+            exact = oracle_sse(np.sort(yo[:i])) + oracle_sse(np.sort(yo[i:]))
+            if exact < best_score:
+                best_score = exact
+                best = (f, float((xs[i - 1] + xs[i]) / 2.0))
+    return best
+
+
+def oracle_grow(X: np.ndarray, y: np.ndarray, depth: int, params: DtParams):
+    n = y.size
+    if n < 2 * params.min_leaf_size or depth >= params.max_depth or np.ptp(y) == 0:
+        return DtLeaf(mean=float(y.mean()), count=n)
+    best = oracle_best_split(X, y, params.min_leaf_size)
+    if best is None:
+        return DtLeaf(mean=float(y.mean()), count=n)
+    feature, threshold = best
+    mask = X[:, feature] <= threshold
+    return DtSplit(
+        feature=feature,
+        threshold=threshold,
+        left=oracle_grow(X[mask], y[mask], depth + 1, params),
+        right=oracle_grow(X[~mask], y[~mask], depth + 1, params),
+    )
+
+
+
+def oracle_solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
+                           idx: np.ndarray, max_sweeps: int):
+    m = z.size
+    gamma = np.zeros(m)
+    fx = np.zeros(K.shape[0])  # raw kernel expansion at each distinct point
+    zc = z * c
+    diag = np.diag(K)[idx]
+    up_pen = np.where(z > 0, 0.0, -np.inf)  # at g = 0, z > 0 may rise, z < 0 may fall
+    low_pen = np.where(z < 0, 0.0, np.inf)
+    history: list[float] = []
+    converged = False
+    for _ in range(max_sweeps):
+        for _ in range(m):
+            zg = zc - fx[idx]
+            i = int(np.argmax(zg + up_pen))
+            j = int(np.argmin(zg + low_pen))
+            if zg[i] - zg[j] <= learners._KKT_TOL:
+                converged = True
+                break
+            # second-order choice of j: largest b^2 / a over low with b > 0
+            xi = int(idx[i])
+            quad = np.maximum(diag + K[xi, xi] - K[xi][idx] * 2.0, 1e-12)
+            b_ij = zg[i] - zg
+            gain = np.where(b_ij > 0.0, -(b_ij * b_ij / quad), np.inf) + low_pen
+            j = int(np.argmin(gain))
+            t = z[i] * b_ij[j] / quad[j]
+            # keep both variables in the box; the paired move preserves sum z g
+            s = z[i] * z[j]
+            lo_t = max(-gamma[i], (gamma[j] - box) if s > 0 else -gamma[j])
+            hi_t = min(box - gamma[i], gamma[j] if s > 0 else box - gamma[j])
+            t = min(max(t, lo_t), hi_t)
+            gamma[i] = min(max(gamma[i] + t, 0.0), box)
+            gamma[j] = min(max(gamma[j] - s * t, 0.0), box)
+            for k in (i, j):
+                rise, fall = gamma[k] < box, gamma[k] > 0.0
+                up_pen[k] = 0.0 if (rise if z[k] > 0 else fall) else -np.inf
+                low_pen[k] = 0.0 if (fall if z[k] > 0 else rise) else np.inf
+            fx += (K[xi] - K[idx[j]]) * (t * z[i])
+        w = float(c @ gamma - 0.5 * np.dot(z * gamma, fx[idx]))
+        history.append(w)
+        if converged:
+            break
+
+    zg = zc - fx[idx]
+    interior = (gamma > 1e-8 * box) & (gamma < box * (1.0 - 1e-8))
+    if interior.any():
+        b = float(zg[interior].mean())
+    else:
+        b = float((np.max(zg[up_pen == 0.0]) + np.min(zg[low_pen == 0.0])) / 2.0)
+    return gamma, b, history
+
+
+def oracle_fit(train, *args, **kwargs):
+    with mock.patch.object(learners, "_solve_box_dual", oracle_solve_box_dual):
+        return train(*args, **kwargs)
+
+
+def assert_same_fit(new, old):
+    assert new.dual.tobytes() == old.dual.tobytes()
+    assert new.coef.tobytes() == old.coef.tobytes()
+    assert np.float64(new.b).tobytes() == np.float64(old.b).tobytes()
+    assert (np.array(new.objective_history).tobytes()
+            == np.array(old.objective_history).tobytes())
+
+
+def assert_same_tree(model, X, y, params):
+    old = oracle_grow(np.asarray(X, dtype=float).reshape(len(y), -1),
+                      np.asarray(y, dtype=float), 0, params)
+    assert model.root == old
+    assert repr(model.root) == repr(old)  # repr tells -0.0 from 0.0
+
+
+@st.composite
+def tie_heavy_rows(draw, max_features):
+    """X from at most 8 distinct values, normal draws or a half-integer grid
+    (whose equal distances give equal kernel values), and y rounded to 1-2
+    decimals, in half the draws nudged by up to two ulps: points tie, and
+    variables tie within a point exactly and after rounding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(2, 40)), draw(st.integers(1, 8))
+    values = rng.normal(size=k) if draw(st.booleans()) else rng.integers(0, 4, size=k) * 0.5
+    X = values[rng.integers(0, k, size=(n, draw(st.integers(1, max_features))))]
+    y = np.round(rng.normal(size=n), draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        y += rng.integers(-2, 3, size=n) * np.spacing(y)
+    return X, y
+
+
+class TestSameAsOracle:
+    """The per-point solver and the presorted tree give the oracles'
+    duals, coefficients, intercept, objective history and trees."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_rows(2), st.sampled_from([0.5, 1.0, 3.0, 10.0]), st.floats(0.2, 2.0),
+           st.sampled_from([1, 2, 3, 200]), st.sampled_from([None, 0.0, 0.05]),
+           st.integers(0, 2**32 - 1))
+    def test_kernel_fits_bit_equal(self, rows, C, kernel_scale, max_sweeps, epsilon, seed):
+        X, y = rows
+        fit = dict(C=C, kernel_scale=kernel_scale, max_sweeps=max_sweeps)
+        labels = np.where(np.random.default_rng(seed).random(y.size) < 0.5, 1.0, -1.0)
+        labels[0], labels[-1] = 1.0, -1.0
+        assert_same_fit(train_svr(X, y, epsilon=epsilon, **fit),
+                        oracle_fit(train_svr, X, y, epsilon=epsilon, **fit))
+        assert_same_fit(train_svm_binary(X, labels, **fit),
+                        oracle_fit(train_svm_binary, X, labels, **fit))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_rows(3), st.integers(1, 5), st.sampled_from([0, 1, 3, 32]))
+    def test_trees_equal(self, rows, min_leaf, max_depth):
+        X, y = rows
+        params = DtParams(min_leaf_size=min_leaf, max_depth=max_depth)
+        assert_same_tree(train_dt(X, y, params), X, y, params)
+
+    def test_tree_where_squares_overflow(self):
+        # at 1e155 the root's only screened cut has an exact SSE that
+        # overflows, so the oracle finds no split and grows a single leaf
+        X, y = np.arange(8.0), np.random.default_rng(1).normal(size=8) * 1e155
+        params = DtParams(min_leaf_size=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = train_dt(X, y, params)
+            assert_same_tree(model, X, y, params)
+        assert isinstance(model.root, DtLeaf)
+
+    @pytest.mark.parametrize("max_sweeps", [30, 200])
+    def test_bench_pairs(self, bench_pairs, max_sweeps):
+        # the `study` benchmark fits at 30 sweeps, `rrauth bench` at 200
+        X, y = bench_pairs
+        assert_same_fit(train_svr(X, y, max_sweeps=max_sweeps),
+                        oracle_fit(train_svr, X, y, max_sweeps=max_sweeps))
+        assert_same_tree(train_dt(X, y), X, y, DtParams())
+
+
+class TestSelectionBoundaries:
+    """Inputs on the edges of the per-point selection, each also run
+    through the oracle solver."""
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_gap_at_tolerance_stops(self, below):
+        # at g = 0 the gap is zc_i - zc_j = 1 - (-1) = 2 exactly
+        X, labels = np.array([[0.0], [1.0]]), np.array([1.0, -1.0])
+        tol = np.nextafter(2.0, 0.0) if below else 2.0
+        with mock.patch.object(learners, "_KKT_TOL", tol):
+            m = train_svm_binary(X, labels, C=1.0)
+            assert_same_fit(m, oracle_fit(train_svm_binary, X, labels, C=1.0))
+        if below:
+            assert np.all(m.dual > 0.0)
+        else:
+            assert np.all(m.dual == 0.0) and m.objective_history == (0.0,)
+
+    def test_zero_b_is_not_a_candidate(self):
+        # with the tolerance at 0, the gap 1e-200 takes a step. Variable 1
+        # has b = 0 and variable 2 b = 1e-200, whose square underflows, so
+        # both would score 0 and the lower index would win: only b > 0 may
+        # pair with i, and the step moves variables 0 and 2
+        K = learners._gram(np.array([[0.0], [100.0], [200.0]]), 0.35)
+        args = (K, np.array([1.0, -1.0, -1.0]), np.array([1e-200, -1e-200, 0.0]), 1.0,
+                np.arange(3), 1)
+        with mock.patch.object(learners, "_KKT_TOL", 0.0):
+            gamma, b, history = learners._solve_box_dual(*args)
+            old = oracle_solve_box_dual(*args)
+        assert gamma.tobytes() == old[0].tobytes() and (b, history) == old[1:]
+        assert gamma[0] == gamma[2] == 5e-201 and gamma[1] == 0.0
+
+    def test_equal_zc_on_one_point_lowest_index(self):
+        # variables 0 and 1 sit on one point with zc = 1: variable 0 moves
+        X, y = np.array([[0.0], [0.0], [1.0]]), np.array([1.0, 1.0, -1.0])
+        m = train_svr(X, y, C=0.5, epsilon=0.0, max_sweeps=1)
+        assert_same_fit(m, oracle_fit(train_svr, X, y, C=0.5, epsilon=0.0, max_sweeps=1))
+        assert m.dual[0] == 0.5 and m.dual[1] == 0.0
+
+    def test_ties_across_points_lowest_index(self):
+        # X = 0 and 2 are equally far from 1, so their kernel values, and
+        # with them i's and j's scores, tie across points; the lower index
+        # sits on the later point
+        X, labels = np.array([[2.0], [0.0], [1.0]]), np.array([-1.0, -1.0, 1.0])
+        fit = dict(C=10.0, kernel_scale=1.0, max_sweeps=1)
+        assert_same_fit(train_svm_binary(X, labels, **fit),
+                        oracle_fit(train_svm_binary, X, labels, **fit))
+
+    @pytest.mark.parametrize("X, y, C", [
+        # i: 0.1 and 0.10000000000000002 on one point give one zg
+        ([1.0, 0.0, 1.0, 1.0, 1.0], [0.1, 1.4, -0.2, -1.5, 0.10000000000000002], 0.5),
+        # j: the two targets near -0.02 on one point give one gain
+        ([0.0] * 5, [-0.019999999999999993, -0.020000000000000007, 0.57, 1.38, -0.38], 10.0),
+    ], ids=["i", "j"])
+    def test_distinct_zc_tied_by_rounding(self, X, y, C):
+        X, y = np.array(X).reshape(-1, 1), np.array(y)
+        fit = dict(C=C, epsilon=0.0, kernel_scale=0.5, max_sweeps=1)
+        assert_same_fit(train_svr(X, y, **fit), oracle_fit(train_svr, X, y, **fit))
 
 
 class TestDistinctRows:
