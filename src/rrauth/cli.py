@@ -346,7 +346,7 @@ def cmd_rank(args) -> int:
             for _, record in _manifest_records(doc, base, enrolled_only=True)]
     ranking = infotheory.rank_features(sets, bins=args.bins, top_k=args.k)
     lines = ["position,mi_bits"]
-    lines.extend(f"{pos},{mi!r}" for pos, mi in ranking.entries)
+    lines.extend(f"{pos},{mi!r}" for pos, mi in ranking)
     text = "\n".join(lines) + "\n"
     path = _write_output(args.out, "ranking.csv", text) if args.out else None
     _print_header("rank", manifest=args.manifest, bins=args.bins, k=args.k,

@@ -110,8 +110,17 @@ def _sse(y: np.ndarray) -> float:
     return float(np.add.reduce(d * d))
 
 
+def _threshold(a: float, b: float) -> float:
+    """The cut between neighbouring sorted values a < b: their midpoint, or
+    a where the midpoint rounds onto b or overflows, so that `x <= cut`
+    always sends a left and b right."""
+    mid = (a + b) / 2.0
+    return mid if a <= mid < b else a
+
+
 def _best_split(columns: np.ndarray, y: np.ndarray, yn: np.ndarray, orders, min_leaf: int):
-    """Exhaustive scan over every feature's sorted unique midpoints.
+    """Exhaustive scan over the cuts between every feature's sorted unique
+    values, each at `_threshold`.
 
     `columns[f]` holds feature f of every row, `yn` the node's targets in
     row order and `orders[f]` the node's rows (indices into the columns and
@@ -169,14 +178,14 @@ def _best_split(columns: np.ndarray, y: np.ndarray, yn: np.ndarray, orders, min_
         # split: scoring it could refuse it only by overflowing, and neither
         # side's SSE exceeds `total`.
         f, xs, _, i = cuts[0]
-        return f, float((xs[i - 1] + xs[i]) / 2.0)
+        return f, _threshold(xs.item(i - 1), xs.item(i))
     best_score = np.inf
     best = None
     for f, xs, yo, i in cuts:
         exact = _sse(np.sort(yo[:i])) + _sse(np.sort(yo[i:]))
         if exact < best_score:
             best_score = exact
-            best = (f, float((xs[i - 1] + xs[i]) / 2.0))
+            best = (f, _threshold(xs.item(i - 1), xs.item(i)))
     return best
 
 
@@ -577,8 +586,16 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
     U, inv = np.unique(X, axis=0, return_inverse=True)
     z = np.concatenate([np.ones(n), -np.ones(n)])
     c = np.concatenate([y - epsilon, -y - epsilon])
-    gamma, b, history = _solve_box_dual(_gram(U, kernel_scale), z, c, C,
-                                        np.concatenate([inv, inv]), max_sweeps)
+    try:
+        # targets, epsilon and C large enough that b^2 or the objective
+        # overflows would drive the solver with inf and NaN; the inputs are
+        # finite, so every NaN starts at an overflow
+        with np.errstate(over="raise"):
+            gamma, b, history = _solve_box_dual(_gram(U, kernel_scale), z, c, C,
+                                                np.concatenate([inv, inv]), max_sweeps)
+    except FloatingPointError as exc:
+        raise ValueError(f"the SVR dual overflows on targets up to |y| = {top} with "
+                         f"epsilon {epsilon} and C {C} ({exc})") from None
     beta = gamma[:n] - gamma[n:]
     return KernelModel(X=X, y=y, coef=beta, dual=gamma,
                        b=b, kernel_scale=kernel_scale, C=C, epsilon=float(epsilon),

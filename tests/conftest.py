@@ -260,6 +260,70 @@ def kernel_predict(model, x) -> float:
     return float(model.coef @ k + model.b)
 
 
+# The histogram pipeline that `infotheory.mutual_information` replaced, kept
+# as its oracle: histograms as (counts, n) pairs, the marginal entropy, the
+# conditional entropy and the direct double-sum form.
+
+def oracle_bin_edges(values, bins):
+    lo = float(values.min())
+    hi = float(values.max())
+    if lo == hi:
+        return np.array([lo - 0.5, lo + 0.5])
+    return np.linspace(lo, hi, bins + 1)
+
+
+def oracle_histogram(values, bins=16):
+    values = np.asarray(values, dtype=float)
+    counts, _ = np.histogram(values, bins=oracle_bin_edges(values, bins))
+    return counts, int(values.size)
+
+
+def oracle_joint_histogram(xs, ys, bins_x=16, bins_y=16):
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    counts, _, _ = np.histogram2d(xs, ys, bins=[oracle_bin_edges(xs, bins_x),
+                                                oracle_bin_edges(ys, bins_y)])
+    return counts, int(xs.size)
+
+
+def oracle_entropy(hist):
+    """H(x) = -sum p log2 p, with 0 log 0 = 0."""
+    counts, n = hist
+    p = counts[counts > 0] / n
+    return float(-np.sum(p * np.log2(p))) + 0.0  # normalize -0.0
+
+
+def oracle_conditional_entropy(joint):
+    """E[H(x|Y)] = sum_y p(y) H(x | Y=y)."""
+    counts, n = joint
+    total = 0.0
+    for col in counts.T:
+        ny = float(col.sum())
+        if ny == 0:
+            continue
+        p = col[col > 0] / ny
+        total += (ny / n) * float(-np.sum(p * np.log2(p)))
+    return total
+
+
+def oracle_mi_from_joint(joint):
+    """Direct double-sum form: sum p(x,y) log2[p(x,y) / (p(x) p(y))]."""
+    counts, n = joint
+    pxy = counts / n
+    px = pxy.sum(axis=1, keepdims=True)
+    py = pxy.sum(axis=0, keepdims=True)
+    mask = pxy > 0
+    ratio = pxy[mask] / (px @ py)[mask]
+    return float(np.sum(pxy[mask] * np.log2(ratio)))
+
+
+def oracle_mutual_information(xs, ys, bins_x=16, bins_y=16):
+    """H(x) - E[H(x|Y)] over the joint, clamped at zero from below."""
+    joint = oracle_joint_histogram(xs, ys, bins_x, bins_y)
+    counts, n = joint
+    return max(0.0, oracle_entropy((counts.sum(axis=1), n)) - oracle_conditional_entropy(joint))
+
+
 @pytest.fixture(scope="session")
 def small_cohort():
     """3 enrolled + 1 unknown, 65 s each: enough for auth and trial tests."""

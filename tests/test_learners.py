@@ -234,6 +234,28 @@ class TestSplitSearch:
         assert (model.root.feature, model.root.threshold) == (0, 2.5)
         assert brute_force_best_split(X, y, 1)[1:] == (0, 2.5)
 
+    @pytest.mark.parametrize("a,b", [(1 + 2**-52, 1 + 2**-51), (1e308, 1.5e308),
+                                     (-1e308, -1.5e308)])
+    @pytest.mark.parametrize("scale", [1.0, 1e151])
+    def test_cut_between_neighbouring_or_huge_values(self, a, b, scale):
+        # the midpoint of a and b rounds onto the larger one or overflows to
+        # +-inf, so the cut is the smaller one; at scale 1e151 the node's sum
+        # of squares passes 1e300 and the lone cut is scored exactly
+        X, y = np.array([a, b, a, b]), np.array([0.0, 1.0, 0.0, 1.0]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_dt(X, y, DtParams(min_leaf_size=1, max_depth=3))
+        lo, hi = sorted((a, b))
+        assert model.root.threshold == lo
+        assert model.root.left == DtLeaf(mean=float(y[X == lo][0]), count=2)
+        assert model.root.right == DtLeaf(mean=float(y[X == hi][0]), count=2)
+
+    def test_cut_at_the_midpoint_when_it_lies_between(self):
+        assert learners._threshold(1.0, 2.0) == 1.5
+        assert learners._threshold(-1e308, 1e308) == 0.0
+        # 1 + 2**-53 rounds down onto 1.0: the midpoint is the smaller value
+        assert learners._threshold(1.0, 1 + 2**-52) == 1.0
+
 
 def walk_curve(model, length):
     """Reference curve: one root-to-leaf walk per position."""
@@ -866,6 +888,14 @@ class TestOneInputCheck:
             m = train_svr(X, y, epsilon=1e307)
         assert np.all(m.dual == 0.0) and math.isfinite(m.b)
         assert all(math.isfinite(w) for w in m.objective_history)
+
+    def test_svr_overflowing_dual_refused(self):
+        # the span 4e200 is finite, but b^2 in the solver overflows
+        y = [1e200, -1e200, 3e199, -2e200, 5e199, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the SVR dual overflows on targets up to"):
+                train_svr(np.arange(6.0), y, epsilon=0.0, C=1e190)
 
     @pytest.mark.parametrize("epsilon", [-0.1, math.nan, math.inf])
     def test_svr_epsilon_must_be_finite_and_nonnegative(self, epsilon):
