@@ -64,7 +64,6 @@ __all__ = [
     "ReferenceDb",
     "AuthDecision",
     "FrameScores",
-    "compute_ucl",
     "extract_frames",
     "enroll",
     "score_frames",
@@ -83,14 +82,10 @@ class DbFormatError(ValueError):
     """Reference database file is missing, corrupted, or wrong version."""
 
 
-def compute_ucl(mses) -> float:
-    """Upper control limit: mean + 3 sample standard deviations (n-1)."""
-    return QualityStats.from_mses(mses).ucl
-
-
 @dataclass(frozen=True, eq=False)
 class QualityStats:
-    """Per-frame training MSEs with their mean, spread and control limit (mV^2)."""
+    """Per-frame training MSEs with their mean, spread and control limit (mV^2):
+    the upper control limit is the mean plus 3 sample standard deviations (n-1)."""
 
     mses: np.ndarray
     mean: float
@@ -138,9 +133,6 @@ class ReferenceDb:
 
     frame_len: int = DEFAULT_FRAME_LEN
     entries: dict[str, ReferenceEntry] = field(default_factory=dict)
-
-    def entity_ids(self) -> list[str]:
-        return sorted(self.entries)
 
     def median_ucl(self) -> float:
         """Median of the enrolled training UCLs: the default quality gate."""
@@ -227,7 +219,7 @@ def score_frames(db: ReferenceDb, record: EcgRecord, *,
     n_frames = frames.shape[0]
     if n_frames == 0:
         raise ValueError("probe record produced no frames")
-    ids = tuple(db.entity_ids())
+    ids = tuple(sorted(db.entries))
     curves = np.array([db.entries[e].curve for e in ids])
     block = max(1, _SCORE_BLOCK_BYTES // curves.nbytes)
     diff = np.empty((min(block, n_frames), *curves.shape))

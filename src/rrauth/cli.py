@@ -10,6 +10,7 @@ on identical inputs produce byte-identical outputs. Exit codes: 0 success
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -128,7 +129,7 @@ def cmd_gen(args) -> int:
             "role": role,
             "file": f"{sid}.csv",
             "seed": profile.seed,
-            "profile": ecgsig.profile_to_dict(profile),
+            "profile": dataclasses.asdict(profile),
         })
     manifest = {
         "format": "rrauth-cohort",

@@ -58,8 +58,9 @@ def mutual_information(xs, ys, bins_x: int = 16, bins_y: int = 16) -> float:
 
 def rank_features(frame_sets, bins: int = 16, top_k: int = 32) -> tuple[tuple[int, float], ...]:
     """The `top_k` frame positions by MI between amplitude-at-position and
-    the entity label, as (position, mi_bits) pairs, descending; ties
-    resolve toward the lower position.
+    the entity label, as (position, mi_bits) pairs, descending; equal
+    computed values go to the lower position first. Positions whose exact
+    MI is equal can still differ by rounding, and are then ordered by it.
 
     Ranking is purely per-position; no subset search is attempted.
     """

@@ -1,13 +1,13 @@
 """Regression engines of the paper's tree-versus-kernel comparison.
 
-Two trainers are provided: a CART regression tree grown by exhaustive
-variance-reduction splits (the `rrauth bench` model; on enrolment's frames it
-predicts the per-position frame mean that `enroll` computes directly) and a
-Gaussian-kernel machine (binary max-margin classifier and epsilon-insensitive
-regressor) whose dual is solved by pairwise coordinate ascent with
-second-order working-set selection (Fan, Chen & Lin, JMLR 6, 2005, as in
-LIBSVM) and stopped at LIBSVM's default KKT tolerance of 1e-3. Fit quality
-is reported as RMSE/MAE in mV plus wall-clock training time.
+Two trainers are provided, the two models of `rrauth bench`: a CART
+regression tree grown by exhaustive variance-reduction splits (on
+enrolment's frames it predicts the per-position frame mean that `enroll`
+computes directly) and an epsilon-insensitive Gaussian-kernel regressor
+(SVR) whose dual is solved by pairwise coordinate ascent with second-order
+working-set selection (Fan, Chen & Lin, JMLR 6, 2005, as in LIBSVM) and
+stopped at LIBSVM's default KKT tolerance of 1e-3. Fit quality is reported
+as RMSE/MAE in mV plus wall-clock training time.
 
 The tree's split search screens every cut of a feature at once with prefix
 sums of the node-centred targets and their squares, then confirms the few
@@ -28,16 +28,16 @@ the extreme zc, and a search over ~220 points picks the i and j of a search
 over all 4000 variables of `rrauth bench` (`_solve_box_dual` says why the
 choice, ties included, is the same to the bit).
 
-All three trainers check their data in one place, and the kernel machines
-check their parameters in one more (`check_kernel_params`, which `rrauth
-bench` calls before it reads its record). The kernel machines fit and
-predict with one Gaussian kernel. They build their Gram matrix over
-the distinct rows of X only: duplicate rows have identical kernel rows, so
-`rrauth bench`'s 2000 (position, amplitude) pairs need a 220 x 220 kernel,
-not 2000 x 2000. Batch prediction likewise evaluates each distinct query
-row once. The kernel is built in two buffers of its full size, by the same
-operations in the same order as the one-line expression, so fits and
-predictions are byte-equal to that expression's.
+Both trainers check their data in one place, and the regressor checks its
+kernel parameters in one more (`check_kernel_params`, which `rrauth bench`
+calls before it reads its record). The regressor fits and predicts with one
+Gaussian kernel. It builds its Gram matrix over the distinct rows of X
+only: duplicate rows have identical kernel rows, so `rrauth bench`'s 2000
+(position, amplitude) pairs need a 220 x 220 kernel, not 2000 x 2000.
+Batch prediction likewise evaluates each distinct query row once. The
+kernel is built in two buffers of its full size, by the same operations in
+the same order as the one-line expression, so fits and predictions are
+byte-equal to that expression's.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "train_dt",
     "predict_dt",
     "predict_curve",
-    "train_svm_binary",
     "train_svr",
     "check_kernel_params",
     "kernel_predict_batch",
@@ -223,7 +222,7 @@ def _as_matrix(X) -> np.ndarray:
 
 def check_kernel_params(C: float, kernel_scale: float, max_sweeps: int,
                         epsilon: float | None = None) -> None:
-    """The kernel machines' parameter rule: C and kernel_scale > 0, the
+    """The kernel regressor's parameter rule: C and kernel_scale > 0, the
     kernel's divisor 2 kernel_scale^2 > 0 too (a scale below ~1.1e-162
     squares to 0), the solver's sweep cap an integer >= 0 and, when given,
     epsilon finite and >= 0. Each test is written so that NaN fails it."""
@@ -290,7 +289,7 @@ def predict_curve(model: DtModel, length: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-kernel machines
+# Gaussian-kernel regression
 
 
 _KKT_TOL = 1e-3  # the solver's stop on the KKT violation (LIBSVM's default)
@@ -298,22 +297,22 @@ _KKT_TOL = 1e-3  # the solver's stop on the KKT violation (LIBSVM's default)
 
 @dataclass(frozen=True, eq=False)
 class KernelModel:
-    """Kernel expansion f(x) = sum_i coef_i k(x, x_i) + b.
+    """Kernel expansion f(x) = sum_i coef_i k(x, x_i) + b of the regressor.
 
-    A classifier (`epsilon` None) has coef_i = y_i * a_i with duals a in
-    [0, C] and sum a_i y_i = 0; a regressor has signed coef_i in [-C, C] with
-    sum coef_i = 0. `objective_history` holds the dual objective after each
-    solver sweep of len(dual) pair updates, and at the stop.
+    The signed coef_i lie in [-C, C] with sum coef_i = 0; `dual` stacks the
+    box variables of the tube's two sides, and coef is their difference.
+    `objective_history` holds the dual objective after each solver sweep of
+    len(dual) pair updates, and at the stop.
     """
 
     X: np.ndarray
     y: np.ndarray
     coef: np.ndarray
-    dual: np.ndarray  # a_i (classification) or the stacked box variables (regression)
+    dual: np.ndarray
     b: float
     kernel_scale: float
     C: float
-    epsilon: float | None
+    epsilon: float
     objective_history: tuple[float, ...] = field(default_factory=tuple)
 
 
@@ -531,29 +530,6 @@ def _solve_box_dual(K: np.ndarray, z: np.ndarray, c: np.ndarray, box: float,
     return gamma, b, history
 
 
-def train_svm_binary(X, y, C: float = 1.0, kernel_scale: float = 0.35,
-                     max_sweeps: int = 200) -> KernelModel:
-    """Train the binary max-margin classifier on labels in {-1, +1}.
-
-    The kernel is built over the distinct rows of X. The solver stops when
-    the KKT violation is at most 1e-3 or after `max_sweeps` sweeps; a sweep
-    is len(y) pair updates.
-    """
-    X, y = _training_set(X, y, 2)
-    check_kernel_params(C, kernel_scale, max_sweeps)
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1")
-    if not (np.any(y > 0) and np.any(y < 0)):
-        raise ValueError("both classes must be present")
-
-    U, inv = np.unique(X, axis=0, return_inverse=True)
-    alpha, b, history = _solve_box_dual(_gram(U, kernel_scale), y.copy(), np.ones(y.size),
-                                        C, inv, max_sweeps)
-    return KernelModel(X=X, y=y, coef=y * alpha,
-                       dual=alpha, b=b, kernel_scale=kernel_scale, C=C,
-                       epsilon=None, objective_history=tuple(history))
-
-
 def auto_epsilon(y) -> float:
     """Insensitivity-tube width heuristic: interquartile range / 13.49."""
     y = np.asarray(y, dtype=float)
@@ -565,9 +541,9 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
               kernel_scale: float = 0.35, max_sweeps: int = 200) -> KernelModel:
     """Train the epsilon-insensitive kernel regressor.
 
-    The regression dual is the same box-constrained QP as the classifier,
-    doubled: one nonnegative variable per side of the tube. Both share the
-    coordinate-ascent core and build the kernel over the distinct rows of X.
+    The dual is a box-constrained QP (`_solve_box_dual`) with one
+    nonnegative variable per side of the tube (z = +1 on one side, -1 on the
+    other); the kernel is built over the distinct rows of X.
     The solver stops when the KKT violation is at most 1e-3 or after
     `max_sweeps` sweeps; a sweep is 2 * len(y) pair updates, one per dual
     variable. `epsilon=None` selects the IQR/13.49 heuristic.

@@ -145,11 +145,9 @@ __all__ = [
     "save_csv",
     "slice_seconds",
     "synth_ecg",
-    "beat_template",
     "preprocess",
     "random_profile",
     "cohort_profiles",
-    "profile_to_dict",
 ]
 
 
@@ -609,8 +607,8 @@ def _bump_sum(u: np.ndarray, waves: np.ndarray) -> np.ndarray:
 
 
 def _beat_templates(profiles: list[SubjectProfile], frame_len: int) -> np.ndarray:
-    """`beat_template` of each profile, one row each, built in one `_bump_sum`
-    call on a (len(profiles), frame_len) phase grid."""
+    """The noise-free, R-anchored frame of each profile, one row each, built
+    in one `_bump_sum` call on a (len(profiles), frame_len >= 2) phase grid."""
     waves = np.stack([_wave_table(p) for p in profiles], axis=-1)[..., None]
     r_phase = waves[WAVE_NAMES.index("R"), 0]
     u = (r_phase + np.arange(frame_len) / (frame_len - 1)) % 1.0
@@ -658,17 +656,6 @@ def synth_ecg(profile: SubjectProfile, duration_s: float, fs: float) -> tuple[Ec
     peaks = peaks[(peaks >= 0) & (peaks < n)]
     record = EcgRecord(subject_id=f"synth-{profile.seed}", fs=fs, samples=samples)
     return record, peaks
-
-
-def beat_template(profile: SubjectProfile, frame_len: int = DEFAULT_FRAME_LEN) -> np.ndarray:
-    """Noise-free expected frame (R-peak anchored) for a profile.
-
-    Useful as a ground-truth reference curve in tests and for checking
-    morphological separation between subjects.
-    """
-    if frame_len < 2:
-        raise ValueError("frame_len must be >= 2")
-    return _beat_templates([profile], frame_len)[0]
 
 
 def _moving_median(x: np.ndarray, win: int) -> np.ndarray:
@@ -851,15 +838,3 @@ def cohort_profiles(count: int, seed: int, min_separation_mse: float = 0.010,
                     break
     return profiles
 
-
-def profile_to_dict(profile: SubjectProfile) -> dict:
-    return {
-        "heart_rate_bpm": profile.heart_rate_bpm,
-        "rr_jitter": profile.rr_jitter,
-        "noise_sd": profile.noise_sd,
-        "seed": profile.seed,
-        "waves": {
-            name: {"phase": w.phase, "width": w.width, "amplitude": w.amplitude}
-            for name, w in sorted(profile.waves.items())
-        },
-    }

@@ -10,14 +10,13 @@ pipeline at the pinned seeds and are asserted exactly thereafter.
 import numpy as np
 import pytest
 
-from rrauth.authcore import (ReferenceDb, compute_ucl, db_to_json, enroll,
+from rrauth.authcore import (QualityStats, ReferenceDb, db_to_json, enroll,
                              load_db, save_db)
 from rrauth.beat import detect_rpeaks
 from rrauth.cli import main
 from rrauth.evalx import ConfusionMatrix, accuracy, auto_grid, overall_performance, sweep_ucl
 from rrauth.infotheory import mutual_information
-from rrauth.learners import (DtParams, DtSplit, predict_dt, train_dt,
-                             train_svm_binary, train_svr)
+from rrauth.learners import DtParams, DtSplit, predict_dt, train_dt, train_svr
 from rrauth.signal import (EcgRecord, SubjectProfile, cohort_profiles,
                            preprocess, slice_seconds, synth_ecg)
 
@@ -75,14 +74,16 @@ def test_02_confusion_matrix_arithmetic():
 
 
 def test_03_ucl_formula():
-    assert compute_ucl([1.0, 2.0, 3.0]) == 5.0
-    assert compute_ucl([0.7, 0.7, 0.7, 0.7]) == 0.7
+    def ucl(mses):
+        return QualityStats.from_mses(mses).ucl
+
+    assert ucl([1.0, 2.0, 3.0]) == 5.0
+    assert ucl([0.7, 0.7, 0.7, 0.7]) == 0.7
     rng = np.random.default_rng(11)
     for _ in range(100):
         mses = rng.uniform(0.0, 3.0, size=int(rng.integers(2, 40)))
         c = float(rng.uniform(0.01, 100.0))
-        assert compute_ucl(c * mses) == pytest.approx(c * compute_ucl(mses),
-                                                      rel=1e-12)
+        assert ucl(c * mses) == pytest.approx(c * ucl(mses), rel=1e-12)
     ok(3, "mean + 3 sigma control limit exact and scale-equivariant")
 
 
@@ -148,20 +149,18 @@ def test_07_tree_against_exhaustive_oracle():
 
 def test_08_kernel_machine_feasibility():
     rng = np.random.default_rng(41)
-    for _ in range(10):  # classification problems
+    for _ in range(10):  # regression problems on two features
         n = int(rng.integers(6, 25))
         X = rng.normal(size=(n, 2))
-        y = np.where(X @ rng.normal(size=2) + 0.2 * rng.normal(size=n) > 0, 1.0, -1.0)
-        if len(np.unique(y)) < 2:
-            y[0] = -y[0]
+        y = X @ rng.normal(size=2) + 0.2 * rng.normal(size=n)
         C = float(rng.uniform(0.5, 5.0))
-        m = train_svm_binary(X, y, C=C, kernel_scale=1.0)
+        m = train_svr(X, y, C=C, kernel_scale=1.0)
         assert np.all(m.dual >= 0.0) and np.all(m.dual <= C)
-        assert abs(np.sum(m.dual * m.y)) <= 1e-9
+        assert abs(np.sum(m.coef)) <= 1e-9
         h = m.objective_history
         assert all(p <= q + 1e-9 for p, q in zip(h, h[1:]))
 
-    for _ in range(10):  # regression problems
+    for _ in range(10):  # regression problems on one feature
         n = int(rng.integers(6, 21))
         X = rng.normal(size=(n, 1))
         y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=n)
@@ -200,20 +199,26 @@ def test_10_persistence_round_trip(cohort, tmp_path):
 
 
 def test_11_bench_report(cohort, tmp_path, capsys):
+    # At 2000 pairs the two fits take comparable time, so one run's pair of
+    # times can invert under load; each side's least time over three runs is
+    # compared instead.
     _, _, records = cohort
     from rrauth.signal import save_csv
     csv_path = tmp_path / "e01.csv"
     save_csv(records["e01"], csv_path)
-    rc = main(["bench", "--input", str(csv_path), "--limit", "2000",
-               "--out", str(tmp_path)])
-    assert rc == 0
-    capsys.readouterr()
-    rows = (tmp_path / "bench.csv").read_text().splitlines()
-    assert rows[0] == "metric,dt,svr"
-    table = {r.split(",")[0]: (float(r.split(",")[1]), float(r.split(",")[2]))
-             for r in rows[1:]}
-    for metric, (dt_v, svr_v) in table.items():
-        assert np.isfinite(dt_v) and np.isfinite(svr_v), metric
-    dt_time, svr_time = table["Training Time (s)"]
+    times = []
+    for run in range(3):
+        out = tmp_path / f"run{run}"
+        rc = main(["bench", "--input", str(csv_path), "--limit", "2000", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        rows = (out / "bench.csv").read_text().splitlines()
+        assert rows[0] == "metric,dt,svr"
+        table = {r.split(",")[0]: (float(r.split(",")[1]), float(r.split(",")[2]))
+                 for r in rows[1:]}
+        for metric, (dt_v, svr_v) in table.items():
+            assert np.isfinite(dt_v) and np.isfinite(svr_v), metric
+        times.append(table["Training Time (s)"])
+    dt_time, svr_time = (min(side) for side in zip(*times))
     assert dt_time < svr_time
-    ok(11, f"bench at 2000 pairs: DT {dt_time:.3f}s < SVR {svr_time:.3f}s")
+    ok(11, f"bench at 2000 pairs, least of 3 runs: DT {dt_time:.3f}s < SVR {svr_time:.3f}s")

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from rrauth import authcore
 from rrauth.authcore import (DbFormatError, KNOWN, REJECTED, UNKNOWN,
                              FrameScores, QualityStats, ReferenceDb,
-                             ReferenceEntry, authenticate, compute_ucl,
+                             ReferenceEntry, authenticate,
                              db_to_json, decide, enroll, extract_frames,
                              load_db, save_db, score_frames)
 from rrauth.beat import FrameSet, PeakList
@@ -25,26 +25,26 @@ from conftest import EPOCH, FS, V1_DOC, quiet_profile
 
 class TestComputeUcl:
     def test_constant_list(self):
-        assert compute_ucl([4.2, 4.2, 4.2]) == pytest.approx(4.2)
+        assert QualityStats.from_mses([4.2, 4.2, 4.2]).ucl == pytest.approx(4.2)
 
     def test_hand_computed(self):
-        assert compute_ucl([1.0, 2.0, 3.0]) == 5.0
+        assert QualityStats.from_mses([1.0, 2.0, 3.0]).ucl == 5.0
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             mses = rng.uniform(0.0, 2.0, size=20)
             c = float(rng.uniform(0.1, 10.0))
-            assert compute_ucl(c * mses) == pytest.approx(c * compute_ucl(mses),
-                                                          rel=1e-12)
+            assert QualityStats.from_mses(c * mses).ucl == pytest.approx(
+                c * QualityStats.from_mses(mses).ucl, rel=1e-12)
 
     def test_too_few_values(self):
         with pytest.raises(ValueError):
-            compute_ucl([1.0])
+            QualityStats.from_mses([1.0])
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            compute_ucl([1.0, -0.1])
+            QualityStats.from_mses([1.0, -0.1])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="MSE values must be >= 0"):
@@ -287,7 +287,7 @@ class TestScoreFrames:
         rec, _ = small_pool[seed % len(small_pool)]
         scored = score_frames(db, rec)
         matrix = extract_frames(rec, authcore.DEFAULT_TEST_WINDOW_S, frame_len).values
-        ids = tuple(db.entity_ids())
+        ids = tuple(sorted(db.entries))
         loop = np.column_stack([np.mean((matrix - db.entries[e].curve) ** 2, axis=1)
                                 for e in ids])
         assert scored.entity_ids == ids
@@ -297,7 +297,7 @@ class TestScoreFrames:
     @staticmethod
     def broadcast_table(db, values):
         """Reference: the whole (frames, entities, frame_len) broadcast at once."""
-        curves = np.stack([db.entries[e].curve for e in db.entity_ids()])
+        curves = np.stack([db.entries[e].curve for e in sorted(db.entries)])
         return ((values[:, None, :] - curves[None, :, :]) ** 2).mean(axis=2)
 
     @staticmethod

@@ -67,6 +67,15 @@ class TestDetect:
         with pytest.raises(ValueError, match="150 ms"):
             detect_rpeaks(rec)
 
+    def test_lowest_fs_for_smoothing(self):
+        # at 20 Hz the 150 ms window spans exactly 3 samples, the fewest accepted
+        x = np.zeros(200)
+        x[10::20] = 1.0
+        rec = EcgRecord("s", 20.0, x)
+        peaks = detect_rpeaks(rec)
+        assert peaks.indices.tolist() == list(range(10, 200, 20))
+        assert peaks.indices.tobytes() == reference_detect_rpeaks(rec).tobytes()
+
 
 class TestPeakList:
     def test_not_increasing(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -63,6 +64,14 @@ class TestGen:
                      "--seed", "5"]) == 0
         for name in ("e01.csv", "u01.csv", "manifest.json"):
             assert (out2 / name).read_bytes() == (cohort_dir / name).read_bytes()
+
+    def test_manifest_bytes_pinned(self, tmp_path):
+        # the manifest holds each subject's drawn profile and seed, not its
+        # samples, so its bytes do not depend on which SIMD exp numpy runs
+        assert main(["gen", "--out", str(tmp_path), "--seed", "42", "--enrolled", "2",
+                     "--unknown", "1"]) == 0
+        digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+        assert digest == "8598dc33498f0e612ac58f999e14558ddeb6bc4b17a04cdd0eb71b0e26068c12"
 
     def test_zero_enrolled_is_domain_error(self, tmp_path, capsys):
         rc = main(["gen", "--out", str(tmp_path / "x"), "--enrolled", "0"])
@@ -342,7 +351,7 @@ class TestOneExtractionPath:
 
     def test_bench_pairs_are_enrolment_frames(self, pinned):
         cohort, db = pinned
-        assert db.entity_ids() == [f"e{k:02d}" for k in range(1, 11)]
+        assert sorted(db.entries) == [f"e{k:02d}" for k in range(1, 11)]
         for eid, entry in db.entries.items():
             X, y = cli._training_pairs(load_csv(cohort / f"{eid}.csv"), 220, 50.0)
             assert X[:220, 0].tolist() == list(range(220))
@@ -366,7 +375,7 @@ class TestOneExtractionPath:
 
         monkeypatch.setattr(cli.infotheory, "rank_features", capture)
         assert main(["rank", "--manifest", str(cohort / "manifest.json")]) == 0
-        assert [fs.entity_id for fs in seen] == db.entity_ids()
+        assert [fs.entity_id for fs in seen] == sorted(db.entries)
         for frames in seen:
             self.assert_enrolled_frames(db.entries[frames.entity_id], frames.values)
 

@@ -13,7 +13,7 @@ from rrauth import learners
 from rrauth.cli import _training_pairs
 from rrauth.learners import (DtLeaf, DtModel, DtParams, DtSplit, FitReport, KernelModel,
                              auto_epsilon, fit_report, kernel_predict_batch, predict_curve,
-                             predict_dt, train_dt, train_svm_binary, train_svr)
+                             predict_dt, train_dt, train_svr)
 
 from conftest import brute_force_best_split, count_leaves, gaussian_kernel, kernel_predict
 
@@ -387,18 +387,26 @@ def bench_pairs(small_cohort):
     return X[keep], y[keep]
 
 
-def kkt_gap(model):
-    """Largest KKT violation of the returned duals, from a kernel over every
-    row of X (no dedup) and the expansion recomputed in one product."""
-    K = learners._gram(model.X, model.kernel_scale)
-    fx = K @ model.coef
-    if model.epsilon is not None:
-        z = np.concatenate([np.ones(model.y.size), -np.ones(model.y.size)])
-        c = np.concatenate([model.y - model.epsilon, -model.y - model.epsilon])
-        fx = np.concatenate([fx, fx])
-    else:
-        z, c = model.y, np.ones(model.y.size)
-    g, box = model.dual, model.C
+def classifier_dual(X, labels, C=1.0, kernel_scale=0.35, max_sweeps=200,
+                    solve=learners._solve_box_dual):
+    """The binary max-margin dual (z the +-1 labels, c = 1) solved over the
+    Gram matrix of the distinct rows of X: (duals, intercept, objective history)."""
+    U, inv = np.unique(np.asarray(X, dtype=float).reshape(len(labels), -1), axis=0,
+                       return_inverse=True)
+    return solve(learners._gram(U, kernel_scale), np.asarray(labels, dtype=float),
+                 np.ones(len(labels)), C, inv, max_sweeps)
+
+
+def classifier_predict(X, labels, kernel_scale, dual, Q):
+    """The classifier's expansion sum_i y_i a_i k(q, x_i) + b at each row of Q."""
+    alpha, b, _ = dual
+    X, Q = (np.asarray(A, dtype=float).reshape(len(A), -1) for A in (X, Q))
+    return learners._kernel(Q, X, kernel_scale) @ (np.asarray(labels) * alpha) + b
+
+
+def kkt_gap(fx, z, c, g, box):
+    """Largest KKT violation of the duals g, given the expansion fx at each
+    variable's row."""
     zg = z * c - fx
     up = ((z > 0) & (g < box)) | ((z < 0) & (g > 0))
     low = ((z < 0) & (g < box)) | ((z > 0) & (g > 0))
@@ -407,20 +415,31 @@ def kkt_gap(model):
     return float(np.max(zg[up]) - np.min(zg[low]))
 
 
-def assert_solver_contract(model, reference, max_sweeps):
-    g, box = model.dual, model.C
+def assert_dual_contract(X, kernel_scale, z, c, idx, box, g, coef, h, reference, max_sweeps):
+    """Duals g of the box dual with z, c on rows idx of X, their expansion
+    coefficients and objective history h, against the reference loop's
+    history."""
     assert np.all(g >= 0.0) and np.all(g <= box)
-    balance = np.sum(model.coef) if model.epsilon is not None else np.sum(g * model.y)
-    assert abs(balance) <= 1e-9
-    h = model.objective_history
+    assert abs(np.sum(coef)) <= 1e-9
     assert len(h) >= 1 and all(p <= q + 1e-9 for p, q in zip(h, h[1:]))
     if len(h) < max_sweeps:
         # the solver stopped on its own gap, which it tracks in a running sum
-        # of kernel rows; a fresh product differs from it only by rounding
-        assert kkt_gap(model) <= learners._KKT_TOL + 1e-9
+        # of kernel rows; a fresh product over every row of X (no dedup)
+        # differs from it only by rounding
+        fx = (learners._gram(X, kernel_scale) @ coef)[idx]
+        assert kkt_gap(fx, z, c, g, box) <= learners._KKT_TOL + 1e-9
     if max_sweeps == 200:
-        ref = reference.objective_history[-1]
+        ref = reference[-1]
         assert h[-1] >= ref - 1e-3 * abs(ref)
+
+
+def assert_solver_contract(model, reference, max_sweeps):
+    n = model.y.size
+    z = np.concatenate([np.ones(n), -np.ones(n)])
+    c = np.concatenate([model.y - model.epsilon, -model.y - model.epsilon])
+    assert_dual_contract(model.X, model.kernel_scale, z, c, np.r_[:n, :n], model.C,
+                         model.dual, model.coef, model.objective_history,
+                         reference and reference.objective_history, max_sweeps)
 
 
 class TestSolverContract:
@@ -434,12 +453,14 @@ class TestSolverContract:
     def test_feasible_monotone_converged_and_near_reference(self, problem, epsilon):
         X, y, labels, fit = problem
         svr = train_svr(X, y, epsilon=epsilon, **fit)
-        svm = train_svm_binary(X, labels, **fit)
         with mock.patch.object(learners, "_solve_box_dual", rebuild_masks_solve_box_dual):
             svr_ref = train_svr(X, y, epsilon=epsilon, **fit)
-            svm_ref = train_svm_binary(X, labels, **fit)
         assert_solver_contract(svr, svr_ref, fit["max_sweeps"])
-        assert_solver_contract(svm, svm_ref, fit["max_sweeps"])
+        n = labels.size
+        alpha, _, h = classifier_dual(X, labels, **fit)
+        ref = classifier_dual(X, labels, **fit, solve=rebuild_masks_solve_box_dual)[2]
+        assert_dual_contract(X, fit["kernel_scale"], labels, np.ones(n), np.arange(n), fit["C"],
+                             alpha, labels * alpha, h, ref, fit["max_sweeps"])
 
     def test_bench_pairs(self, bench_pairs):
         # 17.816352053181078 is the reference loop's objective on these pairs
@@ -578,6 +599,13 @@ def assert_same_fit(new, old):
             == np.array(old.objective_history).tobytes())
 
 
+def assert_same_dual(new, old):
+    """Two (duals, intercept, history) solutions, bit for bit."""
+    assert new[0].tobytes() == old[0].tobytes()
+    assert np.float64(new[1]).tobytes() == np.float64(old[1]).tobytes()
+    assert np.array(new[2]).tobytes() == np.array(old[2]).tobytes()
+
+
 def assert_same_tree(model, X, y, params):
     old = oracle_grow(np.asarray(X, dtype=float).reshape(len(y), -1),
                       np.asarray(y, dtype=float), 0, params)
@@ -616,8 +644,8 @@ class TestSameAsOracle:
         labels[0], labels[-1] = 1.0, -1.0
         assert_same_fit(train_svr(X, y, epsilon=epsilon, **fit),
                         oracle_fit(train_svr, X, y, epsilon=epsilon, **fit))
-        assert_same_fit(train_svm_binary(X, labels, **fit),
-                        oracle_fit(train_svm_binary, X, labels, **fit))
+        assert_same_dual(classifier_dual(X, labels, **fit),
+                         classifier_dual(X, labels, **fit, solve=oracle_solve_box_dual))
 
     @settings(max_examples=200, deadline=None)
     @given(tie_heavy_rows(3), st.integers(1, 5), st.sampled_from([0, 1, 3, 32]))
@@ -655,12 +683,12 @@ class TestSelectionBoundaries:
         X, labels = np.array([[0.0], [1.0]]), np.array([1.0, -1.0])
         tol = np.nextafter(2.0, 0.0) if below else 2.0
         with mock.patch.object(learners, "_KKT_TOL", tol):
-            m = train_svm_binary(X, labels, C=1.0)
-            assert_same_fit(m, oracle_fit(train_svm_binary, X, labels, C=1.0))
+            dual = classifier_dual(X, labels)
+            assert_same_dual(dual, classifier_dual(X, labels, solve=oracle_solve_box_dual))
         if below:
-            assert np.all(m.dual > 0.0)
+            assert np.all(dual[0] > 0.0)
         else:
-            assert np.all(m.dual == 0.0) and m.objective_history == (0.0,)
+            assert np.all(dual[0] == 0.0) and dual[2] == [0.0]
 
     def test_zero_b_is_not_a_candidate(self):
         # with the tolerance at 0, the gap 1e-200 takes a step. Variable 1
@@ -689,8 +717,8 @@ class TestSelectionBoundaries:
         # sits on the later point
         X, labels = np.array([[2.0], [0.0], [1.0]]), np.array([-1.0, -1.0, 1.0])
         fit = dict(C=10.0, kernel_scale=1.0, max_sweeps=1)
-        assert_same_fit(train_svm_binary(X, labels, **fit),
-                        oracle_fit(train_svm_binary, X, labels, **fit))
+        assert_same_dual(classifier_dual(X, labels, **fit),
+                         classifier_dual(X, labels, **fit, solve=oracle_solve_box_dual))
 
     @pytest.mark.parametrize("X, y, C", [
         # i: 0.1 and 0.10000000000000002 on one point give one zg
@@ -716,18 +744,26 @@ class TestDistinctRows:
     def test_solver_sees_one_kernel_row_per_distinct_row(self, train):
         rng = np.random.default_rng(17)
         X = rng.normal(size=(8, 2))[rng.integers(0, 8, size=40)]
-        n_distinct = np.unique(X, axis=0).shape[0]
+        U, inv = np.unique(X, axis=0, return_inverse=True)
+        n_distinct = U.shape[0]
+        if train == "svr":
+            with mock.patch.object(learners, "_solve_box_dual",
+                                   wraps=learners._solve_box_dual) as spy:
+                train_svr(X, np.sin(X[:, 0]))
+            K, z, _, _, idx = spy.call_args.args[:5]
+            assert K.shape == (n_distinct, n_distinct)
+            assert idx.shape == z.shape and idx.max() == n_distinct - 1
+            return
+        # the classification dual over the distinct rows' kernel solves as
+        # over every row's (the same kernel, expanded), and as the oracle does
         labels = np.where(X[:, 0] > np.median(X[:, 0]), 1.0, -1.0)
         labels[0], labels[-1] = 1.0, -1.0
-        with mock.patch.object(learners, "_solve_box_dual",
-                               wraps=learners._solve_box_dual) as spy:
-            if train == "svr":
-                train_svr(X, np.sin(X[:, 0]))
-            else:
-                train_svm_binary(X, labels)
-        K, z, _, _, idx = spy.call_args.args[:5]
-        assert K.shape == (n_distinct, n_distinct)
-        assert idx.shape == z.shape and idx.max() == n_distinct - 1
+        K = learners._gram(U, 0.35)
+        args = labels, np.ones(labels.size), 1.0
+        dual = learners._solve_box_dual(K, *args, inv, 200)
+        assert_same_dual(dual, oracle_solve_box_dual(K, *args, inv, 200))
+        assert_same_dual(dual, learners._solve_box_dual(K[inv][:, inv], *args,
+                                                        np.arange(labels.size), 200))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
@@ -821,7 +857,7 @@ class TestKernelInPlace:
         assert peak < 2.2 * 220 * 2000 * 8
 
 
-TRAINERS = {"dt": (train_dt, 1), "svm": (train_svm_binary, 2), "svr": (train_svr, 2)}
+TRAINERS = {"dt": (train_dt, 1), "svr": (train_svr, 2)}
 
 
 def rejected_training_set(case, min_rows):
@@ -850,7 +886,7 @@ class TestOneInputCheck:
     @pytest.mark.parametrize("kwargs", [{"C": 0.0}, {"C": -1.0},
                                         {"kernel_scale": 0.0}, {"kernel_scale": -0.35},
                                         {"C": math.nan}, {"kernel_scale": math.nan}])
-    @pytest.mark.parametrize("trainer", ["svm", "svr"])
+    @pytest.mark.parametrize("trainer", ["svr"])
     def test_kernel_params_must_be_positive(self, trainer, kwargs):
         X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
         (name, value), = kwargs.items()
@@ -858,7 +894,7 @@ class TestOneInputCheck:
             TRAINERS[trainer][0](X, y, **kwargs)
 
     @pytest.mark.parametrize("scale", [5e-324, 1.1e-162])
-    @pytest.mark.parametrize("trainer", ["svm", "svr"])
+    @pytest.mark.parametrize("trainer", ["svr"])
     def test_kernel_scale_must_square_to_positive(self, trainer, scale):
         # 2 * 1.1e-162**2 rounds to 0, 2 * 1.2e-162**2 to the least subnormal
         X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
@@ -867,7 +903,7 @@ class TestOneInputCheck:
         learners.check_kernel_params(1.0, 1.2e-162, 0)
 
     @pytest.mark.parametrize("max_sweeps", [-1, 2.0, None])
-    @pytest.mark.parametrize("trainer", ["svm", "svr"])
+    @pytest.mark.parametrize("trainer", ["svr"])
     def test_max_sweeps_must_be_a_count(self, trainer, max_sweeps):
         X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
         with pytest.raises(ValueError, match="max_sweeps must be an integer >= 0"):
@@ -910,10 +946,13 @@ class TestOneInputCheck:
 
 
 class TestSvmBinary:
+    """The binary max-margin dual (labels as z, c = 1), which no trainer
+    wraps, solved by `_solve_box_dual` directly."""
+
     def test_two_point_separable(self):
-        m = train_svm_binary([[0.0], [1.0]], [-1.0, 1.0], C=10.0)
-        assert np.sign(kernel_predict(m, [0.0])) == -1.0
-        assert np.sign(kernel_predict(m, [1.0])) == 1.0
+        X, labels = [[0.0], [1.0]], np.array([-1.0, 1.0])
+        dual = classifier_dual(X, labels, C=10.0)
+        assert np.sign(classifier_predict(X, labels, 0.35, dual, X)).tolist() == [-1.0, 1.0]
 
     def test_dual_feasibility(self):
         rng = np.random.default_rng(9)
@@ -924,42 +963,25 @@ class TestSvmBinary:
             if len(np.unique(y)) < 2:
                 continue
             C = float(rng.uniform(0.5, 5.0))
-            m = train_svm_binary(X, y, C=C, kernel_scale=1.0)
-            assert np.all(m.dual >= 0.0) and np.all(m.dual <= C)
-            assert abs(np.sum(m.dual * m.y)) <= 1e-9
+            alpha, _, _ = classifier_dual(X, y, C=C, kernel_scale=1.0)
+            assert np.all(alpha >= 0.0) and np.all(alpha <= C)
+            assert abs(np.sum(alpha * y)) <= 1e-9
 
     def test_objective_non_decreasing(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(30, 2))
         y = np.where(X[:, 1] > 0, 1.0, -1.0)
-        m = train_svm_binary(X, y, C=2.0, kernel_scale=0.8)
-        h = m.objective_history
+        _, _, h = classifier_dual(X, y, C=2.0, kernel_scale=0.8)
         assert len(h) >= 1
         assert all(a <= b + 1e-9 for a, b in zip(h, h[1:]))
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="both classes"):
-            train_svm_binary([[0.0], [1.0]], [1.0, 1.0])
-
-    def test_bad_labels_rejected(self):
-        with pytest.raises(ValueError, match="labels"):
-            train_svm_binary([[0.0], [1.0]], [0.0, 1.0])
-
-    @pytest.mark.parametrize("X, y", [([[0.0], [np.nan], [1.0], [2.0]], [-1.0, 1.0, -1.0, 1.0]),
-                                      ([[0.0], [np.inf], [1.0], [2.0]], [-1.0, 1.0, -1.0, 1.0]),
-                                      ([[0.0], [1.0], [2.0], [3.0]], [-1.0, np.nan, -1.0, 1.0])])
-    def test_nonfinite_data_rejected(self, X, y):
-        with pytest.raises(ValueError, match="training data must be finite"):
-            train_svm_binary(X, y)
 
     def test_separable_training_accuracy(self):
         rng = np.random.default_rng(11)
         X = np.vstack([rng.normal(-2.0, 0.3, size=(20, 2)),
                        rng.normal(2.0, 0.3, size=(20, 2))])
         y = np.array([-1.0] * 20 + [1.0] * 20)
-        m = train_svm_binary(X, y, C=5.0, kernel_scale=2.0)
-        preds = np.sign(kernel_predict_batch(m, X))
-        assert np.all(preds == y)
+        dual = classifier_dual(X, y, C=5.0, kernel_scale=2.0)
+        assert np.all(np.sign(classifier_predict(X, y, 2.0, dual, X)) == y)
 
 
 class TestSvr:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rrauth import signal
 from rrauth.signal import (_BLOCK, _PROFILE_RANGES, CsvFormatError, EcgRecord, SubjectProfile,
-                           Wave, _bump_sum, _moving_median, _repr_rows, beat_template,
+                           Wave, _bump_sum, _moving_median, _repr_rows,
                            cohort_profiles, load_csv, preprocess, random_profile, save_csv,
                            slice_seconds, synth_ecg)
 
@@ -113,6 +113,27 @@ class TestCsv:
         p.write_text("fs=100\n0.0,0.0\n0.01,0.1\n0.03,0.2\n")
         with pytest.raises(CsvFormatError, match="not uniformly spaced"):
             load_csv(p)
+
+    def test_spacing_off_by_the_tolerance_accepted(self, tmp_path):
+        # steps deviate from the mean step by 1e-6 of it, exactly (1e-6 * 1e6
+        # rounds to 1.0), the most a uniform column may; one ulp more is refused
+        p = tmp_path / "x.csv"
+        p.write_text("fs=100\n0,0.0\n1000001,0.1\n2000000,0.2\n")
+        assert load_csv(p).samples.tolist() == [0.0, 0.1, 0.2]
+        p.write_text(f"fs=100\n0,0.0\n{math.nextafter(1000001.0, 2e6)!r},0.1\n2000000,0.2\n")
+        with pytest.raises(CsvFormatError, match="not uniformly spaced"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("second", ["0.0", "-0.01"])
+    def test_two_rows_need_increasing_times(self, tmp_path, second):
+        # two rows are the fewest whose spacing is checked, and an equal or
+        # decreasing step is no spacing at all
+        p = tmp_path / "x.csv"
+        p.write_text(f"fs=100\n0.0,0.0\n{second},0.1\n")
+        with pytest.raises(CsvFormatError, match="not uniformly spaced"):
+            load_csv(p)
+        p.write_text("fs=100\n0.0,0.0\n0.01,0.1\n")
+        assert load_csv(p).samples.tolist() == [0.0, 0.1]
 
     def test_subject_id_defaults_to_stem(self, tmp_path):
         p = tmp_path / "alice.csv"
@@ -448,7 +469,7 @@ class TestCsvWriter:
 def assert_same_cohort_as_one_at_a_time(count, seed, separation, frame_len=220):
     """`cohort_profiles` keeps the profiles, or raises the error, of the loop
     that builds and checks one candidate at a time, and each kept profile's
-    `beat_template` is the batch row it was accepted with."""
+    template on its own is the batch row it was accepted with."""
     rows, build = [], signal._beat_templates
 
     def recorded(batch, length):
@@ -468,7 +489,7 @@ def assert_same_cohort_as_one_at_a_time(count, seed, separation, frame_len=220):
         profiles = cohort_profiles(count, seed, separation, frame_len)
     assert profiles == [profile for _, profile, _ in kept]
     for index, profile, template in kept:
-        assert beat_template(profile, frame_len).tobytes() == rows[index].tobytes()
+        assert signal._beat_templates([profile], frame_len)[0].tobytes() == rows[index].tobytes()
         assert rows[index].tobytes() == template.tobytes()
 
 
@@ -632,6 +653,12 @@ class TestSynth:
         with pytest.raises(ValueError, match="fs"):
             synth_ecg(quiet_profile(), 10.0, 50.0)
 
+    def test_lowest_fs_accepted(self):
+        rec, peaks = synth_ecg(quiet_profile(), 10.0, 100.0)
+        assert len(rec) == 1000 and len(peaks) in (10, 11)
+        with pytest.raises(ValueError, match="fs must be finite and >= 100 Hz"):
+            synth_ecg(quiet_profile(), 10.0, math.nextafter(100.0, 0.0))
+
     @pytest.mark.parametrize("duration_s,fs", [(10.0, math.inf), (10.0, math.nan),
                                                (math.inf, 360.0), (math.nan, 360.0)])
     def test_non_finite_duration_or_fs(self, duration_s, fs):
@@ -654,6 +681,17 @@ class TestSynth:
         assert peaks[0] >= 0 and peaks[-1] < len(rec)
         assert np.all(np.diff(peaks) > 0)
 
+    @pytest.mark.parametrize("r_phase, first, last", [(0.0, 0, 1000), (0.5, 50, 950)])
+    def test_peaks_on_the_first_and_past_the_last_sample(self, r_phase, first, last):
+        # 1 s beats at 100 Hz: an R at phase 0.0 falls on sample 0, which is
+        # kept; at phase 0.5 the eleventh R of a 10.5 s record falls on
+        # sample 1050, one past the last, which is dropped
+        waves = dict(quiet_profile().waves)
+        waves["R"] = Wave(phase=r_phase, width=0.018, amplitude=1.0)
+        rec, peaks = synth_ecg(SubjectProfile(60.0, 0.0, waves, 0.0, 0), 10.5, 100.0)
+        assert len(rec) == 1050
+        assert peaks.tolist() == list(range(first, last + 1, 100))
+
 
 class TestSubjectProfile:
     def test_bad_heart_rate(self):
@@ -670,6 +708,12 @@ class TestSubjectProfile:
         waves["R"] = Wave(phase=0.35, width=0.018, amplitude=0.0)
         with pytest.raises(ValueError, match="R wave"):
             SubjectProfile(60.0, 0.0, waves, 0.0, 0)
+
+    def test_phase_zero_accepted(self):
+        # a phase is a fraction of the RR interval in [0, 1): 0.0 is the beat's start
+        waves = dict(quiet_profile().waves)
+        waves["P"] = Wave(phase=0.0, width=0.03, amplitude=0.15)
+        assert SubjectProfile(60.0, 0.0, waves, 0.0, 0).waves["P"].phase == 0.0
 
     def test_zero_width(self):
         p = quiet_profile()
@@ -730,6 +774,15 @@ class TestPreprocess:
         r = EcgRecord("s", 3.0, np.zeros(360))  # round(0.6 s * 3 Hz) = 2 samples
         with pytest.raises(ValueError, match="too short"):
             preprocess(r)
+
+    @pytest.mark.parametrize("n", [3, 4, 50])
+    def test_shortest_window_and_record(self, n):
+        # at 5 Hz the window is round(0.6 s * 5 Hz) = 3 samples, the fewest
+        # accepted (one window per sorted group), and a record of exactly 3
+        # samples is as long as it
+        x = np.random.default_rng(n).normal(size=n)
+        expected = x - reference_moving_median(x, 3)
+        assert preprocess(EcgRecord("s", 5.0, x)).samples.tobytes() == expected.tobytes()
 
     def test_keeps_length_and_fs(self):
         rec, _ = synth_ecg(quiet_profile(seed=2, noise_sd=0.02), 5.0, 360.0)
@@ -846,6 +899,12 @@ class TestSlice:
         with pytest.raises(ValueError, match="fewer than 2 samples"):
             slice_seconds(rec, 4.0)
 
+    def test_last_two_samples(self):
+        rec, _ = synth_ecg(quiet_profile(), 4.0, 360.0)
+        assert slice_seconds(rec, 1438 / 360).samples.tolist() == rec.samples[1438:].tolist()
+        with pytest.raises(ValueError, match="fewer than 2 samples"):
+            slice_seconds(rec, 1439 / 360)
+
     @pytest.mark.parametrize("start_s", [math.inf, -math.inf, math.nan, -1.0, -1e-9])
     def test_bad_start_refused(self, start_s):
         rec, _ = synth_ecg(quiet_profile(), 4.0, 360.0)
@@ -869,13 +928,8 @@ class TestSlice:
         assert np.array_equal(slice_seconds(rec, 1.0, 3.0).samples, rec.samples[360:])
 
 
-def test_beat_template_needs_two_samples():
-    with pytest.raises(ValueError, match="frame_len must be >= 2"):
-        beat_template(quiet_profile(), 1)
-
-
 def test_beat_template_peaks_at_anchor():
-    t = beat_template(quiet_profile(), 220)
+    t = signal._beat_templates([quiet_profile()], 220)[0]
     # frame is R-anchored: both ends sit on the R apex
     assert t[0] == pytest.approx(1.0, abs=0.05)
     assert t[-1] == pytest.approx(1.0, abs=0.05)
