@@ -14,8 +14,8 @@ entity the reference curve (its values at positions 0..frame_len-1), the
 quality stats and the enrolment time, with `frame_len` and the `frontend` id
 in the header. The two arrays, `curve` and `stats.mses`, are base64 text of
 their little-endian float64 bytes; `mean`, `std`, `ucl` and `enrolled_at`
-stay JSON values. Binary arrays round-trip exactly, and a DB loads 3-4x and
-writes 6-8x faster than with JSON's decimal floats, in half the bytes.
+stay JSON values. Binary arrays round-trip exactly, in half the bytes of
+decimal text.
 The `frontend` id names the baseline removal, detector and framing that cut
 the enrolment frames; a file from another front end is refused, because its
 curves would be compared with frames cut another way. A file of any other

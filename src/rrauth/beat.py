@@ -188,8 +188,6 @@ def detect_rpeaks(record: EcgRecord) -> PeakList:
 
     ceiling = _rolling_max(smooth, int(round(2.0 * fs)))
     candidates = np.nonzero(smooth > THRESH_FRAC * ceiling)[0]
-    if candidates.size == 0:
-        return PeakList(np.empty(0, dtype=int))
 
     refractory = REFRACTORY_S * fs
     kept = _suppress(smooth, candidates, refractory)

@@ -112,8 +112,7 @@ def cmd_gen(args) -> int:
     if args.unknown < 0:
         raise ValueError(f"unknown count must be >= 0, got {args.unknown}")
     total = args.enrolled + args.unknown
-    profiles = ecgsig.cohort_profiles(total, args.seed, min_separation_mse=args.min_sep,
-                                      frame_len=args.frame_len)
+    profiles = ecgsig.cohort_profiles(total, args.seed, min_separation_mse=args.min_sep)
     # every record is drawn, so fs and the duration are checked, before anything is written
     records = [ecgsig.synth_ecg(profile, args.duration_s, args.fs)[0] for profile in profiles]
     out = Path(args.out)
@@ -148,20 +147,18 @@ def cmd_gen(args) -> int:
 
 def cmd_frames(args) -> int:
     record = ecgsig.load_csv(args.input)
-    frames = authcore.extract_frames(record, record.duration_s, args.frame_len)
+    frames = authcore.extract_frames(record, record.duration_s, DEFAULT_FRAME_LEN)
     # one line per frame; a dump of no frames is one empty line
     text = ecgsig._repr_rows(frames.values) or "\n"
     Path(args.dump).write_text(text, encoding="utf-8")
-    _print_header("frames", input=args.input, frame_len=args.frame_len)
+    _print_header("frames", input=args.input, frame_len=DEFAULT_FRAME_LEN)
     print(f"peaks={len(frames.peaks)} frames={len(frames)} -> {args.dump}")
     return 0
 
 
 def cmd_enroll(args) -> int:
     db_path = Path(args.db)
-    db = load_db(db_path) if db_path.exists() else ReferenceDb(frame_len=args.frame_len)
-    if db.frame_len != args.frame_len:
-        raise ValueError(f"database frame length {db.frame_len} != --frame-len {args.frame_len}")
+    db = load_db(db_path) if db_path.exists() else ReferenceDb()
     if args.manifest:
         doc, base = _load_manifest(args.manifest)
         targets = [(subject["id"], record) for subject, record
@@ -179,7 +176,7 @@ def cmd_enroll(args) -> int:
         lines.append(f"enrolled {entity_id}: frames={entry.stats.mses.size} "
                      f"mean_mse={entry.stats.mean!r} ucl={entry.stats.ucl!r}")
     save_db(db, db_path)
-    _print_header("enroll", db=args.db, frame_len=args.frame_len,
+    _print_header("enroll", db=args.db, frame_len=db.frame_len,
                   train_window_s=args.train_window_s)
     for line in lines:
         print(line)
@@ -285,21 +282,27 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _training_pairs(record, frame_len, train_window_s):
+def _training_pairs(record, train_window_s):
     """The (position, amplitude) pairs of the frames enrolment averages: X is
-    positions 0..frame_len-1 once per frame, y the frames row by row."""
-    frames = authcore.extract_frames(record, train_window_s, frame_len)
+    positions 0..DEFAULT_FRAME_LEN-1 once per frame, y the frames row by row."""
+    frames = authcore.extract_frames(record, train_window_s, DEFAULT_FRAME_LEN)
     if len(frames) < 1:
         raise ValueError("record produced no frames")
-    X = np.tile(np.arange(frame_len, dtype=float), len(frames))
+    X = np.tile(np.arange(DEFAULT_FRAME_LEN, dtype=float), len(frames))
     return X.reshape(-1, 1), frames.values.ravel()
+
+
+def _fit_errors(pred: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """RMSE and MAE of predictions against their targets."""
+    err = pred - y
+    return float(np.sqrt(np.mean(err * err))), float(np.mean(np.abs(err)))
 
 
 def cmd_bench(args) -> int:
     learners.check_kernel_params(args.svr_c, args.kernel_scale, args.svr_max_sweeps,
                                  args.svr_epsilon)
     record = ecgsig.load_csv(args.input)
-    X, y = _training_pairs(record, args.frame_len, args.train_window_s)
+    X, y = _training_pairs(record, args.train_window_s)
     if X.shape[0] > args.limit:
         keep = np.random.default_rng(args.seed).choice(X.shape[0], size=args.limit,
                                                        replace=False)
@@ -309,20 +312,21 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     dt_model = learners.train_dt(X, y, DtParams(min_leaf_size=args.min_leaf))
     dt_time = time.perf_counter() - t0
-    dt_pred = learners.predict_curve(dt_model, args.frame_len)[X[:, 0].astype(int)]
-    dt_rep = learners.fit_report(dt_pred, y, dt_time)
+    dt_pred = learners.predict_curve(dt_model, DEFAULT_FRAME_LEN)[X[:, 0].astype(int)]
 
     t0 = time.perf_counter()
     svr_model = learners.train_svr(X, y, C=args.svr_c, epsilon=args.svr_epsilon,
                                    kernel_scale=args.kernel_scale,
                                    max_sweeps=args.svr_max_sweeps)
     svr_time = time.perf_counter() - t0
-    svr_rep = learners.fit_report(learners.kernel_predict_batch(svr_model, X), y, svr_time)
+    svr_pred = learners.kernel_predict_batch(svr_model, X)
 
+    dt_rmse, dt_mae = _fit_errors(dt_pred, y)
+    svr_rmse, svr_mae = _fit_errors(svr_pred, y)
     rows = [
-        ("RMSE (mV)", dt_rep.rmse, svr_rep.rmse),
-        ("MAE (mV)", dt_rep.mae, svr_rep.mae),
-        ("Training Time (s)", dt_rep.train_time, svr_rep.train_time),
+        ("RMSE (mV)", dt_rmse, svr_rmse),
+        ("MAE (mV)", dt_mae, svr_mae),
+        ("Training Time (s)", dt_time, svr_time),
     ]
     path = None
     if args.out:
@@ -343,7 +347,7 @@ def cmd_bench(args) -> int:
 
 def cmd_rank(args) -> int:
     doc, base = _load_manifest(args.manifest)
-    sets = [authcore.extract_frames(record, args.train_window_s, args.frame_len)
+    sets = [authcore.extract_frames(record, args.train_window_s, DEFAULT_FRAME_LEN)
             for _, record in _manifest_records(doc, base, enrolled_only=True)]
     ranking = infotheory.rank_features(sets, bins=args.bins, top_k=args.k)
     lines = ["position,mi_bits"]
@@ -351,7 +355,7 @@ def cmd_rank(args) -> int:
     text = "\n".join(lines) + "\n"
     path = _write_output(args.out, "ranking.csv", text) if args.out else None
     _print_header("rank", manifest=args.manifest, bins=args.bins, k=args.k,
-                  frame_len=args.frame_len, train_window_s=args.train_window_s)
+                  frame_len=DEFAULT_FRAME_LEN, train_window_s=args.train_window_s)
     if path:
         print(f"wrote {path}")
     print(text, end="")
@@ -397,14 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-sep", type=float, default=0.010, metavar="MV2",
                    help="minimum pairwise mean-square template separation "
                         "in mV^2 (default 0.010)")
-    p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("frames", help="dump RR frames of a record as CSV")
     p.add_argument("--input", required=True, help="ECG CSV path")
     p.add_argument("--dump", required=True, help="output CSV (one row per frame)")
-    p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN,
-                   help="samples per frame (default %(default)s)")
     p.set_defaults(func=cmd_frames)
 
     p = sub.add_parser("enroll", help="enroll subjects into a reference database")
@@ -412,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="cohort manifest; enrolls every 'enrolled' subject")
     p.add_argument("--input", help="single ECG CSV to enroll")
     p.add_argument("--id", help="entity id for --input")
-    p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
     _add_train_window_flag(p)
     p.add_argument("--allow-short", action="store_true",
                    help="accept records shorter than the training window")
@@ -459,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare tree vs kernel regression on one record")
     p.add_argument("--input", required=True, help="ECG CSV supplying training pairs")
-    p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
     _add_train_window_flag(p)
     p.add_argument("--limit", type=int, default=2000,
                    help="max training pairs; larger sets are subsampled (default 2000)")
@@ -480,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--bins", type=int, default=16)
     p.add_argument("--k", type=int, default=32, help="positions to report")
-    p.add_argument("--frame-len", type=int, default=DEFAULT_FRAME_LEN)
     _add_train_window_flag(p)
     p.add_argument("--out", help="directory for ranking.csv")
     p.set_defaults(func=cmd_rank)

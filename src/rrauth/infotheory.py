@@ -36,10 +36,11 @@ def _entropy(counts: np.ndarray) -> float:
 
 
 def mutual_information(xs, ys, bins_x: int = 16, bins_y: int = 16) -> float:
-    """I(x;y) estimated as H(x) - E[H(x|Y)] from the joint histogram.
+    """I(x;y) estimated as H(y) - E[H(y|X)] from the joint histogram.
 
-    Clamped at zero from below; negative values can only arise from float
-    rounding.
+    When every x bin holds one y bin, each H(y|X=x) is exactly 0, so the
+    estimate is H(y) to the bit. Clamped at zero from below; negative values
+    can only arise from float rounding.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -50,17 +51,17 @@ def mutual_information(xs, ys, bins_x: int = 16, bins_y: int = 16) -> float:
     if bins_x < 1 or bins_y < 1:
         raise ValueError(f"bins must be >= 1, got {bins_x} x {bins_y}")
     joint, _, _ = np.histogram2d(xs, ys, bins=[_bin_edges(xs, bins_x), _bin_edges(ys, bins_y)])
-    conditional = 0.0  # sum_y p(y) H(x | Y=y); an empty column adds 0.0
-    for col in joint.T:
-        conditional += float(col.sum()) / xs.size * _entropy(col)
-    return max(0.0, _entropy(joint.sum(axis=1)) - conditional)
+    conditional = 0.0  # sum_x p(x) H(y | X=x); an empty row adds 0.0
+    for row in joint:
+        conditional += float(row.sum()) / xs.size * _entropy(row)
+    return max(0.0, _entropy(joint.sum(axis=0)) - conditional)
 
 
 def rank_features(frame_sets, bins: int = 16, top_k: int = 32) -> tuple[tuple[int, float], ...]:
     """The `top_k` frame positions by MI between amplitude-at-position and
     the entity label, as (position, mi_bits) pairs, descending; equal
-    computed values go to the lower position first. Positions whose exact
-    MI is equal can still differ by rounding, and are then ordered by it.
+    values go to the lower position first. A position whose amplitude bins
+    each hold one entity has MI exactly H(label), so such positions tie.
 
     Ranking is purely per-position; no subset search is attempted.
     """

@@ -6,8 +6,8 @@ enrolment's frames it predicts the per-position frame mean that `enroll`
 computes directly) and an epsilon-insensitive Gaussian-kernel regressor
 (SVR) whose dual is solved by pairwise coordinate ascent with second-order
 working-set selection (Fan, Chen & Lin, JMLR 6, 2005, as in LIBSVM) and
-stopped at LIBSVM's default KKT tolerance of 1e-3. Fit quality is reported
-as RMSE/MAE in mV plus wall-clock training time.
+stopped at LIBSVM's default KKT tolerance of 1e-3. `rrauth bench` reports
+each fit's RMSE/MAE in mV and its wall-clock training time.
 
 The tree's split search screens every cut of a feature at once with prefix
 sums of the node-centred targets and their squares, then confirms the few
@@ -54,14 +54,12 @@ __all__ = [
     "DtSplit",
     "DtModel",
     "KernelModel",
-    "FitReport",
     "train_dt",
     "predict_dt",
     "predict_curve",
     "train_svr",
     "check_kernel_params",
     "kernel_predict_batch",
-    "fit_report",
 ]
 
 
@@ -582,34 +580,3 @@ def kernel_predict_batch(model: KernelModel, X) -> np.ndarray:
     """f at each row of X; each distinct row is evaluated once."""
     X, inv = np.unique(_as_matrix(X), axis=0, return_inverse=True)
     return (_kernel(X, model.X, model.kernel_scale) @ model.coef + model.b)[inv]
-
-
-# ---------------------------------------------------------------------------
-# fit reporting
-
-
-@dataclass(frozen=True)
-class FitReport:
-    rmse: float
-    mae: float
-    train_time: float
-
-    def __post_init__(self) -> None:
-        if not (self.rmse >= 0 and self.mae >= 0):
-            raise ValueError("rmse and mae must be >= 0")
-        if not self.rmse >= self.mae - 1e-12 * (1.0 + self.mae):
-            raise ValueError(f"rmse {self.rmse} < mae {self.mae}")
-
-
-def fit_report(pred, y, train_time: float) -> FitReport:
-    """RMSE and MAE of predictions against their targets, plus training time."""
-    pred = np.asarray(pred, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise ValueError("empty input")
-    if pred.shape != y.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} predictions vs {y.shape} targets")
-    err = pred - y
-    return FitReport(rmse=float(np.sqrt(np.mean(err * err))),
-                     mae=float(np.mean(np.abs(err))),
-                     train_time=float(train_time))

@@ -52,7 +52,7 @@ form (an exponent, a space). The sign comes from the text, so ``-0.0``
 stays negative. The body is scanned in place after line 1, in blocks of
 whole lines (`_READ_BLOCK`), so the reader holds the file's bytes, the
 samples and one block's temporaries: ~1.2 MB at its peak for a 65 s record
-at 360 Hz (478 kB), where a whole-body scan held ~4.2 MB.
+at 360 Hz (478 kB).
 
 A CSV file is written without calling ``repr`` on most values, and with
 the same bytes. ``repr`` writes the shortest decimal that reads back as
@@ -766,9 +766,8 @@ def preprocess(record: EcgRecord) -> EcgRecord:
     ranks order exactly as the samples do, so it equals ``np.median`` of
     that window up to the sign of a zero median. Working memory is a few
     arrays of n values plus the sorts of one block of `_MEDIAN_BLOCK`
-    windows: ~10 MB at most for a 10-minute record at 360 Hz, where sorting
-    every group at once took ~41 MB and a sorted row per window ~201 MB
-    (see `_moving_median`).
+    windows: ~10 MB at most for a 10-minute record at 360 Hz (see
+    `_moving_median`).
     """
     win = int(round(BASELINE_WINDOW_S * record.fs))
     if win < 3:

@@ -318,10 +318,10 @@ def oracle_mi_from_joint(joint):
 
 
 def oracle_mutual_information(xs, ys, bins_x=16, bins_y=16):
-    """H(x) - E[H(x|Y)] over the joint, clamped at zero from below."""
-    joint = oracle_joint_histogram(xs, ys, bins_x, bins_y)
-    counts, n = joint
-    return max(0.0, oracle_entropy((counts.sum(axis=1), n)) - oracle_conditional_entropy(joint))
+    """H(y) - E[H(y|X)] over the joint, clamped at zero from below."""
+    counts, n = oracle_joint_histogram(xs, ys, bins_x, bins_y)
+    return max(0.0, oracle_entropy((counts.sum(axis=0), n))
+               - oracle_conditional_entropy((counts.T, n)))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rrauth import authcore, cli
-from rrauth.authcore import load_db
+from rrauth.authcore import ReferenceDb, load_db, save_db
 from rrauth.beat import detect_rpeaks, frame_rr
 from rrauth.cli import build_parser, main
 from rrauth.learners import DtParams, predict_curve, train_dt
@@ -146,13 +146,17 @@ class TestEnrollAuth:
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith("decision=Unknown score=") and " apr=" in line
 
-    def test_enroll_frame_len_must_match_db(self, cohort_dir, db_path, capsys):
-        before = db_path.read_bytes()
-        rc = main(["enroll", "--db", str(db_path), "--frame-len", "200",
-                   "--input", str(cohort_dir / "u01.csv"), "--id", "u01"])
-        assert rc == 1
-        assert "frame length 220 != --frame-len 200" in capsys.readouterr().err
-        assert db_path.read_bytes() == before
+    def test_enroll_keeps_the_db_frame_len(self, cohort_dir, tmp_path, capsys):
+        # a DB the library saved at another frame length enrols at its own
+        db = tmp_path / "db64.json"
+        save_db(ReferenceDb(frame_len=64), db)
+        rc = main(["enroll", "--db", str(db), "--input", str(cohort_dir / "u01.csv"),
+                   "--id", "u01"])
+        assert rc == 0
+        assert "# db=" + str(db) + " frame_len=64 " in capsys.readouterr().out
+        saved = load_db(db)
+        assert saved.frame_len == 64
+        assert saved.entries["u01"].curve.size == 64
 
     def test_enroll_needs_target(self, tmp_path, capsys):
         rc = main(["enroll", "--db", str(tmp_path / "db.json")])
@@ -223,14 +227,16 @@ class TestRankAndFrames:
         mis = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(a >= b for a, b in zip(mis, mis[1:]))
 
-    def test_frames_dump_dimensions(self, cohort_dir, tmp_path):
-        dump = tmp_path / "frames.csv"
-        rc = main(["frames", "--input", str(cohort_dir / "e01.csv"),
-                   "--dump", str(dump), "--frame-len", "128"])
-        assert rc == 0
-        rows = dump.read_text().splitlines()
-        assert len(rows) > 10
-        assert all(len(r.split(",")) == 128 for r in rows)
+    def test_exact_ties_listed_by_position(self, tiny_cohort, tmp_path, capsys):
+        # at 72 positions each amplitude bin holds frames of one entity only:
+        # their MI is exactly H(labels), so they tie and go in position order
+        assert main(["rank", "--manifest", str(tiny_cohort / "manifest.json"),
+                     "--k", "220", "--out", str(tmp_path)]) == 0
+        rows = [r.split(",") for r in (tmp_path / "ranking.csv").read_text().splitlines()[1:]]
+        top = [int(pos) for pos, mi in rows if mi == "0.9992089388648364"]
+        assert len(top) == 72
+        assert [int(pos) for pos, _ in rows[:72]] == top == sorted(top)
+        assert float(rows[72][1]) < 0.9992089388648364
 
     def test_frames_dump_of_no_frames_is_one_empty_line(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
@@ -353,14 +359,14 @@ class TestOneExtractionPath:
         cohort, db = pinned
         assert sorted(db.entries) == [f"e{k:02d}" for k in range(1, 11)]
         for eid, entry in db.entries.items():
-            X, y = cli._training_pairs(load_csv(cohort / f"{eid}.csv"), 220, 50.0)
+            X, y = cli._training_pairs(load_csv(cohort / f"{eid}.csv"), 50.0)
             assert X[:220, 0].tolist() == list(range(220))
             self.assert_enrolled_frames(entry, y.reshape(-1, 220))
 
     def test_enrolled_curves_are_default_tree_curves(self, pinned):
         cohort, db = pinned
         for eid, entry in db.entries.items():
-            X, y = cli._training_pairs(load_csv(cohort / f"{eid}.csv"), 220, 50.0)
+            X, y = cli._training_pairs(load_csv(cohort / f"{eid}.csv"), 50.0)
             tree = train_dt(X, y, DtParams())
             assert predict_curve(tree, 220).tobytes() == entry.curve.tobytes(), eid
 
@@ -621,6 +627,20 @@ class TestParserDefaults:
             build_parser().parse_args(["enroll", "--db", "d", flag, "4"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command,argv", [
+        ("gen", ["--out", "o"]),
+        ("frames", ["--input", "i", "--dump", "d"]),
+        ("enroll", ["--db", "d"]),
+        ("bench", ["--input", "i"]),
+        ("rank", ["--manifest", "m"]),
+    ])
+    def test_no_frame_len_flag(self, command, argv, capsys):
+        # every command frames at DEFAULT_FRAME_LEN, or at the DB's own length
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *argv, "--frame-len", "220"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --frame-len 220" in capsys.readouterr().err
+
     def test_sweep_has_no_grid_auto_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["sweep", "--db", "d", "--manifest", "m",
@@ -719,7 +739,6 @@ class TestRefusedCommandPrintsNothing:
         ["sweep", "--grid-points", "1000000000000000"],
         ["rank", "--k", "0"],
         ["rank", "--bins", "0"],
-        ["frames", "--frame-len", "1"],
         ["bench", "--limit", "0"],
         ["auth", "--apr-min", "nan"],
         ["enroll"],
@@ -869,17 +888,13 @@ class TestIntFlagGrid:
     HUGE = str(2**63 - 1)
     REFUSED = {
         ("sweep", "--grid-points", HUGE): "points must be <= ",
-        ("frames", "--frame-len", HUGE): "frame_len must be <= ",
-        ("enroll", "--frame-len", HUGE): "frame_len must be <= ",
-        ("bench", "--frame-len", HUGE): "frame_len must be <= ",
-        ("rank", "--frame-len", HUGE): "frame_len must be <= ",
         ("rank", "--bins", HUGE): "bins must be < ",
         ("bench", "--svr-max-sweeps", "-1"): "max_sweeps must be an integer >= 0, got -1",
     }
 
     def test_grid_covers_every_command_with_an_int_flag(self):
         assert {command for command, _ in _flags_of_type(int)} == \
-            {"gen", "frames", "enroll", "eval", "sweep", "bench", "rank"}
+            {"gen", "eval", "sweep", "bench", "rank"}
 
     @pytest.mark.parametrize("value", ["-1", "0", "1", HUGE])
     @pytest.mark.parametrize("command,flag", _flags_of_type(int),

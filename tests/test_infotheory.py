@@ -171,7 +171,7 @@ class TestMutualInformation:
         assert mutual_information(xs, ys, 8, 8) <= 0.02
 
     def test_two_routes_agree(self):
-        # H(x) - E[H(x|Y)] and the direct double sum over the same joint
+        # H(y) - E[H(y|X)] and the direct double sum over the same joint
         rng = np.random.default_rng(4)
         for _ in range(20):
             xs = rng.integers(0, 7, size=40).astype(float)
@@ -223,12 +223,13 @@ class TestMutualInformation:
         assert mi > 0.5
 
     def test_nonnegative_clamp(self):
-        # constant x: H(x) = 0, so MI must come out exactly 0, never negative
+        # constant x: its one row's H(y|X=x) is H(y), so MI must come out
+        # exactly 0, never negative
         assert mutual_information(np.ones(50), np.arange(50.0), 8, 8) == 0.0
-        # one count in each cell of a 3 x 5 table: H(x) - E[H(x|Y)] rounds to
+        # one count in each cell of a 5 x 3 table: H(y) - E[H(y|X)] rounds to
         # -2**-52, which the clamp lifts to 0
-        xs, ys = np.repeat(np.arange(3.0), 5), np.tile(np.arange(5.0), 3)
-        assert mutual_information(xs, ys, 3, 5) == 0.0
+        xs, ys = np.tile(np.arange(5.0), 3), np.repeat(np.arange(3.0), 5)
+        assert mutual_information(xs, ys, 5, 3) == 0.0
 
 
 @st.composite
