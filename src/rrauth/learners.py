@@ -6,8 +6,10 @@ enrolment's frames it predicts the per-position frame mean that `enroll`
 computes directly) and an epsilon-insensitive Gaussian-kernel regressor
 (SVR) whose dual is solved by pairwise coordinate ascent with second-order
 working-set selection (Fan, Chen & Lin, JMLR 6, 2005, as in LIBSVM) and
-stopped at LIBSVM's default KKT tolerance of 1e-3. `rrauth bench` reports
-each fit's RMSE/MAE in mV and its wall-clock training time.
+stopped at LIBSVM's default KKT tolerance of 1e-3. `rrauth bench` fits the
+paper's two presets, a fine tree (`DtParams()`) and a fine Gaussian SVR
+(`cli.SVR_PRESET`), and reports each fit's RMSE/MAE in mV and its
+wall-clock training time.
 
 The tree's split search screens every cut of a feature at once with prefix
 sums of the node-centred targets and their squares, then confirms the few
@@ -29,15 +31,14 @@ over all 4000 variables of `rrauth bench` (`_solve_box_dual` says why the
 choice, ties included, is the same to the bit).
 
 Both trainers check their data in one place, and the regressor checks its
-kernel parameters in one more (`check_kernel_params`, which `rrauth bench`
-calls before it reads its record). The regressor fits and predicts with one
-Gaussian kernel. It builds its Gram matrix over the distinct rows of X
-only: duplicate rows have identical kernel rows, so `rrauth bench`'s 2000
-(position, amplitude) pairs need a 220 x 220 kernel, not 2000 x 2000.
-Batch prediction likewise evaluates each distinct query row once. The
-kernel is built in two buffers of its full size, by the same operations in
-the same order as the one-line expression, so fits and predictions are
-byte-equal to that expression's.
+kernel parameters in one more (`_check_kernel_params`). The regressor fits
+and predicts with one Gaussian kernel. It builds its Gram matrix over the
+distinct rows of X only: duplicate rows have identical kernel rows, so
+`rrauth bench`'s 2000 (position, amplitude) pairs need a 220 x 220 kernel,
+not 2000 x 2000. Batch prediction likewise evaluates each distinct query
+row once. The kernel is built in two buffers of its full size, by the same
+operations in the same order as the one-line expression, so fits and
+predictions are byte-equal to that expression's.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "predict_dt",
     "predict_curve",
     "train_svr",
-    "check_kernel_params",
     "kernel_predict_batch",
 ]
 
@@ -218,12 +218,12 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def check_kernel_params(C: float, kernel_scale: float, max_sweeps: int,
-                        epsilon: float | None = None) -> None:
+def _check_kernel_params(C: float, kernel_scale: float, max_sweeps: int,
+                         epsilon: float) -> None:
     """The kernel regressor's parameter rule: C and kernel_scale > 0, the
     kernel's divisor 2 kernel_scale^2 > 0 too (a scale below ~1.1e-162
-    squares to 0), the solver's sweep cap an integer >= 0 and, when given,
-    epsilon finite and >= 0. Each test is written so that NaN fails it."""
+    squares to 0), the solver's sweep cap an integer >= 0 and epsilon
+    finite and >= 0. Each test is written so that NaN fails it."""
     for name, value in (("C", C), ("kernel_scale", kernel_scale)):
         if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value}")
@@ -232,7 +232,7 @@ def check_kernel_params(C: float, kernel_scale: float, max_sweeps: int,
                          f"> 0, got {kernel_scale}")
     if not (isinstance(max_sweeps, (int, np.integer)) and max_sweeps >= 0):
         raise ValueError(f"max_sweeps must be an integer >= 0, got {max_sweeps!r}")
-    if epsilon is not None and not 0 <= epsilon < math.inf:
+    if not 0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
@@ -549,7 +549,7 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
     X, y = _training_set(X, y, 2)
     if epsilon is None:
         epsilon = auto_epsilon(y)
-    check_kernel_params(C, kernel_scale, max_sweeps, epsilon)
+    _check_kernel_params(C, kernel_scale, max_sweeps, epsilon)
     # the solver's differences of c = (y - epsilon, -y - epsilon) reach this span
     top = float(np.max(np.abs(y)))
     if not math.isfinite(2.0 * (top + float(epsilon))):

@@ -900,7 +900,9 @@ class TestOneInputCheck:
         X, y = np.arange(4.0).reshape(-1, 1), np.array([-1.0, 1.0, -1.0, 1.0])
         with pytest.raises(ValueError, match="kernel_scale must be"):
             TRAINERS[trainer][0](X, y, kernel_scale=scale)
-        learners.check_kernel_params(1.0, 1.2e-162, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            TRAINERS[trainer][0](X, y, kernel_scale=1.2e-162)
 
     @pytest.mark.parametrize("max_sweeps", [-1, 2.0, None])
     @pytest.mark.parametrize("trainer", ["svr"])

@@ -7,11 +7,18 @@ No pinned value enters, so the relations hold whichever SIMD kernels numpy
 runs.
 """
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrauth.authcore import DEFAULT_TRAIN_WINDOW_S, ReferenceDb, decide, enroll, score_frames
-from rrauth.signal import EcgRecord, cohort_profiles, slice_seconds, synth_ecg
+from rrauth.authcore import (DEFAULT_TRAIN_WINDOW_S, ReferenceDb, decide, enroll, save_db,
+                             score_frames)
+from rrauth.cli import main
+from rrauth.signal import EcgRecord, cohort_profiles, load_csv, save_csv, slice_seconds, synth_ecg
 
 from conftest import EPOCH, FS
 
@@ -28,13 +35,14 @@ def cohort(seed):
     return [(sid, synth_ecg(p, DURATION_S, FS)[0]) for sid, p in zip(ids, profiles)]
 
 
-def run(subjects, rename=lambda sid: sid):
-    """Enrol the enrolled subjects under their renamed ids, then score and
-    decide every subject's probe at the median gate."""
+def run(subjects, rename=lambda sid: sid, extra=(), gate=None):
+    """Enrol the enrolled subjects under their renamed ids, and the `extra`
+    (id, record) pairs, then score and decide every subject's probe at
+    `gate`, by default the median gate."""
     db = ReferenceDb()
-    for sid, record in subjects[:ENROLLED]:
+    for sid, record in [*subjects[:ENROLLED], *extra]:
         enroll(db, rename(sid), record, enrolled_at=EPOCH)
-    gate = db.median_ucl()
+    gate = db.median_ucl() if gate is None else gate
     scored = [score_frames(db, slice_seconds(record, DEFAULT_TRAIN_WINDOW_S))
               for _, record in subjects]
     return db, gate, scored, [decide(db, s, gate) for s in scored]
@@ -90,3 +98,56 @@ def test_order_preserving_rename(seed, names):
         assert (d2.kind, d2.apr, d2.score) == (d.kind, d.apr, d.score)
         assert d2.entity_id == (None if d.entity_id is None else new[d.entity_id])
         assert d2.scores == {new[e]: v for e, v in d.scores.items()}
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds, st.text(min_size=1, max_size=6), st.sampled_from([16.0, 64.0, 256.0]))
+def test_far_entity(seed, far_id, factor):
+    # an entity whose curve is far from every probe frame is never a frame's
+    # best match, so the gate, the APR and the other entities' scores keep
+    # their bits; the median gate would move, so the gate is held fixed
+    subjects = cohort(seed)
+    if far_id in {sid for sid, _ in subjects}:
+        far_id += "+"
+    far = EcgRecord(far_id, FS, subjects[-1][1].samples * factor)
+    db, gate, scored, decisions = run(subjects)
+    db2, gate2, scored2, decisions2 = run(subjects, extra=[(far_id, far)], gate=gate)
+    assert sorted(db2.entries) == sorted([*db.entries, far_id])
+    column = scored2[0].entity_ids.index(far_id)
+    for s, s2, d, d2 in zip(scored, scored2, decisions, decisions2):
+        assert s2.mse[:, column].min() > s.mse.max()  # far from every probe frame
+        assert s2.entity_ids == tuple(sorted([*s.entity_ids, far_id]))
+        kept = [s2.entity_ids.index(e) for e in s.entity_ids]
+        assert s2.mse[:, kept].tobytes() == s.mse.tobytes()
+        assert (d2.kind, d2.apr, d2.entity_id, d2.score) == (d.kind, d.apr, d.entity_id, d.score)
+        assert {e: v for e, v in d2.scores.items() if e != far_id} == d.scores
+
+
+def auth_lines(*argv):
+    """The exit status, stdout after the two header lines, and stderr of
+    `rrauth auth`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["auth", *argv])
+    return rc, out.getvalue().splitlines()[2:], err.getvalue()
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds, st.floats(0.0, 60.0))
+def test_offset_is_a_cut_record(seed, offset_s):
+    # `auth --offset-s` on a record decides as `auth` on that record cut by
+    # `slice_seconds`, written by `save_csv` and read back, which is exact
+    subjects = cohort(seed)
+    db = run(subjects)[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_db(db, tmp / "db.json")
+        for sid, record in subjects:
+            whole, cut = tmp / f"{sid}.csv", tmp / f"{sid}_cut.csv"
+            save_csv(record, whole)
+            sliced = slice_seconds(load_csv(whole), offset_s)
+            save_csv(sliced, cut)
+            assert load_csv(cut).samples.tobytes() == sliced.samples.tobytes()
+            assert auth_lines("--db", str(tmp / "db.json"), "--input", str(whole),
+                              f"--offset-s={offset_s!r}") == \
+                auth_lines("--db", str(tmp / "db.json"), "--input", str(cut))
