@@ -86,9 +86,7 @@ def _manifest_records(doc: dict, base: Path, offset_s: float = 0.0,
         if enrolled_only and subject["role"] != "enrolled":
             continue
         record = ecgsig.load_csv(base / subject["file"], subject_id=subject["id"])
-        if offset_s > 0:
-            record = ecgsig.slice_seconds(record, offset_s)
-        yield subject, record
+        yield subject, ecgsig.slice_seconds(record, offset_s)
 
 
 def _check_offset(offset_s: float) -> None:
@@ -160,6 +158,8 @@ def cmd_frames(args) -> int:
 
 
 def cmd_enroll(args) -> int:
+    if args.manifest and (args.input or args.id):
+        raise ValueError("enroll takes either --manifest or --input with --id, not both")
     db_path = Path(args.db)
     db = load_db(db_path) if db_path.exists() else ReferenceDb()
     if args.manifest:
@@ -194,9 +194,7 @@ def _resolve_gate(db: ReferenceDb, gate_ucl) -> float:
 def cmd_auth(args) -> int:
     _check_offset(args.offset_s)
     db = load_db(args.db)
-    record = ecgsig.load_csv(args.input)
-    if args.offset_s > 0:
-        record = ecgsig.slice_seconds(record, args.offset_s)
+    record = ecgsig.slice_seconds(ecgsig.load_csv(args.input), args.offset_s)
     gate = _resolve_gate(db, args.gate_ucl)
     decision = authcore.authenticate(db, record, gate,
                                      test_window_s=args.test_window_s,

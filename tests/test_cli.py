@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -110,6 +111,8 @@ class TestGen:
     @pytest.mark.parametrize("flag,value", [
         ("--fs", "inf"), ("--fs", "50"), ("--duration-s", "nan"), ("--duration-s", "0.5"),
         ("--min-sep", "nan"),
+        # finite, but fs * duration overflows the record's sample count
+        ("--fs", "1e308"), ("--duration-s", "1.7e308"),
     ])
     def test_refused_gen_creates_and_prints_nothing(self, flag, value, tmp_path):
         # every argument is checked before the output directory is made
@@ -183,6 +186,7 @@ class TestEval:
         cells += [int(v) for v in row_unknown.split()[2:]]
         cells.append(int(rejected.split(":")[1]))
         assert sum(cells) == 20
+        assert next(l for l in lines if l.startswith("phi=")).split()[1] == "N=20"
         csv = (tmp_path / "confusion.csv").read_text().splitlines()
         assert csv[0] == "kk_correct,kk_wrong,ku,uk,uu,rejected,N"
         assert int(csv[1].split(",")[-1]) == 20
@@ -201,12 +205,29 @@ class TestSweep:
         assert "best ucl=" in capsys.readouterr().out
 
     def test_byte_identical_rerun(self, cohort_dir, db_path, tmp_path):
-        args = lambda d: ["sweep", "--db", str(db_path), "--manifest",
-                          str(cohort_dir / "manifest.json"), "--trials", "10",
-                          "--seed", "3", "--grid-points", "5", "--out", str(d)]
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        assert main(args(d1)) == 0 and main(args(d2)) == 0
-        assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
+        # a second run with the same seeds rewrites the same bytes, except
+        # bench's training times
+        manifest = str(cohort_dir / "manifest.json")
+        runs = {
+            "sweep.csv": ["sweep", "--db", str(db_path), "--manifest", manifest,
+                          "--trials", "10", "--seed", "3", "--grid-points", "5"],
+            # at 200 trials two different seeds give equal counts for ~5 % of seed
+            # pairs on this cohort, at 20 trials for ~16 %
+            "confusion.csv": ["eval", "--db", str(db_path), "--manifest", manifest,
+                              "--trials", "200", "--seed", "3"],
+            "ranking.csv": ["rank", "--manifest", manifest],
+            "bench.csv": ["bench", "--input", str(cohort_dir / "e01.csv"), "--limit", "300"],
+        }
+        for name, argv in runs.items():
+            texts = []
+            for d in ("a", "b"):
+                assert main([*argv, "--out", str(tmp_path / name / d)]) == 0
+                lines = (tmp_path / name / d / name).read_bytes().splitlines(keepends=True)
+                texts.append(b"".join(l for l in lines
+                                      if not l.startswith(b"Training Time (s),")))
+            if name == "bench.csv":
+                assert texts[0].count(b"\n") == 3
+            assert texts[0] == texts[1], name
 
     def test_bad_grid_spec(self, cohort_dir, db_path, tmp_path):
         rc = main(["sweep", "--db", str(db_path), "--manifest",
@@ -225,6 +246,7 @@ class TestRankAndFrames:
         assert len(rows) == 11
         mis = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(a >= b for a, b in zip(mis, mis[1:]))
+        assert capsys.readouterr().out.endswith("\n".join(rows) + "\n")
 
     def test_exact_ties_listed_by_position(self, tiny_cohort, tmp_path, capsys):
         # at 72 positions each amplitude bin holds frames of one entity only:
@@ -344,18 +366,31 @@ class TestOneExtractionPath:
             self.assert_enrolled_frames(db.entries[frames.entity_id], frames.values)
 
     def test_frames_dump_covers_whole_record(self, pinned, tmp_path, capsys):
+        # a record's CRLF or space-padded copy reads as float reads each line
+        # and gives its frames; a trailing space leaves no line plain, so
+        # each padded line goes through float
         cohort, _ = pinned
         for eid in ("e02", "e06"):
-            dump = tmp_path / f"{eid}.csv"
-            assert main(["frames", "--input", str(cohort / f"{eid}.csv"),
-                         "--dump", str(dump)]) == 0
+            text = (cohort / f"{eid}.csv").read_bytes()
+            values = np.array([float(line) for line in text.splitlines()[1:]])
             clean = preprocess(load_csv(cohort / f"{eid}.csv"))
             frames = frame_rr(clean, detect_rpeaks(clean), 220)
             want = "".join(",".join(repr(v) for v in row) + "\n"
                            for row in frames.values.tolist())
-            assert dump.read_text(encoding="utf-8") == want
-            assert capsys.readouterr().out.splitlines()[-1] == \
-                f"peaks={len(frames.peaks)} frames={len(frames)} -> {dump}"
+            for ending in ("lf", "crlf", "space"):
+                record = tmp_path / f"{eid}_{ending}.csv"
+                record.write_bytes(text.replace(
+                    b"\n", {"lf": b"\n", "crlf": b"\r\n", "space": b" \n"}[ending]))
+                assert load_csv(record).samples.tobytes() == values.tobytes(), ending
+                dump = tmp_path / f"{eid}_{ending}_frames.csv"
+                assert main(["frames", "--input", str(record), "--dump", str(dump)]) == 0
+                assert dump.read_text(encoding="utf-8") == want
+                assert capsys.readouterr().out.splitlines()[-1] == \
+                    f"peaks={len(frames.peaks)} frames={len(frames)} -> {dump}"
+            # the dump's values, read as one column, are the frames' own
+            column = tmp_path / f"{eid}_column.csv"
+            column.write_text("fs=360.0\n" + want.replace(",", "\n"), encoding="utf-8")
+            assert load_csv(column).samples.tobytes() == frames.values.tobytes()
 
 
 class TestNonFiniteFs:
@@ -391,8 +426,10 @@ class TestV1DbRefused:
             args += ["--id", "e03"]
         proc = run_cli(command, "--db", str(db), *args)
         assert proc.returncode == 1, proc.stderr
-        assert "error:" in proc.stderr and "re-enrol" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert "version '1' unsupported (expected '3'); re-enrol from the records" \
+            in proc.stderr
+        assert proc.stdout == ""
         assert db.read_bytes() == before
 
 
@@ -498,6 +535,7 @@ class TestOffsetAndGridBounds:
         assert proc.returncode == 1, proc.stdout
         assert "error:" in proc.stderr and "finite" in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestWindowBounds:
@@ -542,6 +580,7 @@ class TestWindowBounds:
         assert proc.returncode == 1, proc.stdout
         assert "error: --train-window-s must be finite and > 0" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
         assert not db.exists()
 
     @pytest.mark.parametrize("argv", [["bench", "--input", "e01.csv"],
@@ -597,21 +636,27 @@ class TestParserDefaults:
         ("bench", ["--input", "i"]),
         ("rank", ["--manifest", "m"]),
     ])
-    def test_no_frame_len_flag(self, command, argv, capsys):
+    def test_no_frame_len_flag(self, command, argv, tmp_path, monkeypatch, capsys):
         # every command frames at DEFAULT_FRAME_LEN, or at the DB's own length
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([command, *argv, "--frame-len", "220"])
+            main([command, *argv, "--frame-len", "220"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --frame-len 220" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "unrecognized arguments: --frame-len 220" in err
+        assert out == "" and not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--min-leaf", "--kernel-scale", "--svr-c",
                                       "--svr-epsilon", "--svr-max-sweeps"])
-    def test_no_bench_fit_flag(self, flag, capsys):
+    def test_no_bench_fit_flag(self, flag, tmp_path, monkeypatch, capsys):
         # bench fits the paper's two presets, a fine tree and a fine Gaussian SVR
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["bench", "--input", "i", flag, "1"])
+            main(["bench", "--input", "i", "--out", "o", flag, "1"])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} 1" in err
+        assert out == "" and not any(tmp_path.iterdir())
 
     def test_sweep_has_no_grid_auto_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -681,7 +726,8 @@ class TestRefusedEnroll:
     """A refused `enroll` prints nothing and writes no DB: the manifest and
     its records, or the input, are read before the header is printed."""
 
-    @pytest.mark.parametrize("source", ["no-role", "missing-manifest", "missing-input"])
+    @pytest.mark.parametrize("source", ["no-role", "missing-manifest", "missing-input",
+                                        "manifest-and-input"])
     def test_prints_nothing(self, source, cohort_dir, tmp_path):
         if source == "no-role":
             manifest = TestMalformedManifest.write(
@@ -689,6 +735,10 @@ class TestRefusedEnroll:
             args = ["--manifest", str(manifest)]
         elif source == "missing-manifest":
             args = ["--manifest", str(tmp_path / "absent.json")]
+        elif source == "manifest-and-input":
+            # one source of records: --input would otherwise go unread
+            args = ["--manifest", str(cohort_dir / "manifest.json"),
+                    "--input", str(cohort_dir / "u01.csv"), "--id", "u01"]
         else:
             args = ["--input", str(tmp_path / "absent.csv"), "--id", "x"]
         proc = run_cli("enroll", "--db", str(tmp_path / "new.json"), *args)
@@ -756,6 +806,11 @@ class TestV2DbRefused:
         doc = json.loads(db_path.read_text(encoding="utf-8"))
         doc["version"] = "2"
         del doc["frontend"]
+        as_list = lambda text: np.frombuffer(base64.b64decode(text, validate=True),
+                                             "<f8").tolist()
+        for entity in doc["entities"].values():
+            entity["curve"] = as_list(entity["curve"])
+            entity["stats"]["mses"] = as_list(entity["stats"]["mses"])
         db = tmp_path / "v2.json"
         db.write_text(json.dumps(doc), encoding="utf-8")
         before = db.read_bytes()

@@ -249,6 +249,17 @@ class TestSplitSearch:
         assert model.root.threshold == lo
         assert model.root.left == DtLeaf(mean=float(y[X == lo][0]), count=2)
         assert model.root.right == DtLeaf(mean=float(y[X == hi][0]), count=2)
+        # the cut is a training value, which predict_dt sends left as training did
+        assert predict_dt(model, [lo]) == model.root.left.mean
+
+    def test_node_with_subnormal_sum_of_squares_splits(self):
+        # the node's sum of squares is ~2e-320, so the screen's margin
+        # 1e-9 * total underflows to 0: the lowest score is the limit itself,
+        # and its cut must still pass the screen
+        X, y = np.arange(8.0), np.array([0.0] * 4 + [1e-160] * 4)
+        model = train_dt(X, y, DtParams(min_leaf_size=1))
+        assert model.root.threshold == 3.5
+        assert (predict_dt(model, [0.0]), predict_dt(model, [7.0])) == (0.0, 1e-160)
 
     def test_cut_at_the_midpoint_when_it_lies_between(self):
         assert learners._threshold(1.0, 2.0) == 1.5
@@ -672,6 +683,23 @@ class TestSameAsOracle:
                         oracle_fit(train_svr, X, y, max_sweeps=max_sweeps))
         assert_same_tree(train_dt(X, y), X, y, DtParams())
 
+    @pytest.mark.parametrize("X, y, fit, bound", [
+        ([3.0, 3.0, 1.0, 0.0], [-0.51, -1.65, 0.17, 0.11],
+         dict(C=34089625.15179791, epsilon=0.1, kernel_scale=1.0, max_sweeps=1),
+         lambda C: 1e-8 * C),
+        ([1.0, 1.0, 2.0, 1.0, 3.0], [0.27, -0.98, -1.11, 0.2, -0.47],
+         dict(C=2.748482681169088, epsilon=0.0, kernel_scale=1.0, max_sweeps=2),
+         lambda C: C * (1.0 - 1e-8)),
+    ], ids=["lower", "upper"])
+    def test_dual_on_an_interior_bound_is_not_interior(self, X, y, fit, bound):
+        # a dual variable lands exactly on one of the bounds that mark the
+        # interior, 1e-8 C and (1 - 1e-8) C; the intercept averages zg over
+        # the variables strictly between them only
+        X, y = np.array(X).reshape(-1, 1), np.array(y)
+        m = train_svr(X, y, **fit)
+        assert bound(fit["C"]) in m.dual.tolist()
+        assert_same_fit(m, oracle_fit(train_svr, X, y, **fit))
+
 
 class TestSelectionBoundaries:
     """Inputs on the edges of the per-point selection, each also run
@@ -720,15 +748,19 @@ class TestSelectionBoundaries:
         assert_same_dual(classifier_dual(X, labels, **fit),
                          classifier_dual(X, labels, **fit, solve=oracle_solve_box_dual))
 
-    @pytest.mark.parametrize("X, y, C", [
+    @pytest.mark.parametrize("X, y, C, epsilon", [
         # i: 0.1 and 0.10000000000000002 on one point give one zg
-        ([1.0, 0.0, 1.0, 1.0, 1.0], [0.1, 1.4, -0.2, -1.5, 0.10000000000000002], 0.5),
+        ([1.0, 0.0, 1.0, 1.0, 1.0], [0.1, 1.4, -0.2, -1.5, 0.10000000000000002], 0.5, 0.0),
         # j: the two targets near -0.02 on one point give one gain
-        ([0.0] * 5, [-0.019999999999999993, -0.020000000000000007, 0.57, 1.38, -0.38], 10.0),
-    ], ids=["i", "j"])
-    def test_distinct_zc_tied_by_rounding(self, X, y, C):
+        ([0.0] * 5, [-0.019999999999999993, -0.020000000000000007, 0.57, 1.38, -0.38], 10.0,
+         0.0),
+        # j again, on a point whose zc all differ: with the tube each target
+        # gives two zc, so no zc repeats, and only the next distinct one shows the tie
+        ([1.0, 1.0, 2.0, 1.0, 2.0], [0.7, 0.10000000000000002, -1.0, 0.1, 0.1], 1.0, 0.25),
+    ], ids=["i", "j", "j-tube"])
+    def test_distinct_zc_tied_by_rounding(self, X, y, C, epsilon):
         X, y = np.array(X).reshape(-1, 1), np.array(y)
-        fit = dict(C=C, epsilon=0.0, kernel_scale=0.5, max_sweeps=1)
+        fit = dict(C=C, epsilon=epsilon, kernel_scale=0.5, max_sweeps=1)
         assert_same_fit(train_svr(X, y, **fit), oracle_fit(train_svr, X, y, **fit))
 
 

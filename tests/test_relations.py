@@ -4,14 +4,18 @@ A seeded cohort is enrolled and every subject's held-out probe is scored and
 decided; then the input is changed in a way whose effect on every output is
 known exactly, and the two runs, on the same host, are compared bit for bit.
 No pinned value enters, so the relations hold whichever SIMD kernels numpy
-runs.
+runs. The last relation, a baseline shift of the probe, holds on decisions
+only, and is checked on fixed cohorts.
 """
 
 import contextlib
 import io
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +24,13 @@ from rrauth.authcore import (DEFAULT_TRAIN_WINDOW_S, ReferenceDb, decide, enroll
 from rrauth.cli import main
 from rrauth.signal import EcgRecord, cohort_profiles, load_csv, save_csv, slice_seconds, synth_ecg
 
-from conftest import EPOCH, FS
+from conftest import COHORT_SEED, EPOCH, FS
 
 ENROLLED = 3
 DURATION_S = 65.0
+# an open gate passes every frame, and at this margin the unknown probe and
+# some enrolled ones are Unknown: each probe is decided there too
+NARROW_MARGIN = 0.35
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -37,15 +44,18 @@ def cohort(seed):
 
 def run(subjects, rename=lambda sid: sid, extra=(), gate=None):
     """Enrol the enrolled subjects under their renamed ids, and the `extra`
-    (id, record) pairs, then score and decide every subject's probe at
-    `gate`, by default the median gate."""
+    (id, record) pairs, then score every subject's probe. Each probe is
+    decided at `gate`, by default the median gate, and then at an open gate
+    and NARROW_MARGIN: the decisions list holds both, in that order."""
     db = ReferenceDb()
     for sid, record in [*subjects[:ENROLLED], *extra]:
         enroll(db, rename(sid), record, enrolled_at=EPOCH)
     gate = db.median_ucl() if gate is None else gate
     scored = [score_frames(db, slice_seconds(record, DEFAULT_TRAIN_WINDOW_S))
               for _, record in subjects]
-    return db, gate, scored, [decide(db, s, gate) for s in scored]
+    decisions = [decide(db, s, gate) for s in scored]
+    decisions += [decide(db, s, math.inf, id_margin=NARROW_MARGIN) for s in scored]
+    return db, gate, scored, decisions
 
 
 def scaled(subjects, factor):
@@ -69,9 +79,10 @@ def test_power_of_two_scale(seed, k):
         assert (other.stats.mean, other.stats.std, other.stats.ucl) == \
             (entry.stats.mean * f * f, entry.stats.std * f * f, entry.stats.ucl * f * f)
     assert gate2 == gate * f * f
-    for s, s2, d, d2 in zip(scored, scored2, decisions, decisions2):
+    for s, s2 in zip(scored, scored2):
         assert s2.entity_ids == s.entity_ids
         assert s2.mse.tobytes() == (s.mse * f * f).tobytes()
+    for d, d2 in zip(decisions, decisions2):
         assert (d2.kind, d2.apr, d2.entity_id) == (d.kind, d.apr, d.entity_id)
         assert d2.score == (None if d.score is None else d.score * f * f)
         assert d2.scores == {e: v * f * f for e, v in d.scores.items()}
@@ -92,9 +103,10 @@ def test_order_preserving_rename(seed, names):
         assert other.stats.mses.tobytes() == entry.stats.mses.tobytes()
         assert other.stats.ucl == entry.stats.ucl
     assert gate2 == gate
-    for s, s2, d, d2 in zip(scored, scored2, decisions, decisions2):
+    for s, s2 in zip(scored, scored2):
         assert s2.entity_ids == tuple(new[e] for e in s.entity_ids)
         assert s2.mse.tobytes() == s.mse.tobytes()
+    for d, d2 in zip(decisions, decisions2):
         assert (d2.kind, d2.apr, d2.score) == (d.kind, d.apr, d.score)
         assert d2.entity_id == (None if d.entity_id is None else new[d.entity_id])
         assert d2.scores == {new[e]: v for e, v in d.scores.items()}
@@ -114,11 +126,12 @@ def test_far_entity(seed, far_id, factor):
     db2, gate2, scored2, decisions2 = run(subjects, extra=[(far_id, far)], gate=gate)
     assert sorted(db2.entries) == sorted([*db.entries, far_id])
     column = scored2[0].entity_ids.index(far_id)
-    for s, s2, d, d2 in zip(scored, scored2, decisions, decisions2):
+    for s, s2 in zip(scored, scored2):
         assert s2.mse[:, column].min() > s.mse.max()  # far from every probe frame
         assert s2.entity_ids == tuple(sorted([*s.entity_ids, far_id]))
         kept = [s2.entity_ids.index(e) for e in s.entity_ids]
         assert s2.mse[:, kept].tobytes() == s.mse.tobytes()
+    for d, d2 in zip(decisions, decisions2):
         assert (d2.kind, d2.apr, d2.entity_id, d2.score) == (d.kind, d.apr, d.entity_id, d.score)
         assert {e: v for e, v in d2.scores.items() if e != far_id} == d.scores
 
@@ -151,3 +164,21 @@ def test_offset_is_a_cut_record(seed, offset_s):
             assert auth_lines("--db", str(tmp / "db.json"), "--input", str(whole),
                               f"--offset-s={offset_s!r}") == \
                 auth_lines("--db", str(tmp / "db.json"), "--input", str(cut))
+
+
+@pytest.mark.parametrize("seed", [COHORT_SEED, 0, 1, 2])  # COHORT_SEED: small_pool's cohort
+def test_baseline_shift_keeps_the_decision(seed):
+    # preprocessing removes a DC offset and a slow drift, so each probe keeps
+    # its decision's kind and entity. Not bit for bit: the 0.6 s median window
+    # is even, so each median is the mean of two samples
+    subjects = cohort(seed)
+    db, gate, _, decisions = run(subjects)
+    at_gate = decisions[:len(subjects)]  # the median gate's; the open gate's follow
+    for offset_mv, drift_mv_per_s in [(5.0, 0.0), (-2.5, 0.0), (0.0, 0.1)]:
+        for (sid, record), d in zip(subjects, at_gate):
+            probe = slice_seconds(record, DEFAULT_TRAIN_WINDOW_S)
+            t = np.arange(probe.samples.size) / probe.fs
+            shifted = EcgRecord(sid, probe.fs, probe.samples + offset_mv + drift_mv_per_s * t)
+            d2 = decide(db, score_frames(db, shifted), gate)
+            assert (d2.kind, d2.entity_id) == (d.kind, d.entity_id), \
+                (sid, offset_mv, drift_mv_per_s)
