@@ -9,17 +9,22 @@ the sum is a convolution. Every refinement is one row of a single
 ``argmax`` over windows of the record padded with -inf, so each lands on
 the first maximum of its search range, as a per-event ``argmax`` would.
 
-The rolling maximum is the van Herk / Gil-Werman block maximum (Pattern
-Recognit. Lett. 13(7), 1992; IEEE TPAMI 15(5), 1993): block-wise prefix
-and suffix maxima combined by one ``np.maximum``, O(1) per sample. A
-maximum only selects among its inputs, so each value is exactly its
-window's ``max``.
+The rolling maximum doubles: floor(log2(win)) ``np.maximum`` passes give
+the maximum of every run of the largest power of two <= win samples, and
+each window is the maximum of two such runs, one at each end. A maximum
+only selects among its inputs, so each value is exactly its window's
+``max``.
 
 Suppression takes candidates strongest first, lowest index on ties, and
 keeps each one that no kept candidate lies closer to than the refractory
-distance. One pass does it: a byte mask marks every sample that a kept
-candidate blocks, so each candidate costs one lookup, and each kept one
-sets its block.
+distance. Neighbours at least that distance apart split the candidates
+into clusters that never interact, and a cluster that lies closer than
+that distance to its strongest member keeps that member alone: on an ECG
+nearly every cluster is one QRS, and one vectorised pass settles them
+all. The candidates of the other clusters take one pass over a byte mask
+of blocked samples, so each costs one lookup and each kept one sets its
+block. A record of pure noise is one cluster: all of it takes the byte
+mask, after the vectorised pass.
 
 Frames resample each R-to-R segment onto a fixed-length grid anchored at
 both peaks. A record's frames form one `FrameSet`: the peaks they came from
@@ -98,44 +103,73 @@ class FrameSet:
 def _rolling_max(x: np.ndarray, win: int) -> np.ndarray:
     """Centered rolling maximum; windows shrink at the edges.
 
-    The van Herk / Gil-Werman block maximum: x is padded with -inf by half
-    a window in front and the rest of a window behind, so every window, the
-    shrinking edge ones included, spans `win` padded samples. Cut into
-    blocks of `win`, any such window is a suffix of one block followed by a
-    prefix of the next, so its maximum is one ``np.maximum`` of a block-wise
-    suffix maximum and a block-wise prefix maximum: O(1) per sample for any
-    window. A maximum only ever selects one of its inputs, so every value
-    is exactly the window's ``max``. A window as long as the record or
-    longer needs at most two blocks; the padding still fits.
+    x is padded with -inf by half a window in front and the rest of a
+    window behind, so every window, the shrinking edge ones included, spans
+    `win` padded samples. Doubling builds the maximum of every run of
+    `span` padded samples, span = 1, 2, 4, ... up to the largest power of
+    two <= win, one ``np.maximum`` of two shifted copies per step; a
+    window's maximum is then that of the two runs of `span` samples at its
+    two ends, which overlap and together cover it. A maximum only ever
+    selects one of its inputs, so every value is exactly the window's
+    ``max``.
     """
     n = x.size
     half = win // 2
-    blocks = -(-(n + win - 1) // win)
-    padded = np.full(blocks * win, -np.inf)
-    padded[half : half + n] = x
-    padded = padded.reshape(blocks, win)
-    prefix = np.maximum.accumulate(padded, axis=1).ravel()
-    suffix = np.maximum.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suffix[:n], prefix[win - 1 : win - 1 + n])
+    runs = np.full(n + win - 1, -np.inf)
+    runs[half : half + n] = x
+    span = 1
+    for _ in range(win.bit_length() - 1):  # floor(log2(win)) doublings
+        runs = np.maximum(runs[:-span], runs[span:])
+        span *= 2
+    return np.maximum(runs[:n], runs[win - span : win - span + n])
+
+
+def _lone_winners(strength: np.ndarray, candidates: np.ndarray,
+                  reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """Settle in one vectorised pass the clusters that keep one candidate.
+
+    Neighbours among the ascending `candidates` more than `reach` apart
+    split them into clusters, which never block each other. A cluster whose
+    members all lie within `reach` of its strongest member, the first
+    maximum, keeps that member alone. Returns those members, ascending, and
+    the candidates of every other cluster, ascending, for the byte mask.
+    """
+    starts = np.flatnonzero(np.diff(candidates) > reach) + 1
+    sizes = np.diff(starts, prepend=0, append=candidates.size)
+    starts = np.concatenate(([0], starts))
+    s = strength[candidates]
+    top = np.repeat(np.maximum.reduceat(s, starts), sizes)
+    at = np.arange(candidates.size)
+    strongest = candidates[np.minimum.reduceat(np.where(s == top, at, at.size), starts)]
+    alone = ((strongest - candidates[starts] <= reach)
+             & (candidates[starts + sizes - 1] - strongest <= reach))
+    return strongest[alone], candidates[np.repeat(~alone, sizes)]
 
 
 def _suppress(strength: np.ndarray, candidates: np.ndarray,
               refractory: float) -> list[int]:
-    """Refractory suppression; returns the kept candidates in index order.
+    """Refractory suppression of ascending candidates; returns the kept
+    candidates in index order.
 
     Candidates are taken strongest first, lowest index on ties, and each is
     kept unless a kept one lies closer than `refractory` samples. For an
     integer distance d, d < refractory exactly when d <= reach =
-    ceil(refractory) - 1, so a kept c blocks samples c - reach .. c + reach.
+    ceil(refractory) - 1. `_lone_winners` settles every cluster that keeps
+    one candidate; the rest go through one strongest-first pass over a byte
+    mask of blocked samples: a kept c blocks samples c - reach .. c + reach,
+    so each candidate costs one lookup and each kept one sets its block.
     The mask holds sample i at byte i + reach, so every block fits: it is
     exactly n + 2 * reach bytes, since a slice assignment past the end of a
     bytearray would grow it instead of failing.
     """
-    order = candidates[np.lexsort((candidates, -strength[candidates]))]
+    if candidates.size == 0:
+        return []
     reach = math.ceil(refractory) - 1
+    kept, rest = _lone_winners(strength, candidates, reach)
+    kept = kept.tolist()
+    order = rest[np.lexsort((rest, -strength[rest]))]
     block = b"\x01" * (2 * reach + 1)
     blocked = bytearray(strength.size + 2 * reach)
-    kept = []
     for c in order.tolist():
         if not blocked[c + reach]:
             kept.append(c)

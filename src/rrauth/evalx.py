@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from rrauth.authcore import (DEFAULT_APR_MIN, DEFAULT_ID_MARGIN,
 from rrauth.signal import MAX_POINTS
 
 _DRAW_BLOCK = 1 << 16  # trials drawn and counted per block: 512 KiB of draws
+_GATE_BLOCK = 1 << 8  # sweep gates whose passing-frame counts are found at once
 # the most trials a call may draw: 2**47 bytes of int64 draws, which no
 # machine could have held as the one array they were once drawn into
 _MAX_TRIALS = 2**44
@@ -129,13 +131,15 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
 
     A decision depends on the gate only through the frames that pass it:
     those whose best MSE is <= the gate. Each drawn record's best MSEs are
-    sorted once, so ``searchsorted(..., side="right")`` counts its passing
-    frames, and an equal count means the very same passing set. A record
-    whose count is the one it had at the previous gate keeps that gate's
-    `AuthDecision` object; only a changed count calls `decide`. Only the
-    last (count, decision) per record is held, one gate at a time. A NaN
-    gate counts as if every frame passed, so only a record's first gate,
-    which always reaches `decide`, may be NaN; `sweep_ucl` refuses one.
+    sorted once, and one ``searchsorted(..., side="right")`` over a block of
+    up to `_GATE_BLOCK` gates counts its passing frames at each of them; an
+    equal count means the very same passing set. A record whose count is
+    the one it had at the previous gate keeps that gate's `AuthDecision`
+    object; only a changed count calls `decide`. Only the last (count,
+    decision) per record and one block's counts are held, so memory does
+    not grow with the grid. A NaN gate counts as if every frame passed, so
+    only a record's first gate, which always reaches `decide`, may be NaN;
+    `sweep_ucl` refuses one.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -158,22 +162,24 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
               for record, _ in pool]
     # Python ints: an np.int64 cell would make `accuracy` an np.float64
     drawn, counts = np.flatnonzero(counts).tolist(), counts.tolist()
-    best_mse = {pi: np.sort(scored[pi].mse.min(axis=1)) for pi in drawn}
+    best_mse = [np.sort(scored[pi].mse.min(axis=1)) for pi in drawn]
     last: dict[int, tuple[int, AuthDecision]] = {}
 
-    def judge(ucl):
-        decided: dict[int, AuthDecision] = {}
-        tally: Counter[str] = Counter()
-        for pi in drawn:
-            passing = int(np.searchsorted(best_mse[pi], ucl, side="right"))
-            if pi not in last or last[pi][0] != passing:
-                last[pi] = (passing, decide(db, scored[pi], ucl,
-                                            apr_min=apr_min, id_margin=id_margin))
-            dec = decided[pi] = last[pi][1]
-            tally[_cell(dec, pool[pi][1])] += counts[pi]
-        return ConfusionMatrix(**tally), decided
+    def judge(gates):
+        per_record = np.array([np.searchsorted(b, gates, side="right") for b in best_mse])
+        for ucl, passing in zip(gates, per_record.T.tolist()):
+            decided: dict[int, AuthDecision] = {}
+            tally: Counter[str] = Counter()
+            for pi, n_pass in zip(drawn, passing):
+                if pi not in last or last[pi][0] != n_pass:
+                    last[pi] = (n_pass, decide(db, scored[pi], ucl,
+                                               apr_min=apr_min, id_margin=id_margin))
+                dec = decided[pi] = last[pi][1]
+                tally[_cell(dec, pool[pi][1])] += counts[pi]
+            yield ConfusionMatrix(**tally), decided
 
-    return map(judge, grid)
+    return chain.from_iterable(judge(grid[start : start + _GATE_BLOCK])
+                               for start in range(0, len(grid), _GATE_BLOCK))
 
 
 def run_trials(db: ReferenceDb, pool, n: int = 100, gate_ucl: float = 0.0,

@@ -139,6 +139,13 @@ def _best_split(columns: np.ndarray, y: np.ndarray, yn: np.ndarray, orders, min_
     survives alone is the split without being scored, unless the node's sum
     of squares is within reach of overflow.
 
+    Both scores are taken on the targets times 2**shift, the least power of
+    two >= 1 that lifts their largest deviation from the mean to at least
+    1/2: tiny deviations would otherwise square to scores that underflow
+    and tie at zero, and the lowest cut would win. A power of two scales
+    every sum, product and quotient exactly, so wherever nothing underflows
+    each score is the unscaled one times 4**shift, and the choice is the same.
+
     No argsort runs here. A stable argsort of the node's rows ranks them by
     value, then by row, and so does the root's stable order of every row
     filtered down to the node's rows. So `orders[f]` is that argsort mapped
@@ -148,6 +155,8 @@ def _best_split(columns: np.ndarray, y: np.ndarray, yn: np.ndarray, orders, min_
     n = yn.size
     mean = _mean(yn)
     yc = yn - mean
+    shift = max(0, -math.frexp(float(np.maximum.reduce(np.abs(yc))))[1])
+    mean, yc = math.ldexp(mean, shift), np.ldexp(yc, shift)
     screened = []
     floor = np.inf
     for f, order in enumerate(orders):
@@ -157,7 +166,7 @@ def _best_split(columns: np.ndarray, y: np.ndarray, yn: np.ndarray, orders, min_
         if nl.size == 0:
             continue
         nl += min_leaf
-        yo = y[order]
+        yo = np.ldexp(y[order], shift)
         c1 = yo - mean
         c2 = c1 * c1
         left1, left2 = c1.cumsum()[nl - 1], c2.cumsum()[nl - 1]

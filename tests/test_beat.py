@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrauth import beat
-from rrauth.beat import (FrameSet, PeakList, _rolling_max, _suppress, _window_counts,
-                         detect_rpeaks, frame_rr)
+from rrauth.beat import (FrameSet, PeakList, _lone_winners, _rolling_max, _suppress,
+                         _window_counts, detect_rpeaks, frame_rr)
 from rrauth.signal import EcgRecord, preprocess, random_profile, synth_ecg
 
 from conftest import quiet_profile, reference_detect_rpeaks, strongest_first
@@ -201,11 +202,15 @@ class TestRollingMax:
 @st.composite
 def suppression_inputs(draw):
     """Energies shaped to stress the strongest-first order (ties, plateaus,
-    monotone ramps), candidates and a refractory distance, fractional ones
-    included (0.25 s at 250 Hz is 62.5 samples)."""
+    monotone ramps) or shaped like a detector's candidates (bursts), the
+    candidates and a refractory distance, fractional ones included (0.25 s
+    at 250 Hz is 62.5 samples)."""
     n = draw(st.integers(1, 800))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = draw(st.sampled_from(["levels", "plateaus", "ramp_up", "ramp_down", "noise"]))
+    shape = draw(st.sampled_from(["levels", "plateaus", "ramp_up", "ramp_down", "noise",
+                                  "bursts"]))
+    refractory = draw(st.sampled_from([62.5, 90.0]) | st.floats(0.5, 200.0),
+                      label="refractory")
     if shape == "levels":  # a few distinct energies: ties everywhere
         strength = rng.integers(0, 4, n).astype(float)
     elif shape == "plateaus":  # runs of equal energy
@@ -214,18 +219,39 @@ def suppression_inputs(draw):
         strength = np.arange(n, dtype=float)
     elif shape == "ramp_down":
         strength = np.arange(n, 0, -1, dtype=float)
-    else:
+    elif shape == "noise":
         strength = rng.random(n)
+    else:
+        return (*bursts(n, rng, math.ceil(refractory) - 1), refractory)
     density = draw(st.sampled_from([1.0, 0.5, 0.05]), label="density")
     candidates = np.flatnonzero(rng.random(n) < density)
-    refractory = draw(st.sampled_from([62.5, 90.0]) | st.floats(0.5, 200.0),
-                      label="refractory")
     return strength, candidates, refractory
 
 
+def bursts(n, rng, reach):
+    """(strength, candidates) shaped like the detector's: runs of candidates
+    (humps), most narrower than `reach` and most more than `reach` apart,
+    so most clusters keep their strongest member alone; a few humps are
+    wider, or closer, so that their clusters reach the byte mask. Heights
+    rounded to one or two decimals tie within a hump."""
+    strength = rng.random(n)
+    candidates = []
+    pos = int(rng.integers(0, min(reach + 2, n)))
+    while pos < n:
+        width = int(rng.integers(1, reach + 2) if rng.random() < 0.8
+                    else rng.integers(reach + 2, 3 * reach + 4))
+        hump = np.arange(pos, min(pos + width, n))
+        fall = np.abs(np.arange(hump.size) - rng.integers(hump.size)) / (1 + hump.size)
+        strength[hump] = np.round(rng.random() * (1 - fall), rng.integers(1, 3))
+        candidates.append(hump)
+        gap = rng.integers(reach, 3 * reach + 2) if rng.random() < 0.9 else rng.integers(reach + 1)
+        pos += width + int(gap)
+    return strength, np.concatenate(candidates)
+
+
 class TestSuppress:
-    """The masked pass must keep exactly what the plain strongest-first rule,
-    one bisect per candidate, keeps."""
+    """The lone-cluster pass and the masked pass must keep exactly what the
+    plain strongest-first rule, one bisect per candidate, keeps."""
 
     @settings(max_examples=400, deadline=None)
     @given(suppression_inputs())
@@ -243,6 +269,49 @@ class TestSuppress:
                 assert _suppress(strength, candidates, refractory) == [winner]
             for refractory in (3.5, 4.0):  # distance 4 is not closer than 4
                 assert _suppress(strength, candidates, refractory) == [0, 4]
+
+    @pytest.mark.parametrize("refractory", [4.0, 62.5, 90.0])
+    def test_runs_reach_apart_form_one_cluster(self, refractory):
+        # run A's last and strongest sample is `gap` from run B's first and
+        # strongest: at gap == reach the two block each other and B's next
+        # sample keeps instead, at reach + 1 they are two lone clusters
+        reach = math.ceil(refractory) - 1
+        for gap in (reach, reach + 1):
+            candidates = np.array([10, 11, 12, 12 + gap, 13 + gap, 14 + gap])
+            strength = np.zeros(20 + gap)
+            strength[candidates] = [1.0, 2.0, 5.0, 4.0, 3.0, 2.0]
+            winners, rest = _lone_winners(strength, candidates, reach)
+            if gap == reach:
+                assert (winners.tolist(), rest.tolist()) == ([], candidates.tolist())
+                expected = [12, 13 + gap]
+            else:
+                assert (winners.tolist(), rest.tolist()) == ([12, 12 + gap], [])
+                expected = [12, 12 + gap]
+            assert _suppress(strength, candidates, refractory) == expected
+            assert strongest_first(strength, candidates, refractory) == expected
+
+    @pytest.mark.parametrize("refractory", [4.0, 62.5, 90.0])
+    @pytest.mark.parametrize("strongest_first_member", [True, False])
+    def test_strongest_reach_from_the_far_end(self, refractory, strongest_first_member):
+        # one run of candidates 5 .. 5 + span: its strongest member at one end
+        # blocks the far end at span == reach, a lone cluster, and not at
+        # reach + 1, which leaves the run to the byte mask
+        reach = math.ceil(refractory) - 1
+        for span in (reach, reach + 1):
+            candidates = np.arange(5, 6 + span)
+            strength = np.zeros(span + 20)
+            ramp = np.arange(span + 1, 0, -1) if strongest_first_member else np.arange(1, span + 2)
+            strength[candidates] = ramp
+            top = int(candidates[np.argmax(ramp)])
+            winners, rest = _lone_winners(strength, candidates, reach)
+            if span == reach:
+                assert (winners.tolist(), rest.tolist()) == ([top], [])
+                expected = [top]
+            else:
+                assert (winners.tolist(), rest.tolist()) == ([], candidates.tolist())
+                expected = [5, 5 + span]
+            assert _suppress(strength, candidates, refractory) == expected
+            assert strongest_first(strength, candidates, refractory) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(hr=st.floats(30.0, 240.0), fs=st.sampled_from([250.0, 360.0]),

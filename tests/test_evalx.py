@@ -303,6 +303,18 @@ class TestDecideReuse:
                 ucl=ucl, accepted=cm.accepted, n_trials=cm.total, accuracy=chi,
                 op=overall_performance(cm.accepted, cm.total, chi))
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_gate_block_size_changes_nothing(self, small_db, small_pool, monkeypatch,
+                                             decide_calls, block):
+        # a record's last count and decision carry over from one block of
+        # gates to the next, so the sweep makes the same `decide` calls
+        _, grid = self.boundary_grid(small_db, small_pool)
+        points, _ = sweep_ucl(small_db, small_pool, grid, n=30, seed=3)
+        calls = list(decide_calls)
+        monkeypatch.setattr(evalx, "_GATE_BLOCK", block)
+        assert sweep_ucl(small_db, small_pool, grid, n=30, seed=3)[0] == points
+        assert [gate for _, gate in decide_calls[len(calls):]] == [gate for _, gate in calls]
+
     def test_reused_decision_is_the_gates_own(self, small_db, small_pool):
         # a reused decision must equal a fresh one at its gate, field by field
         _, grid = self.boundary_grid(small_db, small_pool)

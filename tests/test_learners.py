@@ -261,6 +261,14 @@ class TestSplitSearch:
         assert model.root.threshold == 3.5
         assert (predict_dt(model, [0.0]), predict_dt(model, [7.0])) == (0.0, 1e-160)
 
+    def test_node_whose_squared_deviations_underflow_splits_between_groups(self):
+        # deviations of 5e-163 square to 0, so unscaled every cut scores 0
+        # and the lowest one, 0.5, would win the tie
+        X, y = np.arange(8.0), np.array([0.0] * 4 + [1e-162] * 4)
+        model = train_dt(X, y, DtParams(min_leaf_size=1, max_depth=1))
+        assert model.root.threshold == 3.5
+        assert [predict_dt(model, [x]) for x in (3.0, 4.0)] == [0.0, 1e-162]
+
     def test_cut_at_the_midpoint_when_it_lies_between(self):
         assert learners._threshold(1.0, 2.0) == 1.5
         assert learners._threshold(-1e308, 1e308) == 0.0
