@@ -3,20 +3,17 @@ matrix, accuracy, overall performance and the control-limit sweep.
 
 Trials draw probe records from a labeled pool with replacement using a
 seed, so every run is replayable. A call draws once, so a sweep is a paired
-comparison that isolates the gate threshold. Each distinct drawn record is
-decided once per distinct set of frames passing the gate, and its decision
-counts once per draw: a sweep's next gate re-decides only the records whose
-passing set it changes. No per-trial list is built: `run_trials` returns the
-matrix and the {pool index: decision} map of the drawn records, one entry
-per distinct record, and the draws themselves are counted in fixed-size
-blocks, so memory does not grow with the number of trials.
+comparison that isolates the gate threshold. The draws are counted per pool
+record in fixed-size blocks, so no per-trial list is built and memory does
+not grow with the number of trials. A drawn record is kept as its draw
+count and its runs of consecutive gates that pass the same frames, each
+decided once, at its first gate; a confusion matrix is the recount of those
+runs, each run's draws counting in its decision's cell at its gates.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,7 +23,6 @@ from rrauth.authcore import (DEFAULT_APR_MIN, DEFAULT_ID_MARGIN,
 from rrauth.signal import MAX_POINTS
 
 _DRAW_BLOCK = 1 << 16  # trials drawn and counted per block: 512 KiB of draws
-_GATE_BLOCK = 1 << 8  # sweep gates whose passing-frame counts are found at once
 # the most trials a call may draw: 2**47 bytes of int64 draws, which no
 # machine could have held as the one array they were once drawn into
 _MAX_TRIALS = 2**44
@@ -124,22 +120,17 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
     `n` trials once, in blocks of `_DRAW_BLOCK` whose draws are counted per
     pool record and dropped. The bit generator keeps the unused half of a
     64-bit word between calls, so consecutive blocks draw the very stream
-    of one ``integers(0, len(pool), size=n)`` call. Returns an iterator
-    that judges one gate of `grid` per step, yielding its matrix and the
-    {pool index: decision} map of the drawn records; each drawn record's
-    decision counts once per draw in its confusion cell.
+    of one ``integers(0, len(pool), size=n)`` call. Yields, for each drawn
+    record in pool order, its pool index, truth, draw count and runs: a
+    (start, end, decision) triple for each run of gates ``grid[start:end]``
+    that pass the same frames, whose decision is each of these gates' own.
 
     A decision depends on the gate only through the frames that pass it:
-    those whose best MSE is <= the gate. Each drawn record's best MSEs are
-    sorted once, and one ``searchsorted(..., side="right")`` over a block of
-    up to `_GATE_BLOCK` gates counts its passing frames at each of them; an
-    equal count means the very same passing set. A record whose count is
-    the one it had at the previous gate keeps that gate's `AuthDecision`
-    object; only a changed count calls `decide`. Only the last (count,
-    decision) per record and one block's counts are held, so memory does
-    not grow with the grid. A NaN gate counts as if every frame passed, so
-    only a record's first gate, which always reaches `decide`, may be NaN;
-    `sweep_ucl` refuses one.
+    those whose best MSE is <= the gate. On an ascending grid a frame passes
+    from the first gate >= its best MSE on, which one ``searchsorted`` finds
+    for all of a record's frames. Those first gates split the grid into the
+    runs, at most one per frame and never more than the grid's gates, and
+    `decide` is called once per run, at its first gate.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -160,26 +151,31 @@ def _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin):
         counts += np.bincount(block, minlength=len(pool))
     scored = [score_frames(db, record, test_window_s=test_window_s)
               for record, _ in pool]
+    gates = np.asarray(grid, dtype=float)
+    for pi, draws in enumerate(counts.tolist()):
+        if draws:
+            first_pass = np.searchsorted(gates, scored[pi].mse.min(axis=1))
+            edges = np.unique(np.append(first_pass, [0, len(grid)])).tolist()
+            yield pi, pool[pi][1], draws, [
+                (start, end, decide(db, scored[pi], grid[start], apr_min=apr_min,
+                                    id_margin=id_margin))
+                for start, end in zip(edges, edges[1:])]
+
+
+def _tally(records, n_gates):
+    """The confusion matrix at each of `n_gates` gates, from `_trials`'
+    records: each run's draws are added to its cell at its first gate and
+    taken off at the gate after its last, and the steps are summed along the
+    grid, so one row of steps per cell is held and none per record."""
+    steps = {f.name: np.zeros(n_gates + 1, dtype=np.int64) for f in fields(ConfusionMatrix)}
+    for _, truth, draws, runs in records:
+        for start, end, decision in runs:
+            step = steps[_cell(decision, truth)]
+            step[start] += draws
+            step[end] -= draws
     # Python ints: an np.int64 cell would make `accuracy` an np.float64
-    drawn, counts = np.flatnonzero(counts).tolist(), counts.tolist()
-    best_mse = [np.sort(scored[pi].mse.min(axis=1)) for pi in drawn]
-    last: dict[int, tuple[int, AuthDecision]] = {}
-
-    def judge(gates):
-        per_record = np.array([np.searchsorted(b, gates, side="right") for b in best_mse])
-        for ucl, passing in zip(gates, per_record.T.tolist()):
-            decided: dict[int, AuthDecision] = {}
-            tally: Counter[str] = Counter()
-            for pi, n_pass in zip(drawn, passing):
-                if pi not in last or last[pi][0] != n_pass:
-                    last[pi] = (n_pass, decide(db, scored[pi], ucl,
-                                               apr_min=apr_min, id_margin=id_margin))
-                dec = decided[pi] = last[pi][1]
-                tally[_cell(dec, pool[pi][1])] += counts[pi]
-            yield ConfusionMatrix(**tally), decided
-
-    return chain.from_iterable(judge(grid[start : start + _GATE_BLOCK])
-                               for start in range(0, len(grid), _GATE_BLOCK))
+    sums = {cell: np.cumsum(step[:-1]).tolist() for cell, step in steps.items()}
+    return [ConfusionMatrix(**dict(zip(sums, row))) for row in zip(*sums.values())]
 
 
 def run_trials(db: ReferenceDb, pool, n: int = 100, gate_ucl: float = 0.0,
@@ -201,8 +197,9 @@ def run_trials(db: ReferenceDb, pool, n: int = 100, gate_ucl: float = 0.0,
     ``np.random.default_rng(seed).integers(0, len(pool), size=n)[t]``, as
     the blocks draw that stream.
     """
-    return next(_trials(db, pool, [gate_ucl], n, seed, test_window_s, apr_min,
-                        id_margin))
+    records = list(_trials(db, pool, [gate_ucl], n, seed, test_window_s, apr_min,
+                           id_margin))
+    return _tally(records, 1)[0], {pi: runs[0][2] for pi, _, _, runs in records}
 
 
 def sweep_ucl(db: ReferenceDb, pool, grid, n: int = 100, seed: int = 0, *,
@@ -221,12 +218,12 @@ def sweep_ucl(db: ReferenceDb, pool, grid, n: int = 100, seed: int = 0, *,
         raise ValueError("grid must be non-empty")
     if np.isnan(grid).any():
         raise ValueError("grid holds a NaN gate")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
+    if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     grid = grid.tolist()
-    per_gate = _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin)
+    records = _trials(db, pool, grid, n, seed, test_window_s, apr_min, id_margin)
     points = []
-    for ucl, (cm, _) in zip(grid, per_gate):
+    for ucl, cm in zip(grid, _tally(records, len(grid))):
         chi, _ = accuracy(cm)
         op = overall_performance(cm.accepted, cm.total, chi)
         points.append(SweepPoint(ucl=ucl, accepted=cm.accepted, n_trials=cm.total,

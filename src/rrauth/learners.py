@@ -139,12 +139,16 @@ def _best_split(columns: np.ndarray, y: np.ndarray, yn: np.ndarray, orders, min_
     survives alone is the split without being scored, unless the node's sum
     of squares is within reach of overflow.
 
-    Both scores are taken on the targets times 2**shift, the least power of
-    two >= 1 that lifts their largest deviation from the mean to at least
-    1/2: tiny deviations would otherwise square to scores that underflow
-    and tie at zero, and the lowest cut would win. A power of two scales
-    every sum, product and quotient exactly, so wherever nothing underflows
-    each score is the unscaled one times 4**shift, and the choice is the same.
+    Both scores are taken on the targets times 2**shift. With the largest
+    deviation from the mean below 2**e, shift is -e, which brings that
+    deviation into [1/2, 1), where it is below 1/2 (e < 0) or where a squared
+    prefix sum, below 2**(2 * (e + bits of n)), could overflow; elsewhere,
+    mV-scale nodes included, it is 0. Tiny deviations would otherwise square
+    to scores that underflow and tie at zero, so the lowest cut would win,
+    and huge ones to scores that overflow, so no cut would. A power of two
+    scales every sum, product and quotient exactly, so wherever nothing
+    underflows each score is the unscaled one times 4**shift, and the choice
+    is the same.
 
     No argsort runs here. A stable argsort of the node's rows ranks them by
     value, then by row, and so does the root's stable order of every row
@@ -155,7 +159,8 @@ def _best_split(columns: np.ndarray, y: np.ndarray, yn: np.ndarray, orders, min_
     n = yn.size
     mean = _mean(yn)
     yc = yn - mean
-    shift = max(0, -math.frexp(float(np.maximum.reduce(np.abs(yc))))[1])
+    e = math.frexp(float(np.maximum.reduce(np.abs(yc))))[1]
+    shift = -e if e < 0 or 2 * (e + n.bit_length()) > 1023 else 0
     mean, yc = math.ldexp(mean, shift), np.ldexp(yc, shift)
     screened = []
     floor = np.inf

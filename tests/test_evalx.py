@@ -296,6 +296,12 @@ class TestDecideReuse:
         drawn = set(drawn_indices(3, len(small_pool), 30))
         passing = {(pi, int(np.sum(best[pi] <= g))) for pi in drawn for g in grid.tolist()}
         assert len(decide_calls) == len(passing) < len(drawn) * grid.size
+        # each record is decided at the first gate of each of its passing counts
+        first_gates = {}
+        for pi in drawn:
+            for g in grid.tolist():
+                first_gates.setdefault((pi, int(np.sum(best[pi] <= g))), g)
+        assert sorted(g for _, g in decide_calls) == sorted(first_gates.values())
         for ucl, point in zip(grid.tolist(), points):
             cm, _ = run_trials(small_db, small_pool, n=30, gate_ucl=ucl, seed=3)
             chi, _ = accuracy(cm)
@@ -303,28 +309,72 @@ class TestDecideReuse:
                 ucl=ucl, accepted=cm.accepted, n_trials=cm.total, accuracy=chi,
                 op=overall_performance(cm.accepted, cm.total, chi))
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_gate_block_size_changes_nothing(self, small_db, small_pool, monkeypatch,
-                                             decide_calls, block):
-        # a record's last count and decision carry over from one block of
-        # gates to the next, so the sweep makes the same `decide` calls
-        _, grid = self.boundary_grid(small_db, small_pool)
-        points, _ = sweep_ucl(small_db, small_pool, grid, n=30, seed=3)
-        calls = list(decide_calls)
-        monkeypatch.setattr(evalx, "_GATE_BLOCK", block)
-        assert sweep_ucl(small_db, small_pool, grid, n=30, seed=3)[0] == points
-        assert [gate for _, gate in decide_calls[len(calls):]] == [gate for _, gate in calls]
-
     def test_reused_decision_is_the_gates_own(self, small_db, small_pool):
-        # a reused decision must equal a fresh one at its gate, field by field
-        _, grid = self.boundary_grid(small_db, small_pool)
+        # each run of gates holds one decision, which must equal a fresh one
+        # at every gate of the run, field by field; the runs tile the grid
+        # and neighbouring runs pass different frames
+        best, grid = self.boundary_grid(small_db, small_pool)
         scored = [score_frames(small_db, rec) for rec, _ in small_pool]
-        per_gate = evalx._trials(small_db, small_pool, grid.tolist(), 30, 3,
-                                 evalx.DEFAULT_TEST_WINDOW_S, evalx.DEFAULT_APR_MIN,
-                                 evalx.DEFAULT_ID_MARGIN)
-        for ucl, (_, decided) in zip(grid.tolist(), per_gate):
-            for pi, dec in decided.items():
-                assert vars(dec) == vars(decide(small_db, scored[pi], ucl))
+        draws = drawn_indices(3, len(small_pool), 30)
+        records = list(evalx._trials(small_db, small_pool, grid.tolist(), 30, 3,
+                                     evalx.DEFAULT_TEST_WINDOW_S, evalx.DEFAULT_APR_MIN,
+                                     evalx.DEFAULT_ID_MARGIN))
+        assert [pi for pi, *_ in records] == sorted(set(draws))
+        for pi, truth, n_draws, runs in records:
+            assert (truth, n_draws) == (small_pool[pi][1], draws.count(pi))
+            assert [start for start, _, _ in runs] == [0] + [end for _, end, _ in runs[:-1]]
+            assert runs[-1][1] == grid.size
+            passing = [int(np.sum(best[pi] <= grid[start])) for start, _, _ in runs]
+            assert all(a < b for a, b in zip(passing, passing[1:]))
+            for start, end, dec in runs:
+                assert start < end
+                for ucl in grid[start:end].tolist():
+                    assert vars(dec) == vars(decide(small_db, scored[pi], ucl))
+
+    def test_one_gate_grid(self, small_db, small_pool, decide_calls):
+        # one gate: one run and one `decide` per drawn record, as `run_trials`
+        gate = 0.5 * small_db.median_ucl()
+        drawn = sorted(set(drawn_indices(5, len(small_pool), 40)))
+        points, best = sweep_ucl(small_db, small_pool, [gate], n=40, seed=5)
+        assert [gate for _, gate in decide_calls] == [gate] * len(drawn)
+        cm, decisions = run_trials(small_db, small_pool, n=40, gate_ucl=gate, seed=5)
+        assert sorted(decisions) == drawn
+        chi, _ = accuracy(cm)
+        assert points == [best] == [evalx.SweepPoint(
+            ucl=gate, accepted=cm.accepted, n_trials=cm.total, accuracy=chi,
+            op=overall_performance(cm.accepted, cm.total, chi))]
+
+    def test_infinite_gates(self, small_db, small_pool, decide_calls):
+        # no frame passes -inf and every frame passes inf
+        grid = [-np.inf, small_db.median_ucl(), np.inf]
+        points, _ = sweep_ucl(small_db, small_pool, grid, n=50, seed=7)
+        assert points[0].accepted == 0 and points[0].op == 0.0
+        assert points[2].accepted == 50
+        drawn = set(drawn_indices(7, len(small_pool), 50))
+        assert {gate for _, gate in decide_calls} <= set(grid)
+        assert len([g for _, g in decide_calls if g == -np.inf]) == len(drawn)
+        for ucl, point in zip(grid, points):
+            cm, decisions = run_trials(small_db, small_pool, n=50, gate_ucl=ucl, seed=7)
+            chi, _ = accuracy(cm)
+            assert point == evalx.SweepPoint(
+                ucl=ucl, accepted=cm.accepted, n_trials=cm.total, accuracy=chi,
+                op=overall_performance(cm.accepted, cm.total, chi))
+            scored = {pi: score_frames(small_db, small_pool[pi][0]) for pi in drawn}
+            assert all(vars(dec) == vars(decide(small_db, scored[pi], ucl))
+                       for pi, dec in decisions.items())
+
+    @pytest.mark.parametrize("gates", [[1e-15, 2e-15, 3e-15], [1e3, 1e4, 1e5]],
+                             ids=["none-pass", "all-pass"])
+    def test_passing_count_that_never_changes(self, small_db, small_pool, decide_calls,
+                                              gates):
+        # every frame fails, or passes, every gate: one run, decided at the
+        # first gate, holds over the whole grid
+        points, _ = sweep_ucl(small_db, small_pool, gates, n=30, seed=2)
+        drawn = set(drawn_indices(2, len(small_pool), 30))
+        assert [gate for _, gate in decide_calls] == [gates[0]] * len(drawn)
+        assert len({(p.accepted, p.accuracy, p.op) for p in points}) == 1
+        cm, _ = run_trials(small_db, small_pool, n=30, gate_ucl=gates[-1], seed=2)
+        assert (points[-1].accepted, points[-1].n_trials) == (cm.accepted, 30)
 
     def test_nan_gate_fails_before_scoring(self, small_db, small_pool, monkeypatch):
         # an all-passing count repeats at a NaN gate, so reuse would skip

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -674,14 +675,25 @@ class TestSameAsOracle:
         assert_same_tree(train_dt(X, y, params), X, y, params)
 
     def test_tree_where_squares_overflow(self):
-        # at 1e155 the root's only screened cut has an exact SSE that
-        # overflows, so the oracle finds no split and grows a single leaf
+        # at 1e155 the squared deviations overflow, so unscaled no cut scores
+        # and the oracle grows a single leaf; a power of two changes no
+        # split, so the tree is the oracle's on the targets scaled into
+        # [1/2, 1), with each leaf mean scaled back
         X, y = np.arange(8.0), np.random.default_rng(1).normal(size=8) * 1e155
         params = DtParams(min_leaf_size=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            model = train_dt(X, y, params)
-            assert_same_tree(model, X, y, params)
-        assert isinstance(model.root, DtLeaf)
+        model = train_dt(X, y, params)
+        shift = -math.frexp(np.abs(y - y.mean()).max())[1]
+        old = oracle_grow(X.reshape(-1, 1), np.ldexp(y, shift), 0, params)
+
+        def unscaled(node):
+            if isinstance(node, DtLeaf):
+                return DtLeaf(mean=math.ldexp(node.mean, -shift), count=node.count)
+            return dataclasses.replace(node, left=unscaled(node.left),
+                                       right=unscaled(node.right))
+
+        assert isinstance(old, DtSplit)
+        assert model.root == unscaled(old)
+        assert repr(model.root) == repr(unscaled(old))
 
     @pytest.mark.parametrize("max_sweeps", [30, 200])
     def test_bench_pairs(self, bench_pairs, max_sweeps):
