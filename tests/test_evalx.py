@@ -336,7 +336,7 @@ class TestDecideReuse:
         gate = 0.5 * small_db.median_ucl()
         drawn = sorted(set(drawn_indices(5, len(small_pool), 40)))
         points, best = sweep_ucl(small_db, small_pool, [gate], n=40, seed=5)
-        assert [gate for _, gate in decide_calls] == [gate] * len(drawn)
+        assert [g for _, g in decide_calls] == [gate] * len(drawn)
         cm, decisions = run_trials(small_db, small_pool, n=40, gate_ucl=gate, seed=5)
         assert sorted(decisions) == drawn
         chi, _ = accuracy(cm)
@@ -351,15 +351,15 @@ class TestDecideReuse:
         assert points[0].accepted == 0 and points[0].op == 0.0
         assert points[2].accepted == 50
         drawn = set(drawn_indices(7, len(small_pool), 50))
-        assert {gate for _, gate in decide_calls} <= set(grid)
+        assert {g for _, g in decide_calls} <= set(grid)
         assert len([g for _, g in decide_calls if g == -np.inf]) == len(drawn)
+        scored = {pi: score_frames(small_db, small_pool[pi][0]) for pi in drawn}
         for ucl, point in zip(grid, points):
             cm, decisions = run_trials(small_db, small_pool, n=50, gate_ucl=ucl, seed=7)
             chi, _ = accuracy(cm)
             assert point == evalx.SweepPoint(
                 ucl=ucl, accepted=cm.accepted, n_trials=cm.total, accuracy=chi,
                 op=overall_performance(cm.accepted, cm.total, chi))
-            scored = {pi: score_frames(small_db, small_pool[pi][0]) for pi in drawn}
             assert all(vars(dec) == vars(decide(small_db, scored[pi], ucl))
                        for pi, dec in decisions.items())
 
@@ -371,7 +371,7 @@ class TestDecideReuse:
         # first gate, holds over the whole grid
         points, _ = sweep_ucl(small_db, small_pool, gates, n=30, seed=2)
         drawn = set(drawn_indices(2, len(small_pool), 30))
-        assert [gate for _, gate in decide_calls] == [gates[0]] * len(drawn)
+        assert [g for _, g in decide_calls] == [gates[0]] * len(drawn)
         assert len({(p.accepted, p.accuracy, p.op) for p in points}) == 1
         cm, _ = run_trials(small_db, small_pool, n=30, gate_ucl=gates[-1], seed=2)
         assert (points[-1].accepted, points[-1].n_trials) == (cm.accepted, 30)
