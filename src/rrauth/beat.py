@@ -5,9 +5,11 @@ threshold against a rolling energy maximum, suppress within a refractory
 window, then refine each event to the local signal maximum within half the
 smoothing window plus 50 ms. The smoothing is a box sum divided by the
 number of energy samples under the box, which has a closed form, so only
-the sum is a convolution. Every refinement is one row of a single
-``argmax`` over windows of the record padded with -inf, so each lands on
-the first maximum of its search range, as a per-event ``argmax`` would.
+the sum is a convolution; inside the record every box holds the full
+window, so only the edges divide by a count of their own. Every refinement
+is one row of a single ``argmax`` over a read-only strided view of windows
+of the record padded with -inf, so each lands on the first maximum of its
+search range, as a per-event ``argmax`` would.
 
 The rolling maximum doubles: floor(log2(win)) ``np.maximum`` passes give
 the maximum of every run of the largest power of two <= win samples, and
@@ -27,7 +29,13 @@ block. A record of pure noise is one cluster: all of it takes the byte
 mask, after the vectorised pass.
 
 Frames resample each R-to-R segment onto a fixed-length grid anchored at
-both peaks. A record's frames form one `FrameSet`: the peaks they came from
+both peaks. The grid is the arithmetic ``np.linspace`` performs, written
+out: point j of the segment a -> b is ``j * step + a``, step = (b - a) /
+(frame_len - 1), and the last point is b itself. The peaks are integers
+below 2**53, so a, b and b - a are exact in float64 and every point is the
+same double ``np.linspace(a, b, frame_len)`` gives; the peaks strictly
+increase, so no step is zero, the case in which ``np.linspace`` computes
+otherwise. A record's frames form one `FrameSet`: the peaks they came from
 plus one read-only (n_frames, frame_len) array whose row k spans peaks
 k -> k + 1, so a set of n peaks holds max(n - 1, 0) frames.
 """
@@ -39,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rrauth.signal import DEFAULT_FRAME_LEN, MAX_POINTS, EcgRecord
+from rrauth.signal import DEFAULT_FRAME_LEN, MAX_POINTS, EcgRecord, _strided
 
 REFRACTORY_S = 0.25  # minimum R-to-R gap
 THRESH_FRAC = 0.4  # candidate threshold, as a fraction of the rolling energy maximum
@@ -57,7 +65,7 @@ class PeakList:
         idx = np.array(self.indices, dtype=int)  # a copy, made read-only
         if idx.ndim != 1:
             raise ValueError("peak indices must be one-dimensional")
-        if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
+        if idx.size and ((idx[1:] <= idx[:-1]).any() or idx[0] < 0):
             raise ValueError("peak indices must be strictly increasing and non-negative")
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
@@ -134,15 +142,18 @@ def _lone_winners(strength: np.ndarray, candidates: np.ndarray,
     maximum, keeps that member alone. Returns those members, ascending, and
     the candidates of every other cluster, ascending, for the byte mask.
     """
-    starts = np.flatnonzero(np.diff(candidates) > reach) + 1
-    sizes = np.diff(starts, prepend=0, append=candidates.size)
-    starts = np.concatenate(([0], starts))
+    gaps = np.flatnonzero(candidates[1:] - candidates[:-1] > reach)
+    bounds = np.empty(gaps.size + 2, dtype=np.intp)  # each cluster's start, then the end
+    bounds[0], bounds[-1] = 0, candidates.size
+    np.add(gaps, 1, out=bounds[1:-1])
+    starts = bounds[:-1]
+    sizes = bounds[1:] - starts
     s = strength[candidates]
     top = np.repeat(np.maximum.reduceat(s, starts), sizes)
     at = np.arange(candidates.size)
     strongest = candidates[np.minimum.reduceat(np.where(s == top, at, at.size), starts)]
     alone = ((strongest - candidates[starts] <= reach)
-             & (candidates[starts + sizes - 1] - strongest <= reach))
+             & (candidates[bounds[1:] - 1] - strongest <= reach))
     return strongest[alone], candidates[np.repeat(~alone, sizes)]
 
 
@@ -215,13 +226,20 @@ def detect_rpeaks(record: EcgRecord) -> PeakList:
         raise ValueError(f"fs={fs} Hz is too low: 150 ms smoothing window "
                          f"spans {ma_win} samples (need >= 3)")
 
-    diff = np.diff(x)
+    diff = x[1:] - x[:-1]
     energy = diff * diff
     smooth = np.convolve(energy, np.ones(ma_win), mode="same")
-    smooth /= _window_counts(energy.size, ma_win)
+    # ma_win samples under every box but the first `behind` and the last
+    # `ahead`, whose counts are those of a record of ma_win samples
+    ahead = (ma_win - 1) // 2
+    behind = ma_win - 1 - ahead
+    edges = _window_counts(ma_win, ma_win)
+    smooth[:behind] /= edges[:behind]
+    smooth[behind : smooth.size - ahead] /= ma_win
+    smooth[smooth.size - ahead :] /= edges[ma_win - ahead :]
 
     ceiling = _rolling_max(smooth, int(round(2.0 * fs)))
-    candidates = np.nonzero(smooth > THRESH_FRAC * ceiling)[0]
+    candidates = np.flatnonzero(smooth > THRESH_FRAC * ceiling)
 
     refractory = REFRACTORY_S * fs
     kept = _suppress(smooth, candidates, refractory)
@@ -229,13 +247,16 @@ def detect_rpeaks(record: EcgRecord) -> PeakList:
     # refine to raw local maxima over the whole energy event plus a margin;
     # the -inf pads clip each search to the record
     w = ma_win // 2 + int(round(0.050 * fs))
-    padded = np.concatenate([np.full(w, -np.inf), x, np.full(w, -np.inf)])
-    search = np.lib.stride_tricks.sliding_window_view(padded, 2 * w + 1)[kept]
-    refined = np.asarray(kept) - w + np.argmax(search, axis=1)
+    padded = np.full(n + 2 * w, -np.inf)
+    padded[w : w + n] = x
+    starts = np.array(kept, dtype=np.intp)  # event c searches padded[c : c + 2w + 1]
+    search = _strided(padded, 0, (n, 2 * w + 1), (1, 1))[starts]
+    refined = starts - w + np.argmax(search, axis=1)
 
     # refinement can merge or reorder events; re-enforce the refractory gap
+    # (a repeat of the last event is a gap of 0 that changes nothing)
     final: list[int] = []
-    for p in np.unique(refined).tolist():
+    for p in sorted(refined.tolist()):
         if final and p - final[-1] < refractory:
             if x[p] > x[final[-1]]:
                 final[-1] = p
@@ -252,6 +273,10 @@ def frame_rr(record: EcgRecord, peaks: PeakList,
     the anchoring R-peaks; interior values come from linear interpolation.
     One (n_frames, frame_len) grid is interpolated over the whole record at
     once; the knots are integers, so each value equals its segment's own.
+    Row k of the grid is ``j * step_k + a_k``, with step_k = (b_k - a_k) /
+    (frame_len - 1), and its last point is set to b_k: the products, sum
+    and final point of ``np.linspace(a_k, b_k, frame_len)``, without its
+    argument handling (see the module docstring).
     """
     if frame_len < 2:
         raise ValueError(f"frame_len must be >= 2, got {frame_len}")
@@ -261,6 +286,10 @@ def frame_rr(record: EcgRecord, peaks: PeakList,
     x = record.samples
     if idx.size and idx[-1] >= x.size:
         raise ValueError(f"peak index {int(idx[-1])} out of bounds for {x.size} samples")
-    grid = np.linspace(idx[:-1], idx[1:], frame_len, axis=1)
+    a, b = idx[:-1], idx[1:]
+    step = (b - a) / (frame_len - 1)
+    grid = step[:, None] * np.arange(frame_len, dtype=float)
+    grid += a[:, None]
+    grid[:, -1] = b
     return FrameSet(entity_id=record.subject_id, peaks=peaks,
-                    values=np.interp(grid, np.arange(x.size), x))
+                    values=np.interp(grid, np.arange(x.size, dtype=float), x))

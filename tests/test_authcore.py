@@ -1,4 +1,5 @@
 import base64
+import itertools
 import json
 import math
 import warnings
@@ -371,6 +372,58 @@ class TestDecideScores:
         assert d.scores == column_mean_scores(mse, np.ones(17, bool), ids)
         assert d.scores["e2"] == d.scores["e1"] < d.scores["e3"]
         assert (d.kind, d.entity_id, d.score) == (KNOWN, "e1", d.scores["e1"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_entities=st.integers(1, 5), n_frames=st.integers(1, 9),
+           copies=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4),
+           margin=st.sampled_from([0.0, 0.5, 1.0, 4.0]), seed=st.integers(0, 2**32 - 1))
+    def test_choice_under_every_order_is_the_score_id_oracle(self, n_entities, n_frames,
+                                                             copies, margin, seed):
+        # copied columns tie exactly; the entities' own UCLs differ, so a
+        # wrong pick among the tied ones can change the kind as well as the id
+        rng = np.random.default_rng(seed)
+        mse = rng.exponential(0.003, size=(n_frames, n_entities))
+        for src, dst in copies:
+            mse[:, dst % n_entities] = mse[:, src % n_entities]
+        ids = [f"e{k}" for k in range(n_entities)]
+        db = ReferenceDb(frame_len=2)
+        for e in ids:
+            stats = QualityStats(mses=np.zeros(2), mean=0.0, std=0.0,
+                                 ucl=float(rng.uniform(0.0, 0.006)))
+            db.entries[e] = ReferenceEntry(entity_id=e, curve=np.zeros(2), stats=stats,
+                                           enrolled_at=EPOCH)
+        gate = float(np.quantile(mse.min(axis=1), rng.uniform(0.0, 1.0)))
+        scores = column_mean_scores(mse, mse.min(axis=1) <= gate, ids)
+        best_id = min(ids, key=lambda e: (scores[e], e))
+        kind = KNOWN if scores[best_id] <= margin * db.entries[best_id].stats.ucl else UNKNOWN
+        want = (kind, best_id if kind == KNOWN else None, scores[best_id])
+        for order in itertools.permutations(range(n_entities)):
+            scored = FrameScores(tuple(ids[k] for k in order), mse[:, list(order)])
+            d = decide(db, scored, gate, apr_min=0.0, id_margin=margin)
+            assert (d.kind, d.entity_id, d.score) == want, order
+            assert d.scores == scores
+
+
+class TestMedianUcl:
+    EDGES = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-3,
+             1e308, 1.7976931348623157e308, math.inf]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1e-2),
+                              st.floats(0.0, allow_nan=False)), min_size=1, max_size=12))
+    def test_equals_np_median(self, ucls):
+        # odd and even counts, ties (the edge values repeat), zeros,
+        # subnormals, sums of the middle pair that overflow, and infinity
+        db = ReferenceDb(frame_len=2)
+        for k, ucl in enumerate(ucls):
+            stats = QualityStats(mses=np.zeros(2), mean=0.0, std=0.0, ucl=ucl)
+            db.entries[f"e{k}"] = ReferenceEntry(entity_id=f"e{k}", curve=np.zeros(2),
+                                                 stats=stats, enrolled_at=EPOCH)
+        with np.errstate(over="ignore"):
+            want = float(np.median(ucls))
+        got = db.median_ucl()
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def assert_same_entries(got: ReferenceDb, want: ReferenceDb) -> None:

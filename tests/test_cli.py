@@ -134,6 +134,28 @@ class TestEnrollAuth:
         assert line.startswith("decision=Known:e01 ")
         assert "score=" in line and "apr=" in line
 
+    def test_auth_leaves_numpy_ma_unimported(self, cohort_dir, db_path):
+        # the default gate is the median UCL, taken without np.median, whose
+        # first call imports numpy.ma
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+        bare = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, check=True)
+        if bare.stdout.strip() == "True":
+            pytest.skip("importing numpy alone imports numpy.ma here")
+        code = ("import sys\n"
+                "from rrauth.cli import main\n"
+                "rc = main(sys.argv[1:])\n"
+                "print('numpy.ma' in sys.modules, rc)\n")
+        proc = subprocess.run([sys.executable, "-c", code, "auth", "--db", str(db_path),
+                               "--input", str(cohort_dir / "e01.csv"), "--offset-s", "50"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "decision=Known:e01 " in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "False 0"
+
     def test_auth_zero_gate_rejected_exit_zero(self, cohort_dir, db_path, capsys):
         rc = main(["auth", "--db", str(db_path), "--gate-ucl", "0",
                    "--input", str(cohort_dir / "e01.csv"), "--offset-s", "50"])

@@ -17,7 +17,9 @@ exceeds ten times the unmutated run's time counts as killed.
 Prints one line per mutant, then the counts of mutants, killed and
 survived, and the survivors with their line numbers. The exit status is 0
 even when mutants survive: a survivor is either a missing test or an
-equivalent mutant, which only reading it can tell. Bytecode caching is off,
+equivalent mutant, which only reading it can tell. If the unmutated module
+fails the quick suite, or the full suite once a mutant needs it, the
+failing tests' pytest summary lines are printed and the exit status is 1. Bytecode caching is off,
 since two mutants can share a size and a modification second.
 """
 
@@ -65,18 +67,32 @@ def mutate(source: str, pos: int, k: int):
 
 
 def run_tests(copy: Path, paths: list[str], timeout: float | None):
-    """(passed, seconds) of pytest on `paths` in the copy; a timeout fails."""
+    """(passed, seconds, failures) of pytest on `paths` in the copy; a
+    timeout fails. `failures` are pytest's ``FAILED`` and ``ERROR`` summary
+    lines (``-rfE``)."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(copy / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
     try:
-        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                               *paths], cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout)
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
+                               "-p", "no:cacheprovider", *paths], cwd=copy, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                              text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return False, time.perf_counter() - start
-    return done.returncode == 0, time.perf_counter() - start
+        return False, time.perf_counter() - start, ["(timed out)"]
+    failures = [line for line in done.stdout.splitlines()
+                if line.startswith(("FAILED ", "ERROR "))]
+    return done.returncode == 0, time.perf_counter() - start, failures
+
+
+def unmutated_fails(module: str, paths: list[str], failures: list[str]) -> int:
+    """Report that the unmutated module fails `paths`, naming the failing
+    tests; the exit status."""
+    print(f"the unmutated, unparsed {module} fails {' '.join(paths)}:")
+    for line in failures:
+        print(f"  {line}")
+    return 1
 
 
 def main(argv=None) -> int:
@@ -100,10 +116,9 @@ def main(argv=None) -> int:
 
         plain = ast.unparse(ast.parse(source)) + "\n"
         module.write_text(plain, encoding="utf-8")
-        passed, base = run_tests(copy, quick, None)
+        passed, base, failures = run_tests(copy, quick, None)
         if not passed:
-            print(f"the unmutated, unparsed {args.module} fails {' '.join(quick)}")
-            return 1
+            return unmutated_fails(args.module, quick, failures)
         print(f"unmutated: quick suite passes in {base:.1f} s", flush=True)
 
         full_base = None  # the unmutated full suite's time, once a mutant needs it
@@ -116,10 +131,9 @@ def main(argv=None) -> int:
                 status = "killed (full suite)"
                 if full_base is None:
                     module.write_text(plain, encoding="utf-8")
-                    passed, full_base = run_tests(copy, ["tests"], None)
+                    passed, full_base, failures = run_tests(copy, ["tests"], None)
                     if not passed:
-                        print(f"the unmutated, unparsed {args.module} fails tests/")
-                        return 1
+                        return unmutated_fails(args.module, ["tests/"], failures)
                     module.write_text(text, encoding="utf-8")
                 if run_tests(copy, ["tests"], 10 * full_base)[0]:
                     status = "SURVIVED"
