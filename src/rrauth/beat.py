@@ -273,10 +273,8 @@ def frame_rr(record: EcgRecord, peaks: PeakList,
     the anchoring R-peaks; interior values come from linear interpolation.
     One (n_frames, frame_len) grid is interpolated over the whole record at
     once; the knots are integers, so each value equals its segment's own.
-    Row k of the grid is ``j * step_k + a_k``, with step_k = (b_k - a_k) /
-    (frame_len - 1), and its last point is set to b_k: the products, sum
-    and final point of ``np.linspace(a_k, b_k, frame_len)``, without its
-    argument handling (see the module docstring).
+    Row k is ``np.linspace(a_k, b_k, frame_len)``'s arithmetic written out,
+    without its argument handling (see the module docstring).
     """
     if frame_len < 2:
         raise ValueError(f"frame_len must be >= 2, got {frame_len}")
