@@ -9,13 +9,16 @@ baseline parameters (the `beat` detector constants and the `preprocess`
 default).
 
 The reference database persists as compact JSON (sorted keys, one line;
-indented files also load). Format version 3 stores what scoring reads: per
-entity the reference curve (its values at positions 0..frame_len-1), the
-quality stats and the enrolment time, with `frame_len` and the `frontend` id
-in the header. The two arrays, `curve` and `stats.mses`, are base64 text of
-their little-endian float64 bytes; `mean`, `std`, `ucl` and `enrolled_at`
-stay JSON values. Binary arrays round-trip exactly, in half the bytes of
-decimal text.
+indented files also load). Format version 4 stores what enrolment computed
+and nothing derived from it: per entity the reference curve (its values at
+positions 0..frame_len-1), the training MSEs and the enrolment time, with
+`frame_len` and the `frontend` id in the header. The two arrays, `curve` and
+`mses`, are base64 text of their little-endian float64 bytes; `enrolled_at`
+stays a JSON string. Binary arrays round-trip exactly, in half the bytes of
+decimal text. The mean, spread and control limit are not stored: loading
+derives them from the MSEs with `QualityStats.from_mses`, as enrolment did,
+so they are the same doubles, and no edit of the file can set a limit that
+its MSEs do not give.
 The `frontend` id names the baseline removal, detector and framing that cut
 the enrolment frames; a file from another front end is refused, because its
 curves would be compared with frames cut another way. A file of any other
@@ -37,7 +40,7 @@ from rrauth.beat import DEFAULT_FRAME_LEN, FrameSet, detect_rpeaks, frame_rr
 from rrauth.learners import predict_curve, train_dt  # noqa: F401
 from rrauth.signal import EcgRecord, preprocess, slice_seconds
 
-DB_VERSION = "3"
+DB_VERSION = "4"
 DB_FORMAT = "rrauth-reference-db"
 # Names the front end that cuts frames (`extract_frames`); change it whenever
 # peaks or frames can change, so that older DBs are re-enrolled.
@@ -85,7 +88,8 @@ class DbFormatError(ValueError):
 @dataclass(frozen=True, eq=False)
 class QualityStats:
     """Per-frame training MSEs with their mean, spread and control limit (mV^2):
-    the upper control limit is the mean plus 3 sample standard deviations (n-1)."""
+    the upper control limit is the mean plus 3 sample standard deviations (n-1).
+    `from_mses` computes the three from the MSEs, at enrolment and at load."""
 
     mses: np.ndarray
     mean: float
@@ -102,8 +106,12 @@ class QualityStats:
         if not np.isfinite(mses).all():
             raise ValueError("MSE values must be finite")
         mses.flags.writeable = False
-        mean, std = float(mses.mean()), float(mses.std(ddof=1))
-        return cls(mses=mses, mean=mean, std=std, ucl=mean + 3.0 * std)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            mean, std = float(mses.mean()), float(mses.std(ddof=1))
+        ucl = mean + 3.0 * std
+        if not math.isfinite(ucl):
+            raise ValueError(f"MSE values overflow the control limit ({ucl})")
+        return cls(mses=mses, mean=mean, std=std, ucl=ucl)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,11 +330,12 @@ def _b64(values: np.ndarray) -> str:
 
 
 def db_to_json(db: ReferenceDb) -> str:
-    """Canonical version-3 JSON: sorted keys, one line plus a newline.
+    """Canonical version-4 JSON: sorted keys, one line plus a newline.
 
-    `curve` and `stats.mses` are base64 of little-endian float64, so every
-    value round-trips exactly; the rest are JSON values. Written without
-    indentation, so CPython's C encoder does the work.
+    Each entity holds `curve` and `mses`, base64 of little-endian float64, so
+    every value round-trips exactly, and its `enrolled_at` string. The MSEs'
+    mean, spread and limit are not written: `load_db` derives them. Written
+    without indentation, so CPython's C encoder does the work.
     """
     doc = {
         "format": DB_FORMAT,
@@ -336,13 +345,8 @@ def db_to_json(db: ReferenceDb) -> str:
         "entities": {
             e.entity_id: {
                 "curve": _b64(e.curve),
+                "mses": _b64(e.stats.mses),
                 "enrolled_at": e.enrolled_at,
-                "stats": {
-                    "mses": _b64(e.stats.mses),
-                    "mean": e.stats.mean,
-                    "std": e.stats.std,
-                    "ucl": e.stats.ucl,
-                },
             }
             for e in db.entries.values()
         },
@@ -356,7 +360,8 @@ def save_db(db: ReferenceDb, path) -> None:
 
 
 def _b64_array(value, what: str) -> np.ndarray:
-    """A stored array: base64 of little-endian float64 values.
+    """A stored array: base64 of little-endian float64 values, returned as
+    a read-only view of the decoded bytes.
 
     `a2b_base64` skips characters outside the alphabet, so the text must be
     exactly what `_b64` writes for the bytes it decodes to.
@@ -368,37 +373,23 @@ def _b64_array(value, what: str) -> np.ndarray:
         exact = False
     if not exact or len(raw) % 8:
         raise DbFormatError(f"{what} must be base64 of little-endian float64 values")
-    return np.frombuffer(raw, dtype="<f8").astype(float)
-
-
-def _stat(value, what: str) -> float:
-    """A finite, non-negative JSON number (every stored statistic is one)."""
-    if type(value) not in (int, float) or not 0.0 <= value < math.inf:
-        raise DbFormatError(f"{what} must be a finite number >= 0, got {value!r}")
-    return float(value)
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def _entry_from_doc(entity_id: str, e: dict, frame_len: int) -> ReferenceEntry:
     what = f"entity {entity_id!r}"
-
-    def finite(value, name: str) -> np.ndarray:
-        arr = _b64_array(value, f"{what} {name}")
-        if not np.isfinite(arr).all():
-            raise DbFormatError(f"{what} {name} must be finite")
-        arr.flags.writeable = False
-        return arr
-
-    curve = finite(e["curve"], "curve")
-    if curve.shape != (frame_len,):
-        raise DbFormatError(f"{what} curve has {curve.size} values; "
-                            f"frame_len is {frame_len}")
-    s = e["stats"]
-    mses = finite(s["mses"], "mses")
-    if mses.size < 2 or (mses < 0).any():
-        raise DbFormatError(f"{what} needs >= 2 stored MSE values, all >= 0")
-    stats = QualityStats(mses=mses, mean=_stat(s["mean"], f"{what} mean"),
-                         std=_stat(s["std"], f"{what} std"),
-                         ucl=_stat(s["ucl"], f"{what} ucl"))
+    if e.keys() != {"curve", "mses", "enrolled_at"}:
+        raise DbFormatError(f"{what} must hold curve, enrolled_at and mses, "
+                            f"got {sorted(e)}")
+    curve = _b64_array(e["curve"], f"{what} curve")
+    if curve.shape != (frame_len,) or not np.isfinite(curve).all():
+        raise DbFormatError(f"{what} curve must hold {frame_len} finite values, "
+                            f"got {curve.size}")
+    mses = _b64_array(e["mses"], f"{what} mses")
+    try:
+        stats = QualityStats.from_mses(mses)
+    except ValueError as exc:
+        raise DbFormatError(f"{what} mses: {exc}") from None
     if not isinstance(e["enrolled_at"], str):
         raise DbFormatError(f"{what} enrolled_at must be a string")
     return ReferenceEntry(entity_id=entity_id, curve=curve, stats=stats,
@@ -406,13 +397,16 @@ def _entry_from_doc(entity_id: str, e: dict, frame_len: int) -> ReferenceEntry:
 
 
 def load_db(path) -> ReferenceDb:
-    """Read a version-3 database; any defect is a DbFormatError.
+    """Read a version-4 database; any defect is a DbFormatError.
 
-    The file (what `save_db` writes) holds each entity's `curve` and
-    `stats.mses` as base64 of little-endian float64, and names its front end,
-    which must be `FRONTEND`. Every array must be finite, each curve
-    `frame_len` long, and each entity needs >= 2 MSEs, all >= 0. Any other
-    version or front end is refused: re-enrol from the records.
+    The file (what `save_db` writes) names its front end, which must be
+    `FRONTEND`, and holds for each entity exactly its `curve` and `mses`,
+    base64 of little-endian float64, and its `enrolled_at`. Each curve must
+    be `frame_len` finite values. Each entity's stats are
+    `QualityStats.from_mses` of its MSEs, as at enrolment, so they are the
+    same doubles; MSEs it refuses (fewer than 2, negative, not finite, or a
+    limit that overflows) are a DbFormatError that names the entity. Any
+    other version or front end is refused: re-enrol from the records.
     """
     try:
         with open(str(path), "r", encoding="utf-8") as fh:

@@ -189,26 +189,14 @@ def _suppress(strength: np.ndarray, candidates: np.ndarray,
     return kept
 
 
-def _window_counts(n: int, m: int) -> np.ndarray:
-    """How many of n samples each output of ``np.convolve(., ones(m),
-    "same")`` sums, for n >= m: its window reaches ``(m - 1) // 2`` samples
-    ahead and the rest behind, clipped to the record. Exact integers, equal
-    to ``np.convolve(np.ones(n), np.ones(m), "same")``; an even m makes
-    the window one sample longer behind than ahead.
-    """
-    ahead = (m - 1) // 2
-    i = np.arange(n)
-    return np.minimum(i + ahead + 1, n) - np.maximum(i - (m - 1 - ahead), 0)
-
-
 def detect_rpeaks(record: EcgRecord) -> PeakList:
     """Locate R-peaks in a baseline-centered record.
 
     The squared first difference is averaged over 150 ms (``ma_win``
     samples): a box sum over the samples that exist, divided by their
-    count, `_window_counts`, so the edges are not damped. Candidates are
-    smoothed samples above ``THRESH_FRAC`` of the rolling 2 s maximum; the
-    strongest candidate wins within each ``REFRACTORY_S`` window, and every
+    count, so the edges are not damped. Candidates are smoothed samples
+    above ``THRESH_FRAC`` of the rolling 2 s maximum; the strongest
+    candidate wins within each ``REFRACTORY_S`` window, and every
     kept event is refined to the raw local maximum within +/-(half the
     smoothing window + 50 ms), clipped to the record, the first one on a
     tie. The smoothed-energy peak can lie anywhere on a plateau up to
@@ -229,14 +217,13 @@ def detect_rpeaks(record: EcgRecord) -> PeakList:
     diff = x[1:] - x[:-1]
     energy = diff * diff
     smooth = np.convolve(energy, np.ones(ma_win), mode="same")
-    # ma_win samples under every box but the first `behind` and the last
-    # `ahead`, whose counts are those of a record of ma_win samples
+    # ma_win samples under every box but the first `behind`, which hold
+    # ahead + 1 .. ma_win - 1, and the last `ahead`, ma_win - 1 .. behind + 1
     ahead = (ma_win - 1) // 2
     behind = ma_win - 1 - ahead
-    edges = _window_counts(ma_win, ma_win)
-    smooth[:behind] /= edges[:behind]
+    smooth[:behind] /= np.arange(ahead + 1, ma_win)
     smooth[behind : smooth.size - ahead] /= ma_win
-    smooth[smooth.size - ahead :] /= edges[ma_win - ahead :]
+    smooth[smooth.size - ahead :] /= np.arange(ma_win - 1, behind, -1)
 
     ceiling = _rolling_max(smooth, int(round(2.0 * fs)))
     candidates = np.flatnonzero(smooth > THRESH_FRAC * ceiling)

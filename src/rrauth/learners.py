@@ -591,6 +591,13 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
 
 
 def kernel_predict_batch(model: KernelModel, X) -> np.ndarray:
-    """f at each row of X; each distinct row is evaluated once."""
+    """f at each row of X; each distinct row is evaluated once.
+
+    The kernel rows are weighted in place and summed by numpy's pairwise
+    reduction, not by a BLAS matrix-vector product, whose summation order
+    depends on the CPU kernel OpenBLAS picks.
+    """
     X, inv = np.unique(_as_matrix(X), axis=0, return_inverse=True)
-    return (_kernel(X, model.X, model.kernel_scale) @ model.coef + model.b)[inv]
+    K = _kernel(X, model.X, model.kernel_scale)
+    K *= model.coef
+    return (np.add.reduce(K, axis=1) + model.b)[inv]

@@ -1,10 +1,12 @@
+import base64
 import bisect
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rrauth.authcore import ReferenceDb, enroll
+from rrauth.authcore import QualityStats, ReferenceDb, enroll
 from rrauth.beat import REFRACTORY_S, THRESH_FRAC, _rolling_max
 from rrauth.learners import DtLeaf
 from rrauth.signal import (CsvFormatError, EcgRecord, SubjectProfile, Wave, _parse_body,
@@ -25,6 +27,25 @@ V1_DOC = {
         "stats": {"mses": [0.0, 0.0], "mean": 0.0, "std": 0.0, "ucl": 0.0},
     }},
 }
+
+
+def retired_doc(doc: dict, version: str) -> dict:
+    """A saved DB document in a retired layout. Version 3 held each entity's
+    MSEs under "stats", next to the mean, std and UCL they give; version 2
+    also held both arrays as JSON lists, and named no front end."""
+    old = json.loads(json.dumps(doc))
+    old["version"] = version
+    for e in old["entities"].values():
+        mses = np.frombuffer(base64.b64decode(e.pop("mses"), validate=True), "<f8")
+        stats = QualityStats.from_mses(mses)
+        e["stats"] = {"mses": base64.b64encode(mses.tobytes()).decode("ascii"),
+                      "mean": stats.mean, "std": stats.std, "ucl": stats.ucl}
+        if version == "2":
+            e["curve"] = np.frombuffer(base64.b64decode(e["curve"]), "<f8").tolist()
+            e["stats"]["mses"] = mses.tolist()
+    if version == "2":
+        del old["frontend"]
+    return old
 
 
 def quiet_profile(seed: int = 0, heart_rate_bpm: float = 60.0,

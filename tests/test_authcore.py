@@ -21,7 +21,7 @@ from rrauth.beat import FrameSet, PeakList
 from rrauth.learners import DtParams, predict_curve, train_dt
 from rrauth.signal import EcgRecord, synth_ecg
 
-from conftest import EPOCH, FS, V1_DOC, quiet_profile
+from conftest import EPOCH, FS, V1_DOC, quiet_profile, retired_doc
 
 
 class TestComputeUcl:
@@ -57,6 +57,19 @@ class TestComputeUcl:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="MSE values must be finite"):
                 QualityStats.from_mses([math.inf, 1.0])
+
+    @pytest.mark.parametrize("mses", [[0.0, 1.7e308], [1e308, 1e308], [1e160, 0.0, 0.0]],
+                             ids=["deviations overflow", "sum overflows", "squares overflow"])
+    def test_overflowing_limit_rejected(self, mses):
+        # finite MSEs whose mean or spread overflows give no finite limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"MSE values overflow the control limit"):
+                QualityStats.from_mses(mses)
+
+    def test_huge_finite_limit_accepted(self):
+        qs = QualityStats.from_mses([1e150, 0.0])
+        assert math.isfinite(qs.ucl) and qs.ucl > 1e150
 
     def test_zero_mse_accepted(self):
         # a frame the curve reproduces exactly scores 0.0, which is >= 0
@@ -476,7 +489,7 @@ class TestPersistence:
 
     def test_version_mismatch(self, small_db, tmp_path):
         path = tmp_path / "db.json"
-        path.write_text(db_to_json(small_db).replace('"version": "3"', '"version": "0"'),
+        path.write_text(db_to_json(small_db).replace('"version": "4"', '"version": "0"'),
                         encoding="utf-8")
         with pytest.raises(DbFormatError, match=r"version '0' unsupported"):
             load_db(path)
@@ -485,26 +498,54 @@ class TestPersistence:
         path = tmp_path / "db.json"
         path.write_text(json.dumps(V1_DOC), encoding="utf-8")
         with pytest.raises(DbFormatError, match=r"version '1' unsupported "
-                                                r"\(expected '3'\); re-enrol"):
+                                                r"\(expected '4'\); re-enrol"):
             load_db(path)
 
     def test_v2_db_refused(self, small_db, tmp_path):
         # the retired layout: arrays as JSON lists and no front end
         path = tmp_path / "v2.json"
-        _write_doc(path, _v2_doc(small_db))
+        _write_doc(path, retired_doc(_saved_doc(small_db), "2"))
         with pytest.raises(DbFormatError, match=r"version '2' unsupported "
-                                                r"\(expected '3'\); re-enrol from the records$"):
+                                                r"\(expected '4'\); re-enrol from the records$"):
             load_db(path)
 
-    def test_v3_layout(self, small_db):
+    def test_v3_db_refused(self, small_db, tmp_path):
+        # the retired layout that stored each entity's mean, std and UCL
+        path = tmp_path / "v3.json"
+        _write_doc(path, retired_doc(_saved_doc(small_db), "3"))
+        with pytest.raises(DbFormatError, match=r"version '3' unsupported "
+                                                r"\(expected '4'\); re-enrol from the records$"):
+            load_db(path)
+
+    def test_v4_layout(self, small_db):
         doc = _saved_doc(small_db)
-        assert (doc["version"], doc["frontend"]) == ("3", authcore.FRONTEND)
-        e = doc["entities"]["e01"]
-        assert base64.b64decode(e["curve"], validate=True) == \
-            small_db.entries["e01"].curve.astype("<f8").tobytes()
-        assert base64.b64decode(e["stats"]["mses"], validate=True) == \
-            small_db.entries["e01"].stats.mses.astype("<f8").tobytes()
-        assert e["stats"]["ucl"] == small_db.entries["e01"].stats.ucl
+        assert sorted(doc) == ["entities", "format", "frame_len", "frontend", "version"]
+        assert (doc["format"], doc["version"], doc["frontend"], doc["frame_len"]) == \
+            ("rrauth-reference-db", "4", authcore.FRONTEND, small_db.frame_len)
+        assert sorted(doc["entities"]) == sorted(small_db.entries)
+        for eid, e in doc["entities"].items():
+            entry = small_db.entries[eid]
+            assert sorted(e) == ["curve", "enrolled_at", "mses"]
+            assert base64.b64decode(e["curve"], validate=True) == \
+                entry.curve.astype("<f8").tobytes()
+            assert base64.b64decode(e["mses"], validate=True) == \
+                entry.stats.mses.astype("<f8").tobytes()
+            assert e["enrolled_at"] == entry.enrolled_at
+
+    def test_edited_mses_set_the_limit(self, small_db, tmp_path):
+        """The limit is read from the stored MSEs: edit them and the loaded
+        stats are `from_mses` of the edit, bit for bit."""
+        doc = _saved_doc(small_db)
+        edited = small_db.entries["e01"].stats.mses * 50.0
+        edited[0] = 0.0
+        doc["entities"]["e01"]["mses"] = _b64(edited)
+        _write_doc(tmp_path / "db.json", doc)
+        got = load_db(tmp_path / "db.json").entries["e01"].stats
+        want = QualityStats.from_mses(edited)
+        assert got.mses.tobytes() == edited.tobytes()
+        assert np.array([got.mean, got.std, got.ucl]).tobytes() == \
+            np.array([want.mean, want.std, want.ucl]).tobytes()
+        assert got.ucl != small_db.entries["e01"].stats.ucl
 
     @pytest.mark.parametrize("frontend", ["missing", None, "", "rrauth-frontend-0"])
     def test_other_frontend_refused(self, small_db, tmp_path, frontend):
@@ -525,9 +566,10 @@ class TestPersistence:
         edge = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308])
         value = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
         curve = data.draw(arrays(np.float64, frame_len, elements=value))
+        # up to 1e150, so no squared deviation overflows the limit
         mses = data.draw(arrays(np.float64, n_mses, elements=st.one_of(
-            st.sampled_from([-0.0, 0.0, 5e-324, 1e308]), st.floats(0.0, 1e308))))
-        stats = QualityStats(mses=mses, mean=1.0, std=0.5, ucl=2.5)
+            st.sampled_from([-0.0, 0.0, 5e-324, 1e150]), st.floats(0.0, 1e150))))
+        stats = QualityStats.from_mses(mses)
         db = ReferenceDb(frame_len=frame_len, entries={"x": ReferenceEntry(
             entity_id="x", curve=curve, stats=stats, enrolled_at=EPOCH)})
         path = tmp_path_factory.mktemp("round") / "db.json"
@@ -539,14 +581,14 @@ class TestPersistence:
 
     def test_corrupted_structure(self, tmp_path):
         path = tmp_path / "db.json"
-        path.write_text('{"format": "rrauth-reference-db", "version": "3", '
+        path.write_text('{"format": "rrauth-reference-db", "version": "4", '
                         '"frontend": "rrauth-frontend-1"}', encoding="utf-8")
         with pytest.raises(DbFormatError, match="corrupted database structure"):
             load_db(path)
 
     def test_other_format_refused(self, tmp_path):
         path = tmp_path / "db.json"
-        path.write_text('{"format": "something-else", "version": "3"}', encoding="utf-8")
+        path.write_text('{"format": "something-else", "version": "4"}', encoding="utf-8")
         with pytest.raises(DbFormatError, match="not a reference database file"):
             load_db(path)
 
@@ -559,17 +601,6 @@ class TestPersistence:
 
 def _saved_doc(db) -> dict:
     return json.loads(db_to_json(db))
-
-
-def _v2_doc(db) -> dict:
-    """The retired version-2 document of a DB: arrays as JSON lists, no front end."""
-    doc = _saved_doc(db)
-    doc["version"] = "2"
-    del doc["frontend"]
-    for eid, e in doc["entities"].items():
-        e["curve"] = db.entries[eid].curve.tolist()
-        e["stats"]["mses"] = db.entries[eid].stats.mses.tolist()
-    return doc
 
 
 def _b64(values) -> str:
@@ -641,15 +672,16 @@ class TestLoadValidation:
                        (entry.stats.mean, entry.stats.std, entry.stats.ucl))
 
     @pytest.mark.parametrize("mutate", [
-        lambda e: e["stats"].update(mses=["a", "b"]),
-        lambda e: e["stats"].update(ucl="0.001"),
-        lambda e: e["stats"].update(ucl=math.nan),
+        lambda e: e.update(mses=["a", "b"]),
+        lambda e: e.update(ucl="0.001"),
+        lambda e: e.update(ucl=math.nan),
         lambda e: e.update(curve=_b64(np.r_[math.nan, np.frombuffer(
             base64.b64decode(e["curve"]), dtype="<f8")[1:]])),
         lambda e: e.update(curve=[[0.0]] * 220),
         lambda e: e.update(enrolled_at=0),
+        lambda e: e.update(stats={"ucl": 1.0}),
     ], ids=["string mses", "string ucl", "nan ucl", "nan curve", "nested curve",
-            "number enrolled_at"])
+            "number enrolled_at", "v3 stats object"])
     def test_bad_entity_field(self, small_db, tmp_path, mutate):
         doc = _saved_doc(small_db)
         mutate(doc["entities"]["e01"])
@@ -671,14 +703,16 @@ class TestLoadValidation:
         lambda e: e.update(curve=_b64(np.zeros(219))),
         lambda e: e.update(curve=[0.0] * 220),
         lambda e: e.update(curve=None),
-        lambda e: e["stats"].update(mses=_b64([0.1, -math.inf])),
-        lambda e: e["stats"].update(mses=_b64([0.1, -0.2])),
-        lambda e: e["stats"].update(mses=_b64([0.1])),
-        lambda e: e["stats"].update(mses="é" + e["stats"]["mses"]),
+        lambda e: e.update(mses=_b64([0.1, -math.inf])),
+        lambda e: e.update(mses=_b64([0.1, -0.2])),
+        lambda e: e.update(mses=_b64([0.1])),
+        lambda e: e.update(mses="é" + e["mses"]),
+        lambda e: e.update(mses=_b64([0.1, math.inf])),
+        lambda e: e.update(mses=_b64([0.0, 1.7e308])),
     ], ids=["leading bang", "stray star", "newline", "extra padding", "no padding",
             "truncated text", "7-byte tail", "nan bits", "inf bits", "219 values",
             "v2 list in v3", "null curve", "-inf mse bits", "negative mse",
-            "one mse", "non-ascii mses"])
+            "one mse", "non-ascii mses", "inf mse bits", "mse limit overflows"])
     def test_bad_base64_field(self, small_db, tmp_path, mutate):
         doc = _saved_doc(small_db)
         mutate(doc["entities"]["e01"])
@@ -687,11 +721,12 @@ class TestLoadValidation:
             load_db(tmp_path / "db.json")
 
     def test_zero_std_loads(self, small_db, tmp_path):
-        """A stored statistic of exactly 0.0 is finite and >= 0, so it loads."""
+        """Equal MSEs give a spread of exactly 0.0, so the limit is their value."""
         doc = _saved_doc(small_db)
-        doc["entities"]["e01"]["stats"]["std"] = 0.0
+        doc["entities"]["e01"]["mses"] = _b64([2e-3] * 5)
         _write_doc(tmp_path / "db.json", doc)
-        assert load_db(tmp_path / "db.json").entries["e01"].stats.std == 0.0
+        stats = load_db(tmp_path / "db.json").entries["e01"].stats
+        assert (stats.mean, stats.std, stats.ucl) == (2e-3, 0.0, 2e-3)
 
     @pytest.mark.parametrize("frame_len", ["220", "x", 1, -220, 219, 220.0])
     def test_bad_frame_len(self, small_db, tmp_path, frame_len):
@@ -703,10 +738,10 @@ class TestLoadValidation:
 
     def test_inner_error_not_rewrapped(self, small_db, tmp_path):
         doc = _saved_doc(small_db)
-        doc["entities"]["e02"]["stats"]["ucl"] = -1.0
+        doc["entities"]["e02"]["mses"] = _b64([0.1, -1.0])
         _write_doc(tmp_path / "db.json", doc)
         with pytest.raises(DbFormatError) as info:
             load_db(tmp_path / "db.json")
         message = str(info.value)
         assert "corrupted" not in message and "DbFormatError" not in message
-        assert message.startswith(str(tmp_path / "db.json") + ": entity 'e02' ucl")
+        assert message.startswith(str(tmp_path / "db.json") + ": entity 'e02' mses: ")

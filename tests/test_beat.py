@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rrauth import beat
 from rrauth.beat import (FrameSet, PeakList, _lone_winners, _rolling_max, _suppress,
-                         _window_counts, detect_rpeaks, frame_rr)
+                         detect_rpeaks, frame_rr)
 from rrauth.signal import EcgRecord, preprocess, random_profile, synth_ecg
 
 from conftest import quiet_profile, reference_detect_rpeaks, strongest_first
@@ -324,15 +324,6 @@ class TestSuppress:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(beat, "_suppress", strongest_first)
             assert detect_rpeaks(clean).indices.tolist() == got
-
-
-class TestWindowCounts:
-    def test_equals_convolved_ones(self):
-        # even kernels reach one sample further behind than ahead
-        for m in range(3, 201):
-            for n in (m, m + 1, m + 2, 2 * m - 1, 2 * m, 3 * m + 7):
-                expected = np.convolve(np.ones(n), np.ones(m), "same")
-                assert np.array_equal(_window_counts(n, m), expected), (m, n)
 
 
 class TestDetectAgainstOracle:

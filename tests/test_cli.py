@@ -1,4 +1,3 @@
-import base64
 import hashlib
 import json
 import os
@@ -17,7 +16,7 @@ from rrauth.cli import build_parser, main
 from rrauth.learners import DtParams, predict_curve, train_dt
 from rrauth.signal import MAX_POINTS, load_csv, preprocess, save_csv, slice_seconds, synth_ecg
 
-from conftest import V1_DOC, quiet_profile
+from conftest import V1_DOC, quiet_profile, retired_doc
 
 
 def run_cli(*argv):
@@ -449,14 +448,14 @@ class TestV1DbRefused:
         proc = run_cli(command, "--db", str(db), *args)
         assert proc.returncode == 1, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
-        assert "version '1' unsupported (expected '3'); re-enrol from the records" \
+        assert "version '1' unsupported (expected '4'); re-enrol from the records" \
             in proc.stderr
         assert proc.stdout == ""
         assert db.read_bytes() == before
 
 
 class TestOtherFrontEndRefused:
-    """A version-3 DB names its front end; one from another front end is
+    """A version-4 DB names its front end; one from another front end is
     refused with the re-enrol message, and enroll leaves the file as it was."""
 
     @pytest.mark.parametrize("command", ["auth", "enroll"])
@@ -818,6 +817,22 @@ class TestRefusedCommandPrintsNothing:
             assert db.read_bytes() == before
 
 
+def _retired_db_refused(version, command, cohort_dir, db_path, tmp_path, capsys):
+    doc = retired_doc(json.loads(db_path.read_text(encoding="utf-8")), version)
+    db = tmp_path / f"v{version}.json"
+    db.write_text(json.dumps(doc), encoding="utf-8")
+    before = db.read_bytes()
+    args = ["--input", str(cohort_dir / "e03.csv")]
+    if command == "enroll":
+        args += ["--id", "x03"]
+    assert main([command, "--db", str(db), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.rstrip().endswith(
+        f"version '{version}' unsupported (expected '4'); re-enrol from the records")
+    assert captured.out == ""
+    assert db.read_bytes() == before
+
+
 class TestV2DbRefused:
     """A version-2 DB (arrays as JSON lists, no front end) is refused like a
     version-1 one; enroll leaves the file as it was."""
@@ -825,26 +840,17 @@ class TestV2DbRefused:
     @pytest.mark.parametrize("command", ["auth", "enroll"])
     def test_exits_1_with_re_enrol_message(self, command, cohort_dir, db_path, tmp_path,
                                           capsys):
-        doc = json.loads(db_path.read_text(encoding="utf-8"))
-        doc["version"] = "2"
-        del doc["frontend"]
-        as_list = lambda text: np.frombuffer(base64.b64decode(text, validate=True),
-                                             "<f8").tolist()
-        for entity in doc["entities"].values():
-            entity["curve"] = as_list(entity["curve"])
-            entity["stats"]["mses"] = as_list(entity["stats"]["mses"])
-        db = tmp_path / "v2.json"
-        db.write_text(json.dumps(doc), encoding="utf-8")
-        before = db.read_bytes()
-        args = ["--input", str(cohort_dir / "e03.csv")]
-        if command == "enroll":
-            args += ["--id", "x03"]
-        assert main([command, "--db", str(db), *args]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.rstrip().endswith(
-            "version '2' unsupported (expected '3'); re-enrol from the records")
-        assert captured.out == ""
-        assert db.read_bytes() == before
+        _retired_db_refused("2", command, cohort_dir, db_path, tmp_path, capsys)
+
+
+class TestV3DbRefused:
+    """A version-3 DB (each entity's mean, std and UCL stored next to its
+    MSEs) is refused the same way."""
+
+    @pytest.mark.parametrize("command", ["auth", "enroll"])
+    def test_exits_1_with_re_enrol_message(self, command, cohort_dir, db_path, tmp_path,
+                                          capsys):
+        _retired_db_refused("3", command, cohort_dir, db_path, tmp_path, capsys)
 
 
 def _flags_of_type(kind):

@@ -1,11 +1,12 @@
 """Outputs that do not depend on the kernels numpy and its BLAS dispatch to.
 
 The parent writes a small cohort once. Child processes then run `enroll`,
-`auth`, `eval` and `sweep` on it through `cli.main`, each under one setting
-of the dispatch: numpy's and OpenBLAS's defaults, numpy with its AVX-512
-kernels disabled, and OpenBLAS held to its Haswell kernels. Every child must
-write the same DB bytes, output files and stdout. The test pins no value, so
-it means the same on every host. OpenBLAS reads `OPENBLAS_CORETYPE` only
+`auth`, `eval`, `sweep`, `frames` and `bench` on it through `cli.main`,
+each under one setting of the dispatch: numpy's and OpenBLAS's defaults,
+numpy with its AVX-512 kernels disabled, and OpenBLAS held to its Haswell
+or its Nehalem kernels. Every child must write the same DB bytes, output
+files and stdout, apart from `bench`'s wall-clock `Training Time` rows. The
+test pins no value, so it means the same on every host. OpenBLAS reads `OPENBLAS_CORETYPE` only
 when it is built with DYNAMIC_ARCH; under any other BLAS that child repeats
 the default run, so each child reports the BLAS it ran on.
 """
@@ -24,6 +25,7 @@ SETTINGS = {
     "defaults": {},
     "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
     "haswell-blas": {"OPENBLAS_CORETYPE": "Haswell"},
+    "nehalem-blas": {"OPENBLAS_CORETYPE": "Nehalem"},
 }
 
 # Run in the child's own directory, so that every path it prints is the
@@ -60,17 +62,25 @@ commands += [["auth", "--db", "db.json", "--input", os.path.join(cohort, name),
 commands += [["eval", "--db", "db.json", "--manifest", manifest, "--trials", "300",
               "--out", "eval"],
              ["sweep", "--db", "db.json", "--manifest", manifest, "--trials", "300",
-              "--grid-points", "12", "--out", "sweep"]]
+              "--grid-points", "12", "--out", "sweep"],
+             ["frames", "--input", os.path.join(cohort, "e01.csv"), "--dump", "frames.csv"],
+             ["bench", "--input", os.path.join(cohort, "e01.csv"), "--out", "bench"]]
 stdout, codes = io.StringIO(), []
 with contextlib.redirect_stdout(stdout):
     for argv in commands:
         codes.append(main(argv))
+
+def untimed(text):  # bench's Training Time rows are wall-clock times
+    return "".join(line for line in text.splitlines(True)
+                   if not line.startswith("Training Time"))
+
 files = {}
-for name in ("db.json", "eval/confusion.csv", "sweep/sweep.csv"):
+for name in ("db.json", "eval/confusion.csv", "sweep/sweep.csv", "frames.csv",
+             "bench/bench.csv"):
     if os.path.exists(name):
-        with open(name, "rb") as f:
-            files[name] = f.read().hex()
-print(json.dumps({"codes": codes, "stdout": stdout.getvalue(), "files": files,
+        with open(name, "r", encoding="utf-8", newline="") as f:
+            files[name] = untimed(f.read())
+print(json.dumps({"codes": codes, "stdout": untimed(stdout.getvalue()), "files": files,
                   "blas": blas()}))
 """
 
@@ -102,7 +112,7 @@ def test_outputs_equal_under_every_dispatch(tmp_path, capsys):
                   else f"BLAS {run['blas']}")
     assert "refused" not in runs["defaults"]
     assert runs["defaults"]["codes"][0] == 0  # enrolled
-    assert len(runs["defaults"]["files"]) == 3
+    assert len(runs["defaults"]["files"]) == 5
     for label, run in runs.items():
         if "refused" not in run:
             assert run["codes"] == runs["defaults"]["codes"], label
