@@ -11,9 +11,9 @@ default).
 The reference database persists as compact JSON (sorted keys, one line;
 indented files also load). Format version 4 stores what enrolment computed
 and nothing derived from it: per entity the reference curve (its values at
-positions 0..frame_len-1), the training MSEs and the enrolment time, with
-`frame_len` and the `frontend` id in the header. The two arrays, `curve` and
-`mses`, are base64 text of their little-endian float64 bytes; `enrolled_at`
+positions 0..DEFAULT_FRAME_LEN-1), the training MSEs and the enrolment time,
+with `frame_len` and the `frontend` id in the header. The two arrays, `curve`
+and `mses`, are base64 text of their little-endian float64 bytes; `enrolled_at`
 stays a JSON string. Binary arrays round-trip exactly, in half the bytes of
 decimal text. The mean, spread and control limit are not stored: loading
 derives them from the MSEs with `QualityStats.from_mses`, as enrolment did,
@@ -22,7 +22,8 @@ its MSEs do not give.
 The `frontend` id names the baseline removal, detector and framing that cut
 the enrolment frames; a file from another front end is refused, because its
 curves would be compared with frames cut another way. A file of any other
-version is refused too, and its entities are re-enrolled from their records.
+version or frame length (the front end cuts `DEFAULT_FRAME_LEN` points) is
+refused too, and its entities are re-enrolled from their records.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import datetime
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -118,7 +120,7 @@ class QualityStats:
 class ReferenceEntry:
     """One enrolled entity: reference curve, quality stats, metadata.
 
-    `curve` holds the reference predictions at positions 0..frame_len-1.
+    `curve` holds the reference predictions at positions 0..DEFAULT_FRAME_LEN-1.
     """
 
     entity_id: str
@@ -137,9 +139,9 @@ class ReferenceEntry:
 
 @dataclass(eq=False)
 class ReferenceDb:
-    """Enrollment database; all entries share one frame length."""
+    """Enrollment database; every curve has `DEFAULT_FRAME_LEN` points."""
 
-    frame_len: int = DEFAULT_FRAME_LEN
+    frame_len: ClassVar[int] = DEFAULT_FRAME_LEN
     entries: dict[str, ReferenceEntry] = field(default_factory=dict)
 
     def median_ucl(self) -> float:
@@ -158,19 +160,17 @@ class ReferenceDb:
         return float((ucls[mid - 1] + ucls[mid]) / 2.0)
 
 
-def extract_frames(record: EcgRecord, window_s: float, frame_len: int) -> FrameSet:
+def extract_frames(record: EcgRecord, window_s: float) -> FrameSet:
     """The one frame-extraction path: keep the first `window_s` seconds
-    (`slice_seconds`, which caps the window at the record's length), remove
-    the baseline, detect R-peaks and cut RR frames of `frame_len`.
+    (`slice_seconds`, which checks the window and caps it at the record's
+    length), remove the baseline, detect R-peaks and cut `frame_rr` frames.
 
     Truncating before the baseline removal means a frame depends only on the
     samples inside the window. Neither `preprocess` nor the detector has
     parameters, so every caller uses the same ones.
     """
-    if not 0 < window_s < math.inf:
-        raise ValueError(f"window_s must be finite and > 0, got {window_s}")
     clean = preprocess(slice_seconds(record, 0.0, window_s))
-    return frame_rr(clean, detect_rpeaks(clean), frame_len)
+    return frame_rr(clean, detect_rpeaks(clean))
 
 
 def enroll(db: ReferenceDb, entity_id: str, record: EcgRecord, *,
@@ -193,7 +193,7 @@ def enroll(db: ReferenceDb, entity_id: str, record: EcgRecord, *,
     if record.duration_s < train_window_s and not allow_short:
         raise ValueError(f"record of {record.duration_s:.1f}s is shorter than the "
                          f"{train_window_s}s training window (allow_short=True to override)")
-    frames = extract_frames(record, train_window_s, db.frame_len)
+    frames = extract_frames(record, train_window_s)
     if len(frames) < 2:
         raise ValueError(f"found {len(frames)} RR frames in {entity_id!r}; need >= 2")
 
@@ -227,12 +227,12 @@ def score_frames(db: ReferenceDb, record: EcgRecord, *,
     which numpy does in one pass over contiguous (entities, frame_len)
     rows, faster than subtracting from the broadcast frames. Each
     frame-entity row is summed along its contiguous last axis, and the sums
-    are divided by frame_len once: exactly what a per-entity
+    are divided by DEFAULT_FRAME_LEN once: exactly what a per-entity
     ``np.mean(..., axis=1)`` computes, so the table is the same bytes.
     """
     if not db.entries:
         raise ValueError("reference database is empty")
-    frames = extract_frames(record, test_window_s, db.frame_len).values
+    frames = extract_frames(record, test_window_s).values
     n_frames = frames.shape[0]
     if n_frames == 0:
         raise ValueError("probe record produced no frames")
@@ -248,7 +248,7 @@ def score_frames(db: ReferenceDb, record: EcgRecord, *,
         np.subtract(out, curves, out=out)
         np.square(out, out=out)
         np.add.reduce(out, axis=2, out=mse[start:start + block])
-    mse /= db.frame_len
+    mse /= DEFAULT_FRAME_LEN
     return FrameScores(entity_ids=ids, mse=mse)
 
 
@@ -341,7 +341,7 @@ def db_to_json(db: ReferenceDb) -> str:
         "format": DB_FORMAT,
         "version": DB_VERSION,
         "frontend": FRONTEND,
-        "frame_len": db.frame_len,
+        "frame_len": DEFAULT_FRAME_LEN,
         "entities": {
             e.entity_id: {
                 "curve": _b64(e.curve),
@@ -376,14 +376,14 @@ def _b64_array(value, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8")
 
 
-def _entry_from_doc(entity_id: str, e: dict, frame_len: int) -> ReferenceEntry:
+def _entry_from_doc(entity_id: str, e: dict) -> ReferenceEntry:
     what = f"entity {entity_id!r}"
     if e.keys() != {"curve", "mses", "enrolled_at"}:
         raise DbFormatError(f"{what} must hold curve, enrolled_at and mses, "
                             f"got {sorted(e)}")
     curve = _b64_array(e["curve"], f"{what} curve")
-    if curve.shape != (frame_len,) or not np.isfinite(curve).all():
-        raise DbFormatError(f"{what} curve must hold {frame_len} finite values, "
+    if curve.shape != (DEFAULT_FRAME_LEN,) or not np.isfinite(curve).all():
+        raise DbFormatError(f"{what} curve must hold {DEFAULT_FRAME_LEN} finite values, "
                             f"got {curve.size}")
     mses = _b64_array(e["mses"], f"{what} mses")
     try:
@@ -400,13 +400,14 @@ def load_db(path) -> ReferenceDb:
     """Read a version-4 database; any defect is a DbFormatError.
 
     The file (what `save_db` writes) names its front end, which must be
-    `FRONTEND`, and holds for each entity exactly its `curve` and `mses`,
-    base64 of little-endian float64, and its `enrolled_at`. Each curve must
-    be `frame_len` finite values. Each entity's stats are
+    `FRONTEND`, and its `frame_len`, which must be the integer
+    `DEFAULT_FRAME_LEN`. For each entity it holds exactly its `curve`
+    (`DEFAULT_FRAME_LEN` finite values) and `mses`, base64 of little-endian
+    float64, and its `enrolled_at`. Each entity's stats are
     `QualityStats.from_mses` of its MSEs, as at enrolment, so they are the
     same doubles; MSEs it refuses (fewer than 2, negative, not finite, or a
     limit that overflows) are a DbFormatError that names the entity. Any
-    other version or front end is refused: re-enrol from the records.
+    other version, front end or frame length is refused: re-enrol.
     """
     try:
         with open(str(path), "r", encoding="utf-8") as fh:
@@ -427,11 +428,12 @@ def load_db(path) -> ReferenceDb:
             raise DbFormatError(f"front end {frontend!r} unsupported "
                                 f"(expected {FRONTEND!r}); re-enrol from the records")
         frame_len = doc["frame_len"]
-        if type(frame_len) is not int or frame_len < 2:
-            raise DbFormatError(f"frame_len must be an integer >= 2, got {frame_len!r}")
-        db = ReferenceDb(frame_len=frame_len)
+        if type(frame_len) is not int or frame_len != DEFAULT_FRAME_LEN:
+            raise DbFormatError(f"frame_len {frame_len!r} unsupported "
+                                f"(expected {DEFAULT_FRAME_LEN}); re-enrol from the records")
+        db = ReferenceDb()
         for entity_id, e in doc["entities"].items():
-            db.entries[entity_id] = _entry_from_doc(entity_id, e, frame_len)
+            db.entries[entity_id] = _entry_from_doc(entity_id, e)
     except DbFormatError as exc:
         raise DbFormatError(f"{path}: {exc}") from None
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:

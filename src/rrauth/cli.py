@@ -148,7 +148,7 @@ def cmd_gen(args) -> int:
 
 def cmd_frames(args) -> int:
     record = ecgsig.load_csv(args.input)
-    frames = authcore.extract_frames(record, record.duration_s, DEFAULT_FRAME_LEN)
+    frames = authcore.extract_frames(record, record.duration_s)
     # one line per frame; a dump of no frames is one empty line
     text = ecgsig._repr_rows(frames.values) or "\n"
     Path(args.dump).write_text(text, encoding="utf-8")
@@ -179,7 +179,7 @@ def cmd_enroll(args) -> int:
         lines.append(f"enrolled {entity_id}: frames={entry.stats.mses.size} "
                      f"mean_mse={entry.stats.mean!r} ucl={entry.stats.ucl!r}")
     save_db(db, db_path)
-    _print_header("enroll", db=args.db, frame_len=db.frame_len,
+    _print_header("enroll", db=args.db, frame_len=DEFAULT_FRAME_LEN,
                   train_window_s=args.train_window_s)
     for line in lines:
         print(line)
@@ -286,7 +286,7 @@ def cmd_sweep(args) -> int:
 def _training_pairs(record, train_window_s):
     """The (position, amplitude) pairs of the frames enrolment averages: X is
     positions 0..DEFAULT_FRAME_LEN-1 once per frame, y the frames row by row."""
-    frames = authcore.extract_frames(record, train_window_s, DEFAULT_FRAME_LEN)
+    frames = authcore.extract_frames(record, train_window_s)
     if len(frames) < 1:
         raise ValueError("record produced no frames")
     X = np.tile(np.arange(DEFAULT_FRAME_LEN, dtype=float), len(frames))
@@ -344,7 +344,7 @@ def cmd_bench(args) -> int:
 
 def cmd_rank(args) -> int:
     doc, base = _load_manifest(args.manifest)
-    sets = [authcore.extract_frames(record, args.train_window_s, DEFAULT_FRAME_LEN)
+    sets = [authcore.extract_frames(record, args.train_window_s)
             for _, record in _manifest_records(doc, base, enrolled_only=True)]
     ranking = infotheory.rank_features(sets, bins=args.bins, top_k=args.k)
     lines = ["position,mi_bits"]

@@ -825,8 +825,8 @@ def random_profile(seed) -> SubjectProfile:
                           noise_sd=noise_sd, seed=int(rng.integers(2**31)))
 
 
-def cohort_profiles(count: int, seed: int, min_separation_mse: float = 0.010,
-                    frame_len: int = DEFAULT_FRAME_LEN) -> list[SubjectProfile]:
+def cohort_profiles(count: int, seed: int,
+                    min_separation_mse: float = 0.010) -> list[SubjectProfile]:
     """Draw `count` profiles whose noise-free templates are pairwise separated
     by at least `min_separation_mse` (mean squared difference, mV^2).
 
@@ -843,11 +843,9 @@ def cohort_profiles(count: int, seed: int, min_separation_mse: float = 0.010,
         raise ValueError(f"cohort size must be >= 1, got {count}")
     if math.isnan(min_separation_mse):
         raise ValueError("separation must be a number, got NaN")
-    if frame_len < 2:
-        raise ValueError(f"frame_len must be >= 2, got {frame_len}")
     master = np.random.default_rng(seed)
     profiles: list[SubjectProfile] = []
-    templates = np.empty((count, frame_len))  # up front: a count too large fails here
+    templates = np.empty((count, DEFAULT_FRAME_LEN))  # up front: a count too large fails here
     max_attempts = 200 * count
     attempts = 0
     while len(profiles) < count:
@@ -859,7 +857,7 @@ def cohort_profiles(count: int, seed: int, min_separation_mse: float = 0.010,
         # most doubles the draws
         size = min(_TEMPLATE_BATCH, max(count - len(profiles), attempts), max_attempts - attempts)
         batch = [random_profile(int(master.integers(2**31))) for _ in range(size)]
-        for candidate, template in zip(batch, _beat_templates(batch, frame_len)):
+        for candidate, template in zip(batch, _beat_templates(batch, DEFAULT_FRAME_LEN)):
             attempts += 1
             accepted = templates[: len(profiles)]
             if np.all(np.mean((accepted - template) ** 2, axis=1) >= min_separation_mse):

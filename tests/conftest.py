@@ -237,7 +237,7 @@ def reference_beat_template(profile, frame_len):
     return reference_bump_sum(u, waves)
 
 
-def reference_cohort_profiles(count, seed, min_separation_mse=0.010, frame_len=220):
+def reference_cohort_profiles(count, seed, min_separation_mse=0.010):
     """`cohort_profiles` one candidate at a time: a candidate, its template
     from `reference_beat_template`, is kept when its MSE against each kept
     template, one at a time, is at least the separation. Returns the kept
@@ -246,7 +246,7 @@ def reference_cohort_profiles(count, seed, min_separation_mse=0.010, frame_len=2
     kept = []
     for attempt in range(200 * count):
         candidate = random_profile(int(master.integers(2**31)))
-        template = reference_beat_template(candidate, frame_len)
+        template = reference_beat_template(candidate, 220)
         if all(float(np.mean((template - t) ** 2)) >= min_separation_mse for _, _, t in kept):
             kept.append((attempt, candidate, template))
             if len(kept) == count:
@@ -359,7 +359,7 @@ def small_cohort():
 
 @pytest.fixture(scope="session")
 def small_db(small_cohort):
-    db = ReferenceDb(frame_len=220)
+    db = ReferenceDb()
     for sid, enrolled, rec in small_cohort:
         if enrolled:
             enroll(db, sid, rec, enrolled_at=EPOCH)

@@ -44,7 +44,7 @@ def ok(num: int, msg: str) -> None:
 def cohort():
     """10 enrolled + 2 unknown subjects, 65 s each, pinned seed."""
     profiles = cohort_profiles(12, seed=COHORT_SEED)
-    db = ReferenceDb(frame_len=220)
+    db = ReferenceDb()
     pool = []
     records = {}
     for k, prof in enumerate(profiles):

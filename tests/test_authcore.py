@@ -2,6 +2,7 @@ import base64
 import itertools
 import json
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -17,7 +18,7 @@ from rrauth.authcore import (DbFormatError, KNOWN, REJECTED, UNKNOWN,
                              ReferenceEntry, authenticate,
                              db_to_json, decide, enroll, extract_frames,
                              load_db, save_db, score_frames)
-from rrauth.beat import FrameSet, PeakList
+from rrauth.beat import DEFAULT_FRAME_LEN, FrameSet, PeakList
 from rrauth.learners import DtParams, predict_curve, train_dt
 from rrauth.signal import EcgRecord, synth_ecg
 
@@ -90,7 +91,8 @@ class TestEnroll:
         assert entry.stats.ucl >= entry.stats.mean
 
     def test_entry_frame_len_is_the_db_frame_len(self, small_db):
-        assert {e.frame_len for e in small_db.entries.values()} == {small_db.frame_len}
+        assert {e.frame_len for e in small_db.entries.values()} == {small_db.frame_len} == \
+            {DEFAULT_FRAME_LEN}
 
     def test_duplicate_id_rejected(self, small_db, small_cohort):
         sid, _, rec = small_cohort[0]
@@ -124,7 +126,7 @@ class TestEnroll:
 
     def test_fewer_than_two_frames_rejected(self):
         rec, _ = synth_ecg(quiet_profile(seed=3), 2.0, 360.0)
-        assert len(extract_frames(rec, 50.0, 220)) == 1
+        assert len(extract_frames(rec, 50.0)) == 1
         db = ReferenceDb()
         with pytest.raises(ValueError, match="need >= 2"):
             enroll(db, "s", rec, allow_short=True)
@@ -139,7 +141,7 @@ class TestEnroll:
     def test_two_frame_curve_is_position_mean(self):
         # Below the tree's minimum leaf of 4, which pooled positions here.
         rec, _ = synth_ecg(quiet_profile(seed=3, noise_sd=0.01), 3.0, 360.0)
-        frames = extract_frames(rec, 50.0, 220)
+        frames = extract_frames(rec, 50.0)
         assert len(frames) == 2
         entry = enroll(ReferenceDb(), "s", rec, allow_short=True, enrolled_at=EPOCH)
         assert entry.curve.tobytes() == frames.values.mean(axis=0).tobytes()
@@ -150,19 +152,20 @@ class TestEnroll:
 class TestExtractFrames:
     @pytest.mark.parametrize("window_s", [0.0, -5.0, np.nan, np.inf])
     def test_window_must_be_finite_and_positive(self, window_s):
+        # `slice_seconds` checks the window
         rec, _ = synth_ecg(quiet_profile(seed=3), 3.0, 360.0)
-        with pytest.raises(ValueError, match="window_s must be finite and > 0"):
-            extract_frames(rec, window_s, 220)
+        with pytest.raises(ValueError, match="slice duration must be finite and > 0 s"):
+            extract_frames(rec, window_s)
 
     def test_window_too_short_for_two_samples(self):
         rec, _ = synth_ecg(quiet_profile(seed=3), 3.0, 360.0)
         with pytest.raises(ValueError):
-            extract_frames(rec, 1.0 / 720.0, 220)
+            extract_frames(rec, 1.0 / 720.0)
 
     def test_huge_window_is_the_whole_record(self):
         rec, _ = synth_ecg(quiet_profile(seed=3), 10.0, 360.0)
-        whole = extract_frames(rec, rec.duration_s, 220)
-        huge = extract_frames(rec, 1e308, 220)
+        whole = extract_frames(rec, rec.duration_s)
+        huge = extract_frames(rec, 1e308)
         assert len(whole) > 0
         assert huge.peaks.indices.tobytes() == whole.peaks.indices.tobytes()
         assert huge.values.tobytes() == whole.values.tobytes()
@@ -173,19 +176,17 @@ class TestCurveIsTreePrediction:
     (position, amplitude) pairs predicts exactly the curve `enroll` stores."""
 
     @settings(max_examples=60, deadline=None)
-    @given(n_frames=st.integers(4, 40), frame_len=st.integers(2, 300),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_unbounded_tree(self, n_frames, frame_len, seed):
+    @given(n_frames=st.integers(4, 40), seed=st.integers(0, 2**32 - 1))
+    def test_matches_unbounded_tree(self, n_frames, seed):
         # Continuous values: equal samples across positions stop a node early.
-        values = np.random.default_rng(seed).normal(size=(n_frames, frame_len))
+        values = np.random.default_rng(seed).normal(size=(n_frames, DEFAULT_FRAME_LEN))
         frames = FrameSet("x", PeakList(np.arange(n_frames + 1)), values)
-        X = np.tile(np.arange(frame_len, dtype=float), n_frames).reshape(-1, 1)
+        X = np.tile(np.arange(DEFAULT_FRAME_LEN, dtype=float), n_frames).reshape(-1, 1)
         tree = train_dt(X, values.ravel(), DtParams(max_depth=10**6))
         record = EcgRecord("x", FS, np.zeros(2))
         with mock.patch.object(authcore, "extract_frames", return_value=frames):
-            entry = enroll(ReferenceDb(frame_len=frame_len), "x", record,
-                           allow_short=True, enrolled_at=EPOCH)
-        assert entry.curve.tobytes() == predict_curve(tree, frame_len).tobytes()
+            entry = enroll(ReferenceDb(), "x", record, allow_short=True, enrolled_at=EPOCH)
+        assert entry.curve.tobytes() == predict_curve(tree, DEFAULT_FRAME_LEN).tobytes()
 
 
 class TestAuthenticate:
@@ -268,13 +269,14 @@ class TestAuthenticate:
             decide(small_db, scored, **args)
 
 
-def stub_db(ids, ucl, frame_len=2, rng=None):
+def stub_db(ids, ucl, rng=None):
     """Entries with the given training UCL and a flat reference curve, or
     normal draws from `rng`."""
     stats = QualityStats(mses=np.zeros(2), mean=0.0, std=0.0, ucl=ucl)
-    db = ReferenceDb(frame_len=frame_len)
+    db = ReferenceDb()
     for e in ids:
-        curve = np.zeros(frame_len) if rng is None else rng.normal(0.0, 0.5, frame_len)
+        curve = (np.zeros(DEFAULT_FRAME_LEN) if rng is None
+                 else rng.normal(0.0, 0.5, DEFAULT_FRAME_LEN))
         db.entries[e] = ReferenceEntry(entity_id=e, curve=curve, stats=stats,
                                        enrolled_at=EPOCH)
     return db
@@ -288,19 +290,18 @@ def column_mean_scores(mse, passing, ids):
 
 class TestScoreFrames:
     @settings(max_examples=40, deadline=None)
-    @given(n_entities=st.integers(1, 120), frame_len=st.sampled_from([2, 7, 220, 301]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_bytes_equal_per_entity_loop(self, small_pool, n_entities, frame_len, seed):
+    @given(n_entities=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_per_entity_loop(self, small_pool, n_entities, seed):
         rng = np.random.default_rng(seed)
         stats = QualityStats(mses=np.zeros(2), mean=0.0, std=0.0, ucl=1.0)
-        db = ReferenceDb(frame_len=frame_len)
+        db = ReferenceDb()
         for k in rng.permutation(n_entities):
             db.entries[f"e{k:03d}"] = ReferenceEntry(
-                entity_id=f"e{k:03d}", curve=rng.normal(0.0, 0.5, frame_len),
+                entity_id=f"e{k:03d}", curve=rng.normal(0.0, 0.5, DEFAULT_FRAME_LEN),
                 stats=stats, enrolled_at=EPOCH)
         rec, _ = small_pool[seed % len(small_pool)]
         scored = score_frames(db, rec)
-        matrix = extract_frames(rec, authcore.DEFAULT_TEST_WINDOW_S, frame_len).values
+        matrix = extract_frames(rec, authcore.DEFAULT_TEST_WINDOW_S).values
         ids = tuple(sorted(db.entries))
         loop = np.column_stack([np.mean((matrix - db.entries[e].curve) ** 2, axis=1)
                                 for e in ids])
@@ -323,15 +324,14 @@ class TestScoreFrames:
 
     @settings(max_examples=80, deadline=None)
     @given(n_frames=st.integers(1, 40), n_entities=st.integers(1, 60),
-           frame_len=st.sampled_from([2, 7, 220, 301]),
            rows_per_block=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
-    def test_blocks_bytes_equal_one_broadcast(self, n_frames, n_entities, frame_len,
-                                              rows_per_block, seed):
+    def test_blocks_bytes_equal_one_broadcast(self, n_frames, n_entities, rows_per_block,
+                                              seed):
         # rows_per_block 0: one frame's rows exceed the budget, one frame per block
         rng = np.random.default_rng(seed)
-        db = stub_db([f"e{k:03d}" for k in range(n_entities)], 1.0, frame_len, rng)
-        values = rng.normal(0.0, 0.5, (n_frames, frame_len))
-        frame_bytes = n_entities * frame_len * 8
+        db = stub_db([f"e{k:03d}" for k in range(n_entities)], 1.0, rng)
+        values = rng.normal(0.0, 0.5, (n_frames, DEFAULT_FRAME_LEN))
+        frame_bytes = n_entities * DEFAULT_FRAME_LEN * 8
         budget = max(1, rows_per_block * frame_bytes + int(rng.integers(frame_bytes)) - 1)
         scored = self.scored_in_blocks(db, values, budget)
         assert scored.mse.tobytes() == self.broadcast_table(db, values).tobytes()
@@ -339,7 +339,7 @@ class TestScoreFrames:
     def test_frame_over_the_real_budget(self):
         # 600 x 220 x 8 bytes is over 1 MiB: each of the 5 frames is its own block
         rng = np.random.default_rng(7)
-        db = stub_db([f"e{k:03d}" for k in range(600)], 1.0, 220, rng)
+        db = stub_db([f"e{k:03d}" for k in range(600)], 1.0, rng)
         assert 600 * 220 * 8 > authcore._SCORE_BLOCK_BYTES
         values = rng.normal(0.0, 0.5, (5, 220))
         scored = self.scored_in_blocks(db, values, authcore._SCORE_BLOCK_BYTES)
@@ -399,12 +399,12 @@ class TestDecideScores:
         for src, dst in copies:
             mse[:, dst % n_entities] = mse[:, src % n_entities]
         ids = [f"e{k}" for k in range(n_entities)]
-        db = ReferenceDb(frame_len=2)
+        db = ReferenceDb()
         for e in ids:
             stats = QualityStats(mses=np.zeros(2), mean=0.0, std=0.0,
                                  ucl=float(rng.uniform(0.0, 0.006)))
-            db.entries[e] = ReferenceEntry(entity_id=e, curve=np.zeros(2), stats=stats,
-                                           enrolled_at=EPOCH)
+            db.entries[e] = ReferenceEntry(entity_id=e, curve=np.zeros(DEFAULT_FRAME_LEN),
+                                           stats=stats, enrolled_at=EPOCH)
         gate = float(np.quantile(mse.min(axis=1), rng.uniform(0.0, 1.0)))
         scores = column_mean_scores(mse, mse.min(axis=1) <= gate, ids)
         best_id = min(ids, key=lambda e: (scores[e], e))
@@ -427,10 +427,11 @@ class TestMedianUcl:
     def test_equals_np_median(self, ucls):
         # odd and even counts, ties (the edge values repeat), zeros,
         # subnormals, sums of the middle pair that overflow, and infinity
-        db = ReferenceDb(frame_len=2)
+        db = ReferenceDb()
         for k, ucl in enumerate(ucls):
             stats = QualityStats(mses=np.zeros(2), mean=0.0, std=0.0, ucl=ucl)
-            db.entries[f"e{k}"] = ReferenceEntry(entity_id=f"e{k}", curve=np.zeros(2),
+            db.entries[f"e{k}"] = ReferenceEntry(entity_id=f"e{k}",
+                                                 curve=np.zeros(DEFAULT_FRAME_LEN),
                                                  stats=stats, enrolled_at=EPOCH)
         with np.errstate(over="ignore"):
             want = float(np.median(ucls))
@@ -440,7 +441,6 @@ class TestMedianUcl:
 
 
 def assert_same_entries(got: ReferenceDb, want: ReferenceDb) -> None:
-    assert got.frame_len == want.frame_len
     assert sorted(got.entries) == sorted(want.entries)
     for eid, w in want.entries.items():
         g = got.entries[eid]
@@ -456,7 +456,6 @@ class TestPersistence:
         path = tmp_path / "db.json"
         save_db(small_db, path)
         loaded = load_db(path)
-        assert loaded.frame_len == small_db.frame_len
         assert set(loaded.entries) == set(small_db.entries)
         for eid in small_db.entries:
             a = small_db.entries[eid].curve
@@ -521,7 +520,7 @@ class TestPersistence:
         doc = _saved_doc(small_db)
         assert sorted(doc) == ["entities", "format", "frame_len", "frontend", "version"]
         assert (doc["format"], doc["version"], doc["frontend"], doc["frame_len"]) == \
-            ("rrauth-reference-db", "4", authcore.FRONTEND, small_db.frame_len)
+            ("rrauth-reference-db", "4", authcore.FRONTEND, DEFAULT_FRAME_LEN)
         assert sorted(doc["entities"]) == sorted(small_db.entries)
         for eid, e in doc["entities"].items():
             entry = small_db.entries[eid]
@@ -561,16 +560,16 @@ class TestPersistence:
             load_db(tmp_path / "db.json")
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), frame_len=st.integers(2, 40), n_mses=st.integers(2, 40))
-    def test_round_trip_is_exact(self, tmp_path_factory, data, frame_len, n_mses):
+    @given(data=st.data(), n_mses=st.integers(2, 40))
+    def test_round_trip_is_exact(self, tmp_path_factory, data, n_mses):
         edge = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308])
         value = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
-        curve = data.draw(arrays(np.float64, frame_len, elements=value))
+        curve = data.draw(arrays(np.float64, DEFAULT_FRAME_LEN, elements=value))
         # up to 1e150, so no squared deviation overflows the limit
         mses = data.draw(arrays(np.float64, n_mses, elements=st.one_of(
             st.sampled_from([-0.0, 0.0, 5e-324, 1e150]), st.floats(0.0, 1e150))))
         stats = QualityStats.from_mses(mses)
-        db = ReferenceDb(frame_len=frame_len, entries={"x": ReferenceEntry(
+        db = ReferenceDb(entries={"x": ReferenceEntry(
             entity_id="x", curve=curve, stats=stats, enrolled_at=EPOCH)})
         path = tmp_path_factory.mktemp("round") / "db.json"
         save_db(db, path)
@@ -663,9 +662,8 @@ class TestLoadValidation:
             loaded = load_db(target)
         except DbFormatError:
             return
-        assert loaded.frame_len >= 2
         for entry in loaded.entries.values():
-            assert entry.curve.shape == (loaded.frame_len,)
+            assert entry.curve.shape == (DEFAULT_FRAME_LEN,)
             assert np.all(np.isfinite(entry.curve))
             assert np.all(np.isfinite(entry.stats.mses)) and entry.stats.mses.size >= 2
             assert all(math.isfinite(v) for v in
@@ -728,12 +726,14 @@ class TestLoadValidation:
         stats = load_db(tmp_path / "db.json").entries["e01"].stats
         assert (stats.mean, stats.std, stats.ucl) == (2e-3, 0.0, 2e-3)
 
-    @pytest.mark.parametrize("frame_len", ["220", "x", 1, -220, 219, 220.0])
+    @pytest.mark.parametrize("frame_len", ["220", "x", 1, -220, 64, 219, 221, 220.0])
     def test_bad_frame_len(self, small_db, tmp_path, frame_len):
+        # the front end cuts 220-point frames only; any other header is re-enrolled
         doc = _saved_doc(small_db)
         doc["frame_len"] = frame_len
         _write_doc(tmp_path / "db.json", doc)
-        with pytest.raises(DbFormatError):
+        with pytest.raises(DbFormatError, match=re.escape(
+                f"frame_len {frame_len!r} unsupported (expected 220); re-enrol from the records")):
             load_db(tmp_path / "db.json")
 
     def test_inner_error_not_rewrapped(self, small_db, tmp_path):

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from rrauth import authcore, cli
-from rrauth.authcore import ReferenceDb, load_db, save_db
+from rrauth.authcore import load_db
 from rrauth.beat import detect_rpeaks, frame_rr
 from rrauth.cli import build_parser, main
 from rrauth.learners import DtParams, predict_curve, train_dt
@@ -168,18 +169,6 @@ class TestEnrollAuth:
         assert rc == 0
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith("decision=Unknown score=") and " apr=" in line
-
-    def test_enroll_keeps_the_db_frame_len(self, cohort_dir, tmp_path, capsys):
-        # a DB the library saved at another frame length enrols at its own
-        db = tmp_path / "db64.json"
-        save_db(ReferenceDb(frame_len=64), db)
-        rc = main(["enroll", "--db", str(db), "--input", str(cohort_dir / "u01.csv"),
-                   "--id", "u01"])
-        assert rc == 0
-        assert "# db=" + str(db) + " frame_len=64 " in capsys.readouterr().out
-        saved = load_db(db)
-        assert saved.frame_len == 64
-        assert saved.entries["u01"].curve.size == 64
 
     def test_enroll_needs_target(self, tmp_path, capsys):
         rc = main(["enroll", "--db", str(tmp_path / "db.json")])
@@ -817,9 +806,10 @@ class TestRefusedCommandPrintsNothing:
             assert db.read_bytes() == before
 
 
-def _retired_db_refused(version, command, cohort_dir, db_path, tmp_path, capsys):
-    doc = retired_doc(json.loads(db_path.read_text(encoding="utf-8")), version)
-    db = tmp_path / f"v{version}.json"
+def _old_db_refused(doc, message, command, cohort_dir, tmp_path, capsys):
+    """`command` on a DB holding `doc` exits 1 with `message` at the end of
+    stderr, prints nothing on stdout and leaves the file's bytes as they were."""
+    db = tmp_path / "old.json"
     db.write_text(json.dumps(doc), encoding="utf-8")
     before = db.read_bytes()
     args = ["--input", str(cohort_dir / "e03.csv")]
@@ -827,10 +817,15 @@ def _retired_db_refused(version, command, cohort_dir, db_path, tmp_path, capsys)
         args += ["--id", "x03"]
     assert main([command, "--db", str(db), *args]) == 1
     captured = capsys.readouterr()
-    assert captured.err.rstrip().endswith(
-        f"version '{version}' unsupported (expected '4'); re-enrol from the records")
+    assert captured.err.rstrip().endswith(message)
     assert captured.out == ""
     assert db.read_bytes() == before
+
+
+def _retired_db_refused(version, command, cohort_dir, db_path, tmp_path, capsys):
+    doc = retired_doc(json.loads(db_path.read_text(encoding="utf-8")), version)
+    message = f"version '{version}' unsupported (expected '4'); re-enrol from the records"
+    _old_db_refused(doc, message, command, cohort_dir, tmp_path, capsys)
 
 
 class TestV2DbRefused:
@@ -851,6 +846,22 @@ class TestV3DbRefused:
     def test_exits_1_with_re_enrol_message(self, command, cohort_dir, db_path, tmp_path,
                                           capsys):
         _retired_db_refused("3", command, cohort_dir, db_path, tmp_path, capsys)
+
+
+class TestOtherFrameLenDbRefused:
+    """A DB saved at 64 points, a frame length the front end no longer cuts,
+    is refused the same way."""
+
+    @pytest.mark.parametrize("command", ["auth", "enroll"])
+    def test_exits_1_with_re_enrol_message(self, command, cohort_dir, db_path, tmp_path,
+                                          capsys):
+        doc = json.loads(db_path.read_text(encoding="utf-8"))
+        doc["frame_len"] = 64
+        for e in doc["entities"].values():
+            curve = np.frombuffer(base64.b64decode(e["curve"]), "<f8")[:64]
+            e["curve"] = base64.b64encode(curve.tobytes()).decode("ascii")
+        _old_db_refused(doc, "frame_len 64 unsupported (expected 220); re-enrol from the records",
+                        command, cohort_dir, tmp_path, capsys)
 
 
 def _flags_of_type(kind):

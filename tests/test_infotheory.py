@@ -265,7 +265,7 @@ class TestSameAsOracle:
 
     @pytest.mark.parametrize("bins", [5, 8, 16, 32])
     def test_pinned_cohort_ranking(self, small_cohort, bins):
-        sets = [extract_frames(rec, 50.0, 220) for _, enrolled, rec in small_cohort if enrolled]
+        sets = [extract_frames(rec, 50.0) for _, enrolled, rec in small_cohort if enrolled]
         ranking = rank_features(sets, bins=bins, top_k=220)
         pooled = np.vstack([s.values for s in sets])
         labels = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
