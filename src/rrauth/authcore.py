@@ -103,13 +103,19 @@ class QualityStats:
         mses = np.array(mses, dtype=float)  # a copy, made read-only
         if mses.size < 2:
             raise ValueError(f"need >= 2 MSE values, got {mses.size}")
-        if not np.all(mses >= 0):
+        if not (mses >= 0).all():
             raise ValueError("MSE values must be >= 0")
         if not np.isfinite(mses).all():
             raise ValueError("MSE values must be finite")
         mses.flags.writeable = False
+        # the operations of `mses.mean()` and `mses.std(ddof=1)`, without
+        # their Python-level overhead
+        n = mses.size
         with np.errstate(over="ignore"):  # an overflow is refused below
-            mean, std = float(mses.mean()), float(mses.std(ddof=1))
+            mean = float(np.add.reduce(mses) / n)
+            d = mses - mean
+            d *= d
+            std = math.sqrt(np.add.reduce(d) / (n - 1))
         ucl = mean + 3.0 * std
         if not math.isfinite(ucl):
             raise ValueError(f"MSE values overflow the control limit ({ucl})")

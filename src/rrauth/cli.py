@@ -103,6 +103,16 @@ def _check_windows(args) -> None:
                              f"got {window_s}")
 
 
+def _check_counts(args) -> None:
+    """Reject a negative --seed, and a --limit below the 2 pairs a fit needs."""
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+    limit = getattr(args, "limit", 2)
+    if limit < 2:
+        raise ValueError(f"--limit must be >= 2, got {limit}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -487,6 +497,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_windows(args)
+        _check_counts(args)
         return args.func(args)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)

@@ -9,19 +9,22 @@ working-set selection (Fan, Chen & Lin, JMLR 6, 2005, as in LIBSVM) and
 stopped at LIBSVM's default KKT tolerance of 1e-3. `rrauth bench` fits the
 paper's two presets, a fine tree (`DtParams()`) and a fine Gaussian SVR
 (`cli.SVR_PRESET`), and reports each fit's RMSE/MAE in mV and its
-wall-clock training time.
+wall-clock training time. Both regress a target on one input, the frame
+position: the trainers and batch prediction take positions as an (n,) array
+or a single column, `predict_dt` takes one position, and each refuses a
+wider X.
 
-The tree's split search screens every cut of a feature at once with prefix
-sums of the node-centred targets and their squares, then confirms the few
-cuts near the screened minimum with the exact two-pass SSE. The chosen
-split, and its tie rule (on equal exact scores, lowest feature, then lowest
-threshold), are those of scoring every cut exactly. The rows are argsorted
-stably once per feature at the root, and each split filters those orders
-into its children, which keeps them stable (presorted CART, as in SLIQ:
-Mehta, Agrawal & Rissanen, EDBT 1996). So every node sees the order an
-argsort of its own rows would give, while its targets stay in row order for
-the centring mean, the constancy test and the leaf mean: the tree is the
-one that sorting and masking at each node grows.
+The tree's split search screens every cut at once with prefix sums of the
+node-centred targets and their squares, then confirms the few cuts near the
+screened minimum with the exact two-pass SSE. The chosen split, and its tie
+rule (on equal exact scores, the lowest threshold), are those of scoring
+every cut exactly. The rows are argsorted stably by position once, at the
+root. Every node is a run of that order, and a split cuts its run in two:
+the rows at or below the cut come first. A run is the order a stable
+argsort of the node's own rows would give, and sorting the run gives the
+node's rows in row order, which the centring mean, the constancy test and
+the leaf mean read. So the tree is the one that sorting and masking at each
+node grows.
 
 The solver picks its working pair over the distinct points, not over the
 2n dual variables: the variables of one point share its kernel expansion,
@@ -33,11 +36,11 @@ choice, ties included, is the same to the bit).
 Both trainers check their data in one place, and the regressor checks its
 kernel parameters in one more (`_check_kernel_params`). The regressor fits
 and predicts with one Gaussian kernel. It builds its Gram matrix over the
-distinct rows of X only: duplicate rows have identical kernel rows, so
+distinct positions only: duplicate positions have identical kernel rows, so
 `rrauth bench`'s 2000 (position, amplitude) pairs need a 220 x 220 kernel,
 not 2000 x 2000. Batch prediction likewise evaluates each distinct query
-row once. The kernel is built in two buffers of its full size, by the same
-operations in the same order as the one-line expression, so fits and
+position once. The kernel is built in two buffers of its full size, by the
+same operations in the same order as the one-line expression, so fits and
 predictions are byte-equal to that expression's.
 """
 
@@ -81,7 +84,6 @@ class DtLeaf:
 
 @dataclass(frozen=True)
 class DtSplit:
-    feature: int
     threshold: float
     left: "DtNode"
     right: "DtNode"
@@ -93,7 +95,6 @@ DtNode = Union[DtLeaf, DtSplit]
 @dataclass(frozen=True)
 class DtModel:
     root: DtNode
-    n_features: int
     params: DtParams
 
 
@@ -115,29 +116,27 @@ def _threshold(a: float, b: float) -> float:
     return mid if a <= mid < b else a
 
 
-def _best_split(columns: np.ndarray, y: np.ndarray, yn: np.ndarray, orders, min_leaf: int):
-    """Exhaustive scan over the cuts between every feature's sorted unique
-    values, each at `_threshold`.
+def _best_split(xs: np.ndarray, yo: np.ndarray, yn: np.ndarray, min_leaf: int):
+    """Exhaustive scan over the cuts between the node's sorted unique
+    positions, each at `_threshold`.
 
-    `columns[f]` holds feature f of every row, `yn` the node's targets in
-    row order and `orders[f]` the node's rows (indices into the columns and
-    y) in stable order of feature f. Returns (feature, threshold) minimizing
-    the summed child SSE, or None if no split leaves both children with at
-    least `min_leaf` samples. Equal computed scores go to the lowest feature
-    index, then the lowest threshold.
+    `xs` and `yo` hold the node's positions and targets in its stable order
+    of position, `yn` its targets in row order. Returns the cut i (the left
+    child takes the first i rows of the order) minimizing the summed child
+    SSE, or None if no cut leaves both children with at least `min_leaf`
+    samples. Equal computed scores go to the lowest cut.
 
-    Every legal cut of a feature is screened in one vectorised pass from
-    prefix and suffix sums of the node-centred targets and their squares.
-    Only the cuts within ``1e-9 * sum((y - y.mean())**2)`` of the lowest
-    screened score, far wider than the rounding error of either formula,
-    are then scored exactly with the two-pass `_sse` of each side's sorted
-    targets, visited feature by feature and cut by cut with a strict ``<``.
-    Sorting makes two cuts that split the node into equal multisets score
-    the same bits, so the tie rule, not the summation order, picks between
-    them. The exact minimum always survives the screen, so the choice, tie
-    rule included, is that of scoring every cut exactly, and a cut that
-    survives alone is the split without being scored, unless the node's sum
-    of squares is within reach of overflow.
+    Every legal cut is screened in one vectorised pass from prefix and
+    suffix sums of the node-centred targets and their squares. Only the cuts
+    within ``1e-9 * sum((y - y.mean())**2)`` of the lowest screened score,
+    far wider than the rounding error of either formula, are then scored
+    exactly with the two-pass `_sse` of each side's sorted targets, visited
+    cut by cut with a strict ``<``. Sorting makes two cuts that split the
+    node into equal multisets score the same bits, so the tie rule, not the
+    summation order, picks between them. The exact minimum always survives
+    the screen, so the choice, tie rule included, is that of scoring every
+    cut exactly, and a cut that survives alone is the split without being
+    scored, unless the node's sum of squares is within reach of overflow.
 
     Both scores are taken on the targets times 2**shift. With the largest
     deviation from the mean below 2**e, shift is -e, which brings that
@@ -149,87 +148,69 @@ def _best_split(columns: np.ndarray, y: np.ndarray, yn: np.ndarray, orders, min_
     scales every sum, product and quotient exactly, so wherever nothing
     underflows each score is the unscaled one times 4**shift, and the choice
     is the same.
-
-    No argsort runs here. A stable argsort of the node's rows ranks them by
-    value, then by row, and so does the root's stable order of every row
-    filtered down to the node's rows. So `orders[f]` is that argsort mapped
-    to rows, and each value below, from the centring mean of `yn` in row
-    order to every prefix sum, is the one an argsort at this node gives.
     """
     n = yn.size
+    # legal cuts: a value step with at least min_leaf rows on each side
+    nl = (xs[min_leaf:n - min_leaf + 1] > xs[min_leaf - 1:n - min_leaf]).nonzero()[0]
+    if nl.size == 0:
+        return None
+    nl += min_leaf
     mean = _mean(yn)
     yc = yn - mean
     e = math.frexp(float(np.maximum.reduce(np.abs(yc))))[1]
     shift = -e if e < 0 or 2 * (e + n.bit_length()) > 1023 else 0
-    mean, yc = math.ldexp(mean, shift), np.ldexp(yc, shift)
-    screened = []
-    floor = np.inf
-    for f, order in enumerate(orders):
-        xs = columns[f][order]
-        # legal cuts: a value step with at least min_leaf rows on each side
-        nl = (xs[min_leaf:n - min_leaf + 1] > xs[min_leaf - 1:n - min_leaf]).nonzero()[0]
-        if nl.size == 0:
-            continue
-        nl += min_leaf
-        yo = np.ldexp(y[order], shift)
-        c1 = yo - mean
-        c2 = c1 * c1
-        left1, left2 = c1.cumsum()[nl - 1], c2.cumsum()[nl - 1]
-        right1, right2 = c1[::-1].cumsum()[::-1][nl], c2[::-1].cumsum()[::-1][nl]
-        score = left2 - left1 * left1 / nl + right2 - right1 * right1 / (n - nl)
-        floor = min(floor, float(score.min()))
-        screened.append((f, xs, yo, nl, score))
+    mean, yc, yo = math.ldexp(mean, shift), np.ldexp(yc, shift), np.ldexp(yo, shift)
+    c1 = yo - mean
+    c2 = c1 * c1
+    left1, left2 = c1.cumsum()[nl - 1], c2.cumsum()[nl - 1]
+    right1, right2 = c1[::-1].cumsum()[::-1][nl], c2[::-1].cumsum()[::-1][nl]
+    score = left2 - left1 * left1 / nl + right2 - right1 * right1 / (n - nl)
 
     total = float(np.dot(yc, yc))
-    limit = floor + 1e-9 * total
-    cuts = [(f, xs, yo, i) for f, xs, yo, nl, score in screened
-            for i in nl[score <= limit].tolist()]
+    cuts = nl[score <= float(score.min()) + 1e-9 * total].tolist()
     if len(cuts) == 1 and total < 1e300:
         # The exact minimum always passes the screen, so a lone cut is the
         # split: scoring it could refuse it only by overflowing, and neither
         # side's SSE exceeds `total`.
-        f, xs, _, i = cuts[0]
-        return f, _threshold(xs.item(i - 1), xs.item(i))
+        return cuts[0]
     best_score = np.inf
     best = None
-    for f, xs, yo, i in cuts:
+    for i in cuts:
         exact = _sse(np.sort(yo[:i])) + _sse(np.sort(yo[i:]))
         if exact < best_score:
-            best_score = exact
-            best = (f, _threshold(xs.item(i - 1), xs.item(i)))
+            best_score, best = exact, i
     return best
 
 
-def _grow(columns: np.ndarray, y: np.ndarray, rows: np.ndarray, orders, depth: int,
+def _grow(x: np.ndarray, y: np.ndarray, run: np.ndarray, depth: int,
           params: DtParams) -> DtNode:
-    """The subtree of the node holding `rows` (ascending), whose rows in
-    stable order of each feature f are `orders[f]`."""
-    yn = y[rows]
-    n = rows.size
+    """The subtree of the node whose rows, in stable order of position, are
+    `run`."""
+    yn = y[np.sort(run)]
+    n = run.size
     if (n < 2 * params.min_leaf_size or depth >= params.max_depth
             or np.maximum.reduce(yn) == np.minimum.reduce(yn)):  # constant targets
         return DtLeaf(mean=float(_mean(yn)), count=n)
-    best = _best_split(columns, y, yn, orders, params.min_leaf_size)
-    if best is None:
+    xs = x[run]
+    i = _best_split(xs, y[run], yn, params.min_leaf_size)
+    if i is None:
         return DtLeaf(mean=float(_mean(yn)), count=n)
-    feature, threshold = best
-    goes_left = columns[feature] <= threshold
-    # filtering an order keeps it stable, and `rows` ascending
-    left, right = ([order[side[order]] for order in [rows, *orders]]
-                   for side in (goes_left, ~goes_left))
     return DtSplit(
-        feature=feature,
-        threshold=threshold,
-        left=_grow(columns, y, left[0], left[1:], depth + 1, params),
-        right=_grow(columns, y, right[0], right[1:], depth + 1, params),
+        threshold=_threshold(xs.item(i - 1), xs.item(i)),
+        left=_grow(x, y, run[:i], depth + 1, params),
+        right=_grow(x, y, run[i:], depth + 1, params),
     )
 
 
-def _as_matrix(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    return X
+def _positions(X) -> np.ndarray:
+    """X as a float vector: an (n,) array, or the column of an (n, 1) one."""
+    x = np.asarray(X, dtype=float)
+    if x.ndim == 2 and x.shape[1] == 1:
+        return x[:, 0]
+    if x.ndim != 1:
+        raise ValueError(f"positions must be an (n,) array or a single column, "
+                         f"got shape {x.shape}")
+    return x
 
 
 def _check_kernel_params(C: float, kernel_scale: float, max_sweeps: int,
@@ -251,17 +232,18 @@ def _check_kernel_params(C: float, kernel_scale: float, max_sweeps: int,
 
 
 def _training_set(X, y, min_rows: int):
-    """X as a float matrix and y as a float vector, as every trainer checks
-    them: equal lengths, at least `min_rows` rows and finite values."""
-    X = _as_matrix(X)
+    """X as a float vector of positions and y as a float vector, as every
+    trainer checks them: equal lengths, at least `min_rows` rows and finite
+    values."""
+    x = _positions(X)
     y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.size:
-        raise ValueError(f"length mismatch: {X.shape[0]} rows vs {y.size} targets")
+    if x.size != y.size:
+        raise ValueError(f"length mismatch: {x.size} rows vs {y.size} targets")
     if y.size < min_rows:
         raise ValueError(f"empty or too small training set: {y.size} rows, need {min_rows}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("training data must be finite")
-    return X, y
+    return x, y
 
 
 def train_dt(X, y, params: DtParams = DtParams()) -> DtModel:
@@ -271,30 +253,27 @@ def train_dt(X, y, params: DtParams = DtParams()) -> DtModel:
     the depth limit is reached, or the node targets are constant. Fully
     deterministic: identical inputs produce identical trees.
     """
-    X, y = _training_set(X, y, 1)
+    x, y = _training_set(X, y, 1)
     if params.min_leaf_size < 1 or params.max_depth < 0:
         raise ValueError("min_leaf_size must be >= 1 and max_depth >= 0")
-    columns = np.ascontiguousarray(X.T)
-    orders = [np.argsort(column, kind="stable") for column in columns]
-    root = _grow(columns, y, np.arange(y.size), orders, 0, params)
-    return DtModel(root=root, n_features=X.shape[1], params=params)
+    root = _grow(x, y, np.argsort(x, kind="stable"), 0, params)
+    return DtModel(root=root, params=params)
 
 
 def predict_dt(model: DtModel, x) -> float:
-    """Root-to-leaf traversal; left branch iff x[feature] <= threshold."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {x.size}")
+    """Root-to-leaf traversal for one position; left branch iff x <= threshold."""
+    x = np.asarray(x, dtype=float)
+    if x.size != 1:
+        raise ValueError(f"expected one position, got shape {x.shape}")
+    x = x.item()
     node = model.root
     while isinstance(node, DtSplit):
-        node = node.left if x[node.feature] <= node.threshold else node.right
+        node = node.left if x <= node.threshold else node.right
     return node.mean
 
 
 def predict_curve(model: DtModel, length: int) -> np.ndarray:
-    """`predict_dt` at each scalar position 0..length-1 (position-only models)."""
-    if model.n_features != 1:
-        raise ValueError("predict_curve requires a single-feature model")
+    """`predict_dt` at each position 0..length-1."""
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     return np.array([predict_dt(model, p) for p in range(length)], dtype=float)
@@ -314,7 +293,8 @@ class KernelModel:
     The signed coef_i lie in [-C, C] with sum coef_i = 0; `dual` stacks the
     box variables of the tube's two sides, and coef is their difference.
     `objective_history` holds the dual objective after each solver sweep of
-    len(dual) pair updates, and at the stop.
+    len(dual) pair updates, and at the stop. `X` holds the training
+    positions as a vector.
     """
 
     X: np.ndarray
@@ -328,20 +308,20 @@ class KernelModel:
     objective_history: tuple[float, ...] = field(default_factory=tuple)
 
 
-def _kernel(A: np.ndarray, B: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-||a - b||^2 / (2 scale^2)) for every row a of A and b of B.
+def _kernel(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-(p - q)^2 / (2 scale^2)) for every position p of a and q of b.
 
-    Evaluated as exp(-max(|a|^2 + |b|^2 - 2 (a.b), 0) / (2 scale^2)) in two
-    (rows of A) x (rows of B) buffers: the doubled product is subtracted in
-    place from the outer sum of squared norms, and the clamp, negation,
-    division and exp then run in place on that sum. The operations and their
-    order are those of the expression, so every value, and with it every fit
-    and prediction, is the same to the bit.
+    Evaluated as exp(-max(p^2 + q^2 - 2 pq, 0) / (2 scale^2)) in two
+    len(a) x len(b) buffers: the doubled outer product is subtracted in
+    place from the outer sum of squares, and the clamp, negation, division
+    and exp then run in place on that sum. The operations and their order
+    are those of the expression, so every value, and with it every fit and
+    prediction, is the same to the bit. Each product pq is one rounded
+    multiplication, as a one-column matrix product gives it, but no BLAS
+    call makes it.
     """
-    sq_a = np.sum(A * A, axis=1)
-    sq_b = np.sum(B * B, axis=1)
-    d2 = sq_a[:, None] + sq_b[None, :]
-    ab = A @ B.T
+    d2 = np.add.outer(a * a, b * b)
+    ab = np.multiply.outer(a, b)
     ab *= 2.0
     d2 -= ab
     np.maximum(d2, 0.0, out=d2)
@@ -351,9 +331,9 @@ def _kernel(A: np.ndarray, B: np.ndarray, scale: float) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
-def _gram(X: np.ndarray, scale: float) -> np.ndarray:
-    """The kernel between the rows of X, with k(x, x) = 1 exactly."""
-    K = _kernel(X, X, scale)
+def _gram(x: np.ndarray, scale: float) -> np.ndarray:
+    """The kernel between the positions x, with k(x, x) = 1 exactly."""
+    K = _kernel(x, x, scale)
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -555,12 +535,12 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
 
     The dual is a box-constrained QP (`_solve_box_dual`) with one
     nonnegative variable per side of the tube (z = +1 on one side, -1 on the
-    other); the kernel is built over the distinct rows of X.
+    other); the kernel is built over the distinct positions of X.
     The solver stops when the KKT violation is at most 1e-3 or after
     `max_sweeps` sweeps; a sweep is 2 * len(y) pair updates, one per dual
     variable. `epsilon=None` selects the IQR/13.49 heuristic.
     """
-    X, y = _training_set(X, y, 2)
+    x, y = _training_set(X, y, 2)
     if epsilon is None:
         epsilon = auto_epsilon(y)
     _check_kernel_params(C, kernel_scale, max_sweeps, epsilon)
@@ -571,7 +551,7 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
                          f"non-finite tube span 2 * (max|y| + epsilon)")
 
     n = y.size
-    U, inv = np.unique(X, axis=0, return_inverse=True)
+    U, inv = np.unique(x, return_inverse=True)
     z = np.concatenate([np.ones(n), -np.ones(n)])
     c = np.concatenate([y - epsilon, -y - epsilon])
     try:
@@ -585,19 +565,19 @@ def train_svr(X, y, C: float = 1.0, epsilon: float | None = None,
         raise ValueError(f"the SVR dual overflows on targets up to |y| = {top} with "
                          f"epsilon {epsilon} and C {C} ({exc})") from None
     beta = gamma[:n] - gamma[n:]
-    return KernelModel(X=X, y=y, coef=beta, dual=gamma,
+    return KernelModel(X=x, y=y, coef=beta, dual=gamma,
                        b=b, kernel_scale=kernel_scale, C=C, epsilon=float(epsilon),
                        objective_history=tuple(history))
 
 
 def kernel_predict_batch(model: KernelModel, X) -> np.ndarray:
-    """f at each row of X; each distinct row is evaluated once.
+    """f at each position of X; each distinct position is evaluated once.
 
     The kernel rows are weighted in place and summed by numpy's pairwise
     reduction, not by a BLAS matrix-vector product, whose summation order
     depends on the CPU kernel OpenBLAS picks.
     """
-    X, inv = np.unique(_as_matrix(X), axis=0, return_inverse=True)
-    K = _kernel(X, model.X, model.kernel_scale)
+    q, inv = np.unique(_positions(X), return_inverse=True)
+    K = _kernel(q, model.X, model.kernel_scale)
     K *= model.coef
     return (np.add.reduce(K, axis=1) + model.b)[inv]

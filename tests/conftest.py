@@ -62,27 +62,26 @@ def quiet_profile(seed: int = 0, heart_rate_bpm: float = 60.0,
                           waves=waves, noise_sd=noise_sd, seed=seed)
 
 
-def brute_force_best_split(X, y, min_leaf):
-    """Independent exhaustive search: every feature, every unique midpoint.
+def brute_force_best_split(x, y, min_leaf):
+    """Independent exhaustive search: every unique midpoint of the positions x.
 
-    Returns (score, feature, threshold) of the first strictly lowest
-    summed child SSE, or None when no cut is legal.
+    Returns (score, threshold) of the first strictly lowest summed child
+    SSE, or None when no cut is legal.
     """
     n = y.size
     best = None
-    for f in range(X.shape[1]):
-        vals = np.unique(X[:, f])
-        for lo, hi in zip(vals[:-1], vals[1:]):
-            thr = (lo + hi) / 2.0
-            mask = X[:, f] <= thr
-            nl = int(mask.sum())
-            if nl < min_leaf or n - nl < min_leaf:
-                continue
-            yl, yr = y[mask], y[~mask]
-            score = float(np.sum((yl - yl.mean()) ** 2)
-                          + np.sum((yr - yr.mean()) ** 2))
-            if best is None or score < best[0]:
-                best = (score, f, thr)
+    vals = np.unique(x)
+    for lo, hi in zip(vals[:-1], vals[1:]):
+        thr = (lo + hi) / 2.0
+        mask = x <= thr
+        nl = int(mask.sum())
+        if nl < min_leaf or n - nl < min_leaf:
+            continue
+        yl, yr = y[mask], y[~mask]
+        score = float(np.sum((yl - yl.mean()) ** 2)
+                      + np.sum((yr - yr.mean()) ** 2))
+        if best is None or score < best[0]:
+            best = (score, thr)
     return best
 
 
@@ -274,10 +273,9 @@ def gaussian_kernel(a, b, scale: float) -> float:
 
 
 def kernel_predict(model, x) -> float:
-    """The kernel expansion f(x) at one point, summed over every training row."""
-    x = np.asarray(x, dtype=float).ravel()
-    d = model.X - x
-    k = np.exp(-np.sum(d * d, axis=1) / (2.0 * model.kernel_scale ** 2))
+    """The kernel expansion f(x) at one position, summed over every training row."""
+    d = model.X - np.asarray(x, dtype=float).item()
+    k = np.exp(-(d * d) / (2.0 * model.kernel_scale ** 2))
     return float(model.coef @ k + model.b)
 
 

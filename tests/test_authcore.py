@@ -77,6 +77,18 @@ class TestComputeUcl:
         qs = QualityStats.from_mses([0.0, 1.0])
         assert (qs.mean, qs.std) == (0.5, math.sqrt(0.5))
 
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(2, 300), elements=st.floats(0.0, 1.0)),
+           st.integers(-323, 150))
+    def test_same_doubles_as_numpy(self, unit, exponent):
+        # MSEs at scales from subnormal to 1e150, against numpy's own mean and
+        # n-1 spread
+        mses = unit * 10.0 ** exponent
+        qs = QualityStats.from_mses(mses)
+        mean, std = float(np.mean(mses)), float(np.std(mses, ddof=1))
+        assert (np.array([qs.mean, qs.std, qs.ucl]).tobytes()
+                == np.array([mean, std, mean + 3.0 * std]).tobytes())
+
     def test_quality_stats_fields(self):
         qs = QualityStats.from_mses([1.0, 2.0, 3.0])
         assert qs.mean == 2.0

@@ -312,6 +312,11 @@ class TestBench:
         assert rows[0] == "metric,dt,svr"
         assert len(rows) == 4
 
+    def test_least_limit_is_a_fit(self, cohort_dir, capsys):
+        # --limit 2 is the least accepted: both trainers fit two pairs
+        assert main(["bench", "--input", str(cohort_dir / "e01.csv"), "--limit", "2"]) == 0
+        assert " pairs=2 " in capsys.readouterr().out
+
     def test_one_frame_is_a_fit(self, tmp_path, capsys):
         # two beats, one RR frame: 220 pairs
         one = tmp_path / "one.csv"
@@ -772,6 +777,12 @@ class TestRefusedCommandPrintsNothing:
         ["rank", "--k", "0"],
         ["rank", "--bins", "0"],
         ["bench", "--limit", "0"],
+        ["bench", "--limit", "-1"],
+        ["bench", "--limit", "1"],
+        ["gen", "--seed", "-1"],
+        ["eval", "--seed", "-1"],
+        ["sweep", "--seed", "-1"],
+        ["bench", "--seed", "-1"],
         ["auth", "--apr-min", "nan"],
         ["enroll"],
     ], ids=lambda argv: "-".join(argv))
@@ -795,6 +806,8 @@ class TestRefusedCommandPrintsNothing:
             flags += ["--input", record, "--dump", str(tmp_path / "f.csv")]
         elif command == "bench":
             flags += ["--input", record]
+        elif command == "gen":
+            flags += ["--out", str(tmp_path / "out")]
         else:
             flags += ["--db", str(db_path), "--input", record, "--offset-s", "50"]
         before = db.read_bytes() if db.exists() else None
@@ -804,6 +817,7 @@ class TestRefusedCommandPrintsNothing:
         assert captured.out == ""
         if before is not None:
             assert db.read_bytes() == before
+        assert not (tmp_path / "out").exists()
 
 
 def _old_db_refused(doc, message, command, cohort_dir, tmp_path, capsys):
@@ -945,6 +959,10 @@ class TestIntFlagGrid:
     REFUSED = {
         ("sweep", "--grid-points", HUGE): "points must be <= ",
         ("rank", "--bins", HUGE): "bins must be < ",
+        **{(command, "--seed", "-1"): "--seed must be >= 0, got -1"
+           for command in ("gen", "eval", "sweep", "bench")},
+        **{("bench", "--limit", value): f"--limit must be >= 2, got {value}"
+           for value in ("-1", "0", "1")},
     }
 
     def test_grid_covers_every_command_with_an_int_flag(self):

@@ -20,7 +20,7 @@ from conftest import brute_force_best_split, count_leaves, gaussian_kernel, kern
 
 
 def tree_mse(model, X, y):
-    preds = np.array([predict_dt(model, row) for row in np.atleast_2d(X)])
+    preds = np.array([predict_dt(model, p) for p in np.ravel(X)])
     return float(np.mean((preds - np.asarray(y)) ** 2))
 
 
@@ -63,9 +63,11 @@ class TestTrainDt:
         assert predict_dt(m, [1e9]) == predict_dt(m, [19.0])
 
     def test_dimension_mismatch(self):
-        m = train_dt(np.zeros((4, 2)), np.arange(4.0))
-        with pytest.raises(ValueError, match="features"):
-            predict_dt(m, [1.0])
+        m = train_dt(np.arange(4.0), np.arange(4.0))
+        for x in ([1.0, 2.0], []):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expected one position, got shape {np.shape(x)}")):
+                predict_dt(m, x)
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError, match="empty"):
@@ -77,7 +79,7 @@ class TestTrainDt:
 
     def test_deterministic_structure(self):
         rng = np.random.default_rng(1)
-        X = rng.normal(size=(80, 3))
+        X = rng.normal(size=80)
         y = rng.normal(size=80)
         m1 = train_dt(X, y)
         m2 = train_dt(X, y)
@@ -86,8 +88,8 @@ class TestTrainDt:
     def test_training_mse_non_increasing_with_smaller_leaves(self):
         rng = np.random.default_rng(2)
         for _ in range(3):
-            X = rng.uniform(size=(150, 2))
-            y = np.sin(4 * X[:, 0]) + 0.2 * rng.normal(size=150)
+            X = rng.uniform(size=150)
+            y = np.sin(4 * X) + 0.2 * rng.normal(size=150)
             mses = [tree_mse(train_dt(X, y, DtParams(min_leaf_size=k)), X, y)
                     for k in (32, 16, 8, 4, 2, 1)]
             assert all(a >= b - 1e-12 for a, b in zip(mses, mses[1:]))
@@ -102,7 +104,7 @@ class TestTrainDt:
 
     def test_leaf_sizes_respect_minimum(self):
         rng = np.random.default_rng(4)
-        X = rng.normal(size=(100, 2))
+        X = rng.normal(size=100)
         y = rng.normal(size=100)
         m = train_dt(X, y, DtParams(min_leaf_size=4))
 
@@ -129,70 +131,55 @@ class TestTrainDt:
         assert isinstance(m.root, DtLeaf)
 
 
-def exact_scan_split(X, y, min_leaf):
+def exact_scan_split(x, y, min_leaf):
     """Reference split search: every legal cut scored with the two-pass SSE
-    of each side's sorted targets, features then cuts in ascending order,
-    first strict minimum kept."""
+    of each side's sorted targets, cuts in ascending order, first strict
+    minimum kept."""
 
     def sse(v):
         return float(np.sum((v - v.mean()) ** 2))
 
     best_score, best = np.inf, None
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs, yo = X[order, f], y[order]
-        for i in range(1, y.size):
-            if xs[i] > xs[i - 1] and min(i, y.size - i) >= min_leaf:
-                score = sse(np.sort(yo[:i])) + sse(np.sort(yo[i:]))
-                if score < best_score:
-                    best_score, best = score, (f, (xs[i - 1] + xs[i]) / 2.0)
+    order = np.argsort(x, kind="stable")
+    xs, yo = x[order], y[order]
+    for i in range(1, y.size):
+        if xs[i] > xs[i - 1] and min(i, y.size - i) >= min_leaf:
+            score = sse(np.sort(yo[:i])) + sse(np.sort(yo[i:]))
+            if score < best_score:
+                best_score, best = score, (xs[i - 1] + xs[i]) / 2.0
     return best
 
 
-def assert_splits_match(model, X, y, min_leaf):
+def assert_splits_match(model, x, y, min_leaf):
     """Every node of the tree holds, for the samples that reach it, the split
-    of the reference scan, and a split the brute-force oracle agrees with.
-
-    The oracle sums each side in sample order, the tree in sorted order, so
-    when two features cut the node into the same two sets of samples the
-    rounding of the oracle's sums, not the tie rule, may decide between
-    them; any other disagreement with the oracle fails.
-    """
-
-    def sides(rows, f, thr):
-        left = X[rows, f] <= thr
-        return rows[left], rows[~left]
+    of the reference scan and of the brute-force oracle."""
 
     def walk(node, rows, depth):
-        ref = exact_scan_split(X[rows], y[rows], min_leaf)
-        oracle = brute_force_best_split(X[rows], y[rows], min_leaf)
+        ref = exact_scan_split(x[rows], y[rows], min_leaf)
+        oracle = brute_force_best_split(x[rows], y[rows], min_leaf)
         if isinstance(node, DtLeaf):
             assert node.count == rows.size
             if (rows.size >= 2 * min_leaf and depth < model.params.max_depth
                     and np.ptp(y[rows]) > 0):
                 assert ref is None and oracle is None
             return
-        assert (node.feature, node.threshold) == ref
-        left, right = sides(rows, node.feature, node.threshold)
-        if (node.feature, node.threshold) != oracle[1:]:
-            tied = {frozenset(left), frozenset(right)}
-            assert tied == {frozenset(r) for r in sides(rows, *oracle[1:])}
-        walk(node.left, left, depth + 1)
-        walk(node.right, right, depth + 1)
+        assert node.threshold == ref == oracle[1]
+        left = x[rows] <= node.threshold
+        walk(node.left, rows[left], depth + 1)
+        walk(node.right, rows[~left], depth + 1)
 
     walk(model.root, np.arange(y.size), 0)
 
 
 @st.composite
 def duplicated_data(draw):
-    """Few distinct feature values, so many cuts and features tie on
-    position; generic targets, so only equal partitions tie on score."""
+    """Few distinct positions, so many rows tie on position; generic
+    targets, so only equal partitions tie on score."""
     n = draw(st.integers(2, 40))
-    d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = np.round(rng.uniform(size=(n, d)) * 10)
+    x = np.round(rng.uniform(size=n) * 10)
     y = rng.normal(size=n)
-    return X, y, draw(st.integers(1, 5))
+    return x, y, draw(st.integers(1, 5))
 
 
 class TestSplitSearch:
@@ -202,18 +189,6 @@ class TestSplitSearch:
         X, y, min_leaf = data
         model = train_dt(X, y, DtParams(min_leaf_size=min_leaf))
         assert_splits_match(model, X, y, min_leaf)
-
-    def test_identical_partitions_lowest_feature_wins(self):
-        # all three features split the root into rows {0, 1, 2} | {3, 4, 5};
-        # feature 1 orders the rows in reverse, which rounds its prefix-sum
-        # score below feature 0's although the exact scores are equal
-        x = np.arange(6.0)
-        X = np.column_stack([x, 5.0 - x, 2.0 * x + 7.0])
-        y = np.array([0.9, 0.1, -0.7, 4.1, 4.5, 5.2])
-        model = train_dt(X, y, DtParams(min_leaf_size=3))
-        assert (model.root.feature, model.root.threshold) == (0, 2.5)
-        assert brute_force_best_split(X, y, 3)[1:] == (0, 2.5)
-        assert_splits_match(model, X, y, 3)
 
     def test_cuts_within_the_screen_margin_scored_exactly(self):
         # cuts 0.5 and 2.5 both pass the screen; the -1e-12 makes 2.5's exact
@@ -225,15 +200,15 @@ class TestSplitSearch:
         assert_same_tree(model, X, y, params)
 
     def test_equal_multisets_lowest_threshold_wins(self):
-        # cuts 2.5 and 7.5 each split one 1.0 off the rest; in feature order
+        # cuts 2.5 and 7.5 each split one 1.0 off the rest; in position order
         # the 0.0 of row 26 sits at a different place in the larger side, and
         # before the sides were sorted that rounded 7.5's score below 2.5's
         X = np.array([0.0, 10.0] + [5.0] * 28).reshape(-1, 1)
         y = np.ones(30)
         y[26] = 0.0
         model = train_dt(X, y, DtParams(min_leaf_size=1))
-        assert (model.root.feature, model.root.threshold) == (0, 2.5)
-        assert brute_force_best_split(X, y, 1)[1:] == (0, 2.5)
+        assert model.root.threshold == 2.5
+        assert brute_force_best_split(X[:, 0], y, 1)[1] == 2.5
 
     @pytest.mark.parametrize("a,b", [(1 + 2**-52, 1 + 2**-51), (1e308, 1.5e308),
                                      (-1e308, -1.5e308)])
@@ -284,8 +259,8 @@ def walk_curve(model, length):
 
 @st.composite
 def position_trees(draw):
-    """Hand-built single-feature trees whose thresholds fall below 0, on
-    integers, between them and at or beyond the curve's end."""
+    """Hand-built trees whose thresholds fall below 0, on integers, between
+    them and at or beyond the curve's end."""
     length = draw(st.integers(0, 30))
     threshold = st.one_of(st.integers(-3, length + 3).map(float),
                           st.floats(-5.0, length + 5.0),
@@ -295,11 +270,10 @@ def position_trees(draw):
     def node(depth):
         if depth == 0 or draw(st.booleans()):
             return DtLeaf(mean=draw(st.floats(-2.0, 2.0)), count=1)
-        return DtSplit(feature=0, threshold=draw(threshold),
-                       left=node(depth - 1), right=node(depth - 1))
+        return DtSplit(threshold=draw(threshold), left=node(depth - 1), right=node(depth - 1))
 
     root = node(draw(st.integers(0, 6)))
-    return DtModel(root=root, n_features=1, params=DtParams()), length
+    return DtModel(root=root, params=DtParams()), length
 
 
 class TestPredictCurve:
@@ -314,14 +288,11 @@ class TestPredictCurve:
     def test_trained_tree(self):
         rng = np.random.default_rng(14)
         X = rng.integers(-4, 40, size=300).astype(float)
-        model = train_dt(X.reshape(-1, 1), rng.normal(size=300), DtParams(min_leaf_size=2))
+        model = train_dt(X, rng.normal(size=300), DtParams(min_leaf_size=2))
         for length in (0, 1, 36, 50):
             assert predict_curve(model, length).tobytes() == walk_curve(model, length).tobytes()
 
-    def test_rejects_multi_feature_model_and_negative_length(self):
-        two = train_dt(np.eye(4), np.arange(4.0), DtParams(min_leaf_size=1))
-        with pytest.raises(ValueError, match="single-feature"):
-            predict_curve(two, 4)
+    def test_rejects_negative_length(self):
         one = train_dt(np.arange(4.0), np.arange(4.0), DtParams(min_leaf_size=1))
         with pytest.raises(ValueError, match="length"):
             predict_curve(one, -1)
@@ -384,13 +355,13 @@ def rebuild_masks_solve_box_dual(K, z, c, box, idx, max_sweeps):
 
 @st.composite
 def kernel_problems(draw):
-    """Small problems; some repeat rows of X, some stop after 1-3 sweeps."""
+    """Small problems; some repeat positions, some stop after 1-3 sweeps."""
     n = draw(st.integers(2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = rng.normal(size=(n, draw(st.integers(1, 2))))
+    X = rng.normal(size=n)
     if draw(st.booleans()):
         X = X[rng.integers(0, max(1, n // 3), size=n)]
-    y = np.sin(2.0 * X[:, 0]) + 0.2 * rng.normal(size=n)
+    y = np.sin(2.0 * X) + 0.2 * rng.normal(size=n)
     labels = np.where(y > np.median(y), 1.0, -1.0)
     labels[0], labels[-1] = 1.0, -1.0
     fit = dict(C=draw(st.floats(0.05, 10.0)), kernel_scale=draw(st.floats(0.2, 2.0)),
@@ -410,17 +381,16 @@ def bench_pairs(small_cohort):
 def classifier_dual(X, labels, C=1.0, kernel_scale=0.35, max_sweeps=200,
                     solve=learners._solve_box_dual):
     """The binary max-margin dual (z the +-1 labels, c = 1) solved over the
-    Gram matrix of the distinct rows of X: (duals, intercept, objective history)."""
-    U, inv = np.unique(np.asarray(X, dtype=float).reshape(len(labels), -1), axis=0,
-                       return_inverse=True)
+    Gram matrix of the distinct positions X: (duals, intercept, objective history)."""
+    U, inv = np.unique(np.ravel(np.asarray(X, dtype=float)), return_inverse=True)
     return solve(learners._gram(U, kernel_scale), np.asarray(labels, dtype=float),
                  np.ones(len(labels)), C, inv, max_sweeps)
 
 
 def classifier_predict(X, labels, kernel_scale, dual, Q):
-    """The classifier's expansion sum_i y_i a_i k(q, x_i) + b at each row of Q."""
+    """The classifier's expansion sum_i y_i a_i k(q, x_i) + b at each position q of Q."""
     alpha, b, _ = dual
-    X, Q = (np.asarray(A, dtype=float).reshape(len(A), -1) for A in (X, Q))
+    X, Q = (np.ravel(np.asarray(A, dtype=float)) for A in (X, Q))
     return learners._kernel(Q, X, kernel_scale) @ (np.asarray(labels) * alpha) + b
 
 
@@ -494,62 +464,55 @@ class TestSolverContract:
 # ---------------------------------------------------------------------------
 # Oracles: tree growth and the kernel solver as they were before the tree
 # split presorted rows and the solver selected over distinct points. Their
-# code is kept as it was; the trainers must match them bit for bit, compared
-# in the same process, since `_kernel`'s exp differs by an ulp between
-# numpy's SIMD kernels.
+# code is kept as it was, but for the feature loop that one position no
+# longer needs; the trainers must match them bit for bit, compared in the
+# same process, since `_kernel`'s exp differs by an ulp between numpy's SIMD
+# kernels.
 
 
 def oracle_sse(y: np.ndarray) -> float:
     return float(np.sum((y - y.mean()) ** 2))
 
 
-def oracle_best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
+def oracle_best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
     n = y.size
     yc = y - y.mean()
-    screened = []
-    floor = np.inf
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        nl = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-        nl = nl[(nl >= min_leaf) & (n - nl >= min_leaf)]
-        if nl.size == 0:
-            continue
-        yo = yc[order]
-        sq = yo * yo
-        left1, left2 = np.cumsum(yo)[nl - 1], np.cumsum(sq)[nl - 1]
-        right1, right2 = np.cumsum(yo[::-1])[::-1][nl], np.cumsum(sq[::-1])[::-1][nl]
-        score = left2 - left1 * left1 / nl + right2 - right1 * right1 / (n - nl)
-        floor = min(floor, float(score.min()))
-        screened.append((f, order, xs, nl, score))
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    nl = np.nonzero(xs[1:] > xs[:-1])[0] + 1
+    nl = nl[(nl >= min_leaf) & (n - nl >= min_leaf)]
+    if nl.size == 0:
+        return None
+    yo = yc[order]
+    sq = yo * yo
+    left1, left2 = np.cumsum(yo)[nl - 1], np.cumsum(sq)[nl - 1]
+    right1, right2 = np.cumsum(yo[::-1])[::-1][nl], np.cumsum(sq[::-1])[::-1][nl]
+    score = left2 - left1 * left1 / nl + right2 - right1 * right1 / (n - nl)
 
-    limit = floor + 1e-9 * float(np.dot(yc, yc))
+    limit = float(score.min()) + 1e-9 * float(np.dot(yc, yc))
     best_score = np.inf
     best = None
-    for f, order, xs, nl, score in screened:
-        yo = y[order]
-        for i in nl[score <= limit]:
-            exact = oracle_sse(np.sort(yo[:i])) + oracle_sse(np.sort(yo[i:]))
-            if exact < best_score:
-                best_score = exact
-                best = (f, float((xs[i - 1] + xs[i]) / 2.0))
+    yo = y[order]
+    for i in nl[score <= limit]:
+        exact = oracle_sse(np.sort(yo[:i])) + oracle_sse(np.sort(yo[i:]))
+        if exact < best_score:
+            best_score = exact
+            best = float((xs[i - 1] + xs[i]) / 2.0)
     return best
 
 
-def oracle_grow(X: np.ndarray, y: np.ndarray, depth: int, params: DtParams):
+def oracle_grow(x: np.ndarray, y: np.ndarray, depth: int, params: DtParams):
     n = y.size
     if n < 2 * params.min_leaf_size or depth >= params.max_depth or np.ptp(y) == 0:
         return DtLeaf(mean=float(y.mean()), count=n)
-    best = oracle_best_split(X, y, params.min_leaf_size)
-    if best is None:
+    threshold = oracle_best_split(x, y, params.min_leaf_size)
+    if threshold is None:
         return DtLeaf(mean=float(y.mean()), count=n)
-    feature, threshold = best
-    mask = X[:, feature] <= threshold
+    mask = x <= threshold
     return DtSplit(
-        feature=feature,
         threshold=threshold,
-        left=oracle_grow(X[mask], y[mask], depth + 1, params),
-        right=oracle_grow(X[~mask], y[~mask], depth + 1, params),
+        left=oracle_grow(x[mask], y[mask], depth + 1, params),
+        right=oracle_grow(x[~mask], y[~mask], depth + 1, params),
     )
 
 
@@ -627,22 +590,25 @@ def assert_same_dual(new, old):
 
 
 def assert_same_tree(model, X, y, params):
-    old = oracle_grow(np.asarray(X, dtype=float).reshape(len(y), -1),
-                      np.asarray(y, dtype=float), 0, params)
+    old = oracle_grow(np.ravel(np.asarray(X, dtype=float)), np.asarray(y, dtype=float), 0,
+                      params)
     assert model.root == old
     assert repr(model.root) == repr(old)  # repr tells -0.0 from 0.0
 
 
 @st.composite
-def tie_heavy_rows(draw, max_features):
+def tie_heavy_rows(draw):
     """X from at most 8 distinct values, normal draws or a half-integer grid
-    (whose equal distances give equal kernel values), and y rounded to 1-2
-    decimals, in half the draws nudged by up to two ulps: points tie, and
-    variables tie within a point exactly and after rounding."""
+    (whose equal distances give equal kernel values), as a vector or a
+    column, and y rounded to 1-2 decimals, in half the draws nudged by up to
+    two ulps: points tie, and variables tie within a point exactly and after
+    rounding."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, k = draw(st.integers(2, 40)), draw(st.integers(1, 8))
     values = rng.normal(size=k) if draw(st.booleans()) else rng.integers(0, 4, size=k) * 0.5
-    X = values[rng.integers(0, k, size=(n, draw(st.integers(1, max_features))))]
+    X = values[rng.integers(0, k, size=n)]
+    if draw(st.booleans()):
+        X = X.reshape(-1, 1)
     y = np.round(rng.normal(size=n), draw(st.integers(1, 2)))
     if draw(st.booleans()):
         y += rng.integers(-2, 3, size=n) * np.spacing(y)
@@ -654,7 +620,7 @@ class TestSameAsOracle:
     duals, coefficients, intercept, objective history and trees."""
 
     @settings(max_examples=300, deadline=None)
-    @given(tie_heavy_rows(2), st.sampled_from([0.5, 1.0, 3.0, 10.0]), st.floats(0.2, 2.0),
+    @given(tie_heavy_rows(), st.sampled_from([0.5, 1.0, 3.0, 10.0]), st.floats(0.2, 2.0),
            st.sampled_from([1, 2, 3, 200]), st.sampled_from([None, 0.0, 0.05]),
            st.integers(0, 2**32 - 1))
     def test_kernel_fits_bit_equal(self, rows, C, kernel_scale, max_sweeps, epsilon, seed):
@@ -668,7 +634,7 @@ class TestSameAsOracle:
                          classifier_dual(X, labels, **fit, solve=oracle_solve_box_dual))
 
     @settings(max_examples=200, deadline=None)
-    @given(tie_heavy_rows(3), st.integers(1, 5), st.sampled_from([0, 1, 3, 32]))
+    @given(tie_heavy_rows(), st.integers(1, 5), st.sampled_from([0, 1, 3, 32]))
     def test_trees_equal(self, rows, min_leaf, max_depth):
         X, y = rows
         params = DtParams(min_leaf_size=min_leaf, max_depth=max_depth)
@@ -683,7 +649,7 @@ class TestSameAsOracle:
         params = DtParams(min_leaf_size=1)
         model = train_dt(X, y, params)
         shift = -math.frexp(np.abs(y - y.mean()).max())[1]
-        old = oracle_grow(X.reshape(-1, 1), np.ldexp(y, shift), 0, params)
+        old = oracle_grow(X, np.ldexp(y, shift), 0, params)
 
         def unscaled(node):
             if isinstance(node, DtLeaf):
@@ -743,7 +709,7 @@ class TestSelectionBoundaries:
         # has b = 0 and variable 2 b = 1e-200, whose square underflows, so
         # both would score 0 and the lower index would win: only b > 0 may
         # pair with i, and the step moves variables 0 and 2
-        K = learners._gram(np.array([[0.0], [100.0], [200.0]]), 0.35)
+        K = learners._gram(np.array([0.0, 100.0, 200.0]), 0.35)
         args = (K, np.array([1.0, -1.0, -1.0]), np.array([1e-200, -1e-200, 0.0]), 1.0,
                 np.arange(3), 1)
         with mock.patch.object(learners, "_KKT_TOL", 0.0):
@@ -787,28 +753,28 @@ class TestSelectionBoundaries:
 class TestDistinctRows:
     def test_gram_over_distinct_rows_expands_to_full_gram(self):
         rng = np.random.default_rng(16)
-        X = rng.integers(0, 40, size=300).astype(float).reshape(-1, 1) * 0.05
-        U, inv = np.unique(X, axis=0, return_inverse=True)
+        X = rng.integers(0, 40, size=300).astype(float) * 0.05
+        U, inv = np.unique(X, return_inverse=True)
         assert U.shape[0] < X.shape[0]
         assert learners._gram(U, 0.35)[inv][:, inv].tobytes() == learners._gram(X, 0.35).tobytes()
 
     @pytest.mark.parametrize("train", ["svr", "svm"])
     def test_solver_sees_one_kernel_row_per_distinct_row(self, train):
         rng = np.random.default_rng(17)
-        X = rng.normal(size=(8, 2))[rng.integers(0, 8, size=40)]
-        U, inv = np.unique(X, axis=0, return_inverse=True)
-        n_distinct = U.shape[0]
+        X = rng.normal(size=8)[rng.integers(0, 8, size=40)]
+        U, inv = np.unique(X, return_inverse=True)
+        n_distinct = U.size
         if train == "svr":
             with mock.patch.object(learners, "_solve_box_dual",
                                    wraps=learners._solve_box_dual) as spy:
-                train_svr(X, np.sin(X[:, 0]))
+                train_svr(X, np.sin(X))
             K, z, _, _, idx = spy.call_args.args[:5]
             assert K.shape == (n_distinct, n_distinct)
             assert idx.shape == z.shape and idx.max() == n_distinct - 1
             return
         # the classification dual over the distinct rows' kernel solves as
         # over every row's (the same kernel, expanded), and as the oracle does
-        labels = np.where(X[:, 0] > np.median(X[:, 0]), 1.0, -1.0)
+        labels = np.where(X > np.median(X), 1.0, -1.0)
         labels[0], labels[-1] = 1.0, -1.0
         K = learners._gram(U, 0.35)
         args = labels, np.ones(labels.size), 1.0
@@ -818,12 +784,12 @@ class TestDistinctRows:
                                                         np.arange(labels.size), 200))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
-    def test_batch_prediction_with_repeated_queries(self, seed, d):
+    @given(st.integers(0, 2**32 - 1))
+    def test_batch_prediction_with_repeated_queries(self, seed):
         rng = np.random.default_rng(seed)
-        X = rng.normal(size=(12, d))
-        m = train_svr(X, np.cos(X[:, 0]), C=2.0, kernel_scale=0.8)
-        Q = np.vstack([X, rng.normal(size=(5, d))])[rng.integers(0, 17, size=40)]
+        X = rng.normal(size=12)
+        m = train_svr(X, np.cos(X), C=2.0, kernel_scale=0.8)
+        Q = np.concatenate([X, rng.normal(size=5)])[rng.integers(0, 17, size=40)]
         batch = kernel_predict_batch(m, Q)
         assert batch.shape == (40,)
         for q, p in zip(Q, batch):
@@ -836,29 +802,31 @@ class TestKernel:
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            X = rng.normal(size=(6, 3))
+            X = rng.normal(size=6)
             assert np.all(np.diag(learners._gram(X, 0.35)) == 1.0)
             assert all(gaussian_kernel(x, x, 0.35) == 1.0 for x in X)
 
     def test_fit_and_prediction_share_the_kernel(self):
         # at this scale 2.0 * s ** 2 and 2.0 * s * s are different doubles
         s = 1.451543790965273
-        X = np.random.default_rng(18).normal(size=(6, 2))
+        X = np.random.default_rng(18).normal(size=6)
         off = ~np.eye(6, dtype=bool)
         assert learners._kernel(X, X, s)[off].tobytes() == learners._gram(X, s)[off].tobytes()
 
     def test_range(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            X = rng.normal(size=(5, 4))
+            X = rng.normal(size=5)
             K = learners._gram(X, 0.35)
             assert np.all((K > 0.0) & (K <= 1.0))
             for i, j in zip(*np.triu_indices(5, 1)):
                 assert abs(K[i, j] - gaussian_kernel(X[i], X[j], 0.35)) <= 1e-12
 
 
-def kernel_expression(A, B, s):
-    """The kernel as one expression, each step in a fresh array."""
+def kernel_expression(a, b, s):
+    """The kernel as one expression on the positions as columns, each step in
+    a fresh array: the products come from a one-column matrix product."""
+    A, B = a[:, None], b[:, None]
     sq_a, sq_b = np.sum(A * A, axis=1), np.sum(B * B, axis=1)
     return np.exp(-np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T), 0.0)
                   / (2.0 * s * s))
@@ -868,14 +836,14 @@ class TestKernelInPlace:
     """`_kernel` evaluates the expression in two buffers, to the same bytes."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 300),
-           st.integers(1, 3000), st.floats(0.05, 3.0))
-    def test_bytes_equal_to_the_expression(self, seed, d, na, nb, s):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 3000),
+           st.floats(0.05, 3.0))
+    def test_bytes_equal_to_the_expression(self, seed, na, nb, s):
         rng = np.random.default_rng(seed)
-        # rows drawn with repeats from a small pool, so equal rows meet
-        pool = rng.normal(size=(int(rng.integers(1, 50)), d)) * rng.uniform(0.1, 5.0)
-        A = pool[rng.integers(0, pool.shape[0], size=na)]
-        B = pool[rng.integers(0, pool.shape[0], size=nb)]
+        # positions drawn with repeats from a small pool, so equal ones meet
+        pool = rng.normal(size=int(rng.integers(1, 50))) * rng.uniform(0.1, 5.0)
+        A = pool[rng.integers(0, pool.size, size=na)]
+        B = pool[rng.integers(0, pool.size, size=nb)]
         assert learners._kernel(A, B, s).tobytes() == kernel_expression(A, B, s).tobytes()
         expected = kernel_expression(A, A, s)
         np.fill_diagonal(expected, 1.0)
@@ -884,7 +852,7 @@ class TestKernelInPlace:
     def test_least_kernel_scale_is_silent(self):
         # 2 * 1.2e-162**2 is the least subnormal: every distance but 0
         # overflows the division to -inf, and exp(-inf) is 0 without a warning
-        A = np.array([[0.0], [1.0], [3.0]])
+        A = np.array([0.0, 1.0, 3.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             K = learners._kernel(A, A, 1.2e-162)
@@ -895,7 +863,7 @@ class TestKernelInPlace:
         predicts: the five full-size temporaries of the expression held 3.0
         matrices at once, the in-place kernel holds 2."""
         rng = np.random.default_rng(21)
-        X = np.tile(np.arange(220.0), 10)[:2000].reshape(-1, 1)
+        X = np.tile(np.arange(220.0), 10)[:2000]
         m = KernelModel(X=X, y=np.zeros(2000), coef=rng.normal(size=2000), dual=np.zeros(4000),
                         b=0.5, kernel_scale=0.35, C=1.0, epsilon=0.1)
         queries = np.repeat(np.arange(220.0), 3).reshape(-1, 1)
@@ -934,6 +902,24 @@ class TestOneInputCheck:
         X, y, message = rejected_training_set(case, min_rows)
         with pytest.raises(ValueError, match=message):
             train(X, y)
+
+    @pytest.mark.parametrize("entry", ["train_dt", "predict_dt", "train_svr",
+                                       "kernel_predict_batch"])
+    def test_two_columns_refused(self, entry):
+        # the positions are a vector or one column; a second column is
+        # refused, before any fit or prediction, with its shape
+        X, y = np.arange(8.0).reshape(4, 2), np.array([-1.0, 1.0, -1.0, 1.0])
+        wide = "positions must be an (n,) array or a single column, got shape (4, 2)"
+        call, message = {
+            "train_dt": (lambda: train_dt(X, y), wide),
+            "predict_dt": (lambda: predict_dt(train_dt(X[:, 0], y), X[:1]),
+                           "expected one position, got shape (1, 2)"),
+            "train_svr": (lambda: train_svr(X, y), wide),
+            "kernel_predict_batch": (lambda: kernel_predict_batch(train_svr(X[:, 0], y), X),
+                                     wide),
+        }[entry]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
     @pytest.mark.parametrize("kwargs", [{"C": 0.0}, {"C": -1.0},
                                         {"kernel_scale": 0.0}, {"kernel_scale": -0.35},
@@ -1012,8 +998,8 @@ class TestSvmBinary:
         rng = np.random.default_rng(9)
         for _ in range(5):
             n = 16
-            X = rng.normal(size=(n, 2))
-            y = np.where(X[:, 0] + 0.3 * rng.normal(size=n) > 0, 1.0, -1.0)
+            X = rng.normal(size=n)
+            y = np.where(X + 0.3 * rng.normal(size=n) > 0, 1.0, -1.0)
             if len(np.unique(y)) < 2:
                 continue
             C = float(rng.uniform(0.5, 5.0))
@@ -1023,16 +1009,15 @@ class TestSvmBinary:
 
     def test_objective_non_decreasing(self):
         rng = np.random.default_rng(10)
-        X = rng.normal(size=(30, 2))
-        y = np.where(X[:, 1] > 0, 1.0, -1.0)
+        X = rng.normal(size=30)
+        y = np.where(X > 0, 1.0, -1.0)
         _, _, h = classifier_dual(X, y, C=2.0, kernel_scale=0.8)
         assert len(h) >= 1
         assert all(a <= b + 1e-9 for a, b in zip(h, h[1:]))
 
     def test_separable_training_accuracy(self):
         rng = np.random.default_rng(11)
-        X = np.vstack([rng.normal(-2.0, 0.3, size=(20, 2)),
-                       rng.normal(2.0, 0.3, size=(20, 2))])
+        X = np.concatenate([rng.normal(-2.0, 0.3, size=20), rng.normal(2.0, 0.3, size=20)])
         y = np.array([-1.0] * 20 + [1.0] * 20)
         dual = classifier_dual(X, y, C=5.0, kernel_scale=2.0)
         assert np.all(np.sign(classifier_predict(X, y, 2.0, dual, X)) == y)
